@@ -4,7 +4,10 @@
 Prints one row per profile with the finite-compactness, timelike-Cauchy,
 and divergence-condition verdicts plus the consistency flag.  The strip
 profile is the designed incomplete case: all three probes must fail there,
-and all three must hold everywhere else.
+and all three must hold everywhere else.  Exits 1 when a verdict departs
+from that split or a report is inconsistent, and 0 otherwise.
+
+    python3 scripts/run_catalog_probes.py
 """
 
 import os
@@ -24,6 +27,7 @@ CONFIGS = {
     "c1power": ProbeConfig(P(0, 0), P(0.5, 0)),
     "warpb": ProbeConfig(P(0, 0), P(0.5, 0), fc_bound=3.0, ca_bounds=(5.0, 20.0)),
 }
+INCOMPLETE = {"strip01"}  # every probe fails here and holds elsewhere
 
 
 def flag(holds):
@@ -33,6 +37,7 @@ def flag(holds):
 def main():
     print(f"{'profile':<10} {'fin.compact':<12} {'tl.Cauchy':<12} "
           f"{'divergence':<12} {'consistent':<10} time")
+    ok = True
     for name, config in CONFIGS.items():
         start = time.perf_counter()
         rep = implication_report(get_profile(name), config)
@@ -45,7 +50,13 @@ def main():
         )
         for broken in rep.violated:
             print(f"           implication violated: {broken}")
-    return 0
+        want = name not in INCOMPLETE
+        for r in rep.reports:
+            if r.holds != want:
+                print(f"           unexpected verdict: {r.condition} {r.verdict}")
+                ok = False
+        ok = ok and rep.consistent
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -44,7 +44,6 @@ from .errors import (
     TooLarge,
 )
 from .geodesics import (
-    CROSS_TOL,
     DRIFT_TOL,
     ConservedQuantities,
     GeodesicPath,

@@ -213,7 +213,7 @@ def _flat_interval(dtau, dx):
 # -- shooting solver -----------------------------------------------------------
 
 
-def _converged_rule(profile, t1, t2, tol=QUAD_TOL):
+def _converged_rule(profile, t1, t2):
     """Fixed node layout on [t1, t2] whose cone surrogate integral converged."""
     m = 1
     prev = None
@@ -221,7 +221,7 @@ def _converged_rule(profile, t1, t2, tol=QUAD_TOL):
         xs, w = panel_rule(t1, t2, breaks=profile.breakpoints, m=m)
         a, b, _, _ = profile.eval_many(xs)
         surr = float(w @ np.sqrt(a / b))
-        if prev is not None and abs(surr - prev) <= max(tol, 16e-16 * abs(surr)):
+        if prev is not None and abs(surr - prev) <= max(QUAD_TOL, 16e-16 * abs(surr)):
             return xs, w, a, b, m
         prev = surr
         m *= 2

@@ -29,7 +29,7 @@ class _Parser(argparse.ArgumentParser):
     # for failing probes, so remap usage errors to 1
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(1)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _pair(text: str) -> tuple[float, float]:
@@ -84,7 +84,7 @@ def _load_profile(args) -> profiles.MetricProfile:
 
 
 def _check_tolerances(args):
-    for name in ("eps_null", "drift_tol", "cross_tol"):
+    for name in ("eps_null", "drift_tol"):
         if getattr(args, name, None) is not None and getattr(args, name) <= 0.0:
             raise _CliError(f"--{name.replace('_', '-')} must be positive")
 
@@ -98,9 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--profile", help="built-in profile name")
             sp.add_argument("--profile-file", help="plain-text profile record file")
         sp.add_argument("--out", help="output path (default: stdout)")
-        sp.add_argument("--eps-null", type=float, default=None)
-        sp.add_argument("--drift-tol", type=float, default=None)
-        sp.add_argument("--cross-tol", type=float, default=None)
 
     sp = sub.add_parser("catalog", help="list built-in profiles")
     common(sp, profile=False)
@@ -112,6 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--smax", type=float, required=True)
     sp.add_argument("--step", type=float, required=True)
     sp.add_argument("--method", choices=("ode", "quadrature", "both"), default="ode")
+    sp.add_argument("--drift-tol", type=float, default=None,
+                    help="conserved-quantity drift allowed per unit parameter (ode)")
 
     sp = sub.add_parser("distance", help="Lorentzian distance T(p, q)")
     common(sp)
@@ -119,6 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", required=True)
     sp.add_argument("--method", choices=("auto", "reduction", "shooting"),
                     default="auto")
+    sp.add_argument("--eps-null", type=float, default=None, help="null classification band")
 
     sp = sub.add_parser("cone", help="null cone boundary of a point")
     common(sp)
@@ -132,6 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=100)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--tol", type=float, default=1e-7)
+    sp.add_argument("--eps-null", type=float, default=None, help="null classification band")
     sp.add_argument("--dump-dir", help="write chron/causal/dmat/taumat CSVs here")
 
     sp = sub.add_parser("probe", help="completeness-condition probes")

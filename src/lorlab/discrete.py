@@ -8,8 +8,6 @@ at 500.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,15 +17,6 @@ from .errors import RegionOutsideDomain, TooLarge
 from .profiles import EPS_NULL, MetricProfile, SpacetimePoint
 
 MAX_POINTS = 500
-
-
-def worker_count() -> int:
-    """Parallelism cap from LORLAB_THREADS (default 1: serial)."""
-    try:
-        n = int(os.environ.get("LORLAB_THREADS", "1"))
-    except ValueError:
-        return 1
-    return max(1, n)
 
 
 @dataclass
@@ -100,22 +89,10 @@ def space_from_points(
         # b == 1: the cone map is the flat time map
         taumat[ii, jj] = _flat_interval(cone[jj] - cone[ii], xs[jj] - xs[ii])
     else:
-        pairs = list(zip(ii.tolist(), jj.tolist()))
-
-        def solve(pair):
-            i, j = pair
-            return lorentzian_distance(
+        for i, j in zip(ii.tolist(), jj.tolist()):
+            taumat[i, j] = lorentzian_distance(
                 profile, pts[i], pts[j], with_path=False, eps_null=eps_null
             ).value
-
-        workers = worker_count()
-        if workers > 1 and len(pairs) > 64:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                values = list(pool.map(solve, pairs))
-        else:
-            values = [solve(pair) for pair in pairs]
-        for (i, j), val in zip(pairs, values):
-            taumat[i, j] = val
     return DiscreteCausalSpace(pts, chron, causal, dmat, taumat)
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -32,10 +33,9 @@ from .profiles import (
     TangentVector,
     classify_vector,
 )
-from .quadrature import QUAD_TOL, CumulativeMap
+from .quadrature import CumulativeMap, _shrink_overflow, toward_end
 
 DRIFT_TOL = 1e-6   # allowed conserved-quantity drift per unit affine parameter
-CROSS_TOL = 1e-6   # dual-solver endpoint agreement budget
 INVERT_TOL = 1e-12  # relative tolerance of the quadrature inversion in T
 
 
@@ -223,8 +223,7 @@ def _advance_fixed(profile, p, v, s_total, h):
 class _Quadrature:
     """Conserved-quantity solver for future-directed causal data (tau0 > 0)."""
 
-    def __init__(self, profile: MetricProfile, p: SpacetimePoint, v: TangentVector,
-                 tol: float = QUAD_TOL):
+    def __init__(self, profile: MetricProfile, p: SpacetimePoint, v: TangentVector):
         profile.require_inside(p.t)
         self.profile = profile
         self.t0 = p.t
@@ -244,8 +243,8 @@ class _Quadrature:
             return kappa * np.sqrt(a) / (b * np.sqrt(kappa * kappa / b - eps))
 
         breaks = profile.breakpoints
-        self._s = CumulativeMap(f_s, self.t0, breaks=breaks, tol=tol)
-        self._x = CumulativeMap(f_x, self.t0, breaks=breaks, tol=tol)
+        self._s = CumulativeMap(f_s, self.t0, breaks=breaks)
+        self._x = CumulativeMap(f_x, self.t0, breaks=breaks)
 
     def s_of(self, T: float) -> float:
         return self._s(T)
@@ -257,72 +256,49 @@ class _Quadrature:
         time coordinate toward the domain end either brackets the target or
         converges to the total affine length available.
         """
-        t0 = self.t0
         tmax = self.profile.t_max
-
-        def bracketed(sT, gain):
-            # a saturating integral can touch the target exactly in floats;
-            # only healthy progress past the target counts as a bracket
-            if target is None or not math.isfinite(sT):
-                return target is not None
-            return sT > target or (sT == target and gain > stall_gate(sT))
+        finite = math.isfinite(tmax)
 
         def stall_gate(sT):
             return max(1e-13, 1e-12 * abs(sT))
 
-        lo, slo = t0, 0.0
-        if math.isfinite(tmax):
-            span = tmax - t0
-            stall = 0
-            for k in range(1, 50):
-                T = tmax - span * 2.0 ** (-k)
-                if T <= lo:
-                    continue
-                sT = self._s(T)
-                if target is None and not math.isfinite(sT):
-                    # the affine integral already overflowed: no finite bound
-                    return ("bound", math.inf)
-                gain = sT - slo
-                if bracketed(sT, gain):
-                    return ("bracket", lo, T, slo, sT)
-                if gain < stall_gate(sT):
-                    stall += 1
-                    if stall >= 2:
-                        return ("bound", sT)
-                else:
-                    stall = 0
-                lo, slo = T, sT
-            return ("bound", slo)
-        step = 1.0
+        lo, slo = self.t0, 0.0
         stall = 0
-        for _ in range(75):
-            T = t0 + step
+        for T in islice(toward_end(self.t0, tmax), 49 if finite else 75):
             sT = self._s(T)
-            if target is None and not math.isfinite(sT):
-                return ("bound", math.inf)
+            if not math.isfinite(sT):
+                # the affine integral overflowed: there is no finite bound,
+                # and a target lies before T
+                if target is None:
+                    return ("bound", math.inf)
+                return ("bracket", lo, T, slo, sT)
             gain = sT - slo
-            if bracketed(sT, gain):
+            # a saturating integral can touch the target exactly in floats;
+            # only healthy progress past the target counts as a bracket
+            if target is not None and (
+                sT > target or (sT == target and gain > stall_gate(sT))
+            ):
                 return ("bracket", lo, T, slo, sT)
             if gain < stall_gate(sT):
                 stall += 1
-                if stall >= 3:
-                    # affine length converges although t escapes to infinity
+                # an unbounded march waits one step longer: the affine
+                # length can converge although t escapes to infinity
+                if stall >= (2 if finite else 3):
                     return ("bound", sT)
             else:
                 stall = 0
             lo, slo = T, sT
-            step *= 2.0
+        if finite:
+            return ("bound", slo)
         if target is None:
             return ("bound", math.inf)
         raise QuadratureError("affine target not bracketed while doubling T")
 
     def _certificate(self, total):
         tmax = self.profile.t_max
-        if math.isfinite(tmax):
-            span = tmax - self.t0
-            t_near = tmax - span * 2.0 ** (-45)
-        else:
-            t_near = self.t0 + 2.0 ** 40
+        # the march point 2^-45 of the span short of a finite end, or 2^40
+        # past t0 toward an unbounded one
+        *_, t_near = islice(toward_end(self.t0, tmax), 45 if math.isfinite(tmax) else 41)
         try:
             x_lim = self.x0 + self._x(t_near)
             if not math.isfinite(x_lim):
@@ -343,17 +319,7 @@ class _Quadrature:
         kind, *rest = self._march(s)
         if kind == "bound":
             raise Inextendible(self._certificate(rest[0]))
-        lo, hi, slo, shi = rest
-        # shrink an overflowed upper endpoint back into the finite region
-        for _ in range(200):
-            if math.isfinite(shi):
-                break
-            mid = 0.5 * (lo + hi)
-            sm = self._s(mid)
-            if math.isfinite(sm) and sm < s:
-                lo, slo = mid, sm
-            else:
-                hi, shi = mid, sm
+        lo, hi, slo, shi = _shrink_overflow(self._s, *rest, level=s)
         # safeguarded Newton: the integrand is the exact derivative of s(T)
         T = lo + (s - slo) * (hi - lo) / (shi - slo)
         for _ in range(100):

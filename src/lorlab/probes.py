@@ -21,7 +21,9 @@ replayable numeric witness.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -35,7 +37,7 @@ from .profiles import (
     TangentVector,
     classify_vector,
 )
-from .quadrature import bracketed_root
+from .quadrature import bracketed_root, toward_end
 
 HOLDS = "holds_on_probe"
 FAILS = "fails_with_witness"
@@ -174,107 +176,68 @@ def probe_finite_compactness(
     _require_chronological(profile, p, q, eps_null)
     base_witness = {"p": (p.t, p.x), "q": (q.t, q.x), "bound": float(B)}
 
-    def slice_min(t):
-        return _slice_scan(profile, p, q, B, t, nx, eps_null)[0]
+    scans = {}  # the root search can end on a slice the trace needs again
 
-    if _tval(profile, p, q, eps_null) > B:
+    def scan(t):
+        if t not in scans:
+            scans[t] = _slice_scan(profile, p, q, B, t, nx, eps_null)
+        return scans[t]
+
+    T_pq = _tval(profile, p, q, eps_null)
+    if T_pq > B:
         region = K1Region(p, q, B, np.empty((0, 4)), [], True, True)
         report = ProbeReport(
             "finite_compactness", HOLDS, dict(base_witness, empty=True, t_top=q.t)
         )
         return report, region
 
-    # march the slice level upward until the region empties or the domain ends
-    t_top = None
-    escaped = None
-    if math.isfinite(profile.t_max):
-        span = profile.t_max - q.t
-        t_prev = q.t
-        for k in range(1, 41):
-            t_k = profile.t_max - span * 2.0 ** (-k)
-            if t_k <= t_prev:
-                continue
-            if slice_min(t_k) > B:
-                t_top = bracketed_root(
-                    lambda t: slice_min(t) - B, t_prev, t_k, xtol=1e-9
-                )
-                break
-            t_prev = t_k
-        if t_top is None:
-            # the region runs into the missing boundary: record the escape
-            # along the midline of the surviving part of each slice
-            pts = []
-            for k in range(1, 33):
-                t_k = profile.t_max - span * 2.0 ** (-k)
-                if t_k <= q.t:
-                    continue
-                _, lo, hi, _, _ = _slice_scan(profile, p, q, B, t_k, nx, eps_null)
-                if math.isnan(lo):
-                    continue
-                x_mid = 0.5 * (lo + hi)
-                pts.append(
-                    (t_k, x_mid,
-                     _tval(profile, p, SpacetimePoint(t_k, x_mid), eps_null))
-                )
-            escaped = pts
+    # march the slice level toward the domain end until the region empties;
+    # the slice at q.t is the single point q, so its minimum is T(p, q)
+    marched = []  # (t, x_keep_lo, x_keep_hi, min_T) of every slice passed
+    t_prev, g_prev = q.t, T_pq - B
+    n_march = 40 if math.isfinite(profile.t_max) else 70
+    for t in islice(toward_end(q.t, profile.t_max, max(1e-2, 1e-2 * abs(B))), n_march):
+        min_T, lo, hi, _, _ = scan(t)
+        if min_T > B:
+            t_top = bracketed_root(
+                lambda u: scan(u)[0] - B, t_prev, t, glo=g_prev, ghi=min_T - B, xtol=1e-9
+            )
+            break
+        marched.append((t, lo, hi, min_T))
+        t_prev, g_prev = t, min_T - B
     else:
-        step = max(1e-2, 1e-2 * abs(B))
-        t_prev = q.t
-        for _ in range(70):
-            t_k = t_prev + step
-            if slice_min(t_k) > B:
-                t_top = bracketed_root(
-                    lambda t: slice_min(t) - B, t_prev, t_k, xtol=1e-9
-                )
-                break
-            t_prev = t_k
-            step *= 2.0
-        if t_top is None:
-            pts = []
-            for k in range(24):
-                t_k = q.t + 2.0 ** k
-                _, lo, hi, _, _ = _slice_scan(profile, p, q, B, t_k, nx, eps_null)
-                if math.isnan(lo):
-                    continue
-                x_mid = 0.5 * (lo + hi)
-                pts.append(
-                    (t_k, x_mid,
-                     _tval(profile, p, SpacetimePoint(t_k, x_mid), eps_null))
-                )
-            escaped = pts
-
-    if t_top is not None:
-        ts = np.linspace(q.t, t_top, n_trace)
-        slices = k1_slices(profile, p, q, B, ts, nx=nx, eps_null=eps_null)
-        boundary = []
-        for t in ts:
-            _, lo, hi, xs, Ts = _slice_scan(profile, p, q, B, float(t), nx, eps_null)
-            boundary.extend(_level_crossings(profile, p, B, float(t), xs, Ts, eps_null))
-            if not math.isnan(lo):
-                boundary.append((float(t), float(xs[0])))
-                boundary.append((float(t), float(xs[-1])))
-        region = K1Region(p, q, B, slices, boundary, True, True)
+        # the region runs into the missing boundary: the escape witness is
+        # the midline of the surviving part of each slice the march passed
+        mids = [(t, 0.5 * (lo + hi)) for t, lo, hi, _ in marched]
+        slices = np.asarray(marched, dtype=float).reshape(-1, 4)
+        region = K1Region(p, q, B, slices, [], False, False)
         report = ProbeReport(
-            "finite_compactness", HOLDS, dict(base_witness, t_top=float(t_top))
+            "finite_compactness",
+            FAILS,
+            dict(
+                base_witness,
+                escaping_points=mids,
+                escaping_T=[
+                    _tval(profile, p, SpacetimePoint(*pt), eps_null) for pt in mids
+                ],
+                t_boundary=float(profile.t_max),
+            ),
         )
         return report, region
 
-    ts = [row[0] for row in escaped]
-    slices = (
-        k1_slices(profile, p, q, B, ts, nx=nx, eps_null=eps_null)
-        if ts
-        else np.empty((0, 4))
-    )
-    region = K1Region(p, q, B, slices, [], False, False)
+    # trace the capped region: one scan per slice gives its row and the
+    # level crossings
+    rows, boundary = [], []
+    for t in np.linspace(q.t, t_top, n_trace).tolist():
+        min_T, lo, hi, xs, Ts = scan(t)
+        rows.append((t, lo, hi, min_T))
+        boundary.extend(_level_crossings(profile, p, B, t, xs, Ts, eps_null))
+        if not math.isnan(lo):
+            boundary.append((t, float(xs[0])))
+            boundary.append((t, float(xs[-1])))
+    region = K1Region(p, q, B, np.asarray(rows, dtype=float), boundary, True, True)
     report = ProbeReport(
-        "finite_compactness",
-        FAILS,
-        dict(
-            base_witness,
-            escaping_points=[(float(t), float(x)) for t, x, _ in escaped],
-            escaping_T=[float(T) for _, _, T in escaped],
-            t_boundary=float(profile.t_max),
-        ),
+        "finite_compactness", HOLDS, dict(base_witness, t_top=float(t_top))
     )
     return report, region
 
@@ -305,58 +268,28 @@ def probe_condition_a(
     quad = _Quadrature(profile, q, v)
     bound = quad.bound()
 
-    def T_at(s):
-        if s == 0.0:
-            return _tval(profile, p, q, eps_null)
-        return _tval(profile, p, quad.point_at(s), eps_null)
-
-    bounds = sorted(float(B) for B in B_list)
-    crossings = {}
-    sup_T = None
-    tail = []
-    if math.isfinite(bound):
-        s_hi = None
-        T_hi = -math.inf
-        for k in range(1, 46):
-            s_k = bound * (1.0 - 2.0 ** (-k))
-            if s_k <= 0.0:
-                continue
-            pt = quad.point_at(s_k)
-            T_hi = _tval(profile, p, pt, eps_null)
-            s_hi = s_k
-            if k > 40:
-                tail.append((s_k, pt.t, pt.x, T_hi))
-        sup_T = T_hi
-        for B in bounds:
-            if T_at(0.0) > B:
-                crossings[B] = 0.0
-            elif T_hi > B:
-                crossings[B] = float(
-                    bracketed_root(lambda s: T_at(s) - B, 0.0, s_hi, xtol=1e-10)
-                )
-            else:
-                crossings[B] = None
-    else:
-        for B in bounds:
-            if T_at(0.0) > B:
-                crossings[B] = 0.0
-                continue
-            s_lo, s_hi = 0.0, 1.0
-            found = False
-            for _ in range(90):
-                if T_at(s_hi) > B:
-                    found = True
-                    break
-                s_lo, s_hi = s_hi, 2.0 * s_hi
-            if not found:
-                crossings[B] = None
-                pt = quad.point_at(s_lo)
-                sup_T = T_at(s_lo)
-                tail.append((s_lo, pt.t, pt.x, sup_T))
-                continue
+    # march s toward the affine bound; each bound is bracketed between the
+    # last march point below it and the first one above it
+    T_prev = _tval(profile, p, q, eps_null)
+    bounds = sorted({float(B) for B in B_list})
+    crossings = {B: 0.0 for B in bounds if T_prev > B}
+    pending = [B for B in bounds if B not in crossings]
+    s_prev = 0.0
+    tail = deque(maxlen=5)  # the last march points, the witness of a capped T
+    for s in islice(toward_end(0.0, bound), 45 if math.isfinite(bound) else 90):
+        if not pending:
+            break
+        pt = quad.point_at(s)
+        T = _tval(profile, p, pt, eps_null)
+        while pending and T > pending[0]:
+            B = pending.pop(0)
             crossings[B] = float(
-                bracketed_root(lambda s: T_at(s) - B, s_lo, s_hi, xtol=1e-10)
+                bracketed_root(lambda u: _tval(profile, p, quad.point_at(u), eps_null) - B,
+                               s_prev, s, glo=T_prev - B, ghi=T - B, xtol=1e-10)
             )
+        tail.append((s, pt.t, pt.x, T))
+        s_prev, T_prev = s, T
+    crossings.update((B, None) for B in pending)
 
     witness = {
         "p": (p.t, p.x),
@@ -365,11 +298,10 @@ def probe_condition_a(
         "crossings": crossings,
         "max_param": float(bound),
     }
-    missed = [B for B, s in crossings.items() if s is None]
-    if missed:
-        witness["bounded_by"] = float(sup_T)
-        witness["missed_bounds"] = missed
-        witness["tail"] = tail
+    if pending:
+        witness["bounded_by"] = float(T_prev)
+        witness["missed_bounds"] = pending
+        witness["tail"] = list(tail)
         return ProbeReport("condition_a", FAILS, witness)
     return ProbeReport("condition_a", HOLDS, witness)
 
@@ -468,10 +400,9 @@ def make_cauchy_sequence(
     cap = min(float(span), quad.bound())
     pts = []
     bounds = []
-    for k in range(1, n + 1):
-        s_k = cap * (1.0 - 2.0 ** (-k))
+    for k, s_k in enumerate(islice(toward_end(0.0, cap), n), 1):
         pts.append(quad.point_at(s_k))
-        bounds.append(2.0 * cap * 2.0 ** (-k))
+        bounds.append(math.ldexp(cap, 1 - k))  # 2 cap 2^-k
     return pts, bounds
 
 

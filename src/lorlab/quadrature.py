@@ -41,6 +41,7 @@ _UNIT_NODES = 0.5 * (_NODES + 1.0)  # the nodes mapped onto [0, 1]
 _GRADE_LEVELS = 36
 
 MAX_LEVELS = 14         # halvings of a panel before refinement stalls
+ROOT_MAX_ITER = 300     # false-position steps of bracketed_root
 GRID_STEP = 1.0 / 16.0  # knot spacing of anchored maps near their anchor
 MEMO_SIZE = 4096        # values an anchored map remembers
 EXPM1_BELOW = 0.5       # exponential closed forms switch to expm1 below this
@@ -84,8 +85,7 @@ def _split_rule(m: int):
     return frac, np.tile(_WEIGHTS, m)
 
 
-def _refine(f, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray,
-            max_levels: int = MAX_LEVELS) -> np.ndarray:
+def _refine(f, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray) -> np.ndarray:
     """Integral of f over each panel [lo[k], hi[k]], halved until stable.
 
     Every panel is split into m = 1, 2, 4, ... equal parts until its own
@@ -101,7 +101,7 @@ def _refine(f, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray,
     m = 1
     # overflow to inf is a legitimate sentinel for the marching logic
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max_levels):
+        for _ in range(MAX_LEVELS):
             frac, w = _split_rule(m)
             vals = np.asarray(f((lo[:, None] + width[:, None] * frac).ravel()), dtype=float)
             sums = [_fsum(row) for row in (vals.reshape(len(lo), -1) * w).tolist()]
@@ -126,10 +126,10 @@ def _refine(f, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray,
     )
 
 
-def _panels(lo: float, hi: float, tol: float, breaks):
+def _panels(lo: float, hi: float, breaks):
     """(sign, edges, per-panel tolerances) of one interval's panels.
 
-    The tolerance is shared out in proportion to panel length.
+    QUAD_TOL is shared out in proportion to panel length.
     """
     sgn = 1.0
     if hi < lo:
@@ -137,20 +137,19 @@ def _panels(lo: float, hi: float, tol: float, breaks):
     if lo == hi:
         return sgn, [], []
     edges = _panel_edges(lo, hi, breaks)
-    share = tol / (hi - lo)
+    share = QUAD_TOL / (hi - lo)
     return sgn, edges, [share * (b - a) for a, b in zip(edges, edges[1:])]
 
 
 def panel_integrals(f, los, his, breaks=()) -> np.ndarray:
     """Integrals of the vectorized callable f over each [los[i], his[i]].
 
-    Each entry is the float panel_integral returns for the same interval
-    with its default tolerance, however many intervals are integrated
-    together.
+    Each entry is the float panel_integral returns for the same interval,
+    however many intervals are integrated together.
     """
     rows, lo, hi, ptol = [], [], [], []
     for a, b in zip(los, his):
-        sgn, edges, tols = _panels(float(a), float(b), QUAD_TOL, breaks)
+        sgn, edges, tols = _panels(float(a), float(b), breaks)
         rows.append((sgn, len(ptol), len(ptol) + len(tols)))
         lo.extend(edges[:-1])
         hi.extend(edges[1:])
@@ -161,21 +160,19 @@ def panel_integrals(f, los, his, breaks=()) -> np.ndarray:
     return np.array([sgn * _fsum(vals[i:j]) for sgn, i, j in rows])
 
 
-def panel_integral(f, lo: float, hi: float, tol: float = QUAD_TOL,
-                   breaks=(), max_levels: int = MAX_LEVELS) -> float:
+def panel_integral(f, lo: float, hi: float, breaks=()) -> float:
     """Integral of the vectorized callable f over [lo, hi].
 
     Panels are graded toward the breakpoints in [lo, hi]; each is halved
-    until its own value is stable, with the tolerance shared out by length.
+    until its own value is stable, with QUAD_TOL shared out by length.
     The rule's products and the panel values are summed exactly (math.fsum),
-    so the result depends only on f, the interval, breaks and tol, and not
-    on BLAS summation order.  Raises QuadratureError if refinement stalls.
+    so the result depends only on f, the interval and breaks, and not on
+    BLAS summation order.  Raises QuadratureError if refinement stalls.
     """
-    sgn, edges, tols = _panels(float(lo), float(hi), tol, breaks)
+    sgn, edges, tols = _panels(float(lo), float(hi), breaks)
     if not tols:
         return 0.0
-    vals = _refine(f, np.array(edges[:-1]), np.array(edges[1:]), np.array(tols),
-                   max_levels)
+    vals = _refine(f, np.array(edges[:-1]), np.array(edges[1:]), np.array(tols))
     return sgn * _fsum(vals.tolist())
 
 
@@ -199,10 +196,9 @@ class CumulativeMap:
     but never cached.  Shared maps use AnchoredMap.
     """
 
-    def __init__(self, f, anchor: float, breaks=(), tol: float = QUAD_TOL):
+    def __init__(self, f, anchor: float, breaks=()):
         self._f = f
         self._breaks = tuple(breaks)
-        self._tol = tol
         self.anchor = float(anchor)
         self._knots = [self.anchor]
         self._vals = {self.anchor: 0.0}
@@ -219,9 +215,7 @@ class CumulativeMap:
                 cand = self._knots[k]
                 if near is None or abs(t - cand) < abs(t - near):
                     near = cand
-        val = self._vals[near] + panel_integral(
-            self._f, near, t, tol=self._tol, breaks=self._breaks
-        )
+        val = self._vals[near] + panel_integral(self._f, near, t, breaks=self._breaks)
         if math.isfinite(val):
             insort(self._knots, t)
             self._vals[t] = val
@@ -409,8 +403,59 @@ class AnchoredMap:
         return values
 
 
+def toward_end(start: float, end: float, step: float = 1.0):
+    """March from start toward the domain end `end`.
+
+    A finite end gives end - (end - start) 2^-k for k = 1, 2, ...; an
+    infinite end gives start + step 2^k for k = 0, 1, ....  A point that
+    floats cannot move past the previous one is skipped, and the march stops
+    once floats reach a finite end or overflow, so the points strictly
+    increase and stay below the end.  Callers take as many as they need.
+    """
+    last = start
+    if math.isfinite(end):
+        gap = end - start
+        while True:
+            gap *= 0.5
+            t = end - gap
+            if t >= end:
+                return
+            if t > last:
+                last = t
+                yield t
+    gap = step
+    while True:
+        t = start + gap
+        if not math.isfinite(t):
+            return
+        if t > last:
+            last = t
+            yield t
+        gap *= 2.0
+
+
+def _shrink_overflow(g, lo: float, hi: float, glo: float, ghi: float,
+                    level: float = 0.0):
+    """Bisect an overflowed upper end of [lo, hi] back into the finite region.
+
+    While g(hi) is not finite, the midpoint replaces lo when g there is
+    finite and on lo's side of level, and hi otherwise.  Returns the new
+    (lo, hi, glo, ghi).
+    """
+    for _ in range(200):
+        if math.isfinite(ghi):
+            break
+        mid = 0.5 * (lo + hi)
+        gm = g(mid)
+        if math.isfinite(gm) and (gm > level) == (glo > level):
+            lo, glo = mid, gm
+        else:
+            hi, ghi = mid, gm
+    return lo, hi, glo, ghi
+
+
 def bracketed_root(g, lo: float, hi: float, glo=None, ghi=None,
-                   xtol: float = 1e-12, max_iter: int = 300) -> float:
+                   xtol: float = 1e-12) -> float:
     """Root of g on [lo, hi] by Illinois false position with bisection floor.
 
     g(lo) and g(hi) must have opposite signs; xtol is relative to max(1, |t|).
@@ -423,20 +468,11 @@ def bracketed_root(g, lo: float, hi: float, glo=None, ghi=None,
         return lo
     if ghi == 0.0:
         return hi
-    # shrink an infinite endpoint back into the finite region first
-    for _ in range(200):
-        if math.isfinite(ghi):
-            break
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if math.isfinite(gm) and (gm > 0.0) == (glo > 0.0):
-            lo, glo = mid, gm
-        else:
-            hi, ghi = mid, gm
+    lo, hi, glo, ghi = _shrink_overflow(g, lo, hi, glo, ghi)
     if (glo > 0.0) == (ghi > 0.0):
         raise QuadratureError(f"root not bracketed on [{lo!r}, {hi!r}]")
     side = 0
-    for _ in range(max_iter):
+    for _ in range(ROOT_MAX_ITER):
         if hi - lo <= xtol * max(1.0, abs(lo), abs(hi)):
             break
         denom = ghi - glo

@@ -1,3 +1,5 @@
+import pytest
+
 from lorlab.cli import main
 
 SQRT3 = "1.7320508075688772"
@@ -55,6 +57,34 @@ def test_negative_tolerance_rejected(capsys):
                        "--q", "2,1", "--eps-null", "-1e-9")
     assert code == 1
     assert "eps-null" in err
+
+
+_VALID_ARGS = {
+    "catalog": (),
+    "geodesic": ("--profile", "minkowski", "--p", "0,0", "--v", "1,0",
+                 "--smax", "0.01", "--step", "0.005"),
+    "distance": ("--profile", "minkowski", "--p", "0,0", "--q", "2,1"),
+    "cone": ("--profile", "minkowski", "--p", "0,0", "--tmax", "1", "--n", "3"),
+    "axioms": ("--profile", "minkowski", "--region", "0,1,0,1", "--n", "10"),
+    "probe": ("--profile", "minkowski", "--kind", "tcc", "--p", "0,0"),
+    "reduce": ("--profile", "exp2t", "--p", "1,0"),
+}
+_HONOURED = {("distance", "--eps-null"), ("axioms", "--eps-null"),
+             ("geodesic", "--drift-tol")}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag)
+    for command in _VALID_ARGS
+    for flag in ("--eps-null", "--drift-tol", "--cross-tol")
+    if (command, flag) not in _HONOURED
+])
+def test_tolerance_flag_rejected_where_not_honoured(capsys, command, flag):
+    code, out, err = run(capsys, command, *_VALID_ARGS[command], flag, "1e-6")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage:")
+    assert f"unrecognized arguments: {flag} 1e-6" in err
 
 
 def test_distance_value_and_maximizer(capsys):

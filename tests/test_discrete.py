@@ -227,15 +227,6 @@ def test_causality_single_pair_space():
     assert check_causality(space).status == "pass"
 
 
-def test_parallel_map_is_deterministic(monkeypatch):
-    prof = get_profile("warpb")
-    serial = sample_space(prof, REGIONS["warpb"], 40, seed=8)
-    monkeypatch.setenv("LORLAB_THREADS", "4")
-    threaded = sample_space(prof, REGIONS["warpb"], 40, seed=8)
-    assert np.array_equal(serial.taumat, threaded.taumat)
-    assert np.array_equal(serial.chron, threaded.chron)
-
-
 def test_checks_reject_oversized_spaces():
     rng = np.random.default_rng(1)
     pts = [P(float(t), float(x)) for t, x in

@@ -19,6 +19,7 @@ from lorlab import (
     probe_timelike_cauchy,
     replay_witness,
 )
+from lorlab.geodesics import _Quadrature
 
 P = SpacetimePoint
 V = TangentVector
@@ -84,6 +85,16 @@ def test_fc_requires_chronological_pair():
 def test_fc_requires_positive_bound():
     with pytest.raises(ValueError):
         probe_finite_compactness(get_profile("minkowski"), P(0, 0), P(1, 0), -1.0)
+
+
+@pytest.mark.parametrize("name, q, B", [("minkowski", P(1, 0), 5.0),
+                                        ("c1power", P(0.5, 0), 5.0)])
+def test_fc_slices_are_k1_slices_of_the_trace(name, q, B):
+    prof = get_profile(name)
+    rep, region = probe_finite_compactness(prof, P(0, 0), q, B)
+    ts = np.linspace(q.t, rep.witness["t_top"], 48)
+    want = k1_slices(prof, P(0, 0), q, B, ts)
+    assert region.slices.tobytes() == want.tobytes()
 
 
 def test_k1_nesting_in_bound():
@@ -195,6 +206,17 @@ def test_make_cauchy_sequence_satisfies_premises():
         pts, bounds = make_cauchy_sequence(prof, P(0.1, 0), V(1, 0), span=0.7, n=30)
         rep = probe_timelike_cauchy(prof, pts, bounds)  # must not raise
         assert rep.holds
+
+
+@pytest.mark.parametrize("name, span", [("exp2t", 0.7), ("strip01", 5.0)])
+def test_make_cauchy_sequence_at_geometric_parameters(name, span):
+    prof = get_profile(name)
+    pts, bounds = make_cauchy_sequence(prof, P(0.1, 0), V(1, 0), span=span, n=30)
+    quad = _Quadrature(prof, P(0.1, 0), V(1, 0))
+    cap = min(span, quad.bound())
+    want = [quad.point_at(cap * (1.0 - 2.0 ** -k)) for k in range(1, 31)]
+    assert [(p.t, p.x) for p in pts] == [(p.t, p.x) for p in want]
+    assert bounds == [2.0 * cap * 2.0 ** -k for k in range(1, 31)]
 
 
 def test_make_cauchy_sequence_caps_at_exit():

@@ -1,6 +1,7 @@
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from lorlab.quadrature import (
     panel_integral,
     panel_integrals,
     panel_rule,
+    toward_end,
 )
 
 from oracles import simpson_integral
@@ -135,3 +137,28 @@ def test_bracketed_root_requires_sign_change():
 def test_bracketed_root_cubic():
     root = bracketed_root(lambda t: t ** 3 - 2.0, 0.0, 4.0)
     assert root == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("start, end", [(0.2, 1.0), (-3.0, 5.5), (0.999, 1.0)])
+def test_toward_end_halves_the_gap_to_a_finite_end(start, end):
+    pts = list(islice(toward_end(start, end), 40))
+    assert pts == [end - (end - start) * 2.0 ** -k for k in range(1, 41)]
+    rest = list(toward_end(start, end))
+    assert rest[:40] == pts
+    assert all(a < b for a, b in zip(rest, rest[1:]))
+    assert start < rest[0] and rest[-1] < end
+
+
+@pytest.mark.parametrize("start, step", [(0.5, 1.0), (-2.0, 0.05), (1e17, 1.0)])
+def test_toward_end_doubles_the_stride_to_an_infinite_end(start, step):
+    want = [start + step * 2.0 ** k for k in range(80)]
+    want = [t for i, t in enumerate(want) if t > max([start] + want[:i])]
+    assert list(islice(toward_end(start, math.inf, step), len(want))) == want
+    rest = list(toward_end(start, math.inf, step))
+    assert all(a < b for a, b in zip(rest, rest[1:]))
+    assert math.isfinite(rest[-1])
+
+
+def test_toward_end_is_empty_without_room():
+    assert list(toward_end(1.0, 1.0)) == []
+    assert list(toward_end(1.0, math.nextafter(1.0, 2.0))) == []
