@@ -17,6 +17,13 @@ for this metric family, but a single sign change is still verified and a
 dense scan with max-length root selection is used as a fallback.  On
 profiles that are not globally hyperbolic the shooting value is only a
 lower bound for the supremum over all causal curves.
+
+Shooting runs on a batch of pairs at once: each pair's Gauss-Legendre rule
+is a row of (pairs x nodes) arrays, every gate applies per row to the rows
+still active, and every sum over nodes is a row-local numpy reduction
+rather than BLAS.  So a pair's T does not depend on the batch it is solved
+in: a sampled space's time-separation matrix, a probe's slice scan and a
+single lorentzian_distance call (a batch of one) agree bit for bit.
 """
 
 from __future__ import annotations
@@ -37,10 +44,11 @@ from .profiles import (
 )
 from .quadrature import (
     QUAD_TOL,
+    ROOT_MAX_ITER,
     AnchoredMap,
     ClosedFormMap,
-    bracketed_root,
-    panel_rule,
+    _panel_edges,
+    _rule_nodes,
 )
 
 
@@ -212,118 +220,302 @@ def _flat_interval(dtau, dx):
 
 # -- shooting solver -----------------------------------------------------------
 
-
-def _converged_rule(profile, t1, t2):
-    """Fixed node layout on [t1, t2] whose cone surrogate integral converged."""
-    m = 1
-    prev = None
-    for _ in range(12):
-        xs, w = panel_rule(t1, t2, breaks=profile.breakpoints, m=m)
-        a, b, _, _ = profile.eval_many(xs)
-        surr = float(w @ np.sqrt(a / b))
-        if prev is not None and abs(surr - prev) <= max(QUAD_TOL, 16e-16 * abs(surr)):
-            return xs, w, a, b, m
-        prev = surr
-        m *= 2
-    raise QuadratureError(f"node layout on [{t1!r}, {t2!r}] did not converge")
+RULE_LEVELS = 12       # doublings of m for the cone surrogate to converge
+REFINEMENTS = 4        # further doublings for the shooting length to settle
+XTOL = 1e-12           # relative kappa tolerance of a root
+BLOCK_PANELS = 1024    # rule panels of the pairs solved together
+EVAL_BUDGET = 1 << 13  # (pair, kappa, node) elements evaluated at once
+SWEEP_BLOCK = 4        # bracket sweep magnitudes tried per pass
+_SWEEP = 2.0 ** np.arange(64)
+_SWEEP_COLS = [np.concatenate([ks, -ks]) for ks in _SWEEP.reshape(-1, SWEEP_BLOCK)]
+_SIDES = np.array([[1.0], [-1.0]])     # residual signs sought at +2^j and -2^j
+_GRID = np.linspace(-1.0, 1.0, 33)     # single-sign-change check of a bracket
+_DENSE = np.linspace(-1.0, 1.0, 1025)  # fallback scan of a bracket
 
 
-class _ShootRule:
-    """Endpoint residual, its kappa derivative, and the g-length on one rule."""
+class _Rules:
+    """Shooting integrals of a batch of pairs, one node layout per row.
 
-    def __init__(self, w, a, b, dx_target):
-        self.w = w
-        self.sqa = np.sqrt(a)
-        self.b = b
-        self.dx = dx_target
+    Rows hold wc = w sqrt(a / b), wl = w sqrt(a b) and b at the nodes, and
+    the target dx.  With q = sqrt(kappa^2 + b), the endpoint-x residual is
+    sum wc kappa / q - dx and the g-length is sum wl / q.  Each sum runs over
+    one row's nodes (a numpy reduction, not BLAS), so a row's values depend
+    only on that row, never on the rest of the batch.
+    """
 
-    def endpoint_many(self, kappas):
-        k = np.asarray(kappas, dtype=float)[:, None]
-        # integrand kappa sqrt(a) / sqrt(b kappa^2 + b^2)
-        integ = k * self.sqa / np.sqrt(self.b * k * k + self.b * self.b)
-        return integ @ self.w - self.dx
+    def __init__(self, wc, wl, b, dx):
+        self.wc, self.wl, self.b, self.dx = wc, wl, b, dx
 
-    def residual(self, kappa):
-        return float(self.endpoint_many([kappa])[0])
+    @classmethod
+    def from_nodes(cls, w, a, b, dx):
+        """Rows from weights w and a, b at the nodes, and the targets dx."""
+        wsa, sb = w * np.sqrt(a), np.sqrt(b)
+        return cls(wsa / sb, wsa * sb, b, dx)
 
-    def dresidual(self, kappa):
-        core = self.b * kappa * kappa + self.b * self.b
-        return float(self.w @ (self.sqa * self.b * self.b * core ** -1.5))
+    def take(self, rows):
+        return _Rules(self.wc[rows], self.wl[rows], self.b[rows], self.dx[rows])
 
-    def length(self, kappa):
-        return float(self.w @ (self.sqa / np.sqrt(kappa * kappa / self.b + 1.0)))
+    def endpoint(self, ks):
+        """Residual of row i at each kappa ks[i, :], or at every kappa of a
+        1-d ks."""
+        out = np.empty((len(self.dx), ks.shape[-1]))
+        step = max(1, EVAL_BUDGET // (ks.shape[-1] * self.b.shape[1]))
+        for s in range(0, len(out), step):
+            k = ks[s:s + step, :, None] if ks.ndim == 2 else ks[:, None]
+            q = np.sqrt(k * k + self.b[s:s + step, None, :])
+            out[s:s + step] = (self.wc[s:s + step, None, :] * (k / q)).sum(-1)
+        return out - self.dx[:, None]
+
+    def newton(self, k):
+        """Residual and its kappa derivative at one kappa per row."""
+        k = k[:, None]
+        q = np.sqrt(k * k + self.b)
+        return (self.wc * (k / q)).sum(-1) - self.dx, (self.wl / (q * q * q)).sum(-1)
+
+    def length(self, k):
+        k = k[:, None]
+        return (self.wl / np.sqrt(k * k + self.b)).sum(-1)
 
 
-def _solve_kappa(rule, p, q):
-    """Root of the endpoint-x residual on a fixed rule; returns (kappa, length)."""
-    # geometric two-sided sweep: the residual tends to +-(cone - |dx|) as
-    # kappa -> +-inf, so a chronological pair always brackets
-    ks = 2.0 ** np.arange(0, 64, dtype=float)
-    res_pos = rule.endpoint_many(ks)
-    res_neg = rule.endpoint_many(-ks)
-    up = np.nonzero(res_pos > 0.0)[0]
-    dn = np.nonzero(res_neg < 0.0)[0]
-    if not len(up) or not len(dn):
-        raise ShootingFailed(
-            f"no endpoint-x sign change for pair ({p.t!r},{p.x!r}) -> "
-            f"({q.t!r},{q.x!r}) within kappa bracket 2^64"
-        )
-    bracket = float(max(ks[up[0]], ks[dn[0]]))
+def _roots(rules, lo, hi, rlo, rhi):
+    """Root of each row's residual in its cell [lo, hi], where it changes
+    sign or is 0 at an end.
 
-    grid = np.linspace(-bracket, bracket, 33)
-    res = rule.endpoint_many(grid)
-    sign = np.sign(res)
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    exact = np.nonzero(sign == 0)[0]
-    if len(flips) + len(exact) != 1:
-        # multiple candidate roots: dense scan, keep the longest maximizer
-        # (ties broken toward smaller kappa)
-        grid = np.linspace(-bracket, bracket, 1025)
-        res = rule.endpoint_many(grid)
-        sign = np.sign(res)
-        flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-        roots = [float(grid[i]) for i in np.nonzero(sign == 0)[0]]
-        for i in flips:
-            roots.append(
-                bracketed_root(
-                    rule.residual, float(grid[i]), float(grid[i + 1]),
-                    glo=float(res[i]), ghi=float(res[i + 1]), xtol=1e-12,
-                )
-            )
-        if not roots:
-            raise ShootingFailed("scan at resolution 2^10 found no sign change")
-        best = min(roots, key=lambda k: (-rule.length(k), k))
-        return best, rule.length(best)
-    if len(exact) == 1:
-        k0 = float(grid[exact[0]])
-        return k0, rule.length(k0)
-    i = flips[0]
-    k0 = bracketed_root(
-        rule.residual, float(grid[i]), float(grid[i + 1]),
-        glo=float(res[i]), ghi=float(res[i + 1]), xtol=1e-12,
+    Newton in u = asinh(kappa) from the false-position point, where the
+    residual is far less flat than in kappa at large |kappa|; a step that
+    leaves the cell bisects the cell in u instead.  A row stops once its u
+    step is at most XTOL, a kappa change of at most about XTOL max(1, |kappa|).
+    """
+    k = np.clip(hi - rhi * (hi - lo) / (rhi - rlo), lo, hi)
+    u, ulo, uhi = np.arcsinh(k), np.arcsinh(lo), np.arcsinh(hi)
+    rising = rhi > rlo
+    out = np.empty(len(k))
+    act = np.arange(len(k))
+    for _ in range(ROOT_MAX_ITER):
+        r, dr = rules.newton(np.sinh(u))
+        right = (r > 0.0) == rising          # u lies right of the root
+        np.copyto(uhi, u, where=right)
+        np.copyto(ulo, u, where=~right)
+        nu = u - r / (dr * np.cosh(u))
+        inside = (ulo <= nu) & (nu <= uhi)
+        if np.count_nonzero(inside) < len(u):
+            nu = np.where(inside, nu, 0.5 * (ulo + uhi))
+        go = np.abs(nu - u) > XTOL
+        u = nu
+        moving = np.count_nonzero(go)
+        if not moving:
+            out[act] = np.sinh(u)
+            return out
+        if moving < len(u):
+            out[act[~go]] = np.sinh(u[~go])
+            act, rules, rising = act[go], rules.take(go), rising[go]
+            u, ulo, uhi = u[go], ulo[go], uhi[go]
+    out[act] = np.sinh(u)
+    return out
+
+
+def _bracket(rules, name):
+    """Per row, max(2^i, 2^j) for the first i with a residual > 0 at 2^i and
+    the first j with one < 0 at -2^j; rows stop sweeping once both are found.
+
+    The residual tends to +-(cone - |dx|) as kappa -> +-inf, so a
+    chronological pair always brackets.
+    """
+    n = len(rules.dx)
+    # hits[i, 0, j]: residual > 0 at +2^j; hits[i, 1, j]: residual < 0 at -2^j
+    hits = np.zeros((n, 2, len(_SWEEP)), dtype=bool)
+    todo = np.arange(n)
+    for j in range(0, len(_SWEEP), SWEEP_BLOCK):
+        sub = rules if j == 0 else rules.take(todo)
+        res = sub.endpoint(_SWEEP_COLS[j // SWEEP_BLOCK]).reshape(-1, 2, SWEEP_BLOCK)
+        hits[todo, :, j:j + SWEEP_BLOCK] = res * _SIDES > 0.0
+        todo = todo[~hits[todo].any(-1).all(-1)]
+        if not len(todo):
+            return _SWEEP[hits.argmax(-1).max(-1)]
+    raise ShootingFailed(
+        f"no endpoint-x sign change for {name(todo[0])} within kappa bracket 2^64"
     )
-    return k0, rule.length(k0)
 
 
-def _shoot(profile, p, q):
-    """Unit-speed shooting for chronological pairs; returns (kappa, length)."""
-    xs, w, a, b, m = _converged_rule(profile, p.t, q.t)
-    dx_target = q.x - p.x
-    rule = _ShootRule(w, a, b, dx_target)
-    kappa, length = _solve_kappa(rule, p, q)
-    for _ in range(4):
-        # one refinement level: Newton-correct the root there and accept once
-        # the g-length stops moving
-        xs2, w2 = panel_rule(p.t, q.t, breaks=profile.breakpoints, m=2 * m)
-        a2, b2, _, _ = profile.eval_many(xs2)
-        fine = _ShootRule(w2, a2, b2, dx_target)
-        kappa2 = kappa - fine.residual(kappa) / fine.dresidual(kappa)
-        length2 = fine.length(kappa2)
-        if abs(length2 - length) <= max(1e-10, 1e-9 * abs(length2)):
-            return kappa2, length2
-        m *= 2
-        rule, kappa, length = fine, kappa2, length2
+def _dense_roots(rules, bracket):
+    """Rows whose bracket scan did not show a single sign change: every root
+    a 1025-point scan finds, keeping the longest maximizer (ties toward
+    smaller kappa)."""
+    grid = bracket[:, None] * _DENSE
+    res = rules.endpoint(grid)
+    sign = np.sign(res)
+    fr, fc = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
+    er, ec = np.nonzero(sign == 0)
+    owner = np.concatenate([er, fr])
+    roots = np.concatenate([
+        grid[er, ec],
+        _roots(rules.take(fr), grid[fr, fc], grid[fr, fc + 1], res[fr, fc], res[fr, fc + 1]),
+    ])
+    lengths = rules.take(owner).length(roots)
+    kappa, length = np.empty(len(bracket)), np.empty(len(bracket))
+    for i in range(len(bracket)):
+        mine = np.nonzero(owner == i)[0]
+        if not len(mine):
+            raise ShootingFailed("scan at resolution 2^10 found no sign change")
+        best = mine[np.lexsort((roots[mine], -lengths[mine]))[0]]
+        kappa[i], length[i] = roots[best], lengths[best]
+    return kappa, length
+
+
+def _kappa_roots(rules, name):
+    """Endpoint-matching kappa and g-length of every row.
+
+    A 33-point scan of each row's sweep bracket must show exactly one sign
+    change or zero, which is solved to XTOL; other rows take the dense scan.
+    name(i) describes row i's pair in errors.
+    """
+    bracket = _bracket(rules, name)
+    grid = bracket[:, None] * _GRID
+    res = rules.endpoint(grid)
+    sign = np.sign(res)
+    turn = sign[:, :-1] * sign[:, 1:]  # < 0 across a sign change, 0 next to a zero
+    count = (turn < 0).sum(1) + (sign == 0).sum(1)
+    one = np.nonzero(count == 1)[0]
+    cell = (turn[one] <= 0).argmax(1)
+    sub = rules if len(one) == len(count) else rules.take(one)
+    k = _roots(sub, grid[one, cell], grid[one, cell + 1], res[one, cell], res[one, cell + 1])
+    if len(one) == len(count):
+        return k, sub.length(k)
+    kappa, length = np.empty(len(count)), np.empty(len(count))
+    kappa[one], length[one] = k, sub.length(k)
+    many = count != 1
+    kappa[many], length[many] = _dense_roots(rules.take(many), bracket[many])
+    return kappa, length
+
+
+def _shoot_block(profile, edges, dx, name):
+    """(kappa, length) of pairs whose node layouts share their panel count.
+
+    One loop doubles m for every pair: first until its cone surrogate
+    integral sum w sqrt(a / b) converges, where kappa is solved, then until
+    the g-length of the kappa Newton-corrected on the finer rule stops
+    moving.  Pairs solved at the same level refine together, and each level
+    evaluates the profile once per such cohort and once for the pairs whose
+    rule is still converging.
+    """
+    n = len(dx)
+
+    def rules_at(rows, *ms):
+        # the rules at each m in ms, from one evaluation of the profile
+        edges_r, dx_r = (edges, dx) if len(rows) == n else (edges[rows], dx[rows])
+        nodes = [_rule_nodes(edges_r, m) for m in ms]
+        xs = np.concatenate([x for x, _ in nodes], axis=1) if len(ms) > 1 else nodes[0][0]
+        a, b, _, _ = profile.eval_many(xs)
+        out, s = [], 0
+        for x, w in nodes:
+            e = s + x.shape[1]
+            out.append(_Rules.from_nodes(w, a[:, s:e], b[:, s:e], dx_r))
+            s = e
+        return out
+
+    kappa, length = np.empty(n), np.empty(n)
+    # rows whose rule has not converged; no row can at m = 1, so that level
+    # is evaluated together with m = 2
+    todo = np.arange(n)
+    coarse, rules = rules_at(todo, 1, 2)
+    prev = coarse.wc.sum(-1)
+    cohorts = []                     # (rows, kappa, length, level solved at)
+    for level in range(1, RULE_LEVELS + REFINEMENTS):
+        m = 1 << level
+        refining = []
+        for rows, k, ln, since in cohorts:
+            fine, = rules_at(rows, m)
+            res, dres = fine.newton(k)
+            k = k - res / dres
+            ln, prev_ln = fine.length(k), ln
+            ok = np.abs(ln - prev_ln) <= np.maximum(1e-10, 1e-9 * np.abs(ln))
+            if np.count_nonzero(ok) == len(ok):
+                kappa[rows], length[rows] = k, ln
+                continue
+            if level - since >= REFINEMENTS:
+                raise QuadratureError("shooting length did not stabilize under refinement")
+            kappa[rows[ok]], length[rows[ok]] = k[ok], ln[ok]
+            refining.append((rows[~ok], k[~ok], ln[~ok], since))
+        cohorts = refining
+        if len(todo):
+            if level > 1:
+                rules, = rules_at(todo, m)
+            surr = rules.wc.sum(-1)
+            conv = np.abs(surr - prev) <= np.maximum(QUAD_TOL, 16e-16 * np.abs(surr))
+            done = np.count_nonzero(conv)
+            if done:
+                rows, sub = (todo, rules) if done == len(todo) else (todo[conv], rules.take(conv))
+                cohorts.append((rows, *_kappa_roots(sub, lambda j: name(rows[j])), level))
+                todo, surr = todo[~conv], surr[~conv]
+            if len(todo) and level == RULE_LEVELS - 1:
+                j = todo[0]
+                raise QuadratureError(
+                    f"node layout on [{float(edges[j, 0])!r}, {float(edges[j, -1])!r}] "
+                    "did not converge"
+                )
+            prev = surr
+        if not cohorts and not len(todo):
+            return kappa, length
     raise QuadratureError("shooting length did not stabilize under refinement")
+
+
+def _shoot(profile, t1, x1, t2, x2):
+    """Unit-speed shooting for chronological pairs (t1, x1) -> (t2, x2).
+
+    Takes 1-d arrays and returns (kappa, length) arrays.  A pair's values do
+    not depend on the other pairs of the batch.
+    """
+    n = len(t1)
+    breaks = profile.breakpoints
+    if breaks:
+        # pairs by panel count, so that a block's rows share their length
+        groups = {}
+        for i, (lo, hi) in enumerate(zip(t1.tolist(), t2.tolist())):
+            edges = _panel_edges(lo, hi, breaks)
+            groups.setdefault(len(edges), []).append((i, edges))
+        layouts = [(np.array([i for i, _ in g]), np.array([e for _, e in g]))
+                   for g in groups.values()]
+    else:
+        edges = np.empty((n, 2))
+        edges[:, 0], edges[:, 1] = t1, t2
+        layouts = [(np.arange(n), edges)]
+
+    def name(i):
+        return (f"pair ({float(t1[i])!r},{float(x1[i])!r}) -> "
+                f"({float(t2[i])!r},{float(x2[i])!r})")
+
+    kappa, length = np.empty(n), np.empty(n)
+    # a degenerate row may divide by zero or overflow on its way to a
+    # bisection step
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for idx, edges in layouts:
+            size = max(1, BLOCK_PANELS // (edges.shape[1] - 1))
+            for s in range(0, len(idx), size):
+                sel = idx[s:s + size]
+                kappa[sel], length[sel] = _shoot_block(
+                    profile, edges[s:s + size], x2[sel] - x1[sel],
+                    lambda j, sel=sel: name(sel[j]),
+                )
+    return kappa, length
+
+
+def _separations(profile, t1, x1, t2, x2, dcone, eps_null):
+    """T(p, q) for p = (t1, x1) and q = (t2, x2), arrays broadcast together.
+
+    dcone is the cone-time difference cone_time(t2) - cone_time(t1).  Each
+    entry equals lorentzian_distance(profile, p, q, with_path=False).value
+    bit for bit: 0 off the chronological relation, the flat interval when
+    b == 1, and a batched shooting solve otherwise.
+    """
+    t1, x1, t2, x2, dcone = np.broadcast_arrays(t1, x1, t2, x2, dcone)
+    dx = x2 - x1
+    chron = (dcone - np.abs(dx) > eps_null) & (t2 > t1)
+    out = np.zeros(chron.shape)
+    if profile.has_unit_b:
+        out[chron] = _flat_interval(dcone[chron], dx[chron])
+    elif chron.any():
+        out[chron] = _shoot(profile, t1[chron], x1[chron], t2[chron], x2[chron])[1]
+    return out
 
 
 def _sampled_path(profile, p, v, t_end, n_samples, conserved):
@@ -405,7 +597,7 @@ def lorentzian_distance(
         value = _flat_interval(fm(q.t) - fm(p.t), q.x - p.x)
         path = _reduction_path(profile, p, q, value, path_samples) if with_path else None
         return DistanceResult(value, path, "reduction")
-    kappa, value = _shoot(profile, p, q)
+    kappa, value = (float(v[0]) for v in _shoot(profile, *np.array([[p.t], [p.x], [q.t], [q.x]])))
     path = None
     if with_path:
         a, b, _, _ = profile.eval(p.t)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .causality import _cone_map, _flat_interval, lorentzian_distance
+from .causality import _cone_map, _separations
 from .errors import RegionOutsideDomain, TooLarge
 from .profiles import EPS_NULL, MetricProfile, SpacetimePoint
 
@@ -65,8 +65,9 @@ def space_from_points(
     """Build the relation, distance, and time-separation matrices for points.
 
     Entries of taumat come from the same distance computation (and the same
-    cached cumulative integrals) as the scalar operations, so a discrete
-    space is consistent with the continuum values it samples.
+    cumulative integrals) as the scalar operations, in one batch: each equals
+    lorentzian_distance(...).value bit for bit, so a discrete space is
+    consistent with the continuum values it samples.
     """
     pts = [p if isinstance(p, SpacetimePoint) else SpacetimePoint(*p) for p in points]
     if len(pts) < 2:
@@ -83,16 +84,8 @@ def space_from_points(
     causal = chron | ((np.abs(margin) <= eps_null) & (dt >= 0.0))
     dmat = np.hypot(dt, xs[None, :] - xs[:, None])
 
-    taumat = np.zeros_like(margin)
-    ii, jj = np.nonzero(chron)
-    if profile.has_unit_b:
-        # b == 1: the cone map is the flat time map
-        taumat[ii, jj] = _flat_interval(cone[jj] - cone[ii], xs[jj] - xs[ii])
-    else:
-        for i, j in zip(ii.tolist(), jj.tolist()):
-            taumat[i, j] = lorentzian_distance(
-                profile, pts[i], pts[j], with_path=False, eps_null=eps_null
-            ).value
+    taumat = _separations(profile, ts[:, None], xs[:, None], ts[None, :], xs[None, :],
+                          cone[None, :] - cone[:, None], eps_null)
     return DiscreteCausalSpace(pts, chron, causal, dmat, taumat)
 
 

@@ -27,7 +27,7 @@ from itertools import islice
 
 import numpy as np
 
-from .causality import causally_related, cone_time, lorentzian_distance
+from .causality import _separations, causally_related, cone_time, lorentzian_distance
 from .errors import NotCausal, NotChronological, PremiseViolated
 from .geodesics import _Quadrature
 from .profiles import (
@@ -121,9 +121,10 @@ def _tval(profile, p, pt, eps_null):
 
 def _slice_scan(profile, p, q, B, t, nx, eps_null):
     """(min_T, keep_lo, keep_hi, xs, Ts) on the cone slice of q at time t."""
-    half = cone_time(profile, t) - cone_time(profile, q.t)
+    cone_t = cone_time(profile, t)
+    half = cone_t - cone_time(profile, q.t)
     xs = np.linspace(q.x - half, q.x + half, nx) if half > 0.0 else np.array([q.x])
-    Ts = np.array([_tval(profile, p, SpacetimePoint(t, float(x)), eps_null) for x in xs])
+    Ts = _separations(profile, p.t, p.x, t, xs, cone_t - cone_time(profile, p.t), eps_null)
     keep = Ts <= B
     if keep.any():
         lo = float(xs[keep][0])

@@ -176,13 +176,21 @@ def panel_integral(f, lo: float, hi: float, breaks=()) -> float:
     return sgn * _fsum(vals.tolist())
 
 
+def _rule_nodes(edges, m: int):
+    """Nodes and weights of the composite rule at refinement m on the panels
+    between consecutive edges; a stack of layouts (..., panels + 1) gives
+    one row of nodes per layout."""
+    edges = np.asarray(edges, dtype=float)
+    width = (edges[..., 1:] - edges[..., :-1])[..., None]
+    frac, w = _split_rule(m)
+    shape = edges.shape[:-1] + (-1,)
+    return ((edges[..., :-1, None] + width * frac).reshape(shape),
+            ((0.5 / m) * width * w).reshape(shape))
+
+
 def panel_rule(lo: float, hi: float, breaks=(), m: int = 1):
     """Nodes and weights of the composite rule on [lo, hi] at refinement m."""
-    base = np.asarray(_panel_edges(lo, hi, breaks))
-    width = np.diff(base)[:, None]
-    frac, w = _split_rule(m)
-    x = (base[:-1, None] + width * frac).ravel()
-    return x, ((0.5 / m) * width * w).ravel()
+    return _rule_nodes(_panel_edges(lo, hi, breaks), m)
 
 
 class CumulativeMap:

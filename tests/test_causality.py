@@ -10,6 +10,7 @@ from lorlab import (
     MetricProfile,
     NotAChain,
     NotReducible,
+    ShootingFailed,
     SpacetimePoint,
     TangentVector,
     causally_related,
@@ -29,6 +30,7 @@ from lorlab import (
     tau_length_chain,
 )
 
+from lorlab import causality
 from oracles import enumerate_tau_length, lattice_distance, simpson_integral
 
 P = SpacetimePoint
@@ -325,6 +327,77 @@ def test_distance_isometry_check_unit_b():
                 max((tq[0] - tp[0]) ** 2 - (tq[1] - tp[1]) ** 2, 0.0)
             )
             assert abs(d.value - flat) < 1e-6
+
+
+# three synthetic rule rows of the batched kappa solver: two ordinary ones and
+# one whose endpoint residual -k / sqrt(k^2 + 1) + 3 k / sqrt(k^2 + 1e4) + 1/2
+# is not monotone and crosses zero three times inside its sweep bracket
+SYNTH_W = np.array([[0.5, 0.5], [0.5, 0.5], [-1.0, 3.0]])
+SYNTH_A = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1e4]])
+SYNTH_B = np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 1e4]])
+SYNTH_DX = np.array([0.3, -0.5, -0.5])
+
+
+def synth_rules(rows):
+    return causality._Rules.from_nodes(
+        SYNTH_W[rows], SYNTH_A[rows], SYNTH_B[rows], SYNTH_DX[rows]
+    )
+
+
+def synth_residual(row, k):
+    return sum(w * math.sqrt(a / b) * k / math.sqrt(k * k + b)
+               for w, a, b in zip(SYNTH_W[row], SYNTH_A[row], SYNTH_B[row])) - SYNTH_DX[row]
+
+
+def synth_length(row, k):
+    return sum(w * math.sqrt(a * b) / math.sqrt(k * k + b)
+               for w, a, b in zip(SYNTH_W[row], SYNTH_A[row], SYNTH_B[row]))
+
+
+def test_kappa_solver_dense_scan_keeps_longest_root(monkeypatch):
+    dense_rows = []
+    dense = causality._dense_roots
+
+    def recording(rules, bracket):
+        dense_rows.append(len(bracket))
+        return dense(rules, bracket)
+
+    monkeypatch.setattr(causality, "_dense_roots", recording)
+    kappa, length = causality._kappa_roots(synth_rules([0, 1, 2]), lambda i: f"row {i}")
+    assert dense_rows == [1]
+
+    # oracle: every sign change of a fine scan, bisected
+    ks = np.linspace(-100.0, 100.0, 20001)
+    res = [synth_residual(2, k) for k in ks]
+    roots = []
+    for lo, hi, rlo, rhi in zip(ks[:-1], ks[1:], res[:-1], res[1:]):
+        if rlo * rhi < 0:
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                if (synth_residual(2, mid) > 0) == (rhi > 0):
+                    hi = mid
+                else:
+                    lo = mid
+            roots.append(0.5 * (lo + hi))
+    assert len(roots) == 3
+    best = max(roots, key=lambda k: synth_length(2, k))
+    assert best not in (roots[0], roots[-1])
+    assert kappa[2] == pytest.approx(best, abs=1e-9)
+    assert length[2] == pytest.approx(synth_length(2, best), rel=1e-12)
+
+    # the ordinary rows get the same floats alone as beside the dense-scan row
+    alone = causality._kappa_roots(synth_rules([0, 1]), lambda i: f"row {i}")
+    assert np.array_equal(alone[0], kappa[:2]) and np.array_equal(alone[1], length[:2])
+    for row in (0, 1):
+        assert abs(synth_residual(row, kappa[row])) < 1e-12
+
+
+def test_kappa_solver_without_sign_change_raises():
+    rules = causality._Rules.from_nodes(
+        SYNTH_W[:1], SYNTH_A[:1], SYNTH_B[:1], np.array([5.0])  # dx beyond the cone
+    )
+    with pytest.raises(ShootingFailed, match=r"row 0 within kappa bracket 2\^64"):
+        causality._kappa_roots(rules, lambda i: f"row {i}")
 
 
 def test_reverse_triangle_property():

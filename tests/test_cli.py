@@ -179,6 +179,20 @@ def test_axioms_byte_deterministic(capsys):
     assert out1 == out2
 
 
+def test_axioms_byte_deterministic_shooting(capsys, tmp_path):
+    # warpb takes the shooting route; its dumped taumat repeats byte for byte
+    argv = ("axioms", "--profile", "warpb", "--region", "0,1,0,1",
+            "--n", "25", "--seed", "11")
+    code, out1, _ = run(capsys, *argv, "--dump-dir", str(tmp_path / "a"))
+    code, out2, _ = run(capsys, *argv, "--dump-dir", str(tmp_path / "b"))
+    assert code == 0
+    assert out1 == out2
+    taumat = (tmp_path / "a" / "taumat.csv").read_bytes()
+    assert taumat == (tmp_path / "b" / "taumat.csv").read_bytes()
+    rows = taumat.decode().splitlines()[1:]  # below the column header
+    assert any(float(v) > 0.0 for row in rows for v in row.split(","))
+
+
 def test_probe_config_file(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "probe.cfg"

@@ -14,6 +14,7 @@ from lorlab import (
     sample_space,
     space_from_points,
 )
+from lorlab.causality import BLOCK_PANELS
 
 P = SpacetimePoint
 
@@ -104,6 +105,28 @@ def test_unit_b_taumat_equals_scalar_distance(name):
         for j, q in enumerate(space.points):
             want = lorentzian_distance(prof, p, q, with_path=False).value
             assert space.taumat[i, j] == want
+
+
+def test_warpb_taumat_equals_scalar_distance():
+    # the batched shooting solve gives every pair the scalar call's float
+    prof = get_profile("warpb")
+    space = sample_space(prof, REGIONS["warpb"], 25, seed=4)
+    for i, p in enumerate(space.points):
+        for j, q in enumerate(space.points):
+            want = lorentzian_distance(prof, p, q, with_path=False).value
+            assert space.taumat[i, j] == want
+
+
+def test_warpb_taumat_permutes_with_points():
+    # a pair's separation does not depend on the other pairs of its batch;
+    # 80 points make more shooting pairs than one block holds (a warpb rule
+    # has one panel)
+    prof = get_profile("warpb")
+    space = sample_space(prof, REGIONS["warpb"], 80, seed=6)
+    assert space.chron.sum() > BLOCK_PANELS
+    perm = np.random.default_rng(2).permutation(len(space))
+    shuffled = space_from_points(prof, [space.points[i] for i in perm])
+    assert np.array_equal(shuffled.taumat, space.taumat[np.ix_(perm, perm)])
 
 
 def test_monotone_refinement():
