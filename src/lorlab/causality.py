@@ -35,18 +35,12 @@ import numpy as np
 
 from .errors import NotAChain, NotReducible, QuadratureError, ShootingFailed
 from .geodesics import ConservedQuantities, GeodesicPath, _Quadrature
-from .profiles import (
-    EPS_NULL,
-    MetricProfile,
-    SpacetimePoint,
-    TangentVector,
-    constant_value,
-)
+from .profiles import EPS_NULL, MetricProfile, SpacetimePoint, TangentVector
 from .quadrature import (
     QUAD_TOL,
     ROOT_MAX_ITER,
-    AnchoredMap,
-    ClosedFormMap,
+    _cone_map,
+    _flat_map,
     _panel_edges,
     _rule_nodes,
 )
@@ -76,61 +70,6 @@ class DistanceResult:
 
 
 # -- shared cumulative maps ---------------------------------------------------
-
-
-def _exp_form(terms):
-    """(c, lam) when a coefficient is c * exp(lam t) (lam = 0 for constants)."""
-    c = constant_value(terms)
-    if c is not None:
-        return c, 0.0
-    if len(terms) == 1 and terms[0].kind == "exp":
-        return terms[0].c, terms[0].lam
-    return None
-
-
-def _store_map(profile: MetricProfile, key: str, form, f):
-    """Closed form for an integrand k exp(r t), form = (k, r); else anchored."""
-    anchor = profile.anchor_time()
-    if form is not None:
-        m = ClosedFormMap(*form, anchor)
-    else:
-        m = AnchoredMap(f, anchor, breaks=profile.breakpoints,
-                        domain=(profile.t_min, profile.t_max))
-    return profile._maps.setdefault(key, m)
-
-
-def _cone_map(profile: MetricProfile):
-    m = profile._maps.get("cone")
-    if m is None and profile.has_unit_b:
-        # b is exactly 1.0, so sqrt(a / b) is sqrt(a) bit for bit
-        m = profile._maps.setdefault("cone", _flat_map(profile))
-    if m is None:
-        ea, eb = _exp_form(profile.terms_a), _exp_form(profile.terms_b)
-        form = None
-        if ea is not None and eb is not None:
-            # sqrt(ca e^(la t) / (cb e^(lb t))) = sqrt(ca / cb) e^((la - lb) t / 2)
-            form = (math.sqrt(ea[0] / eb[0]), 0.5 * (ea[1] - eb[1]))
-
-        def f(u):
-            a, b, _, _ = profile.eval_many(u)
-            return np.sqrt(a / b)
-
-        m = _store_map(profile, "cone", form, f)
-    return m
-
-
-def _flat_map(profile: MetricProfile):
-    m = profile._maps.get("flat")
-    if m is None:
-        ea = _exp_form(profile.terms_a)
-        form = None if ea is None else (math.sqrt(ea[0]), 0.5 * ea[1])
-
-        def f(u):
-            a, _, _, _ = profile.eval_many(u)
-            return np.sqrt(a)
-
-        m = _store_map(profile, "flat", form, f)
-    return m
 
 
 def cone_time(profile: MetricProfile, t: float) -> float:
@@ -520,17 +459,9 @@ def _separations(profile, t1, x1, t2, x2, dcone, eps_null):
 
 def _sampled_path(profile, p, v, t_end, n_samples, conserved):
     # sampling on a t grid needs no quadrature inversions: the affine
-    # parameter is read off the cumulative map at each node
-    quad = _Quadrature(profile, p, v)
-    rows = []
-    for t in np.linspace(p.t, t_end, n_samples):
-        t = float(t)
-        a, b, _, _ = profile.eval(t)
-        td = math.sqrt((quad.kappa * quad.kappa / b - quad.eps) / a)
-        rows.append(
-            (quad.s_of(t), t, p.x + quad._x(t), td, quad.kappa / b)
-        )
-    return GeodesicPath(np.asarray(rows, dtype=float), conserved, math.inf, False)
+    # parameter is read off the cumulative maps at the nodes
+    rows = _Quadrature(profile, p, v).rows(np.linspace(p.t, t_end, n_samples))
+    return GeodesicPath(rows, conserved, math.inf, False)
 
 
 def _null_path(profile, p, q, n_samples):
@@ -546,19 +477,12 @@ def _reduction_path(profile, p, q, value, n_samples):
     tau_p, tau_q = fm(p.t), fm(q.t)
     dtau, dx = tau_q - tau_p, q.x - p.x
     kappa = dx / value
-    rows = []
-    for t in np.linspace(p.t, q.t, n_samples):
-        t = float(t)
-        sigma = (fm(t) - tau_p) * value / dtau
-        a, _, _, _ = profile.eval(t)
-        rows.append((sigma, t, p.x + sigma * dx / value,
-                     (dtau / value) / math.sqrt(a), kappa))
-    return GeodesicPath(
-        np.asarray(rows, dtype=float),
-        ConservedQuantities(kappa, -1.0),
-        math.inf,
-        False,
-    )
+    ts = np.linspace(p.t, q.t, n_samples)
+    sigma = (fm.many(ts) - tau_p) * value / dtau
+    a, _, _, _ = profile.eval_many(ts)
+    rows = np.column_stack([sigma, ts, p.x + sigma * dx / value,
+                            (dtau / value) / np.sqrt(a), np.full(n_samples, kappa)])
+    return GeodesicPath(rows, ConservedQuantities(kappa, -1.0), math.inf, False)
 
 
 def lorentzian_distance(
@@ -575,7 +499,9 @@ def lorentzian_distance(
     Unrelated pairs have T = 0; null-boundary pairs have T = 0 with a null
     maximizer.  For chronological pairs the reduction route applies when
     b == 1, otherwise shooting on kappa; the value is the g-length
-    sqrt(-eps) * delta-s of the connecting geodesic.
+    sqrt(-eps) * delta-s of the connecting geodesic.  A reduction value
+    that overflows to inf (a closed-form flat time past the float range)
+    comes without a maximizer.
     """
     if method not in ("auto", "reduction", "shooting"):
         raise ValueError(f"unknown method {method!r}")
@@ -595,7 +521,8 @@ def lorentzian_distance(
     if use_reduction:
         fm = _flat_map(profile)
         value = _flat_interval(fm(q.t) - fm(p.t), q.x - p.x)
-        path = _reduction_path(profile, p, q, value, path_samples) if with_path else None
+        want_path = with_path and math.isfinite(value)
+        path = _reduction_path(profile, p, q, value, path_samples) if want_path else None
         return DistanceResult(value, path, "reduction")
     kappa, value = (float(v[0]) for v in _shoot(profile, *np.array([[p.t], [p.x], [q.t], [q.x]])))
     path = None

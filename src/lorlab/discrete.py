@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .causality import _cone_map, _separations
+from .causality import _separations
 from .errors import RegionOutsideDomain, TooLarge
 from .profiles import EPS_NULL, MetricProfile, SpacetimePoint
+from .quadrature import _cone_map
 
 MAX_POINTS = 500
 

@@ -11,10 +11,11 @@ which reduce the system to the strictly monotone quadrature
     s(T) = int_{t0}^{T} sqrt(a(u)) / sqrt(kappa^2/b(u) - eps) du,
     x(T) = x0 + int_{t0}^{T} kappa sqrt(a(u)) / (b(u) sqrt(kappa^2/b(u) - eps)) du,
 
-inverted for T by monotone bracketing plus Illinois refinement.  The metric
-is only C^1, so the Runge-Kutta error theory is not trusted; every run is
-certified a posteriori by conserved-quantity drift and by cross-checking
-against the quadrature route.
+inverted for T in one batch: a march of T toward the domain end brackets
+each s, then safeguarded Newton runs on every unconverged s at once.  The
+metric is only C^1, so the Runge-Kutta error theory is not trusted; every
+run is certified a posteriori by conserved-quantity drift and by
+cross-checking against the quadrature route.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .profiles import (
     TangentVector,
     classify_vector,
 )
-from .quadrature import CumulativeMap, _shrink_overflow, toward_end
+from .quadrature import AnchoredMap, _flat_map, toward_end
 
 DRIFT_TOL = 1e-6   # allowed conserved-quantity drift per unit affine parameter
 INVERT_TOL = 1e-12  # relative tolerance of the quadrature inversion in T
@@ -220,79 +221,158 @@ def _advance_fixed(profile, p, v, s_total, h):
 # -- quadrature route ---------------------------------------------------------
 
 
+def _stall_gate(s: float) -> float:
+    """Least gain in s between march points that counts as progress."""
+    return max(1e-13, 1e-12 * abs(s))
+
+
+def _march_points(s_at, t0: float, tmax: float):
+    """March points (T, s(T)) from t0 toward the domain end, then (None, total).
+
+    s(T) is strictly increasing, so the march overflows (total inf), stalls
+    at the affine length available, or runs out of points: at a finite end
+    the last s is the total, toward an unbounded end none was seen (None).
+    """
+    finite = math.isfinite(tmax)
+    ts = list(islice(toward_end(t0, tmax), 49 if finite else 75))
+    prev, stall, k = 0.0, 0, 0
+    while k < len(ts):
+        # 1, 1, 2, 4, 8, 8, ... points per map call: a near target costs one
+        # point, and no call holds enough of the march to raise peak memory
+        block = ts[k:k + min(max(k, 1), 8)]
+        k += len(block)
+        for T, sT in zip(block, s_at(np.array(block)).tolist()):
+            yield T, sT
+            if not math.isfinite(sT):
+                yield None, math.inf
+                return
+            stall = stall + 1 if sT - prev < _stall_gate(sT) else 0
+            # an unbounded march waits one step longer: the affine length
+            # can converge although t escapes to infinity
+            if stall >= (2 if finite else 3):
+                yield None, sT
+                return
+            prev = sT
+    yield None, prev if finite else None
+
+
 class _Quadrature:
-    """Conserved-quantity solver for future-directed causal data (tau0 > 0)."""
+    """Conserved-quantity solver for future-directed causal data (tau0 > 0).
+
+    With b == 1, kappa^2 / b - eps is a constant c^2, so s(T) = (F(T) -
+    F(t0)) / c and x(T) = x0 + kappa s(T) come from the profile's flat map
+    F; otherwise s and x are AnchoredMaps of their own, anchored at t0.
+    Either way a value depends only on the geodesic and T.
+    """
 
     def __init__(self, profile: MetricProfile, p: SpacetimePoint, v: TangentVector):
         profile.require_inside(p.t)
         self.profile = profile
-        self.t0 = p.t
-        self.x0 = p.x
+        self.t0 = t0 = p.t
+        self.x0 = x0 = p.x
         cons = conserved_quantities(profile, p, v)
-        self.kappa = cons.kappa
-        self.eps = cons.epsilon
-
-        kappa, eps = self.kappa, self.eps
+        self.kappa = kappa = cons.kappa
+        self.eps = eps = cons.epsilon
 
         def f_s(u):
             a, b, _, _ = profile.eval_many(u)
             return np.sqrt(a / (kappa * kappa / b - eps))
 
-        def f_x(u):
-            a, b, _, _ = profile.eval_many(u)
-            return kappa * np.sqrt(a) / (b * np.sqrt(kappa * kappa / b - eps))
+        self._rate = f_s  # ds/dT
+        # s_at and x_at map an array (or a float) of times T to s(T) and x(T)
+        if profile.has_unit_b:
+            c, f0 = math.sqrt(kappa * kappa - eps), _flat_map(profile)(t0)
 
-        breaks = profile.breakpoints
-        self._s = CumulativeMap(f_s, self.t0, breaks=breaks)
-        self._x = CumulativeMap(f_x, self.t0, breaks=breaks)
+            def s_at(ts):
+                return (_flat_map(profile).many(ts) - f0) / c
 
-    def s_of(self, T: float) -> float:
-        return self._s(T)
+            self.s_at = s_at
+            self.x_at = lambda ts: x0 + kappa * s_at(ts)
+        else:
+            def f_x(u):
+                a, b, _, _ = profile.eval_many(u)
+                return kappa * np.sqrt(a) / (b * np.sqrt(kappa * kappa / b - eps))
 
-    def _march(self, target):
-        """('bracket', lo, hi, s_lo, s_hi) once s passes target, else ('bound', total).
+            s_map, x_map = (AnchoredMap(f, t0, breaks=profile.breakpoints,
+                                        domain=(profile.t_min, profile.t_max))
+                            for f in (f_s, f_x))
+            self.s_at = s_map.many
+            self.x_at = lambda ts: x0 + x_map.many(ts)
+        self._points = []        # march points (T, s(T)) computed so far
+        # not a generator method: a solver holding one would be a reference cycle
+        self._walk = _march_points(self.s_at, t0, profile.t_max)
+        self._total = None       # affine bound once the march ends; None if unseen
 
-        The affine integral is strictly increasing in T, so marching the
-        time coordinate toward the domain end either brackets the target or
-        converges to the total affine length available.
-        """
-        tmax = self.profile.t_max
-        finite = math.isfinite(tmax)
+    def _march(self):
+        """The march points, each computed once per solver and only when needed."""
+        yield from self._points
+        # a loop, not yield from: closing this generator must not end the walk
+        for T, sT in self._walk:
+            if T is None:
+                self._total = sT
+                return
+            self._points.append((T, sT))
+            yield T, sT
 
-        def stall_gate(sT):
-            return max(1e-13, 1e-12 * abs(sT))
-
+    def _bracket(self, s: float):
+        """(s, lo, hi, s(lo), s(hi)) around s from consecutive march points,
+        or None when s lies beyond the affine bound."""
+        if s < 0.0:
+            raise ValueError("affine parameter must be non-negative")
         lo, slo = self.t0, 0.0
-        stall = 0
-        for T in islice(toward_end(self.t0, tmax), 49 if finite else 75):
-            sT = self._s(T)
-            if not math.isfinite(sT):
-                # the affine integral overflowed: there is no finite bound,
-                # and a target lies before T
-                if target is None:
-                    return ("bound", math.inf)
-                return ("bracket", lo, T, slo, sT)
-            gain = sT - slo
+        for T, sT in self._march():
             # a saturating integral can touch the target exactly in floats;
-            # only healthy progress past the target counts as a bracket
-            if target is not None and (
-                sT > target or (sT == target and gain > stall_gate(sT))
-            ):
-                return ("bracket", lo, T, slo, sT)
-            if gain < stall_gate(sT):
-                stall += 1
-                # an unbounded march waits one step longer: the affine
-                # length can converge although t escapes to infinity
-                if stall >= (2 if finite else 3):
-                    return ("bound", sT)
-            else:
-                stall = 0
+            # only healthy progress onto the target counts as a bracket
+            if not math.isfinite(sT) or sT > s or (sT == s and sT - slo > _stall_gate(sT)):
+                return s, lo, T, slo, sT
             lo, slo = T, sT
-        if finite:
-            return ("bound", slo)
-        if target is None:
-            return ("bound", math.inf)
-        raise QuadratureError("affine target not bracketed while doubling T")
+        if self._total is None:
+            raise QuadratureError("affine target not bracketed while doubling T")
+        return None
+
+    def times(self, s_values) -> np.ndarray:
+        """T at each s of s_values, in order, up to the first s beyond the
+        affine bound.
+
+        Each s is bracketed by the march; safeguarded Newton then runs on the
+        still-active rows with one evaluation of the maps per iteration.  A
+        row's arithmetic is its own, so its T does not depend on the batch.
+        """
+        rows = []
+        for s in s_values:
+            row = self._bracket(float(s))
+            if row is None:
+                break
+            rows.append(row)
+        s, lo, hi, slo, shi = np.array(rows).reshape(-1, 5).T
+        # a bracket end can hit the target exactly (s = 0 is t0)
+        out = np.where(shi == s, hi, lo)
+        act = np.nonzero((slo != s) & (shi != s))[0]
+        s, lo, hi, slo, shi = s[act], lo[act], hi[act], slo[act], shi[act]
+        T = lo + (s - slo) * (hi - lo) / (shi - slo)
+        # past an overflowed s (exp2t) the iterate is inf or nan, and the
+        # bracket throws it back to the midpoint
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(100):
+                if not len(act):
+                    return out
+                T = np.where((lo < T) & (T < hi), T, 0.5 * (lo + hi))
+                err = self.s_at(T) - s
+                step = err / self._rate(T)
+                below = err < 0.0
+                lo, hi = np.where(below, T, lo), np.where(below, hi, T)
+                tol = INVERT_TOL * np.maximum(1.0, np.abs(T))
+                done = np.abs(step) <= tol
+                T = T - step
+                # a converged row keeps its last Newton step, a row whose
+                # bracket has narrowed to tol its midpoint
+                stop = done | (hi - lo <= tol)
+                if np.count_nonzero(stop):
+                    out[act[stop]] = np.where(done, T, 0.5 * (lo + hi))[stop]
+                    keep = ~stop
+                    act, s, T, lo, hi = act[keep], s[keep], T[keep], lo[keep], hi[keep]
+        out[act] = 0.5 * (lo + hi)
+        return out
 
     def _certificate(self, total):
         tmax = self.profile.t_max
@@ -300,60 +380,37 @@ class _Quadrature:
         # past t0 toward an unbounded one
         *_, t_near = islice(toward_end(self.t0, tmax), 45 if math.isfinite(tmax) else 41)
         try:
-            x_lim = self.x0 + self._x(t_near)
+            x_lim = float(self.x_at(t_near))
             if not math.isfinite(x_lim):
                 x_lim = None
         except (DomainExceeded, QuadratureError):
             x_lim = None
         return InextendibleCertificate(total, tmax, x_lim)
 
-    def _f_scalar(self, T: float) -> float:
-        a, b, _, _ = self.profile.eval(T)
-        return math.sqrt(a / (self.kappa * self.kappa / b - self.eps))
-
     def t_of(self, s: float) -> float:
-        if s == 0.0:
-            return self.t0
-        if s < 0.0:
-            raise ValueError("affine parameter must be non-negative")
-        kind, *rest = self._march(s)
-        if kind == "bound":
-            raise Inextendible(self._certificate(rest[0]))
-        lo, hi, slo, shi = _shrink_overflow(self._s, *rest, level=s)
-        # safeguarded Newton: the integrand is the exact derivative of s(T)
-        T = lo + (s - slo) * (hi - lo) / (shi - slo)
-        for _ in range(100):
-            if not lo < T < hi:
-                T = 0.5 * (lo + hi)
-            sT = self._s(T)
-            err = sT - s
-            fT = self._f_scalar(T)
-            if abs(err) <= fT * INVERT_TOL * max(1.0, abs(T)):
-                return T - err / fT
-            if err < 0.0:
-                lo = T
-            else:
-                hi = T
-            if hi - lo <= INVERT_TOL * max(1.0, abs(lo), abs(hi)):
-                return 0.5 * (lo + hi)
-            T = T - err / fT
-        return 0.5 * (lo + hi)
+        T = self.times((s,))
+        if not len(T):
+            raise Inextendible(self._certificate(self.bound()))
+        return float(T[0])
 
     def point_at(self, s: float) -> SpacetimePoint:
         T = self.t_of(s)
-        return SpacetimePoint(T, self.x0 + self._x(T))
+        return SpacetimePoint(T, float(self.x_at(T)))
 
-    def state_at(self, s: float):
-        """(t, x, dt/ds, dx/ds) at affine parameter s."""
-        T = self.t_of(s)
-        a, b, _, _ = self.profile.eval(T)
-        td = math.sqrt((self.kappa * self.kappa / b - self.eps) / a)
-        return (T, self.x0 + self._x(T), td, self.kappa / b)
+    def rows(self, T, s=None) -> np.ndarray:
+        """Rows (s, t, x, dt/ds, dx/ds) at the times T; s defaults to s(T)."""
+        a, b, _, _ = self.profile.eval_many(T)
+        kappa = self.kappa
+        return np.column_stack([
+            self.s_at(T) if s is None else s, T, self.x_at(T),
+            np.sqrt((kappa * kappa / b - self.eps) / a), kappa / b,
+        ])
 
     def bound(self) -> float:
         """Affine length available before the domain boundary (may be inf)."""
-        kind, total = self._march(None)
-        return total
+        for _ in self._march():
+            pass
+        return math.inf if self._total is None else self._total
 
 
 def _require_future_causal(profile, p, v, eps_null):
@@ -516,17 +573,14 @@ def geodesic_states(
     s_values,
     eps_null: float = EPS_NULL,
 ):
-    """Quadrature-route states (t, x, dt/ds, dx/ds) at each affine parameter.
+    """Quadrature-route states (s, t, x, dt/ds, dx/ds) at each affine parameter.
 
-    Stops early (returning the surviving prefix) when the geodesic leaves
-    the domain between requested parameters.
+    Stops early (returning the surviving prefix) at the first parameter, in
+    the given order, that lies beyond the affine bound.  A state depends only
+    on its own s, not on the other parameters asked for.
     """
     _require_future_causal(profile, p, v, eps_null)
     quad = _Quadrature(profile, p, v)
-    out = []
-    for s in s_values:
-        try:
-            out.append((float(s),) + quad.state_at(float(s)))
-        except Inextendible:
-            break
-    return out
+    s = [float(x) for x in s_values]
+    T = quad.times(s)
+    return [tuple(row) for row in quad.rows(T, s[:len(T)]).tolist()]

@@ -37,7 +37,7 @@ from .profiles import (
     TangentVector,
     classify_vector,
 )
-from .quadrature import bracketed_root, toward_end
+from .quadrature import _cone_map, bracketed_root, toward_end
 
 HOLDS = "holds_on_probe"
 FAILS = "fails_with_witness"
@@ -334,13 +334,14 @@ def probe_timelike_cauchy(
             raise PremiseViolated(i, f"x_{i} << x_{i + 1} fails")
         if bounds[i + 1] > bounds[i]:
             raise PremiseViolated(i, f"B_{i + 1} > B_{i}: gap bounds must shrink")
-    for i in range(len(pts) - 1):
-        for j in range(i + 1, len(pts)):
-            gap = _tval(profile, pts[i], pts[j], eps_null)
-            if gap > bounds[i] + 1e-9:
-                raise PremiseViolated(
-                    i, f"T(x_{i}, x_{j}) = {gap!r} exceeds B_{i} = {bounds[i]!r}"
-                )
+    ii, jj = np.triu_indices(len(pts), 1)  # every pair i < j, row-major
+    ts, xs = np.array([(pt.t, pt.x) for pt in pts]).T
+    cone = _cone_map(profile).many(ts)
+    gaps = _separations(profile, ts[ii], xs[ii], ts[jj], xs[jj], cone[jj] - cone[ii], eps_null)
+    bad = np.flatnonzero(gaps > np.array(bounds)[ii] + 1e-9)
+    if len(bad):
+        i, j, gap = int(ii[bad[0]]), int(jj[bad[0]]), float(gaps[bad[0]])
+        raise PremiseViolated(i, f"T(x_{i}, x_{j}) = {gap!r} exceeds B_{i} = {bounds[i]!r}")
 
     k = max(3, len(pts) // 4)
     tail = pts[-k:]
@@ -399,11 +400,9 @@ def make_cauchy_sequence(
         raise NotCausal("Cauchy sequences run along future timelike geodesics")
     quad = _Quadrature(profile, p, v)
     cap = min(float(span), quad.bound())
-    pts = []
-    bounds = []
-    for k, s_k in enumerate(islice(toward_end(0.0, cap), n), 1):
-        pts.append(quad.point_at(s_k))
-        bounds.append(math.ldexp(cap, 1 - k))  # 2 cap 2^-k
+    T = quad.times(islice(toward_end(0.0, cap), n))
+    pts = [SpacetimePoint(t, x) for t, x in zip(T.tolist(), quad.x_at(T).tolist())]
+    bounds = [math.ldexp(cap, 1 - k) for k in range(1, len(pts) + 1)]  # 2 cap 2^-k
     return pts, bounds
 
 

@@ -124,9 +124,6 @@ class SpacetimePoint:
     t: float
     x: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.t, self.x])
-
 
 @dataclass(frozen=True)
 class TangentVector:

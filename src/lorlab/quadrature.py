@@ -6,18 +6,25 @@ Each panel is halved until its own integral stops changing.  The rule is a
 correctly rounded table and every sum is exact (math.fsum), so an integral
 depends only on its integrand and interval: not on the BLAS or LAPACK build,
 and not on the other intervals integrated in the same batch.
+
+ClosedFormMap and AnchoredMap are the only cumulative maps.  A value of
+either depends only on the map and its argument, never on earlier queries
+or on the batch it is asked in.  _cone_map and _flat_map pick one of them
+for a profile and share it through the profile.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from bisect import bisect_left, bisect_right, insort
+import weakref
+from bisect import bisect_right
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import QuadratureError
+from .profiles import MetricProfile, constant_value
 
 QUAD_TOL = 1e-10
 
@@ -193,43 +200,6 @@ def panel_rule(lo: float, hi: float, breaks=(), m: int = 1):
     return _rule_nodes(_panel_edges(lo, hi, breaks), m)
 
 
-class CumulativeMap:
-    """Cached cumulative integral t -> int_anchor^t f, integrated from the
-    nearest cached knot.
-
-    Repeated nearby evaluations (bracketing, bisection) cost one short panel
-    each, but a value depends on which arguments were asked before, so use
-    it only where the query order is fixed by the caller's own inputs, as in
-    one geodesic's solver.  Not thread-safe; non-finite results are returned
-    but never cached.  Shared maps use AnchoredMap.
-    """
-
-    def __init__(self, f, anchor: float, breaks=()):
-        self._f = f
-        self._breaks = tuple(breaks)
-        self.anchor = float(anchor)
-        self._knots = [self.anchor]
-        self._vals = {self.anchor: 0.0}
-
-    def __call__(self, t: float) -> float:
-        t = float(t)
-        got = self._vals.get(t)
-        if got is not None:
-            return got
-        i = bisect_left(self._knots, t)
-        near = None
-        for k in (i - 1, i):
-            if 0 <= k < len(self._knots):
-                cand = self._knots[k]
-                if near is None or abs(t - cand) < abs(t - near):
-                    near = cand
-        val = self._vals[near] + panel_integral(self._f, near, t, breaks=self._breaks)
-        if math.isfinite(val):
-            insort(self._knots, t)
-            self._vals[t] = val
-        return val
-
-
 class ClosedFormMap:
     """Closed form of t -> int_anchor^t k exp(r u) du, evaluated in floats.
 
@@ -237,8 +207,10 @@ class ClosedFormMap:
     except where |r (t - anchor)| < EXPM1_BELOW: there that difference would
     cancel, and the equal (k / r) exp(r anchor) expm1(r (t - anchor)) is used.
     Elsewhere the difference loses at most about 1.4 bits (its condition
-    number is below 1 / (1 - exp(-EXPM1_BELOW)) < 2.6).  The batch path
-    evaluates the same scalar expressions, so both agree bit for bit.
+    number is below 1 / (1 - exp(-EXPM1_BELOW)) < 2.6).  Where an
+    exponential overflows the value is +-inf, the sign of k (t - anchor).
+    The batch path evaluates the same scalar expressions, so both agree bit
+    for bit.
     """
 
     def __init__(self, k: float, r: float, anchor: float):
@@ -251,9 +223,12 @@ class ClosedFormMap:
             return self.k * (float(t) - self.anchor)
         k, r, anchor = self.k, self.r, self.anchor
         x = r * (t - anchor)
-        if abs(x) < EXPM1_BELOW:
-            return k / r * (math.exp(r * anchor) * math.expm1(x))
-        return k / r * (math.exp(r * t) - math.exp(r * anchor))
+        try:
+            if abs(x) < EXPM1_BELOW:
+                return k / r * (math.exp(r * anchor) * math.expm1(x))
+            return k / r * (math.exp(r * t) - math.exp(r * anchor))
+        except OverflowError:
+            return math.copysign(math.inf, k * (t - anchor))
 
     def many(self, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
@@ -411,6 +386,62 @@ class AnchoredMap:
         return values
 
 
+def _exp_form(terms):
+    """(c, lam) when a coefficient is c * exp(lam t) (lam = 0 for constants)."""
+    c = constant_value(terms)
+    if c is not None:
+        return c, 0.0
+    if len(terms) == 1 and terms[0].kind == "exp":
+        return terms[0].c, terms[0].lam
+    return None
+
+
+def _store_map(profile: MetricProfile, key: str, form, g):
+    """Closed form of the integrand k exp(r t), form = (k, r); else g(a, b)
+    anchored.  An anchored map refers to its profile weakly (using it after
+    the profile is gone raises ReferenceError): the profile holds its maps,
+    and a cycle would keep a dead profile's grid until a full collection."""
+    anchor = profile.anchor_time()
+    if form is not None:
+        m = ClosedFormMap(*form, anchor)
+    else:
+        owner = weakref.proxy(profile)
+
+        def f(u):
+            a, b, _, _ = owner.eval_many(u)
+            return g(a, b)
+
+        m = AnchoredMap(f, anchor, breaks=profile.breakpoints,
+                        domain=(profile.t_min, profile.t_max))
+    return profile._maps.setdefault(key, m)
+
+
+def _cone_map(profile: MetricProfile):
+    """The profile's shared map t -> int sqrt(a / b) from its anchor."""
+    m = profile._maps.get("cone")
+    if m is None and profile.has_unit_b:
+        # b is exactly 1.0, so sqrt(a / b) is sqrt(a) bit for bit
+        m = profile._maps.setdefault("cone", _flat_map(profile))
+    if m is None:
+        ea, eb = _exp_form(profile.terms_a), _exp_form(profile.terms_b)
+        form = None
+        if ea is not None and eb is not None:
+            # sqrt(ca e^(la t) / (cb e^(lb t))) = sqrt(ca / cb) e^((la - lb) t / 2)
+            form = (math.sqrt(ea[0] / eb[0]), 0.5 * (ea[1] - eb[1]))
+        m = _store_map(profile, "cone", form, lambda a, b: np.sqrt(a / b))
+    return m
+
+
+def _flat_map(profile: MetricProfile):
+    """The profile's shared map t -> int sqrt(a) from its anchor."""
+    m = profile._maps.get("flat")
+    if m is None:
+        ea = _exp_form(profile.terms_a)
+        form = None if ea is None else (math.sqrt(ea[0]), 0.5 * ea[1])
+        m = _store_map(profile, "flat", form, lambda a, b: np.sqrt(a))
+    return m
+
+
 def toward_end(start: float, end: float, step: float = 1.0):
     """March from start toward the domain end `end`.
 
@@ -442,26 +473,6 @@ def toward_end(start: float, end: float, step: float = 1.0):
         gap *= 2.0
 
 
-def _shrink_overflow(g, lo: float, hi: float, glo: float, ghi: float,
-                    level: float = 0.0):
-    """Bisect an overflowed upper end of [lo, hi] back into the finite region.
-
-    While g(hi) is not finite, the midpoint replaces lo when g there is
-    finite and on lo's side of level, and hi otherwise.  Returns the new
-    (lo, hi, glo, ghi).
-    """
-    for _ in range(200):
-        if math.isfinite(ghi):
-            break
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if math.isfinite(gm) and (gm > level) == (glo > level):
-            lo, glo = mid, gm
-        else:
-            hi, ghi = mid, gm
-    return lo, hi, glo, ghi
-
-
 def bracketed_root(g, lo: float, hi: float, glo=None, ghi=None,
                    xtol: float = 1e-12) -> float:
     """Root of g on [lo, hi] by Illinois false position with bisection floor.
@@ -476,7 +487,16 @@ def bracketed_root(g, lo: float, hi: float, glo=None, ghi=None,
         return lo
     if ghi == 0.0:
         return hi
-    lo, hi, glo, ghi = _shrink_overflow(g, lo, hi, glo, ghi)
+    for _ in range(200):
+        # bisect an overflowed upper end back into the finite region
+        if math.isfinite(ghi):
+            break
+        mid = 0.5 * (lo + hi)
+        gm = g(mid)
+        if math.isfinite(gm) and (gm > 0.0) == (glo > 0.0):
+            lo, glo = mid, gm
+        else:
+            hi, ghi = mid, gm
     if (glo > 0.0) == (ghi > 0.0):
         raise QuadratureError(f"root not bracketed on [{lo!r}, {hi!r}]")
     side = 0

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from lorlab import (
     ShootingFailed,
     SpacetimePoint,
     TangentVector,
+    affine_bound,
     causally_related,
     cone_boundary,
     cone_time,
@@ -183,6 +186,20 @@ def test_cumulative_maps_independent_of_query_history(name):
         space_from_points(prof, pts)
         for t in rng.permutation(probes).tolist():
             assert (cone_time(prof, t).hex(), flat_time(prof, t).hex()) == want[t]
+
+
+def test_dropped_profile_frees_its_maps_without_the_cycle_collector():
+    prof = _fresh("c1power")
+    cone_time(prof, 0.5)
+    # the affine bound marches the shared flat map to t0 + 2^74
+    assert affine_bound(prof, P(0.1, 0.0), V(1.0, 0.0)) == math.inf
+    refs = (weakref.ref(prof), weakref.ref(prof._maps["flat"]))
+    gc.disable()
+    try:
+        del prof
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_cone_boundary_batch_matches_scalar_cone_time():

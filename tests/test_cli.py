@@ -105,6 +105,15 @@ def test_distance_shooting_notes_lower_bound(capsys):
     assert "lower bound" in out
 
 
+def test_distance_past_closed_form_overflow_exits_cleanly(capsys):
+    # flat time on exp2t is e^t - 1, which overflows floats past t = 709.78
+    code, out, err = run(capsys, "distance", "--profile", "exp2t", "--p", "0,0",
+                         "--q", "710,0")
+    assert code == 0
+    assert out == "value inf\nmethod reduction\n"
+    assert err == ""
+
+
 def test_cone_csv(capsys):
     code, out, _ = run(capsys, "cone", "--profile", "minkowski", "--p", "0,0",
                        "--tmax", "1", "--n", "3")

@@ -16,12 +16,18 @@ from lorlab import (
     classify_vector,
     conserved_quantities,
     exp_continuity_probe,
+    format_profile,
+    geodesic_states,
     get_profile,
     integrate_geodesic,
     ode_rhs,
+    parse_profiles,
     quadrature_advance,
     uniqueness_witness,
 )
+from lorlab.geodesics import _Quadrature
+from lorlab.profiles import MetricProfile
+from lorlab.quadrature import toward_end
 
 P = SpacetimePoint
 V = TangentVector
@@ -203,6 +209,58 @@ def test_quadrature_inextendible_certificate():
     assert cert.max_param == pytest.approx(0.5, abs=1e-6)
     assert cert.t_boundary == 1.0
     assert cert.x_limit == pytest.approx(0.0, abs=1e-9)
+
+
+def _fresh(name):
+    return parse_profiles(format_profile(get_profile(name)))[name]
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_quadrature_states_depend_only_on_their_own_s(name):
+    p, v = P(0.3, 0.0), V(1.0, 0.2)
+    # s at the first march point, where a bracket ends exactly on the target
+    t_march = next(toward_end(p.t, get_profile(name).t_max))
+    s_march = float(_Quadrature(_fresh(name), p, v).s_at(t_march))
+    s_values = [0.13, 0.37, 0.5, 0.61, s_march]
+    # each reference comes from a fresh profile asked for that s alone
+    want = {}
+    for s in s_values:
+        (row,) = geodesic_states(_fresh(name), p, v, [s])
+        pt = _Quadrature(_fresh(name), p, v).point_at(s)
+        assert (pt.t, pt.x) == row[1:3]
+        want[s] = row
+    assert want[s_march][1] == t_march
+    rng = np.random.default_rng(17)
+    prof = _fresh(name)
+    for _ in range(3):
+        order = rng.permutation(s_values + s_values[:2]).tolist()  # with repeats
+        assert geodesic_states(prof, p, v, order) == [want[s] for s in order]
+        quad = _Quadrature(prof, p, v)
+        for s in rng.permutation(s_values).tolist():
+            pt = quad.point_at(s)
+            assert (pt.t, pt.x) == want[s][1:3]
+    # states stop at the first s, in the given order, beyond the affine bound
+    bound = affine_bound(prof, p, v)
+    if math.isfinite(bound):
+        order = [0.5, bound + 0.1, 0.13]
+        assert geodesic_states(prof, p, v, order) == [want[0.5]]
+
+
+def test_inversion_returns_a_bracket_end_that_hits_the_target(monkeypatch):
+    prof = _fresh("minkowski")
+    calls = []
+    eval_many = MetricProfile.eval_many
+
+    def counted(self, t):
+        calls.append(np.size(t))
+        return eval_many(self, t)
+
+    monkeypatch.setattr(MetricProfile, "eval_many", counted)
+    quad = _Quadrature(prof, P(1.0, 0.3), V(1.0, 0.0))
+    # s(T) = T - 1, and the march points T = 2, 3, 5, ..., 65 give s = 2^k
+    assert quad.t_of(1.0) == 2.0
+    assert quad.t_of(64.0) == 65.0
+    assert calls == []  # no Newton iteration ran
 
 
 # -- causal_exp --------------------------------------------------------------------

@@ -13,6 +13,7 @@ from lorlab import (
     get_profile,
     implication_report,
     k1_slices,
+    lorentzian_distance,
     make_cauchy_sequence,
     probe_condition_a,
     probe_finite_compactness,
@@ -198,6 +199,25 @@ def test_tcc_premise_violation_on_gap_bound():
     bounds = [0.1, 0.05, 0.025, 0.0125]  # T(x_0, x_1) = 0.5 > 0.1
     with pytest.raises(PremiseViolated):
         probe_timelike_cauchy(get_profile("minkowski"), pts, bounds)
+
+
+@pytest.mark.parametrize("name", ("minkowski", "warpb"))
+def test_tcc_premise_gap_violation_names_first_pair_in_row_major_order(name):
+    prof = get_profile(name)
+    pts, bounds = make_cauchy_sequence(prof, P(0.1, 0), V(1, 0), span=0.7, n=12)
+    # still non-increasing, but T(x_5, x_6) now exceeds B_5
+    bounds = bounds[:5] + [0.01 * b for b in bounds[5:]]
+    i, j, gap = next(
+        (i, j, T)
+        for i in range(len(pts)) for j in range(i + 1, len(pts))
+        if (T := lorentzian_distance(prof, pts[i], pts[j], with_path=False).value)
+        > bounds[i] + 1e-9
+    )
+    assert (i, j) == (5, 6)
+    with pytest.raises(PremiseViolated) as err:
+        probe_timelike_cauchy(prof, pts, bounds)
+    assert err.value.index == i
+    assert str(err.value) == f"T(x_{i}, x_{j}) = {gap!r} exceeds B_{i} = {bounds[i]!r}"
 
 
 def test_make_cauchy_sequence_satisfies_premises():

@@ -6,10 +6,12 @@ from itertools import islice
 import numpy as np
 import pytest
 
+from lorlab.causality import cone_time, flat_time
+from lorlab.profiles import get_profile
 from lorlab.quadrature import (
     MEMO_SIZE,
     AnchoredMap,
-    CumulativeMap,
+    ClosedFormMap,
     bracketed_root,
     panel_integral,
     panel_integrals,
@@ -70,20 +72,20 @@ def test_panel_rule_weights_sum_to_length():
     assert ((xs > 0.0) & (xs < 3.0)).all()
 
 
-def test_cumulative_map_increments():
-    cm = CumulativeMap(np.exp, 0.0)
-    assert cm(1.0) == pytest.approx(math.e - 1.0, abs=1e-11)
-    assert cm(0.5) == pytest.approx(math.sqrt(math.e) - 1.0, abs=1e-11)
-    assert cm(-1.0) == pytest.approx(1.0 / math.e - 1.0, abs=1e-11)
-    # repeated lookups hit the cache and return the identical float
-    assert cm(0.5) == cm(0.5)
-
-
-def test_cumulative_map_consistent_with_direct():
-    f = lambda u: 1.0 / (1.0 + u * u)
-    cm = CumulativeMap(f, 0.0)
-    for t in (0.3, 1.7, 0.9, -2.2, 4.1):
-        assert cm(t) == pytest.approx(math.atan(t), abs=1e-10)
+def test_closed_form_map_overflows_to_signed_inf():
+    grow = ClosedFormMap(1.0, 1.0, 0.0)     # e^t - 1
+    decay = ClosedFormMap(2.0, -1.0, 0.0)   # 2 (1 - e^-t)
+    assert grow(700.0) == pytest.approx(math.expm1(700.0), rel=1e-15)
+    assert grow(710.0) == math.inf
+    assert grow(1e6) == math.inf
+    assert decay(-710.0) == -math.inf
+    assert decay(710.0) == pytest.approx(2.0, rel=1e-15)
+    ts = [-1e6, -710.0, 0.25, 700.0, 710.0, 1e6]
+    for m in (grow, decay):
+        assert m.many(ts).tolist() == [m(t) for t in ts]
+    exp2t = get_profile("exp2t")  # flat time e^t - 1 in closed form
+    assert flat_time(exp2t, 710.0) == math.inf
+    assert cone_time(exp2t, 710.0) == math.inf
 
 
 def test_anchored_map_values():
