@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .profiles import (
     TangentVector,
     classify_vector,
 )
-from .quadrature import AnchoredMap, _flat_map, toward_end
+from .quadrature import AnchoredMap, ClosedFormMap, _flat_map, toward_end
 
 DRIFT_TOL = 1e-6   # allowed conserved-quantity drift per unit affine parameter
 INVERT_TOL = 1e-12  # relative tolerance of the quadrature inversion in T
@@ -206,16 +206,17 @@ def integrate_geodesic(
     return GeodesicPath(np.asarray(rows, dtype=float), cons, max_param, inext)
 
 
-def _advance_fixed(profile, p, v, s_total, h):
-    """Endpoint of the RK4 route at exactly s_total (full steps + remainder)."""
-    state = (p.t, p.x, v.tau0, v.xi0)
-    n = int(math.floor(s_total / h + 1e-12))
-    for _ in range(n):
-        state = _rk4_step(profile, state, h)
-    rem = s_total - n * h
-    if rem > 1e-15 * max(1.0, s_total):
-        state = _rk4_step(profile, state, rem)
-    return state
+def _advance_fixed(profile, p, v, s_values, h):
+    """States of the RK4 route at each s of the increasing s_values: full
+    steps of h from p, then a remainder step that is not carried forward."""
+    state, done, out = (p.t, p.x, v.tau0, v.xi0), 0, []
+    for s in s_values:
+        n = int(math.floor(s / h + 1e-12))
+        for _ in range(n - done):
+            state = _rk4_step(profile, state, h)
+        done, rem = n, s - n * h
+        out.append(_rk4_step(profile, state, rem) if rem > 1e-15 * max(1.0, s) else state)
+    return out
 
 
 # -- quadrature route ---------------------------------------------------------
@@ -226,43 +227,15 @@ def _stall_gate(s: float) -> float:
     return max(1e-13, 1e-12 * abs(s))
 
 
-def _march_points(s_at, t0: float, tmax: float):
-    """March points (T, s(T)) from t0 toward the domain end, then (None, total).
-
-    s(T) is strictly increasing, so the march overflows (total inf), stalls
-    at the affine length available, or runs out of points: at a finite end
-    the last s is the total, toward an unbounded end none was seen (None).
-    """
-    finite = math.isfinite(tmax)
-    ts = list(islice(toward_end(t0, tmax), 49 if finite else 75))
-    prev, stall, k = 0.0, 0, 0
-    while k < len(ts):
-        # 1, 1, 2, 4, 8, 8, ... points per map call: a near target costs one
-        # point, and no call holds enough of the march to raise peak memory
-        block = ts[k:k + min(max(k, 1), 8)]
-        k += len(block)
-        for T, sT in zip(block, s_at(np.array(block)).tolist()):
-            yield T, sT
-            if not math.isfinite(sT):
-                yield None, math.inf
-                return
-            stall = stall + 1 if sT - prev < _stall_gate(sT) else 0
-            # an unbounded march waits one step longer: the affine length
-            # can converge although t escapes to infinity
-            if stall >= (2 if finite else 3):
-                yield None, sT
-                return
-            prev = sT
-    yield None, prev if finite else None
-
-
 class _Quadrature:
     """Conserved-quantity solver for future-directed causal data (tau0 > 0).
 
-    With b == 1, kappa^2 / b - eps is a constant c^2, so s(T) = (F(T) -
-    F(t0)) / c and x(T) = x0 + kappa s(T) come from the profile's flat map
-    F; otherwise s and x are AnchoredMaps of their own, anchored at t0.
-    Either way a value depends only on the geodesic and T.
+    With b == 1, kappa^2 / b - eps is a constant c^2, so s(T) is
+    int_{t0}^{T} sqrt(a) / c and x(T) = x0 + kappa s(T): the closed form of
+    the profile's flat map scaled by 1 / c and anchored at t0, or else
+    (F(T) - F(t0)) / c from its shared anchored map F.  Otherwise s and x
+    are AnchoredMaps of their own, anchored at t0.  Either way a value
+    depends only on the geodesic and T.
     """
 
     def __init__(self, profile: MetricProfile, p: SpacetimePoint, v: TangentVector):
@@ -281,10 +254,17 @@ class _Quadrature:
         self._rate = f_s  # ds/dT
         # s_at and x_at map an array (or a float) of times T to s(T) and x(T)
         if profile.has_unit_b:
-            c, f0 = math.sqrt(kappa * kappa - eps), _flat_map(profile)(t0)
+            c, flat = math.sqrt(kappa * kappa - eps), _flat_map(profile)
+            if isinstance(flat, ClosedFormMap):
+                # anchored at t0: F(T) - F(t0) would cancel where sqrt(a)
+                # vanishes, as e^t does toward -inf
+                s_at = ClosedFormMap(flat.k / c, flat.r, t0).many
+            else:
+                f0 = flat(t0)
 
-            def s_at(ts):
-                return (_flat_map(profile).many(ts) - f0) / c
+                def s_at(ts):
+                    # through the profile: the map refers to it weakly
+                    return (_flat_map(profile).many(ts) - f0) / c
 
             self.s_at = s_at
             self.x_at = lambda ts: x0 + kappa * s_at(ts)
@@ -293,34 +273,61 @@ class _Quadrature:
                 a, b, _, _ = profile.eval_many(u)
                 return kappa * np.sqrt(a) / (b * np.sqrt(kappa * kappa / b - eps))
 
+            # one knot per unit and per octave: the march points t0 + 2^k
+            # are knots, and a geodesic asks for few values in each octave
             s_map, x_map = (AnchoredMap(f, t0, breaks=profile.breakpoints,
-                                        domain=(profile.t_min, profile.t_max))
+                                        domain=(profile.t_min, profile.t_max), density=1)
                             for f in (f_s, f_x))
             self.s_at = s_map.many
             self.x_at = lambda ts: x0 + x_map.many(ts)
-        self._points = []        # march points (T, s(T)) computed so far
-        # not a generator method: a solver holding one would be a reference cycle
-        self._walk = _march_points(self.s_at, t0, profile.t_max)
-        self._total = None       # affine bound once the march ends; None if unseen
+        # the march from t0 toward the domain end: its times, the points
+        # (T, s(T)) computed so far, and once it has ended the affine bound
+        # (None when an unbounded march saw none)
+        finite = math.isfinite(profile.t_max)
+        self._ts = list(islice(toward_end(t0, profile.t_max), 49 if finite else 75))
+        self._points, self._stall, self._ended, self._total = [], 0, False, None
 
-    def _march(self):
-        """The march points, each computed once per solver and only when needed."""
-        yield from self._points
-        # a loop, not yield from: closing this generator must not end the walk
-        for T, sT in self._walk:
-            if T is None:
-                self._total = sT
+    def _extend(self) -> None:
+        """Compute the next block of march points, or end the march.
+
+        Blocks hold 1, 1, 2, 4, 8, 8, ... points: a near target costs one
+        map call of one point, and no call holds enough of the march to
+        raise peak memory.  s(T) is strictly increasing, so the march ends
+        when s overflows (bound inf), stalls at the affine length available,
+        or runs out of points: at a finite end the last s is the bound.
+        """
+        pts, k = self._points, len(self._points)
+        finite = math.isfinite(self.profile.t_max)
+        prev = pts[-1][1] if pts else 0.0
+        block = self._ts[k:k + min(max(k, 1), 8)]
+        if not block:
+            self._ended, self._total = True, prev if finite else None
+            return
+        for T, sT in zip(block, self.s_at(np.array(block)).tolist()):
+            pts.append((T, sT))
+            if not math.isfinite(sT):
+                self._ended, self._total = True, math.inf
                 return
-            self._points.append((T, sT))
-            yield T, sT
+            self._stall = self._stall + 1 if sT - prev < _stall_gate(sT) else 0
+            # an unbounded march waits one step longer: the affine length
+            # can converge although t escapes to infinity
+            if self._stall >= (2 if finite else 3):
+                self._ended, self._total = True, sT
+                return
+            prev = sT
 
     def _bracket(self, s: float):
         """(s, lo, hi, s(lo), s(hi)) around s from consecutive march points,
         or None when s lies beyond the affine bound."""
         if s < 0.0:
             raise ValueError("affine parameter must be non-negative")
-        lo, slo = self.t0, 0.0
-        for T, sT in self._march():
+        lo, slo, i = self.t0, 0.0, 0
+        while i < len(self._points) or not self._ended:
+            if i == len(self._points):
+                self._extend()
+                continue
+            T, sT = self._points[i]
+            i += 1
             # a saturating integral can touch the target exactly in floats;
             # only healthy progress onto the target counts as a bracket
             if not math.isfinite(sT) or sT > s or (sT == s and sT - slo > _stall_gate(sT)):
@@ -408,8 +415,8 @@ class _Quadrature:
 
     def bound(self) -> float:
         """Affine length available before the domain boundary (may be inf)."""
-        for _ in self._march():
-            pass
+        while not self._ended:
+            self._extend()
         return math.inf if self._total is None else self._total
 
 
@@ -510,23 +517,17 @@ def exp_continuity_probe(
         raise Inextendible(base)
     rows = []
     for r in radii:
-        worst = 0.0
-        used = 0
-        skipped = 0
+        worst, used = 0.0, 0
         for k in range(32):
             ang = 2.0 * math.pi * k / 32.0
             vp = TangentVector(v.tau0 + r * math.cos(ang), v.xi0 + r * math.sin(ang))
-            char = classify_vector(profile, p, vp, eps_null=eps_null)
-            if not char.is_causal:
-                skipped += 1
+            if not classify_vector(profile, p, vp, eps_null=eps_null).is_causal:
                 continue
             out = causal_exp(profile, p, vp, eps_null=eps_null)
-            if isinstance(out, InextendibleCertificate):
-                skipped += 1
-                continue
-            used += 1
-            worst = max(worst, math.hypot(out.t - base.t, out.x - base.x))
-        rows.append(DisplacementRow(float(r), worst, used, skipped))
+            if isinstance(out, SpacetimePoint):
+                used += 1
+                worst = max(worst, math.hypot(out.t - base.t, out.x - base.x))
+        rows.append(DisplacementRow(float(r), worst, used, 32 - used))
     return rows
 
 
@@ -549,21 +550,14 @@ def uniqueness_witness(
     if v.tau0 < 0.0:
         profile, p, v = _reflect(profile, p, v)
     quad = _Quadrature(profile, p, v)
-    gap = 0.0
-    for i in range(1, n_checks + 1):
-        s_i = s_max * i / n_checks
-        ref = quad.point_at(s_i)
-        pts = [(ref.t, ref.x)]
-        for h in steps:
-            st = _advance_fixed(profile, p, v, s_i, h)
-            pts.append((st[0], st[1]))
-        for a in range(len(pts)):
-            for b in range(a + 1, len(pts)):
-                gap = max(
-                    gap,
-                    math.hypot(pts[a][0] - pts[b][0], pts[a][1] - pts[b][1]),
-                )
-    return gap
+    s_checks = [s_max * i / n_checks for i in range(1, n_checks + 1)]
+    T = quad.times(s_checks)
+    if len(T) < n_checks:
+        raise Inextendible(quad._certificate(quad.bound()))
+    runs = [zip(T.tolist(), quad.x_at(T).tolist())]
+    runs += [[st[:2] for st in _advance_fixed(profile, p, v, s_checks, h)] for h in steps]
+    return max((math.hypot(a[0] - b[0], a[1] - b[1])
+                for pts in zip(*runs) for a, b in combinations(pts, 2)), default=0.0)
 
 
 def geodesic_states(

@@ -49,7 +49,7 @@ _GRADE_LEVELS = 36
 
 MAX_LEVELS = 14         # halvings of a panel before refinement stalls
 ROOT_MAX_ITER = 300     # false-position steps of bracketed_root
-GRID_STEP = 1.0 / 16.0  # knot spacing of anchored maps near their anchor
+GRID_DENSITY = 16       # knots of a shared anchored map per unit near its anchor
 MEMO_SIZE = 4096        # values an anchored map remembers
 EXPM1_BELOW = 0.5       # exponential closed forms switch to expm1 below this
 
@@ -92,31 +92,39 @@ def _split_rule(m: int):
     return frac, np.tile(_WEIGHTS, m)
 
 
+def _rule_values(f, lo: np.ndarray, width: np.ndarray, ms) -> list[np.ndarray]:
+    """The rule's value on each panel at each refinement m of ms, from one
+    call of f; the products are summed exactly."""
+    rules = [_split_rule(m) for m in ms]
+    frac = np.concatenate([fr for fr, _ in rules])
+    vals = np.asarray(f((lo[:, None] + width[:, None] * frac).ravel()), dtype=float)
+    cols = np.split(vals.reshape(len(lo), -1), np.cumsum([len(w) for _, w in rules[:-1]]), axis=1)
+    return [(0.5 / m) * width * np.array([_fsum(row) for row in (v * w).tolist()])
+            for m, (_, w), v in zip(ms, rules, cols)]
+
+
 def _refine(f, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray) -> np.ndarray:
     """Integral of f over each panel [lo[k], hi[k]], halved until stable.
 
     Every panel is split into m = 1, 2, 4, ... equal parts until its own
-    value moves by at most tol[k] (with a floating-point floor).  The rule's
-    products are summed exactly, so a panel's value depends only on f and
-    its edges, not on the other panels integrated alongside it.
+    value moves by at most tol[k] (with a floating-point floor); m = 1 and
+    m = 2 come from one call of f, as no panel can stop at m = 1 unless its
+    value is not finite.  The rule's products are summed exactly, so a
+    panel's value depends only on f and its edges, not on the other panels
+    integrated alongside it.
     """
     out = np.empty(len(lo))
     idx = np.arange(len(lo))
     width = hi - lo
-    prev = None
-    change = np.full(len(lo), math.inf)
-    m = 1
+    m = 2
     # overflow to inf is a legitimate sentinel for the marching logic
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(MAX_LEVELS):
-            frac, w = _split_rule(m)
-            vals = np.asarray(f((lo[:, None] + width[:, None] * frac).ravel()), dtype=float)
-            sums = [_fsum(row) for row in (vals.reshape(len(lo), -1) * w).tolist()]
-            cur = (0.5 / m) * width * np.array(sums)
-            done = ~np.isfinite(cur)
-            if prev is not None:
-                change = np.abs(cur - prev)
-                done |= change <= np.maximum(tol, 16e-16 * np.abs(cur))
+        prev, cur = _rule_values(f, lo, width, (1, 2))
+        # a panel whose m = 1 value is not finite ends there
+        cur = np.where(np.isfinite(prev), cur, prev)
+        while True:
+            change = np.abs(cur - prev)
+            done = ~np.isfinite(cur) | (change <= np.maximum(tol, 16e-16 * np.abs(cur)))
             if done.all():
                 out[idx] = cur
                 return out
@@ -125,8 +133,11 @@ def _refine(f, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray) -> np.ndarray:
                 keep = ~done
                 idx, lo, width, tol = idx[keep], lo[keep], width[keep], tol[keep]
                 cur, change = cur[keep], change[keep]
+            if m >= 2 ** (MAX_LEVELS - 1):
+                break
             prev = cur
             m *= 2
+            cur, = _rule_values(f, lo, width, (m,))
     raise QuadratureError(
         f"panel refinement stalled on [{float(lo[0])!r}, {float(hi[idx[0]])!r}]: "
         f"last change {float(change[0])!r}"
@@ -237,20 +248,21 @@ class ClosedFormMap:
         return np.array([self(t) for t in ts.ravel().tolist()]).reshape(ts.shape)
 
 
-def _grid_offset(i: int) -> float:
-    """Distance of grid knot i from the anchor: GRID_STEP apart up to 1,
-    then 16 knots per octave; inf past the float range."""
-    if i < 16:
-        return i * GRID_STEP
-    octave, q = divmod(i - 16, 16)
-    return math.ldexp(1.0 + q * GRID_STEP, octave) if octave < 1024 else math.inf
+def _grid_offset(i: int, n: int) -> float:
+    """Distance of grid knot i from the anchor: n knots per unit up to 1,
+    then n per octave; inf past the float range."""
+    if i < n:
+        return i / n
+    octave, q = divmod(i - n, n)
+    return math.ldexp(1.0 + q / n, octave) if octave < 1024 else math.inf
 
 
 class _Side:
     """Knots of an anchored map on one side of its anchor, listed outward."""
 
-    def __init__(self, sgn: float, anchor: float, end: float, breaks):
+    def __init__(self, sgn: float, anchor: float, end: float, breaks, density: int):
         self.sgn = sgn
+        self.density = density
         self.anchor = anchor
         self.end = end                     # domain end on this side
         self.kinks = frozenset(breaks)
@@ -269,7 +281,7 @@ class _Side:
         """Add knots until one lies at or beyond t or the domain ends."""
         sgn = self.sgn
         while not self.closed and sgn * self.knots[-1] < sgn * t:
-            knot = self.anchor + sgn * _grid_offset(self._grid)
+            knot = self.anchor + sgn * _grid_offset(self._grid, self.density)
             if self._brk < len(self.breaks) and sgn * self.breaks[self._brk] <= sgn * knot:
                 if self.breaks[self._brk] == knot:
                     self._grid += 1
@@ -302,24 +314,26 @@ class _Side:
 class AnchoredMap:
     """Cumulative integral t -> int_anchor^t f whose value depends only on t.
 
-    Knots lie on a fixed grid anchored at `anchor` (GRID_STEP apart up to a
-    distance of 1, then 16 per octave), and the breakpoints are knots too.
+    Knots lie on a fixed grid anchored at `anchor` (`density` per unit up
+    to a distance of 1, then `density` per octave), and the breakpoints are
+    knots too.
     Each cell between knots is integrated whole, and a knot's value is the
     math.fsum of the cells between it and the anchor.  A value adds one
     partial panel from the inner knot of t's cell, or from the outer knot
     when the inner one is a breakpoint (a panel starting there would be
     graded toward the kink on every query).  So a value depends only on
-    (f, anchor, breaks, domain, t), never on earlier queries or on the
+    (f, anchor, breaks, domain, density, t), never on earlier queries or on the
     batch it is asked in.  At most MEMO_SIZE values are remembered; the
     knots grow with the queried range only.  Thread-safe.
     """
 
-    def __init__(self, f, anchor: float, breaks=(), domain=(-math.inf, math.inf)):
+    def __init__(self, f, anchor: float, breaks=(), domain=(-math.inf, math.inf),
+                 density: int = GRID_DENSITY):
         self._f = f
         self._breaks = tuple(breaks)
         self.anchor = float(anchor)
         t_min, t_max = domain
-        self._sides = {sgn: _Side(sgn, self.anchor, end, self._breaks)
+        self._sides = {sgn: _Side(sgn, self.anchor, end, self._breaks, density)
                        for sgn, end in ((1.0, t_max), (-1.0, t_min))}
         self._memo: dict[float, float] = {}
         self._lock = threading.Lock()
@@ -355,34 +369,26 @@ class AnchoredMap:
             self._sides[1.0].extend_to(todo[-1])
         if todo[0] < anchor:
             self._sides[-1.0].extend_to(todo[0])
-        # integrate every new cell of both sides in one batch
-        pending = [(side, k) for side in self._sides.values()
-                   for k in range(len(side.cells), len(side.knots) - 1)]
-        if pending:
-            cells = panel_integrals(
-                self._f,
-                [side.knots[k] for side, k in pending],
-                [side.knots[k + 1] for side, k in pending],
-                breaks=self._breaks,
-            )
-            for (side, _), c in zip(pending, cells.tolist()):
-                side.cells.append(c)
-        values, rows, starts, ends = [], [], [], []
-        for t in todo:
-            if t == anchor:
-                values.append(0.0)
-                continue
-            side = self._sides[1.0 if t > anchor else -1.0]
-            k = side.start_for(t)
-            values.append(side.value_at(k))
-            if side.knots[k] != t:
-                rows.append(len(values) - 1)
-                starts.append(side.knots[k])
-                ends.append(t)
-        if rows:
-            partial = panel_integrals(self._f, starts, ends, breaks=self._breaks)
-            for i, v in zip(rows, partial.tolist()):
-                values[i] += v
+        # the start knot of each t: its value plus one partial panel to t
+        at = [self._sides[1.0 if t > anchor else -1.0] for t in todo]
+        at = [(side, side.start_for(t)) for side, t in zip(at, todo)]
+        # the cells before the start knots not integrated yet and the partial
+        # panels, in one batch
+        new = [(side, k) for side in self._sides.values()
+               for k in range(len(side.cells), max((j for s, j in at if s is side), default=0))]
+        parts = [(i, side.knots[k], t)
+                 for i, (t, (side, k)) in enumerate(zip(todo, at)) if side.knots[k] != t]
+        found = panel_integrals(
+            self._f,
+            [side.knots[k] for side, k in new] + [lo for _, lo, _ in parts],
+            [side.knots[k + 1] for side, k in new] + [hi for _, _, hi in parts],
+            breaks=self._breaks,
+        ).tolist()
+        for (side, _), c in zip(new, found):
+            side.cells.append(c)
+        values = [side.value_at(k) for side, k in at]
+        for (i, _, _), v in zip(parts, found[len(new):]):
+            values[i] += v
         return values
 
 

@@ -288,6 +288,20 @@ def test_exp_exp2t_closed_form():
     assert got.x == 0.0
 
 
+@pytest.mark.parametrize("t0", [-30.0, -45.0])
+@pytest.mark.parametrize("tau", [1.0, 2.0])
+def test_exp_exp2t_closed_form_far_below_the_anchor(t0, tau):
+    # a = e^(2t): with xi = e^t0 / 2, c = tau e^t0 and s(T) = (e^T - e^t0) / c,
+    # so s = 1 lands at T = log(e^t0 + c) and x = xi; e^t vanishes toward
+    # -inf, where a difference taken from the profile's anchor t = 0 cancels
+    xi = 0.5 * math.exp(t0)
+    got = causal_exp(get_profile("exp2t"), P(t0, 0.0), V(tau, xi))
+    assert isinstance(got, SpacetimePoint)
+    want = math.log(math.exp(t0) + tau * math.exp(t0))
+    assert abs(got.t - want) <= 1e-12 * abs(want)
+    assert abs(got.x - xi) <= 1e-12 * xi
+
+
 def test_exp_past_directed_exp2t():
     # backwards from t=0 the flat time e^t - 1 has only 1 unit left, so the
     # past unit geodesic is inextendible with affine bound exactly 1

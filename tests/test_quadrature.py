@@ -97,6 +97,23 @@ def test_anchored_map_values():
         assert strip(t) == pytest.approx(math.atan(t) - math.atan(0.5), abs=1e-13)
 
 
+def test_sparse_anchored_map():
+    # one knot per unit and per octave: the knots lie 2^k from the anchor
+    am = AnchoredMap(np.exp, 0.0, density=1)
+    for t in (1.0, 0.5, -1.0, 7.3, -20.0, 1e-7):
+        assert am(t) == pytest.approx(math.expm1(t), rel=1e-13, abs=1e-15)
+    assert am._sides[1.0].knots[:5] == [0.0, 1.0, 2.0, 4.0, 8.0]
+    # a value integrates only the cells before the knot it starts from
+    fresh = AnchoredMap(np.exp, 0.0, density=1)
+    assert fresh(0.5) == am(0.5)
+    assert fresh._sides[1.0].cells == []
+    f = lambda u: np.sqrt(1.0 + np.abs(u - 0.3) ** 1.5)
+    make = lambda: AnchoredMap(f, 0.0, breaks=(0.3,), density=1)
+    ts = np.random.default_rng(5).uniform(-9.0, 9.0, 32)
+    ts[:3] = (0.3, 4.0, -2.0)  # a breakpoint and two knots
+    assert make().many(ts).tolist() == [make()(t) for t in ts]
+
+
 def test_anchored_map_independent_of_history_batch_and_threads():
     f = lambda u: np.sqrt(1.0 + np.abs(u - 0.3) ** 1.5)
     make = lambda: AnchoredMap(f, 0.0, breaks=(0.3,))
