@@ -149,12 +149,25 @@ def _flat_interval(dtau, dx):
     """sqrt(dtau^2 - dx^2), or 0 off the cone; elementwise on arrays.
 
     Floats take math.sqrt, which is far cheaper than numpy on a scalar;
-    both square roots are correctly rounded, so the two paths agree.
+    both square roots are correctly rounded, so the two paths agree.  Where
+    a square overflows, the scaled form |dtau| sqrt((1 - r)(1 + r)) with
+    r = dx / dtau gives the finite interval instead (a float goes there as
+    a batch of one).
     """
-    q = dtau * dtau - dx * dx
-    if isinstance(q, float):
-        return math.sqrt(q) if q > 0.0 else 0.0
-    return np.sqrt(np.where(q > 0.0, q, 0.0))
+    if isinstance(dtau, float):
+        q = dtau * dtau - dx * dx
+        if math.isfinite(q):
+            return math.sqrt(q) if q > 0.0 else 0.0
+        return float(_flat_interval(np.array([dtau]), np.array([dx]))[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = dtau * dtau - dx * dx
+    out = np.sqrt(np.where(q > 0.0, q, 0.0))
+    big = ~np.isfinite(q)
+    if big.any():
+        r = dx[big] / dtau[big]
+        w = (1.0 - r) * (1.0 + r)
+        out[big] = np.abs(dtau[big]) * np.sqrt(np.where(w > 0.0, w, 0.0))
+    return out
 
 
 # -- shooting solver -----------------------------------------------------------
@@ -478,9 +491,9 @@ def _reduction_path(profile, p, q, value, n_samples):
     dtau, dx = tau_q - tau_p, q.x - p.x
     kappa = dx / value
     ts = np.linspace(p.t, q.t, n_samples)
-    sigma = (fm.many(ts) - tau_p) * value / dtau
+    sigma = (fm.many(ts) - tau_p) * (value / dtau)
     a, _, _, _ = profile.eval_many(ts)
-    rows = np.column_stack([sigma, ts, p.x + sigma * dx / value,
+    rows = np.column_stack([sigma, ts, p.x + sigma * kappa,
                             (dtau / value) / np.sqrt(a), np.full(n_samples, kappa)])
     return GeodesicPath(rows, ConservedQuantities(kappa, -1.0), math.inf, False)
 

@@ -2,8 +2,11 @@
 
 A sampled space stores the chronological and causal relation matrices, the
 Euclidean coordinate distance matrix, and the time separation matrix.  The
-checkers scan all pairs and triples (vectorized), so point counts are capped
-at 500.
+checkers are exhaustive, so point counts are capped at 500.  The reverse
+triangle check scans, for each middle point, its causal past x its causal
+future.  The relation algebra and push-up checks count links with 0/1 matrix
+products in float64: every count is an integer of at most 500, exact in any
+summation order, so the verdicts do not depend on the BLAS build.
 """
 
 from __future__ import annotations
@@ -147,8 +150,8 @@ def check_axioms(space: DiscreteCausalSpace, tol: float = 1e-7) -> AxiomReport:
         i = int(np.nonzero(~causal.diagonal())[0][0])
         bad = (i, i)
         violations += int((~causal.diagonal()).sum())
-    for rel_name, rel in (("causal", causal), ("chron", chron)):
-        implied = (rel.astype(np.int64) @ rel.astype(np.int64)) > 0
+    for rel in (causal, chron):
+        implied = (rel.astype(np.float64) @ rel.astype(np.float64)) > 0
         viol = implied & ~rel
         if viol.any():
             violations += int(viol.sum())
@@ -170,18 +173,22 @@ def check_axioms(space: DiscreteCausalSpace, tol: float = 1e-7) -> AxiomReport:
         )
     )
 
-    # reverse triangle inequality over causal triples x <= y <= z
+    # reverse triangle inequality over causal triples x <= y <= z: each middle
+    # point y scans its causal past x its future only; ascending indices keep
+    # argmax on the first worst triple in row-major order, and the strict > on
+    # the first middle point
     worst = -np.inf
     worst_triple = None
     for y in range(n):
-        mask = causal[:, y][:, None] & causal[y, :][None, :]
-        if not mask.any():
+        i = causal[:, y].nonzero()[0]
+        k = causal[y].nonzero()[0]
+        if not (len(i) and len(k)):
             continue
-        resid = np.where(mask, tau[:, y][:, None] + tau[y, :][None, :] - tau, -np.inf)
-        idx = np.unravel_index(np.argmax(resid), resid.shape)
-        if resid[idx] > worst:
-            worst = float(resid[idx])
-            worst_triple = (int(idx[0]), y, int(idx[1]))
+        resid = tau[i, y, None] + tau[y, k] - tau[i][:, k]
+        a, b = divmod(int(resid.argmax()), len(k))
+        if resid[a, b] > worst:
+            worst = float(resid[a, b])
+            worst_triple = (int(i[a]), y, int(k[b]))
     worst = max(worst, 0.0)
     checks.append(
         CheckResult(
@@ -216,7 +223,7 @@ def check_axioms(space: DiscreteCausalSpace, tol: float = 1e-7) -> AxiomReport:
     )
 
     # vanishing off the causal relation
-    off = np.abs(tau) * ~causal
+    off = np.where(causal, 0.0, np.abs(tau))
     resid = float(off.max()) if off.size else 0.0
     bad = None
     if resid > 0.0:
@@ -236,8 +243,8 @@ def check_axioms(space: DiscreteCausalSpace, tol: float = 1e-7) -> AxiomReport:
 def check_pushup(space: DiscreteCausalSpace) -> CheckResult:
     """x <= y << z or x << y <= z must imply x << z, on every triple."""
     _require_small(space)
-    chron = space.chron.astype(np.int64)
-    causal = space.causal.astype(np.int64)
+    chron = space.chron.astype(np.float64)
+    causal = space.causal.astype(np.float64)
     implied = ((causal @ chron) > 0) | ((chron @ causal) > 0)
     viol = implied & ~space.chron
     if not viol.any():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from lorlab.cli import main
@@ -112,6 +114,37 @@ def test_distance_past_closed_form_overflow_exits_cleanly(capsys):
     assert code == 0
     assert out == "value inf\nmethod reduction\n"
     assert err == ""
+
+
+def test_distance_below_closed_form_overflow_is_finite(capsys):
+    # T = e^709 - 1 is a finite float although its square overflows
+    code, out, err = run(capsys, "distance", "--profile", "exp2t", "--p", "0,0",
+                         "--q", "709,0")
+    assert code == 0
+    assert "Traceback" not in err
+    value = float(out.splitlines()[0].removeprefix("value "))
+    assert value == pytest.approx(math.expm1(709.0), rel=1e-12)
+
+
+def test_distance_huge_interval_path_is_finite(capsys):
+    code, out, err = run(capsys, "distance", "--profile", "exp2t", "--p", "0,0",
+                         "--q", "709,1e300")
+    assert code == 0
+    assert "Traceback" not in err
+    lines = out.splitlines()
+    assert 0.0 < float(lines[0].removeprefix("value ")) < math.inf
+    assert lines[2] == "s,t,x,dtds,dxds,kappa,eps"
+    rows = [[float(v) for v in line.split(",")] for line in lines[3:]]
+    assert len(rows) == 65
+    assert all(math.isfinite(v) for row in rows for v in row)
+
+
+def test_axioms_far_up_exp2t_pass_without_nan(capsys):
+    code, out, _ = run(capsys, "axioms", "--profile", "exp2t",
+                       "--region", "400,401,0,1", "--n", "5", "--seed", "1")
+    assert code == 0
+    assert "nan" not in out
+    assert "verdict pass" in out
 
 
 def test_cone_csv(capsys):

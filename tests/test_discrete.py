@@ -15,6 +15,13 @@ from lorlab import (
     space_from_points,
 )
 from lorlab.causality import BLOCK_PANELS
+from lorlab.discrete import (
+    AxiomReport,
+    CheckResult,
+    DiscreteCausalSpace,
+    _first_link,
+    _require_small,
+)
 
 P = SpacetimePoint
 
@@ -35,6 +42,17 @@ def copy_space(space):
     out.causal = space.causal.copy()
     out.taumat = space.taumat.copy()
     return out
+
+
+def first_chron_triple(space):
+    """The first strict triple x << y << z in row-major order."""
+    chron = space.chron
+    for x in range(len(space)):
+        for y in np.nonzero(chron[x])[0]:
+            zs = np.nonzero(chron[y])[0]
+            if len(zs):
+                return x, int(y), int(zs[0])
+    raise AssertionError("no strict triple")
 
 
 def test_two_point_flat_space():
@@ -159,11 +177,50 @@ def test_axioms_pass_on_catalog(name):
     assert check_causality(space).status == "pass"
 
 
-def test_axioms_catch_zeroed_tau_on_chronological_pair():
+def zeroed_chron_tau():
     space = sample_space(get_profile("minkowski"), (0, 1, 0, 1), 40, seed=2)
     i, j = np.argwhere(space.chron)[0]
     broken = copy_space(space)
     broken.taumat[i, j] = 0.0
+    return broken, (i, j)
+
+
+def lowered_triangle():
+    # lower tau(x, z) below tau(x, y) + tau(y, z)
+    space = sample_space(get_profile("minkowski"), (0, 1, 0, 1), 40, seed=2)
+    x, y, z = first_chron_triple(space)
+    broken = copy_space(space)
+    broken.taumat[x, z] = 0.5 * (broken.taumat[x, y] + broken.taumat[y, z])
+    return broken, (x, y, z)
+
+
+def tau_on_unrelated():
+    space = sample_space(get_profile("minkowski"), (0, 1, 0, 1), 40, seed=2)
+    i, j = np.argwhere(~space.causal)[0]
+    broken = copy_space(space)
+    broken.taumat[i, j] = 0.3
+    return broken, (i, j)
+
+
+def cleared_chron():
+    space = sample_space(get_profile("minkowski"), (0, 1, 0, 1), 40, seed=4)
+    x, y, z = first_chron_triple(space)
+    broken = copy_space(space)
+    broken.chron[x, z] = False
+    broken.taumat[x, z] = 0.0
+    return broken, (x, y, z)
+
+
+def symmetric_causal():
+    space = sample_space(get_profile("minkowski"), (0, 1, 0, 1), 20, seed=6)
+    broken = copy_space(space)
+    broken.causal[3, 5] = True
+    broken.causal[5, 3] = True
+    return broken, (3, 5)
+
+
+def test_axioms_catch_zeroed_tau_on_chronological_pair():
+    broken, (i, j) = zeroed_chron_tau()
     report = check_axioms(broken, tol=1e-7)
     check = report["positivity-iff-chronology"]
     assert check.status == "fail"
@@ -171,21 +228,7 @@ def test_axioms_catch_zeroed_tau_on_chronological_pair():
 
 
 def test_axioms_catch_reverse_triangle_violation():
-    space = sample_space(get_profile("minkowski"), (0, 1, 0, 1), 40, seed=2)
-    # find a strict triple x << y << z and lower tau(x, z)
-    chron = space.chron
-    found = None
-    for x in range(len(space)):
-        for y in np.nonzero(chron[x])[0]:
-            zs = np.nonzero(chron[y])[0]
-            if len(zs):
-                found = (x, int(y), int(zs[0]))
-                break
-        if found:
-            break
-    x, y, z = found
-    broken = copy_space(space)
-    broken.taumat[x, z] = 0.5 * (broken.taumat[x, y] + broken.taumat[y, z])
+    broken, _ = lowered_triangle()
     report = check_axioms(broken, tol=1e-7)
     check = report["reverse-triangle"]
     assert check.status == "fail"
@@ -196,33 +239,24 @@ def test_axioms_catch_reverse_triangle_violation():
 
 
 def test_axioms_catch_tau_on_unrelated_pair():
-    space = sample_space(get_profile("minkowski"), (0, 1, 0, 1), 40, seed=2)
-    pairs = np.argwhere(~space.causal)
-    i, j = pairs[0]
-    broken = copy_space(space)
-    broken.taumat[i, j] = 0.3
+    broken, _ = tau_on_unrelated()
     report = check_axioms(broken, tol=1e-7)
     assert report["vanishing-on-unrelated"].status == "fail"
     # the same entry also breaks positivity-iff-chronology
     assert report["positivity-iff-chronology"].status == "fail"
 
 
+def test_vanishing_check_ignores_inf_on_causal_pair():
+    # an infinite separation on a causal pair is no value off the relation
+    broken, (i, j) = zeroed_chron_tau()
+    broken.taumat[i, j] = np.inf
+    with np.errstate(invalid="ignore"):  # inf - inf in the reverse triangle
+        check = check_axioms(broken, tol=1e-7)["vanishing-on-unrelated"]
+    assert (check.status, check.residual, check.witness) == ("pass", 0.0, None)
+
+
 def test_pushup_catches_cleared_chron():
-    space = sample_space(get_profile("minkowski"), (0, 1, 0, 1), 40, seed=4)
-    chron = space.chron
-    found = None
-    for x in range(len(space)):
-        for y in np.nonzero(chron[x])[0]:
-            zs = np.nonzero(chron[int(y)])[0]
-            if len(zs):
-                found = (x, int(y), int(zs[0]))
-                break
-        if found:
-            break
-    x, y, z = found
-    broken = copy_space(space)
-    broken.chron[x, z] = False
-    broken.taumat[x, z] = 0.0
+    broken, (x, _, z) = cleared_chron()
     result = check_pushup(broken)
     assert result.status == "fail"
     wx, wy, wz = result.witness
@@ -236,10 +270,7 @@ def test_pushup_vacuous_on_unrelated_points():
 
 
 def test_causality_catches_injected_symmetric_pair():
-    space = sample_space(get_profile("minkowski"), (0, 1, 0, 1), 20, seed=6)
-    broken = copy_space(space)
-    broken.causal[3, 5] = True
-    broken.causal[5, 3] = True
+    broken, _ = symmetric_causal()
     result = check_causality(broken)
     assert result.status == "fail"
     assert set(result.witness) == {3, 5}
@@ -259,3 +290,203 @@ def test_checks_reject_oversized_spaces():
         check_axioms(space)
     with pytest.raises(TooLarge):
         check_pushup(space)
+
+
+# -- gate: the checkers against their masked full-matrix form --------------------
+#
+# masked_check_axioms and int64_check_pushup are the checkers as they were
+# before the reverse triangle scanned only each middle point's causal past x
+# future and the link counts became float64 products; the current checkers
+# must give the same status, residual and witness bit for bit.
+
+
+def masked_check_axioms(space, tol=1e-7):
+    """Exhaustive verification of the relation algebra and the time separation.
+
+    Lower semicontinuity is vacuous on finite point sets and is reported as
+    skipped rather than passed.
+    """
+    _require_small(space)
+    chron = space.chron
+    causal = space.causal
+    tau = space.taumat
+    n = len(space)
+    checks = [CheckResult("lower-semicontinuity", "skipped", 0.0, None)]
+
+    # relation algebra: reflexivity, transitivity, chron contained in causal
+    bad = None
+    violations = 0
+    if not causal.diagonal().all():
+        i = int(np.nonzero(~causal.diagonal())[0][0])
+        bad = (i, i)
+        violations += int((~causal.diagonal()).sum())
+    for rel_name, rel in (("causal", causal), ("chron", chron)):
+        implied = (rel.astype(np.int64) @ rel.astype(np.int64)) > 0
+        viol = implied & ~rel
+        if viol.any():
+            violations += int(viol.sum())
+            if bad is None:
+                i, k = (int(v[0]) for v in np.nonzero(viol))
+                bad = (i, _first_link(rel, rel, i, k), k)
+    mixed = chron & ~causal
+    if mixed.any():
+        violations += int(mixed.sum())
+        if bad is None:
+            i, j = (int(v[0]) for v in np.nonzero(mixed))
+            bad = (i, j)
+    checks.append(
+        CheckResult(
+            "relation-algebra",
+            "fail" if violations else "pass",
+            float(violations),
+            bad,
+        )
+    )
+
+    # reverse triangle inequality over causal triples x <= y <= z
+    worst = -np.inf
+    worst_triple = None
+    for y in range(n):
+        mask = causal[:, y][:, None] & causal[y, :][None, :]
+        if not mask.any():
+            continue
+        resid = np.where(mask, tau[:, y][:, None] + tau[y, :][None, :] - tau, -np.inf)
+        idx = np.unravel_index(np.argmax(resid), resid.shape)
+        if resid[idx] > worst:
+            worst = float(resid[idx])
+            worst_triple = (int(idx[0]), y, int(idx[1]))
+    worst = max(worst, 0.0)
+    checks.append(
+        CheckResult(
+            "reverse-triangle",
+            "pass" if worst <= tol else "fail",
+            worst,
+            worst_triple,
+        )
+    )
+
+    # positivity iff chronology
+    pos_wrong = (tau > 0.0) & ~chron
+    zero_wrong = (tau <= 0.0) & chron
+    violations = int(pos_wrong.sum() + zero_wrong.sum())
+    bad = None
+    resid = 0.0
+    if pos_wrong.any():
+        i, j = (int(v[0]) for v in np.nonzero(pos_wrong))
+        bad = (i, j)
+        resid = float(tau[pos_wrong].max())
+    elif zero_wrong.any():
+        i, j = (int(v[0]) for v in np.nonzero(zero_wrong))
+        bad = (i, j)
+        resid = float(violations)
+    checks.append(
+        CheckResult(
+            "positivity-iff-chronology",
+            "fail" if violations else "pass",
+            resid,
+            bad,
+        )
+    )
+
+    # vanishing off the causal relation
+    off = np.abs(tau) * ~causal
+    resid = float(off.max()) if off.size else 0.0
+    bad = None
+    if resid > 0.0:
+        i, j = (int(v[0]) for v in np.nonzero(off == resid))
+        bad = (i, j)
+    checks.append(
+        CheckResult(
+            "vanishing-on-unrelated",
+            "pass" if resid == 0.0 else "fail",
+            resid,
+            bad,
+        )
+    )
+    return AxiomReport(tuple(checks), tol)
+
+
+def int64_check_pushup(space):
+    """x <= y << z or x << y <= z must imply x << z, on every triple."""
+    _require_small(space)
+    chron = space.chron.astype(np.int64)
+    causal = space.causal.astype(np.int64)
+    implied = ((causal @ chron) > 0) | ((chron @ causal) > 0)
+    viol = implied & ~space.chron
+    if not viol.any():
+        return CheckResult("push-up", "pass", 0.0, None)
+    i, k = (int(v[0]) for v in np.nonzero(viol))
+    j = _first_link(space.causal, space.chron, i, k)
+    if j is None:
+        j = _first_link(space.chron, space.causal, i, k)
+    return CheckResult("push-up", "fail", float(viol.sum()), (i, j, k))
+
+
+def synthetic_space(causal, tau):
+    """A space of given causal relation and separations; chron is its strict part."""
+    n = len(causal)
+    eye = np.eye(n, dtype=bool)
+    causal = np.asarray(causal, dtype=bool) | eye
+    pts = [P(float(i), 0.0) for i in range(n)]
+    return DiscreteCausalSpace(pts, causal & ~eye, causal, np.zeros((n, n)),
+                               np.asarray(tau, dtype=float))
+
+
+def tie_across_middles():
+    # chain 0 <= 1 <= 2 <= 3 with additive tau(i, j) = j - i, then tau(0, 2) and
+    # tau(1, 3) lowered by 1: residual 1 at (0, 1, 2) and at (1, 2, 3) only
+    idx = np.arange(4)
+    causal = idx[:, None] <= idx[None, :]
+    tau = np.where(causal, idx[None, :] - idx[:, None], 0.0)
+    tau[0, 2] -= 1.0
+    tau[1, 3] -= 1.0
+    return synthetic_space(causal, tau), (0, 1, 2)
+
+
+def tie_at_one_middle():
+    # 0 and 1 below 2, 3 and 4 above it, no other middle point: residual 1 at
+    # (0, 2, 4) and at (1, 2, 3) after lowering their outer separations
+    causal = np.zeros((5, 5), dtype=bool)
+    for x in (0, 1):
+        causal[x, 2:] = True
+    causal[2, 3:] = True
+    tau = np.where(causal, 1.0, 0.0)
+    for x in (0, 1):
+        tau[x, 3:] = 2.0
+    tau[0, 4] = tau[1, 3] = 1.0
+    return synthetic_space(causal, tau), (0, 2, 4)
+
+
+def catalog_space(name):
+    n = 60 if name == "warpb" else 200
+    return sample_space(get_profile(name), REGIONS[name], n, seed=8)
+
+
+GATE_SPACES = {
+    **{name: lambda name=name: catalog_space(name) for name in CATALOG_NAMES},
+    **{f.__name__: lambda f=f: f()[0] for f in (
+        zeroed_chron_tau, lowered_triangle, tau_on_unrelated, cleared_chron,
+        symmetric_causal, tie_across_middles, tie_at_one_middle)},
+}
+
+
+def fields(check):
+    # repr tells every float apart, signed zeros and nan included
+    return check.name, check.status, repr(check.residual), check.witness
+
+
+@pytest.mark.parametrize("case", sorted(GATE_SPACES))
+def test_checkers_match_masked_full_matrix_form(case):
+    space = GATE_SPACES[case]()
+    got, want = check_axioms(space), masked_check_axioms(space)
+    assert [fields(c) for c in got.checks] == [fields(c) for c in want.checks]
+    assert fields(check_pushup(space)) == fields(int64_check_pushup(space))
+
+
+@pytest.mark.parametrize("build", [tie_across_middles, tie_at_one_middle])
+def test_reverse_triangle_tie_keeps_first_triple(build):
+    # the first middle point wins a tie across middle points, and row-major
+    # order a tie within one
+    space, first = build()
+    check = check_axioms(space)["reverse-triangle"]
+    assert (check.status, check.residual, check.witness) == ("fail", 1.0, first)
