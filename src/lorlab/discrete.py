@@ -199,9 +199,9 @@ def check_axioms(space: DiscreteCausalSpace, tol: float = 1e-7) -> AxiomReport:
         )
     )
 
-    # positivity iff chronology
-    pos_wrong = (tau > 0.0) & ~chron
-    zero_wrong = (tau <= 0.0) & chron
+    # positivity iff chronology, negated so that a NaN separation breaks it
+    pos_wrong = ~(tau <= 0.0) & ~chron
+    zero_wrong = ~(tau > 0.0) & chron
     violations = int(pos_wrong.sum() + zero_wrong.sum())
     bad = None
     resid = 0.0

@@ -13,6 +13,11 @@ first affine parameter where T(p, gamma(s)) exceeds B, or the supremum of
 T observed when the geodesic dies first.  Timelike Cauchy completeness is
 probed on a supplied chronological sequence with vanishing forward gaps.
 
+Every T comes from the batched pair path, lorentzian_distance bit for bit
+(replay_witness alone calls that); the level crossings of all traced slices
+are the rows of one root search, as are the condition-A bounds passed at
+one march step.
+
 No finite computation can certify a universally quantified condition, so a
 passing verdict is always "holds_on_probe"; failing verdicts carry a
 replayable numeric witness.
@@ -110,10 +115,10 @@ def _require_chronological(profile, p, q, eps_null):
         )
 
 
-def _tval(profile, p, pt, eps_null):
-    return lorentzian_distance(
-        profile, p, pt, with_path=False, eps_null=eps_null
-    ).value
+def _tvals(profile, p, ts, xs, eps_null):
+    """T(p, (t, x)) for arrays ts and xs, lorentzian_distance bit for bit."""
+    cone = _cone_map(profile)
+    return _separations(profile, p.t, p.x, ts, xs, cone.many(ts) - cone(p.t), eps_null)
 
 
 # -- finite compactness --------------------------------------------------------
@@ -143,25 +148,6 @@ def k1_slices(profile, p, q, B, ts, nx=65, eps_null=EPS_NULL):
     return np.asarray(rows, dtype=float)
 
 
-def _level_crossings(profile, p, B, t, xs, Ts, eps_null):
-    """x values where T(p, (t, .)) crosses the bound B between samples."""
-    out = []
-    inside = Ts <= B
-    for i in range(len(xs) - 1):
-        if inside[i] == inside[i + 1]:
-            continue
-        root = bracketed_root(
-            lambda x: _tval(profile, p, SpacetimePoint(t, float(x)), eps_null) - B,
-            float(xs[i]),
-            float(xs[i + 1]),
-            glo=float(Ts[i] - B),
-            ghi=float(Ts[i + 1] - B),
-            xtol=1e-9,
-        )
-        out.append((t, float(root)))
-    return out
-
-
 def probe_finite_compactness(
     profile: MetricProfile,
     p: SpacetimePoint,
@@ -177,14 +163,7 @@ def probe_finite_compactness(
     _require_chronological(profile, p, q, eps_null)
     base_witness = {"p": (p.t, p.x), "q": (q.t, q.x), "bound": float(B)}
 
-    scans = {}  # the root search can end on a slice the trace needs again
-
-    def scan(t):
-        if t not in scans:
-            scans[t] = _slice_scan(profile, p, q, B, t, nx, eps_null)
-        return scans[t]
-
-    T_pq = _tval(profile, p, q, eps_null)
+    T_pq = float(_tvals(profile, p, [q.t], [q.x], eps_null)[0])
     if T_pq > B:
         region = K1Region(p, q, B, np.empty((0, 4)), [], True, True)
         report = ProbeReport(
@@ -198,11 +177,13 @@ def probe_finite_compactness(
     t_prev, g_prev = q.t, T_pq - B
     n_march = 40 if math.isfinite(profile.t_max) else 70
     for t in islice(toward_end(q.t, profile.t_max, max(1e-2, 1e-2 * abs(B))), n_march):
-        min_T, lo, hi, _, _ = scan(t)
+        min_T, lo, hi, _, _ = _slice_scan(profile, p, q, B, t, nx, eps_null)
         if min_T > B:
-            t_top = bracketed_root(
-                lambda u: scan(u)[0] - B, t_prev, t, glo=g_prev, ghi=min_T - B, xtol=1e-9
-            )
+            t_top = float(bracketed_root(
+                lambda u: np.array([
+                    _slice_scan(profile, p, q, B, u.item(0), nx, eps_null)[0] - B]),
+                [t_prev], [t], [g_prev], [min_T - B], xtol=1e-9,
+            )[0])
             break
         marched.append((t, lo, hi, min_T))
         t_prev, g_prev = t, min_T - B
@@ -218,24 +199,28 @@ def probe_finite_compactness(
             dict(
                 base_witness,
                 escaping_points=mids,
-                escaping_T=[
-                    _tval(profile, p, SpacetimePoint(*pt), eps_null) for pt in mids
-                ],
+                escaping_T=_tvals(profile, p, *np.array(mids).reshape(-1, 2).T, eps_null).tolist(),
                 t_boundary=float(profile.t_max),
             ),
         )
         return report, region
 
-    # trace the capped region: one scan per slice gives its row and the
-    # level crossings
-    rows, boundary = [], []
+    # trace the capped region: one scan per slice gives its row, its cone
+    # edges and the sample cells where T(p, (t, .)) crosses B
+    rows, edges, cells = [], [], []
     for t in np.linspace(q.t, t_top, n_trace).tolist():
-        min_T, lo, hi, xs, Ts = scan(t)
+        min_T, lo, hi, xs, Ts = _slice_scan(profile, p, q, B, t, nx, eps_null)
         rows.append((t, lo, hi, min_T))
-        boundary.extend(_level_crossings(profile, p, B, t, xs, Ts, eps_null))
+        for i in np.flatnonzero((Ts[:-1] <= B) != (Ts[1:] <= B)).tolist():
+            cells.append((t, xs[i], xs[i + 1], Ts[i] - B, Ts[i + 1] - B))
         if not math.isnan(lo):
-            boundary.append((t, float(xs[0])))
-            boundary.append((t, float(xs[-1])))
+            edges += [(t, float(xs[0])), (t, float(xs[-1]))]
+    ct, xlo, xhi, glo, ghi = np.array(cells).reshape(-1, 5).T
+    roots = bracketed_root(
+        lambda x: _tvals(profile, p, ct, x, eps_null) - B, xlo, xhi, glo, ghi, xtol=1e-9
+    )
+    # a stable sort keeps each slice's crossings ahead of its cone edges
+    boundary = sorted([*zip(ct.tolist(), roots.tolist()), *edges], key=lambda pt: pt[0])
     region = K1Region(p, q, B, np.asarray(rows, dtype=float), boundary, True, True)
     report = ProbeReport(
         "finite_compactness", HOLDS, dict(base_witness, t_top=float(t_top))
@@ -271,7 +256,7 @@ def probe_condition_a(
 
     # march s toward the affine bound; each bound is bracketed between the
     # last march point below it and the first one above it
-    T_prev = _tval(profile, p, q, eps_null)
+    T_prev = float(_tvals(profile, p, [q.t], [q.x], eps_null)[0])
     bounds = sorted({float(B) for B in B_list})
     crossings = {B: 0.0 for B in bounds if T_prev > B}
     pending = [B for B in bounds if B not in crossings]
@@ -281,13 +266,16 @@ def probe_condition_a(
         if not pending:
             break
         pt = quad.point_at(s)
-        T = _tval(profile, p, pt, eps_null)
-        while pending and T > pending[0]:
-            B = pending.pop(0)
-            crossings[B] = float(
-                bracketed_root(lambda u: _tval(profile, p, quad.point_at(u), eps_null) - B,
-                               s_prev, s, glo=T_prev - B, ghi=T - B, xtol=1e-10)
-            )
+        T = float(_tvals(profile, p, [pt.t], [pt.x], eps_null)[0])
+        passed = np.array([B for B in pending if T > B])  # pending ascends: a prefix
+        if len(passed):
+            del pending[:len(passed)]
+            def g(u):
+                ts = quad.times(u)
+                return _tvals(profile, p, ts, quad.x_at(ts), eps_null) - passed
+            roots = bracketed_root(g, np.full_like(passed, s_prev), np.full_like(passed, s),
+                                   T_prev - passed, T - passed, xtol=1e-10)
+            crossings.update(zip(passed.tolist(), roots.tolist()))
         tail.append((s, pt.t, pt.x, T))
         s_prev, T_prev = s, T
     crossings.update((B, None) for B in pending)
@@ -329,14 +317,18 @@ def probe_timelike_cauchy(
         raise ValueError("need at least 3 sequence points")
     if len(bounds) != len(pts):
         raise ValueError("need one bound per sequence point")
+    ts, xs = np.array([(pt.t, pt.x) for pt in pts]).T
+    for t in ts.tolist():
+        profile.require_inside(t)
+    cone = _cone_map(profile).many(ts)
+    # x_i << x_{i+1} by the test of causally_related
+    chron = ((cone[1:] - cone[:-1]) - np.abs(xs[1:] - xs[:-1]) > eps_null) & (ts[1:] > ts[:-1])
     for i in range(len(pts) - 1):
-        if not causally_related(profile, pts[i], pts[i + 1], eps_null).chronological:
+        if not chron[i]:
             raise PremiseViolated(i, f"x_{i} << x_{i + 1} fails")
         if bounds[i + 1] > bounds[i]:
             raise PremiseViolated(i, f"B_{i + 1} > B_{i}: gap bounds must shrink")
     ii, jj = np.triu_indices(len(pts), 1)  # every pair i < j, row-major
-    ts, xs = np.array([(pt.t, pt.x) for pt in pts]).T
-    cone = _cone_map(profile).many(ts)
     gaps = _separations(profile, ts[ii], xs[ii], ts[jj], xs[jj], cone[jj] - cone[ii], eps_null)
     bad = np.flatnonzero(gaps > np.array(bounds)[ii] + 1e-9)
     if len(bad):
@@ -464,7 +456,7 @@ def replay_witness(
             pt = SpacetimePoint(t, x)
             if not causally_related(profile, q, pt, eps_null).causal:
                 worst = max(worst, 1.0)
-            T_new = _tval(profile, p, pt, eps_null)
+            T_new = lorentzian_distance(profile, p, pt, with_path=False, eps_null=eps_null).value
             worst = max(worst, abs(T_new - T_claim))
             worst = max(worst, T_new - B)  # every witness point stays under B
         ts = [t for t, _ in w["escaping_points"]]
@@ -475,7 +467,9 @@ def replay_witness(
     elif report.condition == "condition_a":
         p = SpacetimePoint(*w["p"])
         for s, t, x, T_claim in w["tail"]:
-            T_new = _tval(profile, p, SpacetimePoint(t, x), eps_null)
+            T_new = lorentzian_distance(
+                profile, p, SpacetimePoint(t, x), with_path=False, eps_null=eps_null
+            ).value
             worst = max(worst, abs(T_new - T_claim))
             worst = max(worst, T_new - min(w["missed_bounds"]))
     elif report.condition == "timelike_cauchy":

@@ -479,51 +479,52 @@ def toward_end(start: float, end: float, step: float = 1.0):
         gap *= 2.0
 
 
-def bracketed_root(g, lo: float, hi: float, glo=None, ghi=None,
-                   xtol: float = 1e-12) -> float:
-    """Root of g on [lo, hi] by Illinois false position with bisection floor.
+def bracketed_root(g, lo, hi, glo, ghi, xtol: float = 1e-12) -> np.ndarray:
+    """Root of g in each row's [lo, hi] by Illinois false position with a
+    bisection floor.
 
-    g(lo) and g(hi) must have opposite signs; xtol is relative to max(1, |t|).
+    lo, hi, glo = g(lo) and ghi = g(hi) are 1-d arrays with a sign change in
+    every row; xtol is relative to max(1, |lo|, |hi|).  g maps one point per
+    row to its value; a finished row is given its last point again and keeps
+    its state, so its root does not depend on the other rows.
     """
-    if glo is None:
-        glo = g(lo)
-    if ghi is None:
-        ghi = g(hi)
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
-    for _ in range(200):
-        # bisect an overflowed upper end back into the finite region
-        if math.isfinite(ghi):
-            break
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if math.isfinite(gm) and (gm > 0.0) == (glo > 0.0):
-            lo, glo = mid, gm
-        else:
-            hi, ghi = mid, gm
-    if (glo > 0.0) == (ghi > 0.0):
-        raise QuadratureError(f"root not bracketed on [{lo!r}, {hi!r}]")
-    side = 0
-    for _ in range(ROOT_MAX_ITER):
-        if hi - lo <= xtol * max(1.0, abs(lo), abs(hi)):
-            break
-        denom = ghi - glo
-        mid = hi - ghi * (hi - lo) / denom if denom != 0.0 else 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if gm == 0.0:
-            return mid
-        if (gm > 0.0) == (ghi > 0.0):
-            hi, ghi = mid, gm
-            if side == 1:
-                glo *= 0.5
-            side = 1
-        else:
-            lo, glo = mid, gm
-            if side == -1:
-                ghi *= 0.5
-            side = -1
-    return 0.5 * (lo + hi)
+    lo, hi, glo, ghi = (np.array(v, dtype=float) for v in (lo, hi, glo, ghi))
+    x = np.where(glo == 0.0, lo, hi)  # each row's last point, or its exact root
+    exact = (glo == 0.0) | (ghi == 0.0)
+    live = ~exact
+    with np.errstate(all="ignore"):
+        for _ in range(200):
+            # bisect an overflowed upper end back into the finite region
+            over = live & ~np.isfinite(ghi)
+            if not over.any():
+                break
+            x = np.where(over, 0.5 * (lo + hi), x)
+            gm = g(x)
+            to_lo = over & np.isfinite(gm) & ((gm > 0.0) == (glo > 0.0))
+            to_hi = over & ~to_lo
+            lo, glo = np.where(to_lo, x, lo), np.where(to_lo, gm, glo)
+            hi, ghi = np.where(to_hi, x, hi), np.where(to_hi, gm, ghi)
+        bad = np.flatnonzero(live & ((glo > 0.0) == (ghi > 0.0)))
+        if len(bad):
+            raise QuadratureError(
+                f"root not bracketed on [{lo.item(bad[0])!r}, {hi.item(bad[0])!r}]")
+        side = np.zeros(len(x))  # 1 after a step that moved hi, -1 after one that moved lo
+        for _ in range(ROOT_MAX_ITER):
+            live &= ~(hi - lo <= xtol * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi))))
+            if not live.any():
+                break
+            denom = ghi - glo
+            mid = np.where(denom != 0.0, hi - ghi * (hi - lo) / denom, 0.5 * (lo + hi))
+            x = np.where(live, np.where((lo < mid) & (mid < hi), mid, 0.5 * (lo + hi)), x)
+            gm = g(x)
+            exact |= live & (gm == 0.0)
+            live &= gm != 0.0
+            # Illinois: the value at an end kept twice in a row is halved
+            to_hi = live & ((gm > 0.0) == (ghi > 0.0))
+            to_lo = live & ~to_hi
+            glo = np.where(to_hi & (side == 1.0), 0.5 * glo, glo)
+            ghi = np.where(to_lo & (side == -1.0), 0.5 * ghi, ghi)
+            lo, glo = np.where(to_lo, x, lo), np.where(to_lo, gm, glo)
+            hi, ghi = np.where(to_hi, x, hi), np.where(to_hi, gm, ghi)
+            side = np.where(to_hi, 1.0, np.where(to_lo, -1.0, side))
+        return np.where(exact, x, 0.5 * (lo + hi))

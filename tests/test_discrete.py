@@ -227,6 +227,20 @@ def test_axioms_catch_zeroed_tau_on_chronological_pair():
     assert check.witness == (i, j)
 
 
+@pytest.mark.parametrize("chronological", [True, False])
+def test_axioms_catch_nan_separation(chronological):
+    space = sample_space(get_profile("minkowski"), (0, 1, 0, 1), 40, seed=1)
+    # the first non-chronological pair is a diagonal one: causal, so the
+    # vanishing check does not see it
+    i, j = (int(v) for v in np.argwhere(space.chron == chronological)[0])
+    broken = copy_space(space)
+    broken.taumat[i, j] = np.nan
+    report = check_axioms(broken, tol=1e-7)
+    assert not report.passed
+    check = report["positivity-iff-chronology"]
+    assert (check.status, check.witness) == ("fail", (i, j))
+
+
 def test_axioms_catch_reverse_triangle_violation():
     broken, _ = lowered_triangle()
     report = check_axioms(broken, tol=1e-7)

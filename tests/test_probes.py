@@ -1,9 +1,12 @@
 import math
+from collections import deque
+from itertools import islice
 
 import numpy as np
 import pytest
 
 from lorlab import (
+    DomainExceeded,
     NotCausal,
     NotChronological,
     PremiseViolated,
@@ -20,7 +23,18 @@ from lorlab import (
     probe_timelike_cauchy,
     replay_witness,
 )
+from lorlab.errors import QuadratureError
 from lorlab.geodesics import _Quadrature
+from lorlab.probes import (
+    FAILS,
+    HOLDS,
+    K1Region,
+    ProbeReport,
+    _require_chronological,
+    _slice_scan,
+)
+from lorlab.profiles import EPS_NULL, classify_vector
+from lorlab.quadrature import ROOT_MAX_ITER, toward_end
 
 P = SpacetimePoint
 V = TangentVector
@@ -194,6 +208,23 @@ def test_tcc_premise_violation_on_non_chronological_sequence():
     assert err.value.index == 1
 
 
+@pytest.mark.parametrize("bounds, index, message", [
+    ([1.0, 0.5, 0.75, 0.125], 1, "x_1 << x_2 fails"),  # chronology ahead of bounds
+    ([1.0, 1.5, 0.25, 0.125], 0, "B_1 > B_0: gap bounds must shrink"),
+])
+def test_tcc_premise_names_first_failing_step(bounds, index, message):
+    pts = [P(0.1, 0), P(0.5, 0), P(0.3, 0), P(0.6, 0)]
+    with pytest.raises(PremiseViolated) as err:
+        probe_timelike_cauchy(get_profile("minkowski"), pts, bounds)
+    assert (err.value.index, str(err.value)) == (index, message)
+
+
+def test_tcc_premise_checks_the_domain():
+    pts = [P(0.3, 0), P(0.5, 0), P(0.7, 0), P(1.2, 0)]
+    with pytest.raises(DomainExceeded):
+        probe_timelike_cauchy(get_profile("strip01"), pts, [1.0, 0.5, 0.25, 0.125])
+
+
 def test_tcc_premise_violation_on_gap_bound():
     pts = [P(0.0, 0), P(0.5, 0), P(0.6, 0), P(0.65, 0)]
     bounds = [0.1, 0.05, 0.025, 0.0125]  # T(x_0, x_1) = 0.5 > 0.1
@@ -264,3 +295,222 @@ def test_implications_all_fail_on_strip():
     assert not rep.timelike_cauchy.holds
     assert not rep.condition_a.holds
     assert rep.consistent and not rep.violated
+
+
+# -- gate: the batched probes against the scalar route they replaced ---------------
+#
+# Verbatim copies of the scalar route: every T through lorentzian_distance and
+# one scalar Illinois search per level crossing and per condition-A bound.
+
+
+def scalar_bracketed_root(g, lo: float, hi: float, glo=None, ghi=None,
+                          xtol: float = 1e-12) -> float:
+    if glo is None:
+        glo = g(lo)
+    if ghi is None:
+        ghi = g(hi)
+    if glo == 0.0:
+        return lo
+    if ghi == 0.0:
+        return hi
+    for _ in range(200):
+        # bisect an overflowed upper end back into the finite region
+        if math.isfinite(ghi):
+            break
+        mid = 0.5 * (lo + hi)
+        gm = g(mid)
+        if math.isfinite(gm) and (gm > 0.0) == (glo > 0.0):
+            lo, glo = mid, gm
+        else:
+            hi, ghi = mid, gm
+    if (glo > 0.0) == (ghi > 0.0):
+        raise QuadratureError(f"root not bracketed on [{lo!r}, {hi!r}]")
+    side = 0
+    for _ in range(ROOT_MAX_ITER):
+        if hi - lo <= xtol * max(1.0, abs(lo), abs(hi)):
+            break
+        denom = ghi - glo
+        mid = hi - ghi * (hi - lo) / denom if denom != 0.0 else 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            mid = 0.5 * (lo + hi)
+        gm = g(mid)
+        if gm == 0.0:
+            return mid
+        if (gm > 0.0) == (ghi > 0.0):
+            hi, ghi = mid, gm
+            if side == 1:
+                glo *= 0.5
+            side = 1
+        else:
+            lo, glo = mid, gm
+            if side == -1:
+                ghi *= 0.5
+            side = -1
+    return 0.5 * (lo + hi)
+
+
+def scalar_tval(profile, p, pt, eps_null):
+    return lorentzian_distance(
+        profile, p, pt, with_path=False, eps_null=eps_null
+    ).value
+
+
+def scalar_level_crossings(profile, p, B, t, xs, Ts, eps_null):
+    out = []
+    inside = Ts <= B
+    for i in range(len(xs) - 1):
+        if inside[i] == inside[i + 1]:
+            continue
+        root = scalar_bracketed_root(
+            lambda x: scalar_tval(profile, p, SpacetimePoint(t, float(x)), eps_null) - B,
+            float(xs[i]),
+            float(xs[i + 1]),
+            glo=float(Ts[i] - B),
+            ghi=float(Ts[i + 1] - B),
+            xtol=1e-9,
+        )
+        out.append((t, float(root)))
+    return out
+
+
+def scalar_probe_finite_compactness(profile, p, q, B, nx=65, n_trace=48, eps_null=EPS_NULL):
+    if B <= 0.0:
+        raise ValueError("bound B must be positive")
+    _require_chronological(profile, p, q, eps_null)
+    base_witness = {"p": (p.t, p.x), "q": (q.t, q.x), "bound": float(B)}
+
+    scans = {}  # the root search can end on a slice the trace needs again
+
+    def scan(t):
+        if t not in scans:
+            scans[t] = _slice_scan(profile, p, q, B, t, nx, eps_null)
+        return scans[t]
+
+    T_pq = scalar_tval(profile, p, q, eps_null)
+    if T_pq > B:
+        region = K1Region(p, q, B, np.empty((0, 4)), [], True, True)
+        report = ProbeReport(
+            "finite_compactness", HOLDS, dict(base_witness, empty=True, t_top=q.t)
+        )
+        return report, region
+
+    marched = []  # (t, x_keep_lo, x_keep_hi, min_T) of every slice passed
+    t_prev, g_prev = q.t, T_pq - B
+    n_march = 40 if math.isfinite(profile.t_max) else 70
+    for t in islice(toward_end(q.t, profile.t_max, max(1e-2, 1e-2 * abs(B))), n_march):
+        min_T, lo, hi, _, _ = scan(t)
+        if min_T > B:
+            t_top = scalar_bracketed_root(
+                lambda u: scan(u)[0] - B, t_prev, t, glo=g_prev, ghi=min_T - B, xtol=1e-9
+            )
+            break
+        marched.append((t, lo, hi, min_T))
+        t_prev, g_prev = t, min_T - B
+    else:
+        mids = [(t, 0.5 * (lo + hi)) for t, lo, hi, _ in marched]
+        slices = np.asarray(marched, dtype=float).reshape(-1, 4)
+        region = K1Region(p, q, B, slices, [], False, False)
+        report = ProbeReport(
+            "finite_compactness",
+            FAILS,
+            dict(
+                base_witness,
+                escaping_points=mids,
+                escaping_T=[
+                    scalar_tval(profile, p, SpacetimePoint(*pt), eps_null) for pt in mids
+                ],
+                t_boundary=float(profile.t_max),
+            ),
+        )
+        return report, region
+
+    rows, boundary = [], []
+    for t in np.linspace(q.t, t_top, n_trace).tolist():
+        min_T, lo, hi, xs, Ts = scan(t)
+        rows.append((t, lo, hi, min_T))
+        boundary.extend(scalar_level_crossings(profile, p, B, t, xs, Ts, eps_null))
+        if not math.isnan(lo):
+            boundary.append((t, float(xs[0])))
+            boundary.append((t, float(xs[-1])))
+    region = K1Region(p, q, B, np.asarray(rows, dtype=float), boundary, True, True)
+    report = ProbeReport(
+        "finite_compactness", HOLDS, dict(base_witness, t_top=float(t_top))
+    )
+    return report, region
+
+
+def scalar_probe_condition_a(profile, p, q, v, B_list, eps_null=EPS_NULL):
+    _require_chronological(profile, p, q, eps_null)
+    char = classify_vector(profile, q, v, eps_null=eps_null)
+    if not char.is_causal:
+        raise NotCausal(f"direction {v} is {char.kind}, need timelike or null")
+    if v.tau0 <= 0.0:
+        raise NotCausal("probe extends future-directed geodesics (tau0 > 0)")
+    quad = _Quadrature(profile, q, v)
+    bound = quad.bound()
+
+    T_prev = scalar_tval(profile, p, q, eps_null)
+    bounds = sorted({float(B) for B in B_list})
+    crossings = {B: 0.0 for B in bounds if T_prev > B}
+    pending = [B for B in bounds if B not in crossings]
+    s_prev = 0.0
+    tail = deque(maxlen=5)  # the last march points, the witness of a capped T
+    for s in islice(toward_end(0.0, bound), 45 if math.isfinite(bound) else 90):
+        if not pending:
+            break
+        pt = quad.point_at(s)
+        T = scalar_tval(profile, p, pt, eps_null)
+        while pending and T > pending[0]:
+            B = pending.pop(0)
+            crossings[B] = float(
+                scalar_bracketed_root(
+                    lambda u: scalar_tval(profile, p, quad.point_at(u), eps_null) - B,
+                    s_prev, s, glo=T_prev - B, ghi=T - B, xtol=1e-10)
+            )
+        tail.append((s, pt.t, pt.x, T))
+        s_prev, T_prev = s, T
+    crossings.update((B, None) for B in pending)
+
+    witness = {
+        "p": (p.t, p.x),
+        "q": (q.t, q.x),
+        "v": (v.tau0, v.xi0),
+        "crossings": crossings,
+        "max_param": float(bound),
+    }
+    if pending:
+        witness["bounded_by"] = float(T_prev)
+        witness["missed_bounds"] = pending
+        witness["tail"] = list(tail)
+        return ProbeReport("condition_a", FAILS, witness)
+    return ProbeReport("condition_a", HOLDS, witness)
+
+
+def x_shifted(config, shift, ca_bounds):
+    return ProbeConfig(P(config.p.t, config.p.x + shift), P(config.q.t, config.q.x + shift),
+                       fc_bound=config.fc_bound, ca_bounds=ca_bounds)
+
+
+# (profile, config) by case: the catalog configs and two x-shifted unit-b
+# ones, whose first two condition-A bounds are passed at one march step
+GATE_CASES = {name: (name, cfg) for name, cfg in CONFIGS.items()}
+GATE_CASES["minkowski+0.37"] = (
+    "minkowski", x_shifted(CONFIGS["minkowski"], 0.37, (10.0, 10.5, 100.0)))
+GATE_CASES["c1power-0.81"] = (
+    "c1power", x_shifted(CONFIGS["c1power"], -0.81, (10.0, 12.0, 100.0)))
+
+
+@pytest.mark.parametrize("case", sorted(GATE_CASES))
+def test_probes_match_scalar_route(case):
+    # repr tells every float apart: an empty slice keeps nan bounds, which
+    # == would report as a mismatch
+    name, cfg = GATE_CASES[case]
+    prof = get_profile(name)
+    got, got_region = probe_finite_compactness(prof, cfg.p, cfg.q, cfg.fc_bound)
+    want, want_region = scalar_probe_finite_compactness(prof, cfg.p, cfg.q, cfg.fc_bound)
+    assert repr(got) == repr(want)
+    assert repr(got_region) == repr(want_region)
+    assert got_region.slices.tobytes() == want_region.slices.tobytes()
+    got = probe_condition_a(prof, cfg.p, cfg.q, cfg.ca_direction, cfg.ca_bounds)
+    want = scalar_probe_condition_a(prof, cfg.p, cfg.q, cfg.ca_direction, cfg.ca_bounds)
+    assert repr(got) == repr(want)

@@ -141,21 +141,75 @@ def test_anchored_map_memo_is_bounded():
     assert am.many(ts).tolist() == first.tolist()
 
 
+def by_row(fs):
+    """A g for bracketed_root that applies fs[i] to row i."""
+    return lambda x: np.array([f(v) for f, v in zip(fs, x.tolist())])
+
+
+def one_row(f, lo, hi):
+    """Arguments of bracketed_root for the single row f on [lo, hi]."""
+    return by_row([f]), [lo], [hi], [f(lo)], [f(hi)]
+
+
 def test_bracketed_root_monotone():
-    root = bracketed_root(lambda t: math.exp(t) - 1.5, 0.0, 2.0)
-    assert root == pytest.approx(math.log(1.5), abs=1e-12)
+    root = bracketed_root(*one_row(lambda t: math.exp(t) - 1.5, 0.0, 2.0))
+    assert root[0] == pytest.approx(math.log(1.5), abs=1e-12)
 
 
 def test_bracketed_root_requires_sign_change():
     from lorlab.errors import QuadratureError
 
     with pytest.raises(QuadratureError):
-        bracketed_root(lambda t: 1.0 + t * t, -1.0, 1.0)
+        bracketed_root(*one_row(lambda t: 1.0 + t * t, -1.0, 1.0))
 
 
 def test_bracketed_root_cubic():
-    root = bracketed_root(lambda t: t ** 3 - 2.0, 0.0, 4.0)
-    assert root == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-12)
+    root = bracketed_root(*one_row(lambda t: t ** 3 - 2.0, 0.0, 4.0))
+    assert root[0] == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-12)
+
+
+ROOT_ROWS = [
+    (lambda t: t - 1.0, 1.0, 3.0),                     # zero at the lower end
+    (lambda t: t - 0.5, 0.0, 1.0),                     # false position lands on g == 0
+    (lambda t: t ** 3 - 2.0 if t < 3.0 else math.inf, 0.0, 4.0),  # overflowed upper end
+    (lambda t: math.exp(t) - 1.5, 0.0, 2.0),
+    (lambda t: t ** 3 - 2.0, 0.0, 4.0),
+    (lambda t: math.atan(50.0 * (t - 0.3)), -1.0, 1.0),  # steep: many iterations
+]
+
+
+def test_bracketed_root_rows_equal_their_batch_of_one():
+    fs, lo, hi = zip(*ROOT_ROWS)
+    calls = []
+
+    def g(x):
+        calls.append(len(x))
+        return by_row(fs)(x)
+
+    got = bracketed_root(g, lo, hi, [f(a) for f, a, _ in ROOT_ROWS],
+                         [f(b) for f, _, b in ROOT_ROWS])
+    assert set(calls) == {len(ROOT_ROWS)}  # every call evaluates every row
+    evals = []
+    for (f, a, b), root in zip(ROOT_ROWS, got.tolist()):
+        g1, *ends = one_row(f, a, b)
+        evals.append(0)
+
+        def counted(x):
+            evals[-1] += 1
+            return g1(x)
+
+        assert bracketed_root(counted, *ends).tolist() == [root]
+        assert f(root) == pytest.approx(0.0, abs=1e-9)
+    assert got[:2].tolist() == [1.0, 0.5]  # both exact
+    assert len(set(evals)) > 2  # rows finish at different iterations
+
+
+def test_bracketed_root_names_the_unbracketed_row():
+    from lorlab.errors import QuadratureError
+
+    g = by_row([lambda t: t - 0.5, lambda t: 1.0 + t * t])
+    with pytest.raises(QuadratureError, match=r"^root not bracketed on \[-1\.0, 2\.5\]$"):
+        bracketed_root(g, [0.0, -1.0], [1.0, 2.5], [-0.5, 2.0], [0.5, 7.25])
 
 
 @pytest.mark.parametrize("start, end", [(0.2, 1.0), (-3.0, 5.5), (0.999, 1.0)])
