@@ -492,9 +492,17 @@ def _reduction_path(profile, p, q, value, n_samples):
     kappa = dx / value
     ts = np.linspace(p.t, q.t, n_samples)
     sigma = (fm.many(ts) - tau_p) * (value / dtau)
-    a, _, _, _ = profile.eval_many(ts)
-    rows = np.column_stack([sigma, ts, p.x + sigma * kappa,
-                            (dtau / value) / np.sqrt(a), np.full(n_samples, kappa)])
+    # a single exponential term a = c e^{lam t} overflows far up (exp2t past
+    # t ~ 355), where 1/sqrt(a) = e^{-lam t/2} / sqrt(c) is still a normal float
+    (term, *rest) = profile.terms_a
+    one_exp = not rest and term.kind == "exp"
+    with np.errstate(over="ignore" if one_exp else None):
+        a, _, _, _ = profile.eval_many(ts)
+    dtds = (dtau / value) / np.sqrt(a)
+    if one_exp:
+        over = np.isinf(a)
+        dtds[over] = (dtau / value) * (np.exp(-0.5 * term.lam * ts[over]) / math.sqrt(term.c))
+    rows = np.column_stack([sigma, ts, p.x + sigma * kappa, dtds, np.full(n_samples, kappa)])
     return GeodesicPath(rows, ConservedQuantities(kappa, -1.0), math.inf, False)
 
 

@@ -172,9 +172,9 @@ def _geodesic_rows_ode(profile, p, v, args):
     if args.drift_tol is not None:
         kwargs["drift_tol"] = args.drift_tol
     path = geodesics.integrate_geodesic(profile, p, v, args.smax, args.step, **kwargs)
-    rows = []
-    for s, t, x, dtds, dxds in path.samples:
-        a, b, _, _ = profile.eval(t)
+    rhs, rows = profile.geodesic_rhs, []
+    for s, t, x, dtds, dxds in path.samples.tolist():
+        _, _, a, b = rhs(t, dtds, dxds)
         rows.append((s, t, x, dtds, dxds, b * dxds, -a * dtds * dtds + b * dxds * dxds))
     return rows, path
 

@@ -1,7 +1,12 @@
 """Causal geodesics of g = -a(t) dt^2 + b(t) dx^2, solved two independent ways.
 
 Route one integrates the second-order geodesic system with fixed-step
-classical Runge-Kutta.  Route two uses the two conserved quantities
+classical Runge-Kutta.  One fused step unrolls the four stages on plain
+floats and evaluates the profile through its generated scalar evaluator
+(MetricProfile.geodesic_rhs), bitwise the same arithmetic as ode_rhs, the
+documented reference form.  The drift check's evaluation at each new state
+is the next step's first stage, so a step costs four evaluations.  Route
+two uses the two conserved quantities
 
     kappa = b(t) dx/ds          (spatial momentum),
     eps   = g(gdot, gdot)       (constant squared speed),
@@ -67,12 +72,16 @@ class GeodesicPath:
     samples has columns (s, t, x, dt/ds, dx/ds) with s strictly increasing.
     max_param is the affine exit parameter when the run left the domain
     (inextendible=True) and +inf when no exit was observed within the run.
+    drift_max is the worst |kappa - kappa0| and |eps - eps0| over the samples
+    of an RK4 run, as its drift check computed them; None for paths sampled
+    from the quadrature route, whose conserved quantities are exact.
     """
 
     samples: np.ndarray
     conserved: ConservedQuantities
     max_param: float
     inextendible: bool
+    drift_max: float | None = None
 
     def endpoint(self) -> SpacetimePoint:
         row = self.samples[-1]
@@ -103,7 +112,11 @@ def conserved_quantities(
 
 
 def ode_rhs(profile: MetricProfile, state) -> tuple[float, float, float, float]:
-    """First-order form of the geodesic system at state (t, x, dt/ds, dx/ds)."""
+    """First-order form of the geodesic system at state (t, x, dt/ds, dx/ds).
+
+    The reference form of the RK4 route's right-hand side: the route itself
+    calls profile.geodesic_rhs, whose accelerations equal these bit for bit.
+    """
     t, _, td, xd = state
     a, b, da, db = profile.eval(t)
     g000 = da / (2.0 * a)
@@ -112,28 +125,29 @@ def ode_rhs(profile: MetricProfile, state) -> tuple[float, float, float, float]:
     return (td, xd, -g000 * td * td - g011 * xd * xd, -2.0 * g101 * td * xd)
 
 
-def _rk4_step(profile, state, h):
-    k1 = ode_rhs(profile, state)
-    s2 = tuple(y + 0.5 * h * k for y, k in zip(state, k1))
-    k2 = ode_rhs(profile, s2)
-    s3 = tuple(y + 0.5 * h * k for y, k in zip(state, k2))
-    k3 = ode_rhs(profile, s3)
-    s4 = tuple(y + h * k for y, k in zip(state, k3))
-    k4 = ode_rhs(profile, s4)
-    return tuple(
-        y + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-        for y, a, b, c, d in zip(state, k1, k2, k3, k4)
+def _rk4(rhs, state, k1, h):
+    """One classical RK4 step of h from state = (t, x, dt/ds, dx/ds).
+
+    k1 is rhs at state, which the caller has: the four stages are unrolled
+    on plain floats, and only the fourth-order update needs x.  The
+    arithmetic is that of four ode_rhs stages, operation for operation.
+    """
+    t, x, td, xd = state
+    at1, ax1, _, _ = k1
+    hh = 0.5 * h
+    td2, xd2 = td + hh * at1, xd + hh * ax1
+    at2, ax2, _, _ = rhs(t + hh * td, td2, xd2)
+    td3, xd3 = td + hh * at2, xd + hh * ax2
+    at3, ax3, _, _ = rhs(t + hh * td2, td3, xd3)
+    td4, xd4 = td + h * at3, xd + h * ax3
+    at4, ax4, _, _ = rhs(t + h * td3, td4, xd4)
+    h6 = h / 6.0
+    return (
+        t + h6 * (td + 2.0 * td2 + 2.0 * td3 + td4),
+        x + h6 * (xd + 2.0 * xd2 + 2.0 * xd3 + xd4),
+        td + h6 * (at1 + 2.0 * at2 + 2.0 * at3 + at4),
+        xd + h6 * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4),
     )
-
-
-def _try_step(profile, state, h):
-    try:
-        nxt = _rk4_step(profile, state, h)
-    except DomainExceeded:
-        return None
-    if not profile.contains(nxt[0]):
-        return None
-    return nxt
 
 
 def integrate_geodesic(
@@ -150,7 +164,9 @@ def integrate_geodesic(
     inextendible=True with max_param set to the exit parameter; it is never
     raised.  Conserved-quantity drift beyond 1000 * drift_tol * (1 + s)
     raises StepTooLarge, the signal that the merely continuous right-hand
-    side needs a smaller step.
+    side needs a smaller step.  The drift check evaluates the profile at
+    each new state, and that evaluation is the next step's k1, so a step
+    costs four evaluations.
     """
     profile.require_inside(p.t)
     if v.tau0 == 0.0 and v.xi0 == 0.0:
@@ -159,32 +175,51 @@ def integrate_geodesic(
         raise ValueError("step and s_max must be positive")
     cons = conserved_quantities(profile, p, v)
     hard_limit = 1000.0 * drift_tol
+    kappa0, eps0 = cons.kappa, cons.epsilon
+    rhs, t_min, t_max = profile.geodesic_rhs, profile.t_min, profile.t_max
+    worst = 0.0
 
-    def check_drift(state, s):
-        a, b, _, _ = profile.eval(state[0])
-        kappa = b * state[3]
-        eps = -a * state[2] * state[2] + b * state[3] * state[3]
+    def checked(state, s):
+        """rhs at state, once its conserved-quantity drift is in budget."""
+        nonlocal worst
+        t, _, td, xd = state
+        k = rhs(t, td, xd)
+        a, b = k[2], k[3]
+        dk = abs(b * xd - kappa0)
+        de = abs(-a * td * td + b * xd * xd - eps0)
         budget = hard_limit * (1.0 + s)
-        if abs(kappa - cons.kappa) > budget or abs(eps - cons.epsilon) > budget:
+        if dk > budget or de > budget:
             raise StepTooLarge(
                 f"conserved-quantity drift exceeded {budget!r} at s={s!r}; "
                 "reduce the step"
             )
+        worst = max(worst, dk, de)
+        return k
+
+    def inside_step(state, k1, h):
+        """The step, or None when a stage or its end leaves the domain."""
+        try:
+            nxt = _rk4(rhs, state, k1, h)
+        except DomainExceeded:
+            return None
+        return nxt if t_min < nxt[0] < t_max else None
 
     rows = [(0.0, p.t, p.x, v.tau0, v.xi0)]
     state = (p.t, p.x, v.tau0, v.xi0)
     s = 0.0
+    end = s_max - 1e-15 * max(1.0, s_max)
+    k1 = rhs(p.t, v.tau0, v.xi0) if s < end else None
     inext = False
     max_param = math.inf
-    while s < s_max - 1e-15 * max(1.0, s_max):
+    while s < end:
         h = min(step, s_max - s)
-        nxt = _try_step(profile, state, h)
+        nxt = inside_step(state, k1, h)
         if nxt is None:
             lo, hi = 0.0, h
             good = None
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
-                trial = _try_step(profile, state, mid)
+                trial = inside_step(state, k1, mid)
                 if trial is None:
                     hi = mid
                 else:
@@ -195,27 +230,31 @@ def integrate_geodesic(
                 s += lo
                 state = good
                 rows.append((s, *state))
-                check_drift(state, s)
+                checked(state, s)
             inext = True
             max_param = s
             break
         s += h
         state = nxt
         rows.append((s, *state))
-        check_drift(state, s)
-    return GeodesicPath(np.asarray(rows, dtype=float), cons, max_param, inext)
+        k1 = checked(state, s)
+    return GeodesicPath(np.asarray(rows, dtype=float), cons, max_param, inext, worst)
 
 
 def _advance_fixed(profile, p, v, s_values, h):
     """States of the RK4 route at each s of the increasing s_values: full
     steps of h from p, then a remainder step that is not carried forward."""
+    rhs = profile.geodesic_rhs
     state, done, out = (p.t, p.x, v.tau0, v.xi0), 0, []
     for s in s_values:
         n = int(math.floor(s / h + 1e-12))
         for _ in range(n - done):
-            state = _rk4_step(profile, state, h)
+            state = _rk4(rhs, state, rhs(state[0], state[2], state[3]), h)
         done, rem = n, s - n * h
-        out.append(_rk4_step(profile, state, rem) if rem > 1e-15 * max(1.0, s) else state)
+        if rem > 1e-15 * max(1.0, s):
+            out.append(_rk4(rhs, state, rhs(state[0], state[2], state[3]), rem))
+        else:
+            out.append(state)
     return out
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -99,6 +100,84 @@ def constant_value(terms) -> float | None:
             return None
         total += term.c
     return total
+
+
+def _outside(t, t_min, t_max, name) -> DomainExceeded:
+    return DomainExceeded(
+        f"t={t!r} outside open domain ({t_min!r}, {t_max!r}) of profile {name!r}"
+    )
+
+
+def _coefficient_source(name: str, terms, env: dict) -> list[str]:
+    """Lines setting name and d<name> to a coefficient and its derivative at t.
+
+    Each term is Term.value_and_deriv written out for its kind and the terms
+    are summed in order from 0.0, so the result is MetricProfile.eval's bit
+    for bit; products of two constants are taken once, in the same order.
+    The constants enter through env.  An all-constant coefficient is its sum.
+    """
+    total = constant_value(terms)
+    if total is not None:
+        env[name + "_sum"] = total
+        return [f"{name} = {name}_sum", f"d{name} = 0.0"]
+    lines = [f"{name} = d{name} = 0.0"]
+    for i, term in enumerate(terms):
+        k = f"{name}{i}_"
+        env[k + "c"] = term.c
+        if term.kind == "const":
+            lines.append(f"{name} += {k}c; d{name} += 0.0")
+        elif term.kind == "linear":
+            lines.append(f"{name} += {k}c * t; d{name} += {k}c")
+        elif term.kind == "power":
+            env.update({k + "t0": term.t0, k + "p": term.p,
+                        k + "cp": term.c * term.p, k + "pm1": term.p - 1.0})
+            lines += [
+                f"u = t - {k}t0",
+                "au = abs(u)",
+                "if au == 0.0:",
+                f"    {name} += 0.0; d{name} += 0.0",
+                "else:",
+                f"    {name} += {k}c * au ** {k}p",
+                f"    d = {k}cp * au ** {k}pm1",
+                f"    d{name} += d if u > 0.0 else -d",
+            ]
+        else:
+            env.update({k + "lam": term.lam, k + "cl": term.c * term.lam})
+            lines += [f"e = exp({k}lam * t)", f"{name} += {k}c * e; d{name} += {k}cl * e"]
+    return lines
+
+
+def _compile_geodesic_rhs(profile: "MetricProfile"):
+    """The function behind MetricProfile.geodesic_rhs, as generated source.
+
+    A constant a or b also fixes its factors 2a, -a'/(2a) and -2 b'/(2b),
+    which are then taken once, in the same order as at run time.
+    """
+    # the function holds no reference to the profile, which caches it
+    env = {"exp": math.exp, "outside": _outside, "t_min": profile.t_min,
+           "t_max": profile.t_max, "name": profile.name}
+    body = _coefficient_source("a", profile.terms_a, env)
+    body += _coefficient_source("b", profile.terms_b, env)
+    if "a_sum" in env:
+        env["a2"] = 2.0 * env["a_sum"]
+        env["ng000"] = -(0.0 / env["a2"])
+        acc_t = "ng000 * td * td - db / a2 * xd * xd"
+    else:
+        acc_t = "-(da / (2.0 * a)) * td * td - db / (2.0 * a) * xd * xd"
+    if "b_sum" in env:
+        env["m101"] = -2.0 * (0.0 / (2.0 * env["b_sum"]))
+        acc_x = "m101 * td * xd"
+    else:
+        acc_x = "-2.0 * (db / (2.0 * b)) * td * xd"
+    src = "\n    ".join([
+        "def geodesic_rhs(t, td, xd):",
+        "if not t_min < t < t_max:",
+        "    raise outside(t, t_min, t_max, name)",
+        *body,
+        f"return {acc_t}, {acc_x}, a, b",
+    ])
+    exec(compile(src, f"<geodesic_rhs of {profile.name}>", "exec"), env)
+    return env["geodesic_rhs"]
 
 
 def const(c: float) -> Term:
@@ -216,10 +295,7 @@ class MetricProfile:
 
     def require_inside(self, t: float):
         if not self.contains(t):
-            raise DomainExceeded(
-                f"t={t!r} outside open domain ({self.t_min!r}, {self.t_max!r}) "
-                f"of profile {self.name!r}"
-            )
+            raise _outside(t, self.t_min, self.t_max, self.name)
 
     def anchor_time(self) -> float:
         """Reference time for cumulative integrals (0 when the domain allows)."""
@@ -247,6 +323,17 @@ class MetricProfile:
             b += v
             db += d
         return a, b, da, db
+
+    @cached_property
+    def geodesic_rhs(self):
+        """Scalar evaluator (t, dt/ds, dx/ds) -> (d2t/ds2, d2x/ds2, a, b).
+
+        The accelerations are those of geodesics.ode_rhs at the state, and
+        every value is bitwise that of eval followed by ode_rhs, with the same
+        domain check.  The function is generated on first use for this
+        profile's term kinds; an all-constant coefficient is its sum.
+        """
+        return _compile_geodesic_rhs(self)
 
     def eval_many(self, t: np.ndarray) -> tuple[np.ndarray, ...]:
         """Vectorized (a, b, a', b'); every entry must lie inside the domain."""

@@ -139,6 +139,23 @@ def test_distance_huge_interval_path_is_finite(capsys):
     assert all(math.isfinite(v) for row in rows for v in row)
 
 
+@pytest.mark.filterwarnings("error")
+def test_distance_path_far_up_exp2t_keeps_dtds(capsys):
+    # a = e^{2t} overflows past t ~ 355, but dt/ds = e^{-t} on the geodesic
+    # from (0, 0) to (709, 0) is a normal float all the way up
+    code, out, err = run(capsys, "distance", "--profile", "exp2t", "--p", "0,0",
+                         "--q", "709,0")
+    assert code == 0
+    assert err == ""
+    rows = [[float(v) for v in line.split(",")] for line in out.splitlines()[3:]]
+    far = [(t, dtds) for _, t, _, dtds, *_ in rows if t > 355.0]
+    assert len(far) == 32
+    for t, dtds in far:
+        assert dtds != 0.0
+        assert math.isfinite(dtds)
+        assert dtds == pytest.approx(math.exp(-t), rel=1e-12, abs=0.0)
+
+
 def test_axioms_far_up_exp2t_pass_without_nan(capsys):
     code, out, _ = run(capsys, "axioms", "--profile", "exp2t",
                        "--region", "400,401,0,1", "--n", "5", "--seed", "1")

@@ -1,10 +1,12 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from lorlab import (
     CATALOG_NAMES,
+    DomainExceeded,
     Inextendible,
     InextendibleCertificate,
     NotCausal,
@@ -15,17 +17,21 @@ from lorlab import (
     causal_exp,
     classify_vector,
     conserved_quantities,
+    const,
     exp_continuity_probe,
+    exponential,
     format_profile,
     geodesic_states,
     get_profile,
     integrate_geodesic,
+    linear,
     ode_rhs,
     parse_profiles,
+    power,
     quadrature_advance,
     uniqueness_witness,
 )
-from lorlab.geodesics import _Quadrature
+from lorlab.geodesics import DRIFT_TOL, GeodesicPath, _Quadrature, _reflect
 from lorlab.profiles import MetricProfile
 from lorlab.quadrature import toward_end
 
@@ -34,6 +40,14 @@ V = TangentVector
 
 LN15 = 0.4054651081081644  # log(1.5)
 LN2 = 0.6931471805599453
+
+# three terms and more in a (every kind, a kink at 0.2) and an exp term in b
+MIXED = MetricProfile(
+    "mixed",
+    (const(1.0), linear(0.1), power(0.7, 0.2, 1.5), exponential(0.3, 0.7)),
+    (const(0.5), exponential(0.6, 0.3)),
+    t_min=-2.0, t_max=2.0, alpha=0.1,
+)
 
 
 def random_causal(prof, rng, t_range, tau_range=(0.2, 1.0), future_only=False):
@@ -70,6 +84,25 @@ def test_rhs_exp_space_warp():
     assert got[:2] == (1.0, 1.0)
     assert got[2] == pytest.approx(-1.0, abs=1e-15)
     assert got[3] == pytest.approx(-2.0, abs=1e-15)
+
+
+def test_geodesic_rhs_is_ode_rhs_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for prof in [get_profile(name) for name in CATALOG_NAMES] + [MIXED]:
+        ts = [0.0, 0.2, *rng.uniform(max(prof.t_min, -1.5), min(prof.t_max, 1.5), 20)]
+        for t in ts:
+            if not prof.contains(t):
+                continue
+            td, xd = rng.uniform(-2.0, 2.0, 2)
+            want = ode_rhs(prof, (t, 0.0, td, xd))
+            a, b, _, _ = prof.eval(t)
+            got = prof.geodesic_rhs(t, td, xd)
+            assert repr(got) == repr((*want[2:], a, b))
+        with pytest.raises(DomainExceeded) as want_err:
+            prof.require_inside(prof.t_max)
+        with pytest.raises(DomainExceeded) as got_err:
+            prof.geodesic_rhs(prof.t_max, 1.0, 0.0)
+        assert str(got_err.value) == str(want_err.value)
 
 
 # -- conserved quantities ------------------------------------------------------
@@ -397,3 +430,228 @@ def test_dual_solver_agreement(name):
         quad = quadrature_advance(prof, p, v, 1.0)
         end = integrate_geodesic(prof, p, v, 1.0, 1e-3).endpoint()
         assert math.hypot(end.t - quad.t, end.x - quad.x) < 1e-6
+
+
+# -- gate: the fused RK4 step against the per-stage route it replaced ------------------
+#
+# Verbatim copies of the per-stage route: four ode_rhs calls through
+# profile.eval per step, one more eval for the drift check, and the
+# uniqueness witness stepping with the same _rk4_step.
+
+
+def seed_ode_rhs(profile: MetricProfile, state) -> tuple[float, float, float, float]:
+    """First-order form of the geodesic system at state (t, x, dt/ds, dx/ds)."""
+    t, _, td, xd = state
+    a, b, da, db = profile.eval(t)
+    g000 = da / (2.0 * a)
+    g011 = db / (2.0 * a)
+    g101 = db / (2.0 * b)
+    return (td, xd, -g000 * td * td - g011 * xd * xd, -2.0 * g101 * td * xd)
+
+
+def seed_rk4_step(profile, state, h):
+    k1 = seed_ode_rhs(profile, state)
+    s2 = tuple(y + 0.5 * h * k for y, k in zip(state, k1))
+    k2 = seed_ode_rhs(profile, s2)
+    s3 = tuple(y + 0.5 * h * k for y, k in zip(state, k2))
+    k3 = seed_ode_rhs(profile, s3)
+    s4 = tuple(y + h * k for y, k in zip(state, k3))
+    k4 = seed_ode_rhs(profile, s4)
+    return tuple(
+        y + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+        for y, a, b, c, d in zip(state, k1, k2, k3, k4)
+    )
+
+
+def seed_try_step(profile, state, h):
+    try:
+        nxt = seed_rk4_step(profile, state, h)
+    except DomainExceeded:
+        return None
+    if not profile.contains(nxt[0]):
+        return None
+    return nxt
+
+
+def seed_integrate_geodesic(
+    profile: MetricProfile,
+    p: SpacetimePoint,
+    v: TangentVector,
+    s_max: float,
+    step: float,
+    drift_tol: float = DRIFT_TOL,
+) -> GeodesicPath:
+    profile.require_inside(p.t)
+    if v.tau0 == 0.0 and v.xi0 == 0.0:
+        raise NotCausal("zero initial velocity")
+    if step <= 0.0 or s_max <= 0.0:
+        raise ValueError("step and s_max must be positive")
+    cons = conserved_quantities(profile, p, v)
+    hard_limit = 1000.0 * drift_tol
+
+    def check_drift(state, s):
+        a, b, _, _ = profile.eval(state[0])
+        kappa = b * state[3]
+        eps = -a * state[2] * state[2] + b * state[3] * state[3]
+        budget = hard_limit * (1.0 + s)
+        if abs(kappa - cons.kappa) > budget or abs(eps - cons.epsilon) > budget:
+            raise StepTooLarge(
+                f"conserved-quantity drift exceeded {budget!r} at s={s!r}; "
+                "reduce the step"
+            )
+
+    rows = [(0.0, p.t, p.x, v.tau0, v.xi0)]
+    state = (p.t, p.x, v.tau0, v.xi0)
+    s = 0.0
+    inext = False
+    max_param = math.inf
+    while s < s_max - 1e-15 * max(1.0, s_max):
+        h = min(step, s_max - s)
+        nxt = seed_try_step(profile, state, h)
+        if nxt is None:
+            lo, hi = 0.0, h
+            good = None
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                trial = seed_try_step(profile, state, mid)
+                if trial is None:
+                    hi = mid
+                else:
+                    lo, good = mid, trial
+                if hi - lo <= 1e-14 * max(1.0, step):
+                    break
+            if good is not None and lo > 0.0:
+                s += lo
+                state = good
+                rows.append((s, *state))
+                check_drift(state, s)
+            inext = True
+            max_param = s
+            break
+        s += h
+        state = nxt
+        rows.append((s, *state))
+        check_drift(state, s)
+    return GeodesicPath(np.asarray(rows, dtype=float), cons, max_param, inext)
+
+
+def seed_advance_fixed(profile, p, v, s_values, h):
+    state, done, out = (p.t, p.x, v.tau0, v.xi0), 0, []
+    for s in s_values:
+        n = int(math.floor(s / h + 1e-12))
+        for _ in range(n - done):
+            state = seed_rk4_step(profile, state, h)
+        done, rem = n, s - n * h
+        out.append(seed_rk4_step(profile, state, rem) if rem > 1e-15 * max(1.0, s) else state)
+    return out
+
+
+def seed_uniqueness_witness(profile, p, v, steps=(1e-2, 1e-3), s_max=1.0, n_checks=10):
+    if v.tau0 == 0.0:
+        raise NotCausal("uniqueness witness requires tau0 != 0")
+    if v.tau0 < 0.0:
+        profile, p, v = _reflect(profile, p, v)
+    quad = _Quadrature(profile, p, v)
+    s_checks = [s_max * i / n_checks for i in range(1, n_checks + 1)]
+    T = quad.times(s_checks)
+    if len(T) < n_checks:
+        raise Inextendible(quad._certificate(quad.bound()))
+    runs = [zip(T.tolist(), quad.x_at(T).tolist())]
+    runs += [[st[:2] for st in seed_advance_fixed(profile, p, v, s_checks, h)] for h in steps]
+    return max((math.hypot(a[0] - b[0], a[1] - b[1])
+                for pts in zip(*runs) for a, b in combinations(pts, 2)), default=0.0)
+
+
+# the start windows of the acceptance tests and the benchmark
+IC_WINDOWS = {
+    "minkowski": ((-1.0, 1.0), (0.2, 1.0)),
+    "strip01": ((0.25, 0.45), (0.1, 0.4)),
+    "exp2t": ((-0.5, 0.5), (0.2, 1.0)),
+    "c1power": ((0.05, 0.8), (0.2, 1.0)),
+    "warpb": ((-0.5, 0.5), (0.2, 1.0)),
+}
+
+def _gate_cases():
+    """(profile, p, v, s_max, step) runs covering every branch of the step."""
+    cases = []
+    for name in CATALOG_NAMES:
+        prof = get_profile(name)
+        t_window, tau_window = IC_WINDOWS[name]
+        rng = np.random.default_rng(909)
+        for _ in range(6):
+            p, v = random_causal(prof, rng, t_window, tau_window)
+            cases.append((prof, p, v, 1.0, 1e-3))
+        t = 0.5 * sum(t_window)
+        a, b, _, _ = prof.eval(t)
+        # xi0 = 0, xi0 < 0, and a coarse step
+        cases.append((prof, P(t, 0.2), V(0.7, 0.0), 1.0, 1e-3))
+        cases.append((prof, P(t, -0.4), V(0.9, -0.6 * math.sqrt(a / b)), 1.0, 1e-3))
+        cases.append((prof, P(t, 0.0), V(0.5, 0.3 * math.sqrt(a / b)), 1.0, 1e-2))
+    # domain exits located by bisection, and starts on and across kinks
+    cases.append((get_profile("strip01"), P(0.5, 0.0), V(1.0, 0.3), 1.0, 1e-3))
+    cases.append((get_profile("strip01"), P(0.6, 0.0), V(-1.0, 0.5), 1.0, 1e-2))
+    cases.append((get_profile("c1power"), P(0.0, 0.1), V(1.0, 0.3), 1.0, 1e-3))
+    cases.append((get_profile("c1power"), P(-0.5, 0.0), V(1.0, 0.2), 1.2, 1e-3))
+    rng = np.random.default_rng(404)
+    for _ in range(4):
+        p, v = random_causal(MIXED, rng, (-1.0, 1.0))
+        cases.append((MIXED, p, v, 1.0, 1e-3))
+    cases.append((MIXED, P(0.2, 0.0), V(1.0, -0.4), 1.0, 1e-3))
+    cases.append((MIXED, P(1.5, 0.0), V(1.0, 0.1), 2.0, 1e-3))
+    return cases
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (StepTooLarge, Inextendible, NotCausal) as exc:
+        return type(exc), str(exc)
+
+
+def test_fused_rk4_is_bitwise_the_per_stage_route():
+    exits = 0
+    for prof, p, v, s_max, step in _gate_cases():
+        want = seed_integrate_geodesic(prof, p, v, s_max, step)
+        got = integrate_geodesic(prof, p, v, s_max, step)
+        assert got.samples.tobytes() == want.samples.tobytes()
+        assert (got.max_param, got.inextendible) == (want.max_param, want.inextendible)
+        assert got.conserved == want.conserved
+        exits += got.inextendible
+    assert exits >= 3
+
+
+def test_fused_rk4_raises_the_same_step_too_large():
+    prof, p, v = get_profile("exp2t"), P(0.0, 0.0), V(1.0, 0.0)
+    with pytest.raises(StepTooLarge) as want:
+        seed_integrate_geodesic(prof, p, v, 4.0, 0.5)
+    with pytest.raises(StepTooLarge) as got:
+        integrate_geodesic(prof, p, v, 4.0, 0.5)
+    assert str(got.value) == str(want.value)
+
+
+def test_uniqueness_witness_is_bitwise_the_per_stage_route():
+    seen = set()
+    for prof, p, v, _, _ in _gate_cases():
+        if (prof.name, p, v) in seen:
+            continue
+        seen.add((prof.name, p, v))
+        want = _outcome(seed_uniqueness_witness, prof, p, v)
+        assert _outcome(uniqueness_witness, prof, p, v) == want
+
+
+def test_drift_max_is_the_benchmark_drift():
+    for prof, p, v, s_max, step in _gate_cases():
+        path = integrate_geodesic(prof, p, v, s_max, step)
+        kappa0, eps0 = path.conserved.kappa, path.conserved.epsilon
+        # the benchmark's drift, with the scalar evaluation the drift check uses
+        drift = 0.0
+        for _, t, _, td, xd in path.samples.tolist():
+            a, b, _, _ = prof.eval(t)
+            drift = max(drift, abs(b * xd - kappa0), abs(-a * td * td + b * xd * xd - eps0))
+        assert path.drift_max == drift
+        # and the benchmark's vectorized check, whose np.exp and np.power can
+        # differ from math.exp and pow in the last bit of a and b
+        a, b, _, _ = prof.eval_many(path.samples[:, 1])
+        td, xd = path.samples[:, 3], path.samples[:, 4]
+        vec = max(np.abs(b * xd - kappa0).max(), np.abs(-a * td * td + b * xd * xd - eps0).max())
+        assert path.drift_max == pytest.approx(float(vec), rel=0.0, abs=1e-14)
