@@ -6,7 +6,9 @@ pointwise, so two points are causally related exactly when
     |x_q - x_p| <= int_{t_p}^{t_q} sqrt(a(u)/b(u)) du,
 
 with strict inequality for chronological relation.  The signed slack of this
-cone inequality is the "margin" reported with every verdict.
+cone inequality is the "margin" reported with every verdict; one rule
+(_relation) turns margins into relations for single pairs and for the
+matrices of sampled spaces and probes alike.
 
 T(p, q) is computed two ways.  When b == 1 the time reparameterization
 tau(t) = int sqrt(a) du flattens the metric to -dtau^2 + dx^2, and T is the
@@ -23,7 +25,12 @@ is a row of (pairs x nodes) arrays, every gate applies per row to the rows
 still active, and every sum over nodes is a row-local numpy reduction
 rather than BLAS.  So a pair's T does not depend on the batch it is solved
 in: a sampled space's time-separation matrix, a probe's slice scan and a
-single lorentzian_distance call (a batch of one) agree bit for bit.
+single lorentzian_distance call agree bit for bit.  A single call is a
+batch of one on either route, flat interval or shooting.
+
+Every maximizer, null, reduction or shooting, is sampled by the quadrature
+route (geodesics._Quadrature) from p with its exact conserved quantities:
+(+-sqrt(a b), 0), (dx / T, -1) and (kappa, -1) respectively.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ import numpy as np
 
 from .errors import NotAChain, NotReducible, QuadratureError, ShootingFailed
 from .geodesics import ConservedQuantities, GeodesicPath, _Quadrature
-from .profiles import EPS_NULL, MetricProfile, SpacetimePoint, TangentVector
+from .profiles import EPS_NULL, MetricProfile, SpacetimePoint
 from .quadrature import (
     QUAD_TOL,
     ROOT_MAX_ITER,
@@ -100,6 +107,18 @@ def flat_time(profile: MetricProfile, t: float) -> float:
 # -- relations and cones -------------------------------------------------------
 
 
+def _relation(dcone, dx, dt, eps_null):
+    """(margin, chronological, causal) of pairs p -> q from their cone-time,
+    space and time differences q - p; floats or arrays alike.
+
+    margin = dcone - |dx|; p << q iff margin > eps_null and dt > 0, and the
+    pair is on the null boundary iff |margin| <= eps_null and dt >= 0.
+    """
+    margin = dcone - abs(dx)
+    chron = (margin > eps_null) & (dt > 0.0)
+    return margin, chron, chron | ((abs(margin) <= eps_null) & (dt >= 0.0))
+
+
 def causally_related(
     profile: MetricProfile,
     p: SpacetimePoint,
@@ -110,10 +129,10 @@ def causally_related(
     profile.require_inside(p.t)
     profile.require_inside(q.t)
     cm = _cone_map(profile)
-    margin = (cm(q.t) - cm(p.t)) - abs(q.x - p.x)
-    if margin > eps_null and q.t > p.t:
+    margin, chron, causal = _relation(cm(q.t) - cm(p.t), q.x - p.x, q.t - p.t, eps_null)
+    if chron:
         return CausalVerdict("chronological", margin)
-    if abs(margin) <= eps_null and q.t >= p.t:
+    if causal:
         return CausalVerdict("causal_boundary", margin)
     return CausalVerdict("unrelated", margin)
 
@@ -146,19 +165,11 @@ def minkowski_reduce(profile: MetricProfile, p: SpacetimePoint) -> tuple[float, 
 
 
 def _flat_interval(dtau, dx):
-    """sqrt(dtau^2 - dx^2), or 0 off the cone; elementwise on arrays.
+    """sqrt(dtau^2 - dx^2), or 0 off the cone, elementwise on arrays.
 
-    Floats take math.sqrt, which is far cheaper than numpy on a scalar;
-    both square roots are correctly rounded, so the two paths agree.  Where
-    a square overflows, the scaled form |dtau| sqrt((1 - r)(1 + r)) with
-    r = dx / dtau gives the finite interval instead (a float goes there as
-    a batch of one).
+    Where a square overflows, the scaled form |dtau| sqrt((1 - r)(1 + r))
+    with r = dx / dtau gives the finite interval instead.
     """
-    if isinstance(dtau, float):
-        q = dtau * dtau - dx * dx
-        if math.isfinite(q):
-            return math.sqrt(q) if q > 0.0 else 0.0
-        return float(_flat_interval(np.array([dtau]), np.array([dx]))[0])
     with np.errstate(over="ignore", invalid="ignore"):
         q = dtau * dtau - dx * dx
     out = np.sqrt(np.where(q > 0.0, q, 0.0))
@@ -452,58 +463,32 @@ def _shoot(profile, t1, x1, t2, x2):
 
 
 def _separations(profile, t1, x1, t2, x2, dcone, eps_null):
-    """T(p, q) for p = (t1, x1) and q = (t2, x2), arrays broadcast together.
+    """(T, chronological, causal) for p = (t1, x1) and q = (t2, x2), arrays
+    broadcast together.
 
     dcone is the cone-time difference cone_time(t2) - cone_time(t1).  Each
-    entry equals lorentzian_distance(profile, p, q, with_path=False).value
+    entry of T equals lorentzian_distance(profile, p, q, with_path=False).value
     bit for bit: 0 off the chronological relation, the flat interval when
-    b == 1, and a batched shooting solve otherwise.
+    b == 1, and a batched shooting solve otherwise.  The relation masks are
+    those of causally_related.
     """
     t1, x1, t2, x2, dcone = np.broadcast_arrays(t1, x1, t2, x2, dcone)
     dx = x2 - x1
-    chron = (dcone - np.abs(dx) > eps_null) & (t2 > t1)
+    _, chron, causal = _relation(dcone, dx, t2 - t1, eps_null)
     out = np.zeros(chron.shape)
     if profile.has_unit_b:
         out[chron] = _flat_interval(dcone[chron], dx[chron])
     elif chron.any():
         out[chron] = _shoot(profile, t1[chron], x1[chron], t2[chron], x2[chron])[1]
-    return out
+    return out, chron, causal
 
 
-def _sampled_path(profile, p, v, t_end, n_samples, conserved):
-    # sampling on a t grid needs no quadrature inversions: the affine
-    # parameter is read off the cumulative maps at the nodes
-    rows = _Quadrature(profile, p, v).rows(np.linspace(p.t, t_end, n_samples))
-    return GeodesicPath(rows, conserved, math.inf, False)
-
-
-def _null_path(profile, p, q, n_samples):
-    a, b, _, _ = profile.eval(p.t)
-    dxsgn = 1.0 if q.x >= p.x else -1.0
-    v = TangentVector(1.0, dxsgn * math.sqrt(a / b))
-    cons = ConservedQuantities(b * v.xi0, 0.0)
-    return _sampled_path(profile, p, v, q.t, n_samples, cons)
-
-
-def _reduction_path(profile, p, q, value, n_samples):
-    fm = _flat_map(profile)
-    tau_p, tau_q = fm(p.t), fm(q.t)
-    dtau, dx = tau_q - tau_p, q.x - p.x
-    kappa = dx / value
-    ts = np.linspace(p.t, q.t, n_samples)
-    sigma = (fm.many(ts) - tau_p) * (value / dtau)
-    # a single exponential term a = c e^{lam t} overflows far up (exp2t past
-    # t ~ 355), where 1/sqrt(a) = e^{-lam t/2} / sqrt(c) is still a normal float
-    (term, *rest) = profile.terms_a
-    one_exp = not rest and term.kind == "exp"
-    with np.errstate(over="ignore" if one_exp else None):
-        a, _, _, _ = profile.eval_many(ts)
-    dtds = (dtau / value) / np.sqrt(a)
-    if one_exp:
-        over = np.isinf(a)
-        dtds[over] = (dtau / value) * (np.exp(-0.5 * term.lam * ts[over]) / math.sqrt(term.c))
-    rows = np.column_stack([sigma, ts, p.x + sigma * kappa, dtds, np.full(n_samples, kappa)])
-    return GeodesicPath(rows, ConservedQuantities(kappa, -1.0), math.inf, False)
+def _sampled_path(profile, p, cons, t_end, n_samples):
+    """The geodesic from p with conserved quantities cons, sampled from p.t
+    to t_end by the quadrature route.  A t grid needs no inversions: the
+    affine parameter is read off the cumulative maps at the nodes."""
+    rows = _Quadrature(profile, p, cons).rows(np.linspace(p.t, t_end, n_samples))
+    return GeodesicPath(rows, cons, math.inf, False)
 
 
 def lorentzian_distance(
@@ -518,11 +503,13 @@ def lorentzian_distance(
     """Lorentzian distance T(p, q) with the maximizing geodesic.
 
     Unrelated pairs have T = 0; null-boundary pairs have T = 0 with a null
-    maximizer.  For chronological pairs the reduction route applies when
-    b == 1, otherwise shooting on kappa; the value is the g-length
-    sqrt(-eps) * delta-s of the connecting geodesic.  A reduction value
-    that overflows to inf (a closed-form flat time past the float range)
-    comes without a maximizer.
+    maximizer, kappa = +-sqrt(a b) at p.  For chronological pairs the
+    reduction route applies when b == 1 (the flat interval as a batch of
+    one, with kappa = dx / T), otherwise shooting on kappa; the value is the
+    g-length sqrt(-eps) * delta-s of the connecting geodesic, and the
+    maximizer is the quadrature route's geodesic from p with (kappa, -1).
+    A value that overflows to inf (a closed-form flat time past the float
+    range) comes without a maximizer.
     """
     if method not in ("auto", "reduction", "shooting"):
         raise ValueError(f"unknown method {method!r}")
@@ -537,23 +524,23 @@ def lorentzian_distance(
         degenerate = abs(q.t - p.t) <= eps_null and abs(q.x - p.x) <= eps_null
         path = None
         if with_path and not degenerate:
-            path = _null_path(profile, p, q, path_samples)
+            a, b, _, _ = profile.eval(p.t)
+            kappa = (1.0 if q.x >= p.x else -1.0) * math.sqrt(a * b)
+            path = _sampled_path(profile, p, ConservedQuantities(kappa, 0.0), q.t, path_samples)
         return DistanceResult(0.0, path, resolved)
     if use_reduction:
         fm = _flat_map(profile)
-        value = _flat_interval(fm(q.t) - fm(p.t), q.x - p.x)
-        want_path = with_path and math.isfinite(value)
-        path = _reduction_path(profile, p, q, value, path_samples) if want_path else None
-        return DistanceResult(value, path, "reduction")
-    kappa, value = (float(v[0]) for v in _shoot(profile, *np.array([[p.t], [p.x], [q.t], [q.x]])))
-    path = None
-    if with_path:
-        a, b, _, _ = profile.eval(p.t)
-        v = TangentVector(math.sqrt((kappa * kappa / b + 1.0) / a), kappa / b)
-        path = _sampled_path(
-            profile, p, v, q.t, path_samples, ConservedQuantities(kappa, -1.0)
-        )
-    return DistanceResult(value, path, "shooting")
+        dtau, dx = np.array([fm(q.t) - fm(p.t)]), np.array([q.x - p.x])
+        value = float(_flat_interval(dtau, dx)[0])
+    else:
+        pair = np.array([[p.t], [p.x], [q.t], [q.x]])
+        kappa, value = (float(v[0]) for v in _shoot(profile, *pair))
+    if not (with_path and 0.0 < value < math.inf):
+        return DistanceResult(value, None, resolved)
+    if use_reduction:
+        kappa = (q.x - p.x) / value  # dx / ds at unit speed with b == 1
+    path = _sampled_path(profile, p, ConservedQuantities(kappa, -1.0), q.t, path_samples)
+    return DistanceResult(value, path, resolved)
 
 
 # -- chain and polyline lengths --------------------------------------------------

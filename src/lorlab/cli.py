@@ -193,6 +193,9 @@ def _geodesic_rows_quad(profile, p, v, args):
 
 
 def _run_geodesic(args) -> int:
+    for name in ("smax", "step"):
+        if not 0.0 < getattr(args, name) < math.inf:
+            raise _CliError(f"--{name} must be positive and finite")
     profile = _load_profile(args)
     p = SpacetimePoint(*_pair(args.p))
     v = TangentVector(*_pair(args.v))
@@ -413,7 +416,7 @@ def main(argv=None) -> int:
     except Inextendible as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (LorlabError, ValueError, OSError) as exc:
+    except (LorlabError, ValueError, OSError, OverflowError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
 

@@ -82,14 +82,9 @@ def space_from_points(
     xs = np.array([p.x for p in pts])
 
     cone = _cone_map(profile).many(ts)
-    margin = cone[None, :] - cone[:, None] - np.abs(xs[None, :] - xs[:, None])
-    dt = ts[None, :] - ts[:, None]
-    chron = (margin > eps_null) & (dt > 0.0)
-    causal = chron | ((np.abs(margin) <= eps_null) & (dt >= 0.0))
-    dmat = np.hypot(dt, xs[None, :] - xs[:, None])
-
-    taumat = _separations(profile, ts[:, None], xs[:, None], ts[None, :], xs[None, :],
-                          cone[None, :] - cone[:, None], eps_null)
+    taumat, chron, causal = _separations(profile, ts[:, None], xs[:, None], ts[None, :],
+                                         xs[None, :], cone[None, :] - cone[:, None], eps_null)
+    dmat = np.hypot(ts[None, :] - ts[:, None], xs[None, :] - xs[:, None])
     return DiscreteCausalSpace(pts, chron, causal, dmat, taumat)
 
 

@@ -267,22 +267,27 @@ def _stall_gate(s: float) -> float:
 
 
 class _Quadrature:
-    """Conserved-quantity solver for future-directed causal data (tau0 > 0).
+    """Conserved-quantity solver for the future-directed causal geodesic
+    from p with conserved quantities cons = (kappa, eps).
 
-    With b == 1, kappa^2 / b - eps is a constant c^2, so s(T) is
-    int_{t0}^{T} sqrt(a) / c and x(T) = x0 + kappa s(T): the closed form of
-    the profile's flat map scaled by 1 / c and anchored at t0, or else
-    (F(T) - F(t0)) / c from its shared anchored map F.  Otherwise s and x
-    are AnchoredMaps of their own, anchored at t0.  Either way a value
-    depends only on the geodesic and T.
+    The public entry points compute cons once from a velocity; distance
+    maximizers pass their exact (kappa, eps).  With b == 1, kappa^2 / b - eps
+    is a constant c^2, so s(T) is int_{t0}^{T} sqrt(a) / c and
+    x(T) = x0 + kappa s(T): the closed form of the profile's flat map scaled
+    by 1 / c and anchored at t0, or else (F(T) - F(t0)) / c from its shared
+    anchored map F.  Otherwise s and x are AnchoredMaps of their own,
+    anchored at t0.  Either way a value depends only on the geodesic and T.
+    The rate ds/dT (Newton's slope, and 1 / (dt/ds) in rows) is the
+    integrand of the s map: k e^{rT} for a closed form, which stays finite
+    where a itself overflows (exp2t past t ~ 355), else
+    sqrt(a / (kappa^2 / b - eps)).
     """
 
-    def __init__(self, profile: MetricProfile, p: SpacetimePoint, v: TangentVector):
+    def __init__(self, profile: MetricProfile, p: SpacetimePoint, cons: ConservedQuantities):
         profile.require_inside(p.t)
         self.profile = profile
         self.t0 = t0 = p.t
         self.x0 = x0 = p.x
-        cons = conserved_quantities(profile, p, v)
         self.kappa = kappa = cons.kappa
         self.eps = eps = cons.epsilon
 
@@ -290,14 +295,15 @@ class _Quadrature:
             a, b, _, _ = profile.eval_many(u)
             return np.sqrt(a / (kappa * kappa / b - eps))
 
-        self._rate = f_s  # ds/dT
-        # s_at and x_at map an array (or a float) of times T to s(T) and x(T)
+        # s_at, x_at and _rate map an array of times T to s(T), x(T) and ds/dT
+        self._rate = f_s
         if profile.has_unit_b:
             c, flat = math.sqrt(kappa * kappa - eps), _flat_map(profile)
             if isinstance(flat, ClosedFormMap):
                 # anchored at t0: F(T) - F(t0) would cancel where sqrt(a)
                 # vanishes, as e^t does toward -inf
-                s_at = ClosedFormMap(flat.k / c, flat.r, t0).many
+                s_map = ClosedFormMap(flat.k / c, flat.r, t0)
+                s_at, self._rate = s_map.many, s_map.integrand
             else:
                 f0 = flat(t0)
 
@@ -403,12 +409,13 @@ class _Quadrature:
                 if not len(act):
                     return out
                 T = np.where((lo < T) & (T < hi), T, 0.5 * (lo + hi))
-                err = self.s_at(T) - s
-                step = err / self._rate(T)
+                err, rate = self.s_at(T) - s, self._rate(T)
+                step = err / rate
                 below = err < 0.0
                 lo, hi = np.where(below, T, lo), np.where(below, hi, T)
                 tol = INVERT_TOL * np.maximum(1.0, np.abs(T))
-                done = np.abs(step) <= tol
+                # a step from an overflowed rate is 0 wherever T is
+                done = (np.abs(step) <= tol) & np.isfinite(rate)
                 T = T - step
                 # a converged row keeps its last Newton step, a row whose
                 # bracket has narrowed to tol its midpoint
@@ -444,12 +451,15 @@ class _Quadrature:
         return SpacetimePoint(T, float(self.x_at(T)))
 
     def rows(self, T, s=None) -> np.ndarray:
-        """Rows (s, t, x, dt/ds, dx/ds) at the times T; s defaults to s(T)."""
-        a, b, _, _ = self.profile.eval_many(T)
+        """Rows (s, t, x, dt/ds = 1 / rate, dx/ds) at the times T; s defaults
+        to s(T)."""
         kappa = self.kappa
+        if self.profile.has_unit_b:
+            dxds = np.full(len(T), kappa)  # kappa / b with b exactly 1.0
+        else:
+            dxds = kappa / self.profile.eval_many(T)[1]
         return np.column_stack([
-            self.s_at(T) if s is None else s, T, self.x_at(T),
-            np.sqrt((kappa * kappa / b - self.eps) / a), kappa / b,
+            self.s_at(T) if s is None else s, T, self.x_at(T), 1.0 / self._rate(T), dxds,
         ])
 
     def bound(self) -> float:
@@ -483,7 +493,7 @@ def quadrature_advance(
     length available before the domain boundary is below s_target.
     """
     _require_future_causal(profile, p, v, eps_null)
-    return _Quadrature(profile, p, v).point_at(s_target)
+    return _Quadrature(profile, p, conserved_quantities(profile, p, v)).point_at(s_target)
 
 
 def _reflect(profile, p, v):
@@ -532,10 +542,9 @@ def affine_bound(
     char = classify_vector(profile, p, v, eps_null=eps_null)
     if not char.is_causal:
         raise NotCausal(f"vector {v} is {char.kind}, need timelike or null")
-    if v.tau0 > 0.0:
-        return _Quadrature(profile, p, v).bound()
-    rprof, rp, rv = _reflect(profile, p, v)
-    return _Quadrature(rprof, rp, rv).bound()
+    if not v.tau0 > 0.0:
+        profile, p, v = _reflect(profile, p, v)
+    return _Quadrature(profile, p, conserved_quantities(profile, p, v)).bound()
 
 
 def exp_continuity_probe(
@@ -588,7 +597,7 @@ def uniqueness_witness(
         raise NotCausal("uniqueness witness requires tau0 != 0")
     if v.tau0 < 0.0:
         profile, p, v = _reflect(profile, p, v)
-    quad = _Quadrature(profile, p, v)
+    quad = _Quadrature(profile, p, conserved_quantities(profile, p, v))
     s_checks = [s_max * i / n_checks for i in range(1, n_checks + 1)]
     T = quad.times(s_checks)
     if len(T) < n_checks:
@@ -613,7 +622,7 @@ def geodesic_states(
     on its own s, not on the other parameters asked for.
     """
     _require_future_causal(profile, p, v, eps_null)
-    quad = _Quadrature(profile, p, v)
+    quad = _Quadrature(profile, p, conserved_quantities(profile, p, v))
     s = [float(x) for x in s_values]
     T = quad.times(s)
     return [tuple(row) for row in quad.rows(T, s[:len(T)]).tolist()]

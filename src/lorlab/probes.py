@@ -32,9 +32,9 @@ from itertools import islice
 
 import numpy as np
 
-from .causality import _separations, causally_related, cone_time, lorentzian_distance
+from .causality import _relation, _separations, causally_related, cone_time, lorentzian_distance
 from .errors import NotCausal, NotChronological, PremiseViolated
-from .geodesics import _Quadrature
+from .geodesics import _Quadrature, conserved_quantities
 from .profiles import (
     EPS_NULL,
     MetricProfile,
@@ -118,7 +118,7 @@ def _require_chronological(profile, p, q, eps_null):
 def _tvals(profile, p, ts, xs, eps_null):
     """T(p, (t, x)) for arrays ts and xs, lorentzian_distance bit for bit."""
     cone = _cone_map(profile)
-    return _separations(profile, p.t, p.x, ts, xs, cone.many(ts) - cone(p.t), eps_null)
+    return _separations(profile, p.t, p.x, ts, xs, cone.many(ts) - cone(p.t), eps_null)[0]
 
 
 # -- finite compactness --------------------------------------------------------
@@ -129,7 +129,7 @@ def _slice_scan(profile, p, q, B, t, nx, eps_null):
     cone_t = cone_time(profile, t)
     half = cone_t - cone_time(profile, q.t)
     xs = np.linspace(q.x - half, q.x + half, nx) if half > 0.0 else np.array([q.x])
-    Ts = _separations(profile, p.t, p.x, t, xs, cone_t - cone_time(profile, p.t), eps_null)
+    Ts = _separations(profile, p.t, p.x, t, xs, cone_t - cone_time(profile, p.t), eps_null)[0]
     keep = Ts <= B
     if keep.any():
         lo = float(xs[keep][0])
@@ -251,7 +251,7 @@ def probe_condition_a(
         raise NotCausal(f"direction {v} is {char.kind}, need timelike or null")
     if v.tau0 <= 0.0:
         raise NotCausal("probe extends future-directed geodesics (tau0 > 0)")
-    quad = _Quadrature(profile, q, v)
+    quad = _Quadrature(profile, q, conserved_quantities(profile, q, v))
     bound = quad.bound()
 
     # march s toward the affine bound; each bound is bracketed between the
@@ -321,15 +321,15 @@ def probe_timelike_cauchy(
     for t in ts.tolist():
         profile.require_inside(t)
     cone = _cone_map(profile).many(ts)
-    # x_i << x_{i+1} by the test of causally_related
-    chron = ((cone[1:] - cone[:-1]) - np.abs(xs[1:] - xs[:-1]) > eps_null) & (ts[1:] > ts[:-1])
+    # x_i << x_{i+1} by the rule of causally_related
+    chron = _relation(cone[1:] - cone[:-1], xs[1:] - xs[:-1], ts[1:] - ts[:-1], eps_null)[1]
     for i in range(len(pts) - 1):
         if not chron[i]:
             raise PremiseViolated(i, f"x_{i} << x_{i + 1} fails")
         if bounds[i + 1] > bounds[i]:
             raise PremiseViolated(i, f"B_{i + 1} > B_{i}: gap bounds must shrink")
     ii, jj = np.triu_indices(len(pts), 1)  # every pair i < j, row-major
-    gaps = _separations(profile, ts[ii], xs[ii], ts[jj], xs[jj], cone[jj] - cone[ii], eps_null)
+    gaps = _separations(profile, ts[ii], xs[ii], ts[jj], xs[jj], cone[jj] - cone[ii], eps_null)[0]
     bad = np.flatnonzero(gaps > np.array(bounds)[ii] + 1e-9)
     if len(bad):
         i, j, gap = int(ii[bad[0]]), int(jj[bad[0]]), float(gaps[bad[0]])
@@ -390,7 +390,7 @@ def make_cauchy_sequence(
     char = classify_vector(profile, p, v, eps_null=eps_null)
     if char.kind != "timelike" or v.tau0 <= 0.0:
         raise NotCausal("Cauchy sequences run along future timelike geodesics")
-    quad = _Quadrature(profile, p, v)
+    quad = _Quadrature(profile, p, conserved_quantities(profile, p, v))
     cap = min(float(span), quad.bound())
     T = quad.times(islice(toward_end(0.0, cap), n))
     pts = [SpacetimePoint(t, x) for t, x in zip(T.tolist(), quad.x_at(T).tolist())]

@@ -144,34 +144,30 @@ def _refine(f, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray) -> np.ndarray:
     )
 
 
-def _panels(lo: float, hi: float, breaks):
-    """(sign, edges, per-panel tolerances) of one interval's panels.
-
-    QUAD_TOL is shared out in proportion to panel length.
-    """
-    sgn = 1.0
-    if hi < lo:
-        lo, hi, sgn = hi, lo, -1.0
-    if lo == hi:
-        return sgn, [], []
-    edges = _panel_edges(lo, hi, breaks)
-    share = QUAD_TOL / (hi - lo)
-    return sgn, edges, [share * (b - a) for a, b in zip(edges, edges[1:])]
-
-
 def panel_integrals(f, los, his, breaks=()) -> np.ndarray:
     """Integrals of the vectorized callable f over each [los[i], his[i]].
 
-    Each entry is the float panel_integral returns for the same interval,
-    however many intervals are integrated together.
+    Panels are graded toward the breakpoints in each interval; each is
+    halved until its own value is stable, with QUAD_TOL shared out in
+    proportion to panel length.  The rule's products and the panel values
+    are summed exactly (math.fsum), so an entry depends only on f, its
+    interval and breaks: not on BLAS summation order, and not on the other
+    intervals integrated together.  Raises QuadratureError if refinement
+    stalls.
     """
     rows, lo, hi, ptol = [], [], [], []
     for a, b in zip(los, his):
-        sgn, edges, tols = _panels(float(a), float(b), breaks)
-        rows.append((sgn, len(ptol), len(ptol) + len(tols)))
-        lo.extend(edges[:-1])
-        hi.extend(edges[1:])
-        ptol.extend(tols)
+        a, b, sgn = float(a), float(b), 1.0
+        if b < a:
+            a, b, sgn = b, a, -1.0
+        start = len(ptol)
+        if a != b:
+            edges = _panel_edges(a, b, breaks)
+            share = QUAD_TOL / (b - a)
+            lo.extend(edges[:-1])
+            hi.extend(edges[1:])
+            ptol.extend(share * (e1 - e0) for e0, e1 in zip(edges, edges[1:]))
+        rows.append((sgn, start, len(ptol)))
     vals = []
     if ptol:
         vals = _refine(f, np.array(lo), np.array(hi), np.array(ptol)).tolist()
@@ -179,19 +175,9 @@ def panel_integrals(f, los, his, breaks=()) -> np.ndarray:
 
 
 def panel_integral(f, lo: float, hi: float, breaks=()) -> float:
-    """Integral of the vectorized callable f over [lo, hi].
-
-    Panels are graded toward the breakpoints in [lo, hi]; each is halved
-    until its own value is stable, with QUAD_TOL shared out by length.
-    The rule's products and the panel values are summed exactly (math.fsum),
-    so the result depends only on f, the interval and breaks, and not on
-    BLAS summation order.  Raises QuadratureError if refinement stalls.
-    """
-    sgn, edges, tols = _panels(float(lo), float(hi), breaks)
-    if not tols:
-        return 0.0
-    vals = _refine(f, np.array(edges[:-1]), np.array(edges[1:]), np.array(tols))
-    return sgn * _fsum(vals.tolist())
+    """Integral of the vectorized callable f over [lo, hi]: panel_integrals
+    on one interval."""
+    return float(panel_integrals(f, (lo,), (hi,), breaks)[0])
 
 
 def _rule_nodes(edges, m: int):
@@ -246,6 +232,12 @@ class ClosedFormMap:
         if self.r == 0.0:
             return self.k * (ts - self.anchor)
         return np.array([self(t) for t in ts.ravel().tolist()]).reshape(ts.shape)
+
+    def integrand(self, ts) -> np.ndarray:
+        """The map's derivative k exp(r t) at every entry of ts; inf where
+        the exponential overflows."""
+        with np.errstate(over="ignore"):
+            return self.k * np.exp(self.r * np.asarray(ts, dtype=float))
 
 
 def _grid_offset(i: int, n: int) -> float:

@@ -41,6 +41,30 @@ def test_geodesic_both_methods(capsys):
     assert "# method=quadrature" in out
 
 
+@pytest.mark.parametrize("method", ["ode", "quadrature", "both"])
+def test_geodesic_rejects_bad_step_and_smax(capsys, method):
+    for step, smax in [("0", "1"), ("-0.1", "1"), ("0.1", "-1"), ("0.1", "0"),
+                       ("nan", "1"), ("inf", "1"), ("0.1", "nan"), ("0.1", "inf")]:
+        code, out, err = run(capsys, "geodesic", "--profile", "minkowski", "--p", "0,0",
+                             "--v", "1,0", "--smax", smax, "--step", step,
+                             "--method", method)
+        assert code == 1, (step, smax)
+        assert out == ""
+        assert err.startswith("error: --") and "positive and finite" in err
+
+
+@pytest.mark.parametrize("method", ["ode", "quadrature", "both"])
+def test_geodesic_scalar_overflow_exits_cleanly(capsys, method):
+    # a(400) = e^800 overflows the scalar math.exp of eval and geodesic_rhs
+    code, out, err = run(capsys, "geodesic", "--profile", "exp2t", "--p", "400,0",
+                         "--v", "1e-174,0", "--smax", "1", "--step", "0.5",
+                         "--method", method)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: OverflowError: ")
+    assert "Traceback" not in err
+
+
 def test_geodesic_unknown_profile_exits_1(capsys):
     code, _, err = run(capsys, "geodesic", "--profile", "nosuch", "--p", "0,0",
                        "--v", "1,0", "--smax", "1", "--step", "0.1")
@@ -154,6 +178,27 @@ def test_distance_path_far_up_exp2t_keeps_dtds(capsys):
         assert dtds != 0.0
         assert math.isfinite(dtds)
         assert dtds == pytest.approx(math.exp(-t), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_distance_reduction_maximizer_far_up_exp2t(capsys):
+    # a = e^{2t} overflows on the whole maximizer; dt/ds = c e^{-t} with
+    # c = sqrt(kappa^2 + 1) is a normal float there
+    code, out, err = run(capsys, "distance", "--profile", "exp2t", "--p", "400,0",
+                         "--q", "401,1e170")
+    assert code == 0
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[1] == "method reduction"
+    rows = [[float(v) for v in line.split(",")] for line in lines[3:]]
+    assert len(rows) == 65
+    for s, t, x, dtds, dxds, kappa, eps in rows:
+        assert all(math.isfinite(v) for v in (s, t, x, dtds, dxds))
+        assert dtds != 0.0
+        c = math.sqrt(kappa * kappa + 1.0)
+        assert dtds == pytest.approx(c * math.exp(-t), rel=1e-12, abs=0.0)
+    assert rows[-1][1] == 401.0
+    assert rows[-1][2] == pytest.approx(1e170, rel=1e-12)
 
 
 def test_axioms_far_up_exp2t_pass_without_nan(capsys):

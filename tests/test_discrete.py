@@ -6,6 +6,7 @@ from lorlab import (
     RegionOutsideDomain,
     SpacetimePoint,
     TooLarge,
+    causally_related,
     check_axioms,
     check_causality,
     check_pushup,
@@ -112,6 +113,25 @@ def test_taumat_consistent_with_distance(name):
                 prof, space.points[i], space.points[j], with_path=False
             ).value
             assert abs(space.taumat[i, j] - want) < 1e-9
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_space_relations_equal_causally_related(name):
+    prof = get_profile(name)
+    rng = np.random.default_rng(11)
+    pts = [P(t, x) for t, x in zip(rng.uniform(0.1, 0.9, 20), rng.uniform(-0.5, 0.5, 20))]
+    # null pairs (dt == |dx| exactly on minkowski) and coincident points
+    pts += [P(0.25, 0.0), P(0.75, 0.5), P(0.75, -0.5), P(0.5, 0.25), P(0.25, 0.0), pts[0]]
+    space = space_from_points(prof, pts)
+    for i, p in enumerate(pts):
+        for j, q in enumerate(pts):
+            verdict = causally_related(prof, p, q)
+            assert space.chron[i, j] == verdict.chronological, (i, j)
+            assert space.causal[i, j] == verdict.causal, (i, j)
+    boundary = space.causal & ~space.chron
+    assert boundary[0, -1] and boundary[-1, 0] and boundary[20, 24]
+    if name == "minkowski":
+        assert boundary[20, 21] and boundary[20, 22] and boundary[20, 23]
 
 
 @pytest.mark.parametrize("name", ["minkowski", "strip01", "exp2t", "c1power"])

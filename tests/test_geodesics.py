@@ -253,13 +253,15 @@ def test_quadrature_states_depend_only_on_their_own_s(name):
     p, v = P(0.3, 0.0), V(1.0, 0.2)
     # s at the first march point, where a bracket ends exactly on the target
     t_march = next(toward_end(p.t, get_profile(name).t_max))
-    s_march = float(_Quadrature(_fresh(name), p, v).s_at(t_march))
+    fresh = _fresh(name)
+    s_march = float(_Quadrature(fresh, p, conserved_quantities(fresh, p, v)).s_at(t_march))
     s_values = [0.13, 0.37, 0.5, 0.61, s_march]
     # each reference comes from a fresh profile asked for that s alone
     want = {}
     for s in s_values:
         (row,) = geodesic_states(_fresh(name), p, v, [s])
-        pt = _Quadrature(_fresh(name), p, v).point_at(s)
+        fresh = _fresh(name)
+        pt = _Quadrature(fresh, p, conserved_quantities(fresh, p, v)).point_at(s)
         assert (pt.t, pt.x) == row[1:3]
         want[s] = row
     assert want[s_march][1] == t_march
@@ -268,7 +270,7 @@ def test_quadrature_states_depend_only_on_their_own_s(name):
     for _ in range(3):
         order = rng.permutation(s_values + s_values[:2]).tolist()  # with repeats
         assert geodesic_states(prof, p, v, order) == [want[s] for s in order]
-        quad = _Quadrature(prof, p, v)
+        quad = _Quadrature(prof, p, conserved_quantities(prof, p, v))
         for s in rng.permutation(s_values).tolist():
             pt = quad.point_at(s)
             assert (pt.t, pt.x) == want[s][1:3]
@@ -277,6 +279,18 @@ def test_quadrature_states_depend_only_on_their_own_s(name):
     if math.isfinite(bound):
         order = [0.5, bound + 0.1, 0.13]
         assert geodesic_states(prof, p, v, order) == [want[0.5]]
+
+
+@pytest.mark.parametrize("s", [1e150, 1e154, 1e200, 1e300])
+def test_exp2t_inversion_where_a_overflows(s):
+    # s(T) = e^T - 1 from (0, 0) with v = (1, 0), and dt/ds = e^{-T}; a = e^{2T}
+    # overflows past T ~ 355, but the closed-form rate e^T does not
+    prof, p, v = get_profile("exp2t"), P(0.0, 0.0), V(1.0, 0.0)
+    want = math.log1p(s)
+    assert quadrature_advance(prof, p, v, s).t == pytest.approx(want, rel=1e-12, abs=0.0)
+    ((_, t, _, dtds, _),) = geodesic_states(prof, p, v, [s])
+    assert t == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert dtds == pytest.approx(math.exp(-t), rel=1e-12, abs=0.0)
 
 
 def test_inversion_returns_a_bracket_end_that_hits_the_target(monkeypatch):
@@ -289,7 +303,8 @@ def test_inversion_returns_a_bracket_end_that_hits_the_target(monkeypatch):
         return eval_many(self, t)
 
     monkeypatch.setattr(MetricProfile, "eval_many", counted)
-    quad = _Quadrature(prof, P(1.0, 0.3), V(1.0, 0.0))
+    p, v = P(1.0, 0.3), V(1.0, 0.0)
+    quad = _Quadrature(prof, p, conserved_quantities(prof, p, v))
     # s(T) = T - 1, and the march points T = 2, 3, 5, ..., 65 give s = 2^k
     assert quad.t_of(1.0) == 2.0
     assert quad.t_of(64.0) == 65.0
@@ -551,7 +566,7 @@ def seed_uniqueness_witness(profile, p, v, steps=(1e-2, 1e-3), s_max=1.0, n_chec
         raise NotCausal("uniqueness witness requires tau0 != 0")
     if v.tau0 < 0.0:
         profile, p, v = _reflect(profile, p, v)
-    quad = _Quadrature(profile, p, v)
+    quad = _Quadrature(profile, p, conserved_quantities(profile, p, v))
     s_checks = [s_max * i / n_checks for i in range(1, n_checks + 1)]
     T = quad.times(s_checks)
     if len(T) < n_checks:

@@ -24,7 +24,7 @@ from lorlab import (
     replay_witness,
 )
 from lorlab.errors import QuadratureError
-from lorlab.geodesics import _Quadrature
+from lorlab.geodesics import _Quadrature, conserved_quantities
 from lorlab.probes import (
     FAILS,
     HOLDS,
@@ -263,7 +263,7 @@ def test_make_cauchy_sequence_satisfies_premises():
 def test_make_cauchy_sequence_at_geometric_parameters(name, span):
     prof = get_profile(name)
     pts, bounds = make_cauchy_sequence(prof, P(0.1, 0), V(1, 0), span=span, n=30)
-    quad = _Quadrature(prof, P(0.1, 0), V(1, 0))
+    quad = _Quadrature(prof, P(0.1, 0), conserved_quantities(prof, P(0.1, 0), V(1, 0)))
     cap = min(span, quad.bound())
     want = [quad.point_at(cap * (1.0 - 2.0 ** -k)) for k in range(1, 31)]
     assert [(p.t, p.x) for p in pts] == [(p.t, p.x) for p in want]
@@ -446,7 +446,7 @@ def scalar_probe_condition_a(profile, p, q, v, B_list, eps_null=EPS_NULL):
         raise NotCausal(f"direction {v} is {char.kind}, need timelike or null")
     if v.tau0 <= 0.0:
         raise NotCausal("probe extends future-directed geodesics (tau0 > 0)")
-    quad = _Quadrature(profile, q, v)
+    quad = _Quadrature(profile, q, conserved_quantities(profile, q, v))
     bound = quad.bound()
 
     T_prev = scalar_tval(profile, p, q, eps_null)
