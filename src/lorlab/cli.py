@@ -416,7 +416,7 @@ def main(argv=None) -> int:
     except Inextendible as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (LorlabError, ValueError, OSError, OverflowError) as exc:
+    except (LorlabError, ValueError, OSError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
 

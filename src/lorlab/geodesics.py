@@ -271,12 +271,13 @@ class _Quadrature:
     from p with conserved quantities cons = (kappa, eps).
 
     The public entry points compute cons once from a velocity; distance
-    maximizers pass their exact (kappa, eps).  With b == 1, kappa^2 / b - eps
-    is a constant c^2, so s(T) is int_{t0}^{T} sqrt(a) / c and
-    x(T) = x0 + kappa s(T): the closed form of the profile's flat map scaled
-    by 1 / c and anchored at t0, or else (F(T) - F(t0)) / c from its shared
-    anchored map F.  Otherwise s and x are AnchoredMaps of their own,
-    anchored at t0.  Either way a value depends only on the geodesic and T.
+    maximizers pass their exact (kappa, eps); (0, 0), which a causal vector
+    gives only by underflow, raises QuadratureError.  Each geodesic reads
+    only maps of its own, anchored at t0, so a value depends only on the
+    geodesic and T.  When the profile's flat map is a closed form (b == 1,
+    so kappa^2 / b - eps is a constant c^2), s(T) is that closed form scaled
+    by 1 / c and re-anchored at t0; otherwise s is an AnchoredMap.  With
+    b == 1, x(T) = x0 + kappa s(T); otherwise x has an AnchoredMap too.
     The rate ds/dT (Newton's slope, and 1 / (dt/ds) in rows) is the
     integrand of the s map: k e^{rT} for a closed form, which stays finite
     where a itself overflows (exp2t past t ~ 355), else
@@ -290,40 +291,37 @@ class _Quadrature:
         self.x0 = x0 = p.x
         self.kappa = kappa = cons.kappa
         self.eps = eps = cons.epsilon
+        if eps == 0.0 and kappa * kappa == 0.0:
+            raise QuadratureError(
+                f"kappa^2 = {kappa * kappa!r} and eps = {eps!r} at t = {t0!r}: the "
+                "conserved quantities underflowed, so s(T) is not defined")
 
         def f_s(u):
             a, b, _, _ = profile.eval_many(u)
             return np.sqrt(a / (kappa * kappa / b - eps))
 
+        def anchored(f):
+            return AnchoredMap(f, t0, breaks=profile.breakpoints,
+                               domain=(profile.t_min, profile.t_max))
+
         # s_at, x_at and _rate map an array of times T to s(T), x(T) and ds/dT
-        self._rate = f_s
+        flat = _flat_map(profile) if profile.has_unit_b else None
+        if isinstance(flat, ClosedFormMap):
+            # anchored at t0: F(T) - F(t0) would cancel where sqrt(a)
+            # vanishes, as e^t does toward -inf
+            s_map = ClosedFormMap(flat.k / math.sqrt(kappa * kappa - eps), flat.r, t0)
+            self._rate = s_map.integrand
+        else:
+            s_map, self._rate = anchored(f_s), f_s
+        self.s_at = s_map.many
         if profile.has_unit_b:
-            c, flat = math.sqrt(kappa * kappa - eps), _flat_map(profile)
-            if isinstance(flat, ClosedFormMap):
-                # anchored at t0: F(T) - F(t0) would cancel where sqrt(a)
-                # vanishes, as e^t does toward -inf
-                s_map = ClosedFormMap(flat.k / c, flat.r, t0)
-                s_at, self._rate = s_map.many, s_map.integrand
-            else:
-                f0 = flat(t0)
-
-                def s_at(ts):
-                    # through the profile: the map refers to it weakly
-                    return (_flat_map(profile).many(ts) - f0) / c
-
-            self.s_at = s_at
-            self.x_at = lambda ts: x0 + kappa * s_at(ts)
+            self.x_at = lambda ts: x0 + kappa * s_map.many(ts)
         else:
             def f_x(u):
                 a, b, _, _ = profile.eval_many(u)
                 return kappa * np.sqrt(a) / (b * np.sqrt(kappa * kappa / b - eps))
 
-            # one knot per unit and per octave: the march points t0 + 2^k
-            # are knots, and a geodesic asks for few values in each octave
-            s_map, x_map = (AnchoredMap(f, t0, breaks=profile.breakpoints,
-                                        domain=(profile.t_min, profile.t_max), density=1)
-                            for f in (f_s, f_x))
-            self.s_at = s_map.many
+            x_map = anchored(f_x)
             self.x_at = lambda ts: x0 + x_map.many(ts)
         # the march from t0 toward the domain end: its times, the points
         # (T, s(T)) computed so far, and once it has ended the affine bound
@@ -339,7 +337,8 @@ class _Quadrature:
         map call of one point, and no call holds enough of the march to
         raise peak memory.  s(T) is strictly increasing, so the march ends
         when s overflows (bound inf), stalls at the affine length available,
-        or runs out of points: at a finite end the last s is the bound.
+        or runs out of points: at a finite end the last s is the bound.  A
+        NaN s raises QuadratureError: it is not an overflow.
         """
         pts, k = self._points, len(self._points)
         finite = math.isfinite(self.profile.t_max)
@@ -349,6 +348,10 @@ class _Quadrature:
             self._ended, self._total = True, prev if finite else None
             return
         for T, sT in zip(block, self.s_at(np.array(block)).tolist()):
+            if math.isnan(sT):
+                raise QuadratureError(
+                    f"affine parameter s(T) is NaN at T = {T!r}: the metric "
+                    "degenerates before this point")
             pts.append((T, sT))
             if not math.isfinite(sT):
                 self._ended, self._total = True, math.inf

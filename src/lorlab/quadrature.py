@@ -9,8 +9,9 @@ and not on the other intervals integrated in the same batch.
 
 ClosedFormMap and AnchoredMap are the only cumulative maps.  A value of
 either depends only on the map and its argument, never on earlier queries
-or on the batch it is asked in.  _cone_map and _flat_map pick one of them
-for a profile and share it through the profile.
+or on the batch it is asked in.  Every AnchoredMap lays its knots on the
+same grid.  _cone_map and _flat_map pick one of them for a profile and
+share it through the profile.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ _GRADE_LEVELS = 36
 
 MAX_LEVELS = 14         # halvings of a panel before refinement stalls
 ROOT_MAX_ITER = 300     # false-position steps of bracketed_root
-GRID_DENSITY = 16       # knots of a shared anchored map per unit near its anchor
 MEMO_SIZE = 4096        # values an anchored map remembers
 EXPM1_BELOW = 0.5       # exponential closed forms switch to expm1 below this
 
@@ -174,12 +174,6 @@ def panel_integrals(f, los, his, breaks=()) -> np.ndarray:
     return np.array([sgn * _fsum(vals[i:j]) for sgn, i, j in rows])
 
 
-def panel_integral(f, lo: float, hi: float, breaks=()) -> float:
-    """Integral of the vectorized callable f over [lo, hi]: panel_integrals
-    on one interval."""
-    return float(panel_integrals(f, (lo,), (hi,), breaks)[0])
-
-
 def _rule_nodes(edges, m: int):
     """Nodes and weights of the composite rule at refinement m on the panels
     between consecutive edges; a stack of layouts (..., panels + 1) gives
@@ -190,11 +184,6 @@ def _rule_nodes(edges, m: int):
     shape = edges.shape[:-1] + (-1,)
     return ((edges[..., :-1, None] + width * frac).reshape(shape),
             ((0.5 / m) * width * w).reshape(shape))
-
-
-def panel_rule(lo: float, hi: float, breaks=(), m: int = 1):
-    """Nodes and weights of the composite rule on [lo, hi] at refinement m."""
-    return _rule_nodes(_panel_edges(lo, hi, breaks), m)
 
 
 class ClosedFormMap:
@@ -240,21 +229,11 @@ class ClosedFormMap:
             return self.k * np.exp(self.r * np.asarray(ts, dtype=float))
 
 
-def _grid_offset(i: int, n: int) -> float:
-    """Distance of grid knot i from the anchor: n knots per unit up to 1,
-    then n per octave; inf past the float range."""
-    if i < n:
-        return i / n
-    octave, q = divmod(i - n, n)
-    return math.ldexp(1.0 + q / n, octave) if octave < 1024 else math.inf
-
-
 class _Side:
     """Knots of an anchored map on one side of its anchor, listed outward."""
 
-    def __init__(self, sgn: float, anchor: float, end: float, breaks, density: int):
+    def __init__(self, sgn: float, anchor: float, end: float, breaks):
         self.sgn = sgn
-        self.density = density
         self.anchor = anchor
         self.end = end                     # domain end on this side
         self.kinks = frozenset(breaks)
@@ -266,14 +245,16 @@ class _Side:
         self.cells = []                    # integral from knot k to knot k + 1
         self.cum = {0: 0.0}                # fsum of the cells before knot k
         self.closed = False                # no knot left before the domain end
-        self._grid = 1                     # next grid knot
+        self._grid = 0                     # next grid knot
         self._brk = 0                      # next breakpoint
 
     def extend_to(self, t: float):
         """Add knots until one lies at or beyond t or the domain ends."""
         sgn = self.sgn
         while not self.closed and sgn * self.knots[-1] < sgn * t:
-            knot = self.anchor + sgn * _grid_offset(self._grid, self.density)
+            # grid knot k lies 2^k from the anchor, at inf past the float range
+            k = self._grid
+            knot = self.anchor + sgn * (math.ldexp(1.0, k) if k < 1024 else math.inf)
             if self._brk < len(self.breaks) and sgn * self.breaks[self._brk] <= sgn * knot:
                 if self.breaks[self._brk] == knot:
                     self._grid += 1
@@ -306,26 +287,24 @@ class _Side:
 class AnchoredMap:
     """Cumulative integral t -> int_anchor^t f whose value depends only on t.
 
-    Knots lie on a fixed grid anchored at `anchor` (`density` per unit up
-    to a distance of 1, then `density` per octave), and the breakpoints are
-    knots too.
+    Knots lie at anchor +- 2^k for k >= 0, and the breakpoints are knots
+    too, so a march from the anchor by doubling steps lands on knots.
     Each cell between knots is integrated whole, and a knot's value is the
     math.fsum of the cells between it and the anchor.  A value adds one
     partial panel from the inner knot of t's cell, or from the outer knot
     when the inner one is a breakpoint (a panel starting there would be
     graded toward the kink on every query).  So a value depends only on
-    (f, anchor, breaks, domain, density, t), never on earlier queries or on the
+    (f, anchor, breaks, domain, t), never on earlier queries or on the
     batch it is asked in.  At most MEMO_SIZE values are remembered; the
     knots grow with the queried range only.  Thread-safe.
     """
 
-    def __init__(self, f, anchor: float, breaks=(), domain=(-math.inf, math.inf),
-                 density: int = GRID_DENSITY):
+    def __init__(self, f, anchor: float, breaks=(), domain=(-math.inf, math.inf)):
         self._f = f
         self._breaks = tuple(breaks)
         self.anchor = float(anchor)
         t_min, t_max = domain
-        self._sides = {sgn: _Side(sgn, self.anchor, end, self._breaks, density)
+        self._sides = {sgn: _Side(sgn, self.anchor, end, self._breaks)
                        for sgn, end in ((1.0, t_max), (-1.0, t_min))}
         self._memo: dict[float, float] = {}
         self._lock = threading.Lock()

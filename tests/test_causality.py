@@ -191,7 +191,7 @@ def test_cumulative_maps_independent_of_query_history(name):
 def test_dropped_profile_frees_its_maps_without_the_cycle_collector():
     prof = _fresh("c1power")
     cone_time(prof, 0.5)
-    # the affine bound marches the shared flat map to t0 + 2^74
+    # the affine bound marches maps of its own to t0 + 2^74
     assert affine_bound(prof, P(0.1, 0.0), V(1.0, 0.0)) == math.inf
     refs = (weakref.ref(prof), weakref.ref(prof._maps["flat"]))
     gc.disable()

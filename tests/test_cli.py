@@ -65,6 +65,18 @@ def test_geodesic_scalar_overflow_exits_cleanly(capsys, method):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("method", ["ode", "quadrature", "both"])
+def test_geodesic_underflowed_data_exits_cleanly(capsys, method):
+    # a(-400) = e^-800 underflows to 0: kappa = eps = 0, and RK4 divides by a
+    code, out, err = run(capsys, "geodesic", "--profile", "exp2t", "--p=-400,0",
+                         "--v", "1e174,0", "--smax", "1", "--step", "0.5",
+                         "--method", method)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_geodesic_unknown_profile_exits_1(capsys):
     code, _, err = run(capsys, "geodesic", "--profile", "nosuch", "--p", "0,0",
                        "--v", "1,0", "--smax", "1", "--step", "0.1")

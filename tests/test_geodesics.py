@@ -10,6 +10,7 @@ from lorlab import (
     Inextendible,
     InextendibleCertificate,
     NotCausal,
+    QuadratureError,
     SpacetimePoint,
     StepTooLarge,
     TangentVector,
@@ -369,6 +370,28 @@ def test_affine_bound_matches_certificate():
         0.5, abs=1e-6
     )
     assert affine_bound(get_profile("minkowski"), P(0, 0), V(1, 0)) == math.inf
+
+
+def test_geodesics_integrate_on_maps_of_their_own():
+    # c1power has b == 1 and no closed form; its shared flat map stays empty
+    prof = _fresh("c1power")
+    assert affine_bound(prof, P(0.5, 0.0), V(1.0, 0.0)) == math.inf
+    geodesic_states(prof, P(0.5, 0.0), V(1.0, 0.3), np.linspace(0.0, 5.0, 51))
+    assert [side.cells for side in prof._maps["flat"]._sides.values()] == [[], []]
+
+
+def test_nan_affine_parameter_is_not_an_infinite_bound():
+    # the floor is checked on +-20 only: a(t) = 1 + t / 1000 vanishes at t = -1000
+    lin = MetricProfile("lin", (const(1.0), linear(1e-3)), (const(1.0),), alpha=0.9)
+    for v in (V(-1.0, 0.0), V(-1.0, 0.5)):
+        with pytest.raises(QuadratureError, match="NaN at T = "):
+            affine_bound(lin, P(0.0, 0.0), v)
+
+
+def test_underflowed_conserved_quantities_raise():
+    # a(-400) = e^-800 underflows to 0, so kappa = eps = 0
+    with pytest.raises(QuadratureError, match="underflow"):
+        affine_bound(get_profile("exp2t"), P(-400.0, 0.0), V(1e174, 0.0))
 
 
 # -- exp continuity ------------------------------------------------------------------

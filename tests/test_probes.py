@@ -1,6 +1,9 @@
 import math
+import subprocess
+import sys
 from collections import deque
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -514,3 +517,11 @@ def test_probes_match_scalar_route(case):
     got = probe_condition_a(prof, cfg.p, cfg.q, cfg.ca_direction, cfg.ca_bounds)
     want = scalar_probe_condition_a(prof, cfg.p, cfg.q, cfg.ca_direction, cfg.ca_bounds)
     assert repr(got) == repr(want)
+
+
+def test_catalog_probe_script_passes():
+    # the catalog-verdict gate: every probe fails on strip01 and holds elsewhere
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_catalog_probes.py"
+    done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr

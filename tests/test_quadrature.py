@@ -12,10 +12,10 @@ from lorlab.quadrature import (
     MEMO_SIZE,
     AnchoredMap,
     ClosedFormMap,
+    _panel_edges,
+    _rule_nodes,
     bracketed_root,
-    panel_integral,
     panel_integrals,
-    panel_rule,
     toward_end,
 )
 
@@ -23,37 +23,37 @@ from oracles import simpson_integral
 
 
 def test_panel_integral_exponential():
-    got = panel_integral(np.exp, 0.0, 1.0)
+    got = panel_integrals(np.exp, [0.0], [1.0])[0]
     assert got == pytest.approx(math.e - 1.0, abs=1e-12)
 
 
 def test_panel_integral_orientation():
-    got = panel_integral(np.exp, 1.0, 0.0)
+    got = panel_integrals(np.exp, [1.0], [0.0])[0]
     assert got == pytest.approx(-(math.e - 1.0), abs=1e-12)
 
 
 def test_panel_integral_kink_at_endpoint():
-    got = panel_integral(lambda u: np.abs(u) ** 1.5, 0.0, 1.0, breaks=(0.0,))
+    got = panel_integrals(lambda u: np.abs(u) ** 1.5, [0.0], [1.0], breaks=(0.0,))[0]
     assert got == pytest.approx(0.4, abs=1e-11)
 
 
 def test_panel_integral_interior_kink():
-    got = panel_integral(lambda u: np.abs(u) ** 1.5, -1.0, 1.0, breaks=(0.0,))
+    got = panel_integrals(lambda u: np.abs(u) ** 1.5, [-1.0], [1.0], breaks=(0.0,))[0]
     assert got == pytest.approx(0.8, abs=1e-11)
 
 
 def test_panel_integral_against_simpson():
     f = lambda u: np.sqrt(1.0 + np.abs(u) ** 1.5)
-    got = panel_integral(f, -0.5, 2.0, breaks=(0.0,))
+    got = panel_integrals(f, [-0.5], [2.0], breaks=(0.0,))[0]
     want = simpson_integral(f, -0.5, 2.0)
     assert got == pytest.approx(want, abs=5e-11)
 
 
 def test_panel_integral_exact_for_constants():
     one = lambda u: np.ones_like(u)
-    assert panel_integral(one, 0.25, 0.3) == 0.3 - 0.25
-    assert panel_integral(one, 0.7, 0.1) == -(0.7 - 0.1)
-    assert panel_integral(one, -1.0, 2.0) == 3.0
+    assert panel_integrals(one, [0.25], [0.3])[0] == 0.3 - 0.25
+    assert panel_integrals(one, [0.7], [0.1])[0] == -(0.7 - 0.1)
+    assert panel_integrals(one, [-1.0], [2.0])[0] == 3.0
 
 
 def test_panel_integrals_match_scalar_calls():
@@ -62,12 +62,12 @@ def test_panel_integrals_match_scalar_calls():
     los = rng.uniform(-1.0, 1.0, 40)
     his = los + rng.uniform(-0.5, 0.5, 40)
     got = panel_integrals(f, los, his, breaks=(0.0,))
-    want = [panel_integral(f, lo, hi, breaks=(0.0,)) for lo, hi in zip(los, his)]
+    want = [panel_integrals(f, [lo], [hi], breaks=(0.0,))[0] for lo, hi in zip(los, his)]
     assert got.tolist() == want
 
 
 def test_panel_rule_weights_sum_to_length():
-    xs, w = panel_rule(0.0, 3.0, breaks=(1.0,), m=2)
+    xs, w = _rule_nodes(_panel_edges(0.0, 3.0, (1.0,)), 2)
     assert w.sum() == pytest.approx(3.0, abs=1e-12)
     assert ((xs > 0.0) & (xs < 3.0)).all()
 
@@ -89,36 +89,30 @@ def test_closed_form_map_overflows_to_signed_inf():
 
 
 def test_anchored_map_values():
+    # the knots lie 2^k from the anchor
     am = AnchoredMap(np.exp, 0.0)
-    for t in (1.0, 0.5, -1.0, 7.3, -20.0, 1e-7):
-        assert am(t) == pytest.approx(math.expm1(t), rel=1e-13, abs=1e-15)
-    strip = AnchoredMap(lambda u: 1.0 / (1.0 + u * u), 0.5, domain=(0.0, 1.0))
-    for t in (1e-9, 0.2, 0.5, 0.93, 1.0 - 1e-9):
-        assert strip(t) == pytest.approx(math.atan(t) - math.atan(0.5), abs=1e-13)
-
-
-def test_sparse_anchored_map():
-    # one knot per unit and per octave: the knots lie 2^k from the anchor
-    am = AnchoredMap(np.exp, 0.0, density=1)
     for t in (1.0, 0.5, -1.0, 7.3, -20.0, 1e-7):
         assert am(t) == pytest.approx(math.expm1(t), rel=1e-13, abs=1e-15)
     assert am._sides[1.0].knots[:5] == [0.0, 1.0, 2.0, 4.0, 8.0]
     # a value integrates only the cells before the knot it starts from
-    fresh = AnchoredMap(np.exp, 0.0, density=1)
+    fresh = AnchoredMap(np.exp, 0.0)
     assert fresh(0.5) == am(0.5)
     assert fresh._sides[1.0].cells == []
     f = lambda u: np.sqrt(1.0 + np.abs(u - 0.3) ** 1.5)
-    make = lambda: AnchoredMap(f, 0.0, breaks=(0.3,), density=1)
+    make = lambda: AnchoredMap(f, 0.0, breaks=(0.3,))
     ts = np.random.default_rng(5).uniform(-9.0, 9.0, 32)
     ts[:3] = (0.3, 4.0, -2.0)  # a breakpoint and two knots
     assert make().many(ts).tolist() == [make()(t) for t in ts]
+    strip = AnchoredMap(lambda u: 1.0 / (1.0 + u * u), 0.5, domain=(0.0, 1.0))
+    for t in (1e-9, 0.2, 0.5, 0.93, 1.0 - 1e-9):
+        assert strip(t) == pytest.approx(math.atan(t) - math.atan(0.5), abs=1e-13)
 
 
 def test_anchored_map_independent_of_history_batch_and_threads():
     f = lambda u: np.sqrt(1.0 + np.abs(u - 0.3) ** 1.5)
     make = lambda: AnchoredMap(f, 0.0, breaks=(0.3,))
     ts = np.random.default_rng(4).uniform(-3.0, 3.0, 48)
-    ts[:3] = (0.3, 0.3 + 1e-6, 0.0625)  # a breakpoint, beside it, a grid knot
+    ts[:3] = (0.3, 0.3 + 1e-6, 2.0)  # a breakpoint, beside it, a grid knot
     want = [make()(t) for t in ts]  # each from a map that saw nothing else
     assert make().many(ts).tolist() == want
     shared = make()
