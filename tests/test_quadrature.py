@@ -89,7 +89,16 @@ def test_closed_form_map_overflows_to_signed_inf():
 
 
 def test_anchored_map_values():
-    # the knots lie 2^k from the anchor
+    am = AnchoredMap(np.exp, 0.0)
+    for t in (1.0, 0.5, -1.0, 7.3, -20.0, 1e-7):
+        assert am(t) == pytest.approx(math.expm1(t), rel=1e-13, abs=1e-15)
+    strip = AnchoredMap(lambda u: 1.0 / (1.0 + u * u), 0.5, domain=(0.0, 1.0))
+    for t in (1e-9, 0.2, 0.5, 0.93, 1.0 - 1e-9):
+        assert strip(t) == pytest.approx(math.atan(t) - math.atan(0.5), abs=1e-13)
+
+
+def test_sparse_anchored_map():
+    # one knot per unit and per octave: the knots lie 2^k from the anchor
     am = AnchoredMap(np.exp, 0.0)
     for t in (1.0, 0.5, -1.0, 7.3, -20.0, 1e-7):
         assert am(t) == pytest.approx(math.expm1(t), rel=1e-13, abs=1e-15)
@@ -103,9 +112,6 @@ def test_anchored_map_values():
     ts = np.random.default_rng(5).uniform(-9.0, 9.0, 32)
     ts[:3] = (0.3, 4.0, -2.0)  # a breakpoint and two knots
     assert make().many(ts).tolist() == [make()(t) for t in ts]
-    strip = AnchoredMap(lambda u: 1.0 / (1.0 + u * u), 0.5, domain=(0.0, 1.0))
-    for t in (1e-9, 0.2, 0.5, 0.93, 1.0 - 1e-9):
-        assert strip(t) == pytest.approx(math.atan(t) - math.atan(0.5), abs=1e-13)
 
 
 def test_anchored_map_independent_of_history_batch_and_threads():
