@@ -39,7 +39,7 @@ from .profiles import (
     TangentVector,
     classify_vector,
 )
-from .quadrature import AnchoredMap, ClosedFormMap, _flat_map, toward_end
+from .quadrature import AnchoredMap, ClosedFormMap, _flat_map, in_blocks, toward_end
 
 DRIFT_TOL = 1e-6   # allowed conserved-quantity drift per unit affine parameter
 INVERT_TOL = 1e-12  # relative tolerance of the quadrature inversion in T
@@ -281,12 +281,14 @@ class _Quadrature:
     The rate ds/dT (Newton's slope, and 1 / (dt/ds) in rows) is the
     integrand of the s map: k e^{rT} for a closed form, which stays finite
     where a itself overflows (exp2t past t ~ 355), else
-    sqrt(a / (kappa^2 / b - eps)).
+    sqrt(a / (kappa^2 / b - eps)).  t_sign maps T to the caller's time:
+    -1 when the caller reflected past-directed data.
     """
 
-    def __init__(self, profile: MetricProfile, p: SpacetimePoint, cons: ConservedQuantities):
+    def __init__(self, profile: MetricProfile, p: SpacetimePoint, cons: ConservedQuantities,
+                 t_sign: float = 1.0):
         profile.require_inside(p.t)
-        self.profile = profile
+        self.profile, self.t_sign = profile, t_sign
         self.t0 = t0 = p.t
         self.x0 = x0 = p.x
         self.kappa = kappa = cons.kappa
@@ -323,46 +325,40 @@ class _Quadrature:
 
             x_map = anchored(f_x)
             self.x_at = lambda ts: x0 + x_map.many(ts)
-        # the march from t0 toward the domain end: its times, the points
-        # (T, s(T)) computed so far, and once it has ended the affine bound
-        # (None when an unbounded march saw none)
+        # the march from t0 toward the domain end: its points (T, s(T)) in
+        # blocks, those computed so far, and once it has ended the affine
+        # bound (None when an unbounded march saw none)
         finite = math.isfinite(profile.t_max)
-        self._ts = list(islice(toward_end(t0, profile.t_max), 49 if finite else 75))
+        self._march = in_blocks(lambda ts: s_map.many(ts).tolist(),
+                                islice(toward_end(t0, profile.t_max), 49 if finite else 75))
         self._points, self._stall, self._ended, self._total = [], 0, False, None
 
     def _extend(self) -> None:
-        """Compute the next block of march points, or end the march.
+        """Compute the next march point, or end the march.
 
-        Blocks hold 1, 1, 2, 4, 8, 8, ... points: a near target costs one
-        map call of one point, and no call holds enough of the march to
-        raise peak memory.  s(T) is strictly increasing, so the march ends
+        s(T) is mapped over the march in blocks of 1, 1, 2, 4, 8, 8, ...
+        points (in_blocks).  s(T) is strictly increasing, so the march ends
         when s overflows (bound inf), stalls at the affine length available,
         or runs out of points: at a finite end the last s is the bound.  A
         NaN s raises QuadratureError: it is not an overflow.
         """
-        pts, k = self._points, len(self._points)
+        pts = self._points
         finite = math.isfinite(self.profile.t_max)
         prev = pts[-1][1] if pts else 0.0
-        block = self._ts[k:k + min(max(k, 1), 8)]
-        if not block:
+        T, sT = next(self._march, (None, prev))
+        if T is None:
             self._ended, self._total = True, prev if finite else None
             return
-        for T, sT in zip(block, self.s_at(np.array(block)).tolist()):
-            if math.isnan(sT):
-                raise QuadratureError(
-                    f"affine parameter s(T) is NaN at T = {T!r}: the metric "
-                    "degenerates before this point")
-            pts.append((T, sT))
-            if not math.isfinite(sT):
-                self._ended, self._total = True, math.inf
-                return
-            self._stall = self._stall + 1 if sT - prev < _stall_gate(sT) else 0
-            # an unbounded march waits one step longer: the affine length
-            # can converge although t escapes to infinity
-            if self._stall >= (2 if finite else 3):
-                self._ended, self._total = True, sT
-                return
-            prev = sT
+        if math.isnan(sT):
+            raise QuadratureError(
+                f"affine parameter s(T) is NaN at T = {self.t_sign * T!r}: the metric "
+                "degenerates before this point")
+        pts.append((T, sT))
+        self._stall = self._stall + 1 if sT - prev < _stall_gate(sT) else 0
+        # an unbounded march waits one step longer: the affine length can
+        # converge although t escapes to infinity
+        if not math.isfinite(sT) or self._stall >= (2 if finite else 3):
+            self._ended, self._total = True, sT
 
     def _bracket(self, s: float):
         """(s, lo, hi, s(lo), s(hi)) around s from consecutive march points,
@@ -527,8 +523,10 @@ def causal_exp(
         except Inextendible as exc:
             return exc.certificate
     rprof, rp, rv = _reflect(profile, p, v)
+    _require_future_causal(rprof, rp, rv, eps_null)
+    cons = conserved_quantities(rprof, rp, rv)
     try:
-        out = quadrature_advance(rprof, rp, rv, 1.0, eps_null=eps_null)
+        out = _Quadrature(rprof, rp, cons, t_sign=-1.0).point_at(1.0)
     except Inextendible as exc:
         cert = exc.certificate
         return InextendibleCertificate(cert.max_param, -cert.t_boundary, cert.x_limit)
@@ -545,9 +543,10 @@ def affine_bound(
     char = classify_vector(profile, p, v, eps_null=eps_null)
     if not char.is_causal:
         raise NotCausal(f"vector {v} is {char.kind}, need timelike or null")
-    if not v.tau0 > 0.0:
+    t_sign = 1.0 if v.tau0 > 0.0 else -1.0
+    if t_sign < 0.0:
         profile, p, v = _reflect(profile, p, v)
-    return _Quadrature(profile, p, conserved_quantities(profile, p, v)).bound()
+    return _Quadrature(profile, p, conserved_quantities(profile, p, v), t_sign).bound()
 
 
 def exp_continuity_probe(
@@ -598,9 +597,10 @@ def uniqueness_witness(
     """
     if v.tau0 == 0.0:
         raise NotCausal("uniqueness witness requires tau0 != 0")
-    if v.tau0 < 0.0:
+    t_sign = math.copysign(1.0, v.tau0)
+    if t_sign < 0.0:
         profile, p, v = _reflect(profile, p, v)
-    quad = _Quadrature(profile, p, conserved_quantities(profile, p, v))
+    quad = _Quadrature(profile, p, conserved_quantities(profile, p, v), t_sign)
     s_checks = [s_max * i / n_checks for i in range(1, n_checks + 1)]
     T = quad.times(s_checks)
     if len(T) < n_checks:

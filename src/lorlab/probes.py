@@ -4,8 +4,8 @@ Finite compactness is probed through the region
 
     K1 = { x : p << q <= x, T(p, x) <= B },
 
-traced slice by slice in t; the probe holds when the region's time extent
-terminates strictly inside the domain (bounded) at a slice the region
+traced on slices of constant t; the probe holds when the region's time
+extent terminates strictly inside the domain (bounded) at a slice the region
 actually attains (closed in domain), which is compactness in the 1+1 chart
 by Heine-Borel.  The divergence condition is probed along an inextendible
 causal geodesic from q: for each supplied bound B the probe reports the
@@ -14,9 +14,11 @@ T observed when the geodesic dies first.  Timelike Cauchy completeness is
 probed on a supplied chronological sequence with vanishing forward gaps.
 
 Every T comes from the batched pair path, lorentzian_distance bit for bit
-(replay_witness alone calls that); the level crossings of all traced slices
-are the rows of one root search, as are the condition-A bounds passed at
-one march step.
+(replay_witness alone calls that).  Both marches compute their slices or
+points in blocks of 1, 1, 2, 4, 8 (in_blocks; one point per block with
+b != 1) and the trace is one batch of slices; the level crossings of all
+traced slices are the rows of one root search, as are the condition-A
+bounds passed at one march step.
 
 No finite computation can certify a universally quantified condition, so a
 passing verdict is always "holds_on_probe"; failing verdicts carry a
@@ -28,11 +30,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import combinations, islice
 
 import numpy as np
 
-from .causality import _relation, _separations, causally_related, cone_time, lorentzian_distance
+from .causality import _relation, _separations, causally_related, lorentzian_distance
 from .errors import NotCausal, NotChronological, PremiseViolated
 from .geodesics import _Quadrature, conserved_quantities
 from .profiles import (
@@ -42,7 +44,7 @@ from .profiles import (
     TangentVector,
     classify_vector,
 )
-from .quadrature import _cone_map, bracketed_root, toward_end
+from .quadrature import _cone_map, bracketed_root, in_blocks, toward_end
 
 HOLDS = "holds_on_probe"
 FAILS = "fails_with_witness"
@@ -121,31 +123,40 @@ def _tvals(profile, p, ts, xs, eps_null):
     return _separations(profile, p.t, p.x, ts, xs, cone.many(ts) - cone(p.t), eps_null)[0]
 
 
+def _march_cap(profile):
+    """Largest block of a probe march: 1 with b != 1, where every T is a
+    shooting solve that costs more the farther its point, so that no point
+    past the march's stop is computed."""
+    return 8 if profile.has_unit_b else 1
+
+
 # -- finite compactness --------------------------------------------------------
 
 
-def _slice_scan(profile, p, q, B, t, nx, eps_null):
-    """(min_T, keep_lo, keep_hi, xs, Ts) on the cone slice of q at time t."""
-    cone_t = cone_time(profile, t)
-    half = cone_t - cone_time(profile, q.t)
-    xs = np.linspace(q.x - half, q.x + half, nx) if half > 0.0 else np.array([q.x])
-    Ts = _separations(profile, p.t, p.x, t, xs, cone_t - cone_time(profile, p.t), eps_null)[0]
+def _slices(profile, p, q, B, ts, nx, eps_null):
+    """(min_T, keep_lo, keep_hi, xs, Ts) on the cone slices of q at the times
+    ts: xs and Ts hold one row of nx points per slice, and a slice at or
+    below q.t is nx copies of q.x.  A slice keeping no point has nan bounds."""
+    ts = np.asarray(ts, dtype=float)
+    cone = _cone_map(profile)
+    cone_ts = cone.many(ts)
+    half = cone_ts - cone(q.t)
+    xs = np.full((len(ts), nx), float(q.x))
+    wide = half > 0.0  # one zero-width row makes linspace round every row its own way
+    xs[wide] = np.linspace(q.x - half[wide], q.x + half[wide], nx, axis=1)
+    Ts = _separations(profile, p.t, p.x, ts[:, None], xs,
+                      (cone_ts - cone(p.t))[:, None], eps_null)[0]
     keep = Ts <= B
-    if keep.any():
-        lo = float(xs[keep][0])
-        hi = float(xs[keep][-1])
-    else:
-        lo = hi = math.nan
-    return float(Ts.min()), lo, hi, xs, Ts
+    kept, rows = keep.any(axis=1), np.arange(len(ts))
+    lo = np.where(kept, xs[rows, keep.argmax(axis=1)], math.nan)
+    hi = np.where(kept, xs[rows, nx - 1 - keep[:, ::-1].argmax(axis=1)], math.nan)
+    return Ts.min(axis=1), lo, hi, xs, Ts
 
 
 def k1_slices(profile, p, q, B, ts, nx=65, eps_null=EPS_NULL):
     """Keep-interval rows (t, x_keep_lo, x_keep_hi, min_T) for given times."""
-    rows = []
-    for t in ts:
-        min_t, lo, hi, _, _ = _slice_scan(profile, p, q, B, float(t), nx, eps_null)
-        rows.append((float(t), lo, hi, min_t))
-    return np.asarray(rows, dtype=float)
+    min_T, lo, hi, _, _ = _slices(profile, p, q, B, ts, nx, eps_null)
+    return np.column_stack([ts, lo, hi, min_T])
 
 
 def probe_finite_compactness(
@@ -158,7 +169,7 @@ def probe_finite_compactness(
     eps_null: float = EPS_NULL,
 ) -> tuple[ProbeReport, K1Region]:
     """Trace K1 = {x : p << q <= x, T(p, x) <= B} and judge its compactness."""
-    if B <= 0.0:
+    if not B > 0.0:  # a nan bound would pass every slice and fake an escape
         raise ValueError("bound B must be positive")
     _require_chronological(profile, p, q, eps_null)
     base_witness = {"p": (p.t, p.x), "q": (q.t, q.x), "bound": float(B)}
@@ -166,22 +177,22 @@ def probe_finite_compactness(
     T_pq = float(_tvals(profile, p, [q.t], [q.x], eps_null)[0])
     if T_pq > B:
         region = K1Region(p, q, B, np.empty((0, 4)), [], True, True)
-        report = ProbeReport(
-            "finite_compactness", HOLDS, dict(base_witness, empty=True, t_top=q.t)
-        )
-        return report, region
+        witness = dict(base_witness, empty=True, t_top=q.t)
+        return ProbeReport("finite_compactness", HOLDS, witness), region
 
     # march the slice level toward the domain end until the region empties;
     # the slice at q.t is the single point q, so its minimum is T(p, q)
+    def scan(ts):  # (min_T, x_keep_lo, x_keep_hi) of each slice
+        return zip(*(v.tolist() for v in _slices(profile, p, q, B, ts, nx, eps_null)[:3]))
+
     marched = []  # (t, x_keep_lo, x_keep_hi, min_T) of every slice passed
     t_prev, g_prev = q.t, T_pq - B
     n_march = 40 if math.isfinite(profile.t_max) else 70
-    for t in islice(toward_end(q.t, profile.t_max, max(1e-2, 1e-2 * abs(B))), n_march):
-        min_T, lo, hi, _, _ = _slice_scan(profile, p, q, B, t, nx, eps_null)
+    march = islice(toward_end(q.t, profile.t_max, max(1e-2, 1e-2 * abs(B))), n_march)
+    for t, (min_T, lo, hi) in in_blocks(scan, march, _march_cap(profile)):
         if min_T > B:
             t_top = float(bracketed_root(
-                lambda u: np.array([
-                    _slice_scan(profile, p, q, B, u.item(0), nx, eps_null)[0] - B]),
+                lambda u: _slices(profile, p, q, B, u, nx, eps_null)[0] - B,
                 [t_prev], [t], [g_prev], [min_T - B], xtol=1e-9,
             )[0])
             break
@@ -193,38 +204,25 @@ def probe_finite_compactness(
         mids = [(t, 0.5 * (lo + hi)) for t, lo, hi, _ in marched]
         slices = np.asarray(marched, dtype=float).reshape(-1, 4)
         region = K1Region(p, q, B, slices, [], False, False)
-        report = ProbeReport(
-            "finite_compactness",
-            FAILS,
-            dict(
-                base_witness,
-                escaping_points=mids,
-                escaping_T=_tvals(profile, p, *np.array(mids).reshape(-1, 2).T, eps_null).tolist(),
-                t_boundary=float(profile.t_max),
-            ),
-        )
+        escaping_T = _tvals(profile, p, *np.array(mids).reshape(-1, 2).T, eps_null).tolist()
+        report = ProbeReport("finite_compactness", FAILS, dict(
+            base_witness, escaping_points=mids, escaping_T=escaping_T,
+            t_boundary=float(profile.t_max)))
         return report, region
 
-    # trace the capped region: one scan per slice gives its row, its cone
-    # edges and the sample cells where T(p, (t, .)) crosses B
-    rows, edges, cells = [], [], []
-    for t in np.linspace(q.t, t_top, n_trace).tolist():
-        min_T, lo, hi, xs, Ts = _slice_scan(profile, p, q, B, t, nx, eps_null)
-        rows.append((t, lo, hi, min_T))
-        for i in np.flatnonzero((Ts[:-1] <= B) != (Ts[1:] <= B)).tolist():
-            cells.append((t, xs[i], xs[i + 1], Ts[i] - B, Ts[i + 1] - B))
-        if not math.isnan(lo):
-            edges += [(t, float(xs[0])), (t, float(xs[-1]))]
-    ct, xlo, xhi, glo, ghi = np.array(cells).reshape(-1, 5).T
-    roots = bracketed_root(
-        lambda x: _tvals(profile, p, ct, x, eps_null) - B, xlo, xhi, glo, ghi, xtol=1e-9
-    )
+    # trace the capped region in one scan: its rows, its cone edges and the
+    # sample cells where T(p, (t, .)) crosses B, listed slice by slice
+    ts = np.linspace(q.t, t_top, n_trace)
+    min_T, lo, hi, xs, Ts = _slices(profile, p, q, B, ts, nx, eps_null)
+    r, i = np.nonzero((Ts[:, :-1] <= B) != (Ts[:, 1:] <= B))
+    roots = bracketed_root(lambda x: _tvals(profile, p, ts[r], x, eps_null) - B,
+                           xs[r, i], xs[r, i + 1], Ts[r, i] - B, Ts[r, i + 1] - B, xtol=1e-9)
+    kept = np.flatnonzero(~np.isnan(lo))
+    edges = zip(np.repeat(ts[kept], 2).tolist(), xs[kept][:, [0, -1]].ravel().tolist())
     # a stable sort keeps each slice's crossings ahead of its cone edges
-    boundary = sorted([*zip(ct.tolist(), roots.tolist()), *edges], key=lambda pt: pt[0])
-    region = K1Region(p, q, B, np.asarray(rows, dtype=float), boundary, True, True)
-    report = ProbeReport(
-        "finite_compactness", HOLDS, dict(base_witness, t_top=float(t_top))
-    )
+    boundary = sorted([*zip(ts[r].tolist(), roots.tolist()), *edges], key=lambda pt: pt[0])
+    region = K1Region(p, q, B, np.column_stack([ts, lo, hi, min_T]), boundary, True, True)
+    report = ProbeReport("finite_compactness", HOLDS, dict(base_witness, t_top=float(t_top)))
     return report, region
 
 
@@ -245,6 +243,9 @@ def probe_condition_a(
     report records the first parameter with T > B, or the supremum of T
     observed when the geodesic dies with T capped below B.
     """
+    bounds = sorted({float(B) for B in B_list})
+    if not bounds or not all(B > 0.0 for B in bounds):
+        raise ValueError("condition A needs at least one bound, and every bound positive")
     _require_chronological(profile, p, q, eps_null)
     char = classify_vector(profile, q, v, eps_null=eps_null)
     if not char.is_causal:
@@ -256,28 +257,33 @@ def probe_condition_a(
 
     # march s toward the affine bound; each bound is bracketed between the
     # last march point below it and the first one above it
+    def along(ss):  # t, x and T(p, gamma(s)) at the parameters ss
+        ts = quad.times(ss)
+        xs = quad.x_at(ts)
+        return ts, xs, _tvals(profile, p, ts, xs, eps_null)
+
     T_prev = float(_tvals(profile, p, [q.t], [q.x], eps_null)[0])
-    bounds = sorted({float(B) for B in B_list})
     crossings = {B: 0.0 for B in bounds if T_prev > B}
     pending = [B for B in bounds if B not in crossings]
     s_prev = 0.0
     tail = deque(maxlen=5)  # the last march points, the witness of a capped T
-    for s in islice(toward_end(0.0, bound), 45 if math.isfinite(bound) else 90):
-        if not pending:
-            break
-        pt = quad.point_at(s)
-        T = float(_tvals(profile, p, [pt.t], [pt.x], eps_null)[0])
+    march = islice(toward_end(0.0, bound), 45 if math.isfinite(bound) else 90)
+    points = in_blocks(lambda ss: zip(*(v.tolist() for v in along(ss))), march,
+                       _march_cap(profile))
+    # a block is computed when its first point is asked for: ask for none
+    # once every bound is passed
+    for s, (t, x, T) in points if pending else ():
         passed = np.array([B for B in pending if T > B])  # pending ascends: a prefix
         if len(passed):
             del pending[:len(passed)]
-            def g(u):
-                ts = quad.times(u)
-                return _tvals(profile, p, ts, quad.x_at(ts), eps_null) - passed
-            roots = bracketed_root(g, np.full_like(passed, s_prev), np.full_like(passed, s),
-                                   T_prev - passed, T - passed, xtol=1e-10)
+            roots = bracketed_root(lambda u: along(u)[2] - passed, np.full_like(passed, s_prev),
+                                   np.full_like(passed, s), T_prev - passed, T - passed,
+                                   xtol=1e-10)
             crossings.update(zip(passed.tolist(), roots.tolist()))
-        tail.append((s, pt.t, pt.x, T))
+        tail.append((s, t, x, T))
         s_prev, T_prev = s, T
+        if not pending:
+            break
     crossings.update((B, None) for B in pending)
 
     witness = {
@@ -336,41 +342,21 @@ def probe_timelike_cauchy(
         raise PremiseViolated(i, f"T(x_{i}, x_{j}) = {gap!r} exceeds B_{i} = {bounds[i]!r}")
 
     k = max(3, len(pts) // 4)
-    tail = pts[-k:]
-    diam = 0.0
-    for i in range(len(tail)):
-        for j in range(i + 1, len(tail)):
-            diam = max(
-                diam,
-                math.hypot(tail[i].t - tail[j].t, tail[i].x - tail[j].x),
-            )
+    tail_payload = [(pt.t, pt.x) for pt in pts[-k:]]
+    diam = max(math.dist(a, b) for a, b in combinations(tail_payload, 2))
     limit = pts[-1]
     bdist = min(limit.t - profile.t_min, profile.t_max - limit.t)
     margin = max(100.0 * diam, 1e-9)
-    tail_payload = [(pt.t, pt.x) for pt in tail]
     if bdist <= margin:
         boundary_t = profile.t_max if (profile.t_max - limit.t) <= margin else profile.t_min
-        return ProbeReport(
-            "timelike_cauchy",
-            FAILS,
-            {
-                "tail": tail_payload,
-                "boundary_t": float(boundary_t),
-                "boundary_distance": float(bdist),
-                "tail_diameter": float(diam),
-            },
-        )
+        return ProbeReport("timelike_cauchy", FAILS, {
+            "tail": tail_payload, "boundary_t": float(boundary_t),
+            "boundary_distance": float(bdist), "tail_diameter": float(diam)})
     if diam <= tol:
-        return ProbeReport(
-            "timelike_cauchy",
-            HOLDS,
-            {"limit": (limit.t, limit.x), "tail_diameter": float(diam)},
-        )
-    return ProbeReport(
-        "timelike_cauchy",
-        FAILS,
-        {"tail": tail_payload, "tail_diameter": float(diam), "non_convergent": True},
-    )
+        return ProbeReport("timelike_cauchy", HOLDS,
+                           {"limit": (limit.t, limit.x), "tail_diameter": float(diam)})
+    return ProbeReport("timelike_cauchy", FAILS, {
+        "tail": tail_payload, "tail_diameter": float(diam), "non_convergent": True})
 
 
 def make_cauchy_sequence(

@@ -21,6 +21,7 @@ import threading
 import weakref
 from bisect import bisect_right
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -448,6 +449,18 @@ def toward_end(start: float, end: float, step: float = 1.0):
             last = t
             yield t
         gap *= 2.0
+
+
+def in_blocks(f, points, cap: int = 8):
+    """Yield (point, f's result) one point at a time, calling the batch
+    function f (a list of points to one result each) on blocks of 1, 1, 2,
+    4, ... points, at most cap.  A block is computed when its first point is
+    asked for, so a march that stops early computes no block past its stop;
+    a block of 8 is too small to raise peak memory, as one of 75 did."""
+    points, done = iter(points), 0
+    while block := list(islice(points, min(max(done, 1), cap))):
+        yield from zip(block, f(block))
+        done += len(block)
 
 
 def bracketed_root(g, lo, hi, glo, ghi, xtol: float = 1e-12) -> np.ndarray:

@@ -277,6 +277,19 @@ def test_probe_strip_fc_exit_2_and_witness_file(capsys, tmp_path, monkeypatch):
     assert "escaping_points" in text
 
 
+@pytest.mark.parametrize("kind, flag", [("ca", "--ca-B=,"), ("ca", "--ca-B=-1"),
+                                        ("ca", "--ca-B=0,10"), ("fc", "--B=nan")])
+def test_probe_rejects_vacuous_bounds(capsys, tmp_path, monkeypatch, kind, flag):
+    # no bound, or one that every T passes or fails, gives no verdict
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "probe", "--profile", "minkowski", "--kind", kind,
+                         "--p", "0,0", "--q", "1,0", flag)
+    assert code == 1
+    assert "holds" not in out and "fails" not in out
+    assert "bound" in err
+    assert not list(tmp_path.glob("witness*"))
+
+
 def test_probe_tcc_kind(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, "probe", "--profile", "strip01", "--kind", "tcc",

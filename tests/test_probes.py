@@ -28,13 +28,14 @@ from lorlab import (
 )
 from lorlab.errors import QuadratureError
 from lorlab.geodesics import _Quadrature, conserved_quantities
+from lorlab import probes
+from lorlab.causality import _separations, cone_time
 from lorlab.probes import (
     FAILS,
     HOLDS,
     K1Region,
     ProbeReport,
     _require_chronological,
-    _slice_scan,
 )
 from lorlab.profiles import EPS_NULL, classify_vector
 from lorlab.quadrature import ROOT_MAX_ITER, toward_end
@@ -105,6 +106,13 @@ def test_fc_requires_positive_bound():
         probe_finite_compactness(get_profile("minkowski"), P(0, 0), P(1, 0), -1.0)
 
 
+def test_fc_rejects_nan_bound():
+    # every min_T > nan is false, so the march would run to the end and
+    # report an escape on Minkowski space
+    with pytest.raises(ValueError):
+        probe_finite_compactness(get_profile("minkowski"), P(0, 0), P(1, 0), math.nan)
+
+
 @pytest.mark.parametrize("name, q, B", [("minkowski", P(1, 0), 5.0),
                                         ("c1power", P(0.5, 0), 5.0)])
 def test_fc_slices_are_k1_slices_of_the_trace(name, q, B):
@@ -113,6 +121,43 @@ def test_fc_slices_are_k1_slices_of_the_trace(name, q, B):
     ts = np.linspace(q.t, rep.witness["t_top"], 48)
     want = k1_slices(prof, P(0, 0), q, B, ts)
     assert region.slices.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name, q, B, dt", [("minkowski", P(1, 0.37), 1.5, 0.7),
+                                            ("c1power", P(0.5, 0.4), 1.2, 0.7),
+                                            ("warpb", P(0.5, 0.1), 0.9, 0.45)])
+@pytest.mark.parametrize("nx", (65, 10))
+def test_k1_slices_are_the_scalar_slice_scans(name, q, B, dt, nx):
+    # rows below q.t, at q.t (half = 0) and past the cap (nothing kept), in
+    # one batch.  With nx = 10 the keep interval of the slice at q.t + dt
+    # starts at a grid point that a batched linspace would round differently
+    # because of the zero-width row (nx - 1 is not a power of 2)
+    prof, p = get_profile(name), P(0, 0)
+    ts = np.array([q.t - 0.25, q.t, q.t + dt, q.t + 9.0])
+    got = k1_slices(prof, p, q, B, ts, nx=nx)
+    want = [(t, lo, hi, min_T)
+            for t in ts.tolist()
+            for min_T, lo, hi, _, _ in [_slice_scan(prof, p, q, B, t, nx, EPS_NULL)]]
+    assert got.tobytes() == np.array(want).tobytes()
+    assert math.isnan(got[-1, 1]) and not math.isnan(got[2, 1])
+
+
+@pytest.mark.parametrize("name, q, B, sizes", [("minkowski", P(1, 0), 5.0, [1, 1, 2, 4, 8]),
+                                               ("warpb", P(0.5, 0), 3.0, [1] * 9)])
+def test_fc_march_scans_in_blocks_but_shoots_nothing_past_its_stop(monkeypatch, name, q, B,
+                                                                    sizes):
+    # both marches stop at their 9th slice; with b != 1 every T is a shooting
+    # solve that costs more the farther its point, so no block runs past it
+    calls, scan = [], probes._slices
+    monkeypatch.setattr(probes, "_slices", lambda *args: calls.append(
+        np.asarray(args[4], dtype=float).tolist()) or scan(*args))
+    rep, _ = probe_finite_compactness(get_profile(name), P(0, 0), q, B)
+    march = list(islice(toward_end(q.t, math.inf, 1e-2 * B), 9))
+    assert march[-2] < rep.witness["t_top"] < march[-1]
+    assert [len(ts) for ts in calls[:len(sizes)]] == sizes
+    assert sum(calls[:len(sizes)], [])[:9] == march
+    if name == "warpb":
+        assert max(max(ts) for ts in calls) == march[-1]
 
 
 def test_k1_nesting_in_bound():
@@ -170,6 +215,13 @@ def test_ca_crossing_at_zero_when_bound_below_Tpq():
                             [1.0])
     assert rep.holds
     assert rep.witness["crossings"][1.0] == 0.0
+
+
+@pytest.mark.parametrize("bounds", ([], [-1.0], [0.0], [5.0, -1.0], [math.nan]))
+def test_ca_rejects_vacuous_bounds(bounds):
+    # no bound, or one that T >= 0 passes at once, makes "holds" say nothing
+    with pytest.raises(ValueError, match="bound"):
+        probe_condition_a(get_profile("minkowski"), P(0, 0), P(1, 0), V(1, 0), bounds)
 
 
 def test_ca_rejects_spacelike_direction():
@@ -350,6 +402,21 @@ def scalar_bracketed_root(g, lo: float, hi: float, glo=None, ghi=None,
                 ghi *= 0.5
             side = -1
     return 0.5 * (lo + hi)
+
+
+def _slice_scan(profile, p, q, B, t, nx, eps_null):
+    """(min_T, keep_lo, keep_hi, xs, Ts) on the cone slice of q at time t."""
+    cone_t = cone_time(profile, t)
+    half = cone_t - cone_time(profile, q.t)
+    xs = np.linspace(q.x - half, q.x + half, nx) if half > 0.0 else np.array([q.x])
+    Ts = _separations(profile, p.t, p.x, t, xs, cone_t - cone_time(profile, p.t), eps_null)[0]
+    keep = Ts <= B
+    if keep.any():
+        lo = float(xs[keep][0])
+        hi = float(xs[keep][-1])
+    else:
+        lo = hi = math.nan
+    return float(Ts.min()), lo, hi, xs, Ts
 
 
 def scalar_tval(profile, p, pt, eps_null):
