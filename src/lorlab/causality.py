@@ -14,9 +14,11 @@ T(p, q) is computed two ways.  When b == 1 the time reparameterization
 tau(t) = int sqrt(a) du flattens the metric to -dtau^2 + dx^2, and T is the
 flat interval sqrt(dtau^2 - dx^2).  Otherwise a maximizing geodesic from p
 to q is found by shooting on the conserved spatial momentum kappa at
-unit-speed normalization; the endpoint x is strictly increasing in kappa
-for this metric family, but a single sign change is still verified and a
-dense scan with max-length root selection is used as a fallback.  On
+unit-speed normalization.  The endpoint x is strictly increasing in kappa:
+the residual is sum w sqrt(a/b) kappa / sqrt(kappa^2 + b) - dx over a
+rule's nodes, each term has derivative w sqrt(a/b) b / (kappa^2 + b)^{3/2}
+> 0, and Gauss weights, panel widths, a and b are all positive.  So every
+pair has exactly one root, solved in its bracket by Newton.  On
 profiles that are not globally hyperbolic the shooting value is only a
 lower bound for the supremum over all causal curves.
 
@@ -191,9 +193,6 @@ EVAL_BUDGET = 1 << 13  # (pair, kappa, node) elements evaluated at once
 SWEEP_BLOCK = 4        # bracket sweep magnitudes tried per pass
 _SWEEP = 2.0 ** np.arange(64)
 _SWEEP_COLS = [np.concatenate([ks, -ks]) for ks in _SWEEP.reshape(-1, SWEEP_BLOCK)]
-_SIDES = np.array([[1.0], [-1.0]])     # residual signs sought at +2^j and -2^j
-_GRID = np.linspace(-1.0, 1.0, 33)     # single-sign-change check of a bracket
-_DENSE = np.linspace(-1.0, 1.0, 1025)  # fallback scan of a bracket
 
 
 class _Rules:
@@ -219,12 +218,11 @@ class _Rules:
         return _Rules(self.wc[rows], self.wl[rows], self.b[rows], self.dx[rows])
 
     def endpoint(self, ks):
-        """Residual of row i at each kappa ks[i, :], or at every kappa of a
-        1-d ks."""
-        out = np.empty((len(self.dx), ks.shape[-1]))
-        step = max(1, EVAL_BUDGET // (ks.shape[-1] * self.b.shape[1]))
+        """Residual of every row at every kappa of the 1-d array ks."""
+        out = np.empty((len(self.dx), len(ks)))
+        step = max(1, EVAL_BUDGET // (len(ks) * self.b.shape[1]))
+        k = ks[:, None]
         for s in range(0, len(out), step):
-            k = ks[s:s + step, :, None] if ks.ndim == 2 else ks[:, None]
             q = np.sqrt(k * k + self.b[s:s + step, None, :])
             out[s:s + step] = (self.wc[s:s + step, None, :] * (k / q)).sum(-1)
         return out - self.dx[:, None]
@@ -240,30 +238,33 @@ class _Rules:
         return (self.wl / np.sqrt(k * k + self.b)).sum(-1)
 
 
-def _roots(rules, lo, hi, rlo, rhi):
-    """Root of each row's residual in its cell [lo, hi], where it changes
-    sign or is 0 at an end.
+def _roots(rules, lo, hi, rlo, rhi, name):
+    """Root of each row's increasing residual in [lo, hi], where it is
+    rlo < 0 at lo and rhi > 0 at hi.
 
     Newton in u = asinh(kappa) from the false-position point, where the
     residual is far less flat than in kappa at large |kappa|; a step that
-    leaves the cell bisects the cell in u instead.  A row stops once its u
-    step is at most XTOL, a kappa change of at most about XTOL max(1, |kappa|).
+    leaves the bracket bisects it in u instead.  A row stops once its u
+    step is at most XTOL, a kappa change of at most about XTOL max(1, |kappa|),
+    or once a step returns onto a bracket end: at large |kappa| the
+    residual's rounding noise can hold Newton in a 2-cycle of wider steps.
+    A row still moving after ROOT_MAX_ITER steps raises ShootingFailed;
+    name(i) describes row i's pair.
     """
     k = np.clip(hi - rhi * (hi - lo) / (rhi - rlo), lo, hi)
     u, ulo, uhi = np.arcsinh(k), np.arcsinh(lo), np.arcsinh(hi)
-    rising = rhi > rlo
     out = np.empty(len(k))
     act = np.arange(len(k))
     for _ in range(ROOT_MAX_ITER):
         r, dr = rules.newton(np.sinh(u))
-        right = (r > 0.0) == rising          # u lies right of the root
+        right = r > 0.0                      # u lies right of the root
         np.copyto(uhi, u, where=right)
         np.copyto(ulo, u, where=~right)
         nu = u - r / (dr * np.cosh(u))
         inside = (ulo <= nu) & (nu <= uhi)
         if np.count_nonzero(inside) < len(u):
             nu = np.where(inside, nu, 0.5 * (ulo + uhi))
-        go = np.abs(nu - u) > XTOL
+        go = (np.abs(nu - u) > XTOL) & (nu != ulo) & (nu != uhi)
         u = nu
         moving = np.count_nonzero(go)
         if not moving:
@@ -271,84 +272,41 @@ def _roots(rules, lo, hi, rlo, rhi):
             return out
         if moving < len(u):
             out[act[~go]] = np.sinh(u[~go])
-            act, rules, rising = act[go], rules.take(go), rising[go]
+            act, rules = act[go], rules.take(go)
             u, ulo, uhi = u[go], ulo[go], uhi[go]
-    out[act] = np.sinh(u)
-    return out
-
-
-def _bracket(rules, name):
-    """Per row, max(2^i, 2^j) for the first i with a residual > 0 at 2^i and
-    the first j with one < 0 at -2^j; rows stop sweeping once both are found.
-
-    The residual tends to +-(cone - |dx|) as kappa -> +-inf, so a
-    chronological pair always brackets.
-    """
-    n = len(rules.dx)
-    # hits[i, 0, j]: residual > 0 at +2^j; hits[i, 1, j]: residual < 0 at -2^j
-    hits = np.zeros((n, 2, len(_SWEEP)), dtype=bool)
-    todo = np.arange(n)
-    for j in range(0, len(_SWEEP), SWEEP_BLOCK):
-        sub = rules if j == 0 else rules.take(todo)
-        res = sub.endpoint(_SWEEP_COLS[j // SWEEP_BLOCK]).reshape(-1, 2, SWEEP_BLOCK)
-        hits[todo, :, j:j + SWEEP_BLOCK] = res * _SIDES > 0.0
-        todo = todo[~hits[todo].any(-1).all(-1)]
-        if not len(todo):
-            return _SWEEP[hits.argmax(-1).max(-1)]
     raise ShootingFailed(
-        f"no endpoint-x sign change for {name(todo[0])} within kappa bracket 2^64"
+        f"kappa of {name(act[0])} did not converge in {ROOT_MAX_ITER} Newton steps"
     )
-
-
-def _dense_roots(rules, bracket):
-    """Rows whose bracket scan did not show a single sign change: every root
-    a 1025-point scan finds, keeping the longest maximizer (ties toward
-    smaller kappa)."""
-    grid = bracket[:, None] * _DENSE
-    res = rules.endpoint(grid)
-    sign = np.sign(res)
-    fr, fc = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
-    er, ec = np.nonzero(sign == 0)
-    owner = np.concatenate([er, fr])
-    roots = np.concatenate([
-        grid[er, ec],
-        _roots(rules.take(fr), grid[fr, fc], grid[fr, fc + 1], res[fr, fc], res[fr, fc + 1]),
-    ])
-    lengths = rules.take(owner).length(roots)
-    kappa, length = np.empty(len(bracket)), np.empty(len(bracket))
-    for i in range(len(bracket)):
-        mine = np.nonzero(owner == i)[0]
-        if not len(mine):
-            raise ShootingFailed("scan at resolution 2^10 found no sign change")
-        best = mine[np.lexsort((roots[mine], -lengths[mine]))[0]]
-        kappa[i], length[i] = roots[best], lengths[best]
-    return kappa, length
 
 
 def _kappa_roots(rules, name):
     """Endpoint-matching kappa and g-length of every row.
 
-    A 33-point scan of each row's sweep bracket must show exactly one sign
-    change or zero, which is solved to XTOL; other rows take the dense scan.
-    name(i) describes row i's pair in errors.
+    Every wc is > 0, so each row's residual is strictly increasing in kappa
+    and has one root.  The sweep finds each row's least bracket [-2^j, 2^j]
+    with a residual < 0 at -2^j and > 0 at 2^j, where Newton solves it to
+    XTOL.  The residual tends to +-(cone - |dx|) as kappa -> +-inf, so a
+    chronological pair always brackets.  name(i) describes row i's pair in
+    errors.
     """
-    bracket = _bracket(rules, name)
-    grid = bracket[:, None] * _GRID
-    res = rules.endpoint(grid)
-    sign = np.sign(res)
-    turn = sign[:, :-1] * sign[:, 1:]  # < 0 across a sign change, 0 next to a zero
-    count = (turn < 0).sum(1) + (sign == 0).sum(1)
-    one = np.nonzero(count == 1)[0]
-    cell = (turn[one] <= 0).argmax(1)
-    sub = rules if len(one) == len(count) else rules.take(one)
-    k = _roots(sub, grid[one, cell], grid[one, cell + 1], res[one, cell], res[one, cell + 1])
-    if len(one) == len(count):
-        return k, sub.length(k)
-    kappa, length = np.empty(len(count)), np.empty(len(count))
-    kappa[one], length[one] = k, sub.length(k)
-    many = count != 1
-    kappa[many], length[many] = _dense_roots(rules.take(many), bracket[many])
-    return kappa, length
+    n = len(rules.dx)
+    bound, rlo, rhi = np.empty(n), np.empty(n), np.empty(n)
+    todo = np.arange(n)
+    for j in range(0, len(_SWEEP), SWEEP_BLOCK):
+        sub = rules if j == 0 else rules.take(todo)
+        res = sub.endpoint(_SWEEP_COLS[j // SWEEP_BLOCK]).reshape(-1, 2, SWEEP_BLOCK)
+        brackets = (res[:, 0] > 0.0) & (res[:, 1] < 0.0)
+        hit = np.nonzero(brackets.any(1))[0]
+        col = brackets[hit].argmax(1)
+        rows = todo[hit]
+        bound[rows], rhi[rows], rlo[rows] = _SWEEP[j + col], res[hit, 0, col], res[hit, 1, col]
+        todo = np.delete(todo, hit)
+        if not len(todo):
+            k = _roots(rules, -bound, bound, rlo, rhi, name)
+            return k, rules.length(k)
+    raise ShootingFailed(
+        f"no endpoint-x sign change for {name(todo[0])} within kappa bracket 2^64"
+    )
 
 
 def _shoot_block(profile, edges, dx, name):

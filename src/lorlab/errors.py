@@ -34,7 +34,7 @@ class StepTooLarge(LorlabError):
 
 
 class ShootingFailed(LorlabError):
-    """No sign change found for the endpoint residual at scan resolution."""
+    """Kappa shooting found no endpoint-x sign change or did not converge."""
 
 
 class RegionOutsideDomain(LorlabError):

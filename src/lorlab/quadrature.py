@@ -17,7 +17,6 @@ share it through the profile.
 from __future__ import annotations
 
 import math
-import threading
 import weakref
 from bisect import bisect_right
 from functools import lru_cache
@@ -297,7 +296,7 @@ class AnchoredMap:
     graded toward the kink on every query).  So a value depends only on
     (f, anchor, breaks, domain, t), never on earlier queries or on the
     batch it is asked in.  At most MEMO_SIZE values are remembered; the
-    knots grow with the queried range only.  Thread-safe.
+    knots grow with the queried range only.
     """
 
     def __init__(self, f, anchor: float, breaks=(), domain=(-math.inf, math.inf)):
@@ -308,7 +307,6 @@ class AnchoredMap:
         self._sides = {sgn: _Side(sgn, self.anchor, end, self._breaks)
                        for sgn, end in ((1.0, t_max), (-1.0, t_min))}
         self._memo: dict[float, float] = {}
-        self._lock = threading.Lock()
 
     def __call__(self, t: float) -> float:
         t = float(t)
@@ -325,12 +323,11 @@ class AnchoredMap:
         out = [memo.get(t) for t in flat]
         todo = sorted({t for t, v in zip(flat, out) if v is None})
         if todo:
-            with self._lock:
-                found = self._compute(todo)
-                for t, v in zip(todo, found):
-                    if len(memo) >= MEMO_SIZE:
-                        memo.pop(next(iter(memo)))
-                    memo[t] = v
+            found = self._compute(todo)
+            for t, v in zip(todo, found):
+                if len(memo) >= MEMO_SIZE:
+                    memo.pop(next(iter(memo)))
+                memo[t] = v
             lookup = dict(zip(todo, found))
             out = [lookup[t] if v is None else v for t, v in zip(flat, out)]
         return np.array(out, dtype=float).reshape(ts.shape)

@@ -347,12 +347,11 @@ def test_distance_isometry_check_unit_b():
 
 
 # three synthetic rule rows of the batched kappa solver: two ordinary ones and
-# one whose endpoint residual -k / sqrt(k^2 + 1) + 3 k / sqrt(k^2 + 1e4) + 1/2
-# is not monotone and crosses zero three times inside its sweep bracket
-SYNTH_W = np.array([[0.5, 0.5], [0.5, 0.5], [-1.0, 3.0]])
+# a near-null one, whose dx is within 1e-9 of its cone sum w sqrt(a / b) = 1
+SYNTH_W = np.array([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
 SYNTH_A = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1e4]])
 SYNTH_B = np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 1e4]])
-SYNTH_DX = np.array([0.3, -0.5, -0.5])
+SYNTH_DX = np.array([0.3, -0.5, 1e-9 - 1.0])
 
 
 def synth_rules(rows):
@@ -366,47 +365,94 @@ def synth_residual(row, k):
                for w, a, b in zip(SYNTH_W[row], SYNTH_A[row], SYNTH_B[row])) - SYNTH_DX[row]
 
 
-def synth_length(row, k):
-    return sum(w * math.sqrt(a * b) / math.sqrt(k * k + b)
-               for w, a, b in zip(SYNTH_W[row], SYNTH_A[row], SYNTH_B[row]))
-
-
-def test_kappa_solver_dense_scan_keeps_longest_root(monkeypatch):
-    dense_rows = []
-    dense = causality._dense_roots
-
-    def recording(rules, bracket):
-        dense_rows.append(len(bracket))
-        return dense(rules, bracket)
-
-    monkeypatch.setattr(causality, "_dense_roots", recording)
+def test_kappa_solver_rows_equal_their_batch_of_one():
     kappa, length = causality._kappa_roots(synth_rules([0, 1, 2]), lambda i: f"row {i}")
-    assert dense_rows == [1]
-
-    # oracle: every sign change of a fine scan, bisected
-    ks = np.linspace(-100.0, 100.0, 20001)
-    res = [synth_residual(2, k) for k in ks]
-    roots = []
-    for lo, hi, rlo, rhi in zip(ks[:-1], ks[1:], res[:-1], res[1:]):
-        if rlo * rhi < 0:
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if (synth_residual(2, mid) > 0) == (rhi > 0):
-                    hi = mid
-                else:
-                    lo = mid
-            roots.append(0.5 * (lo + hi))
-    assert len(roots) == 3
-    best = max(roots, key=lambda k: synth_length(2, k))
-    assert best not in (roots[0], roots[-1])
-    assert kappa[2] == pytest.approx(best, abs=1e-9)
-    assert length[2] == pytest.approx(synth_length(2, best), rel=1e-12)
-
-    # the ordinary rows get the same floats alone as beside the dense-scan row
-    alone = causality._kappa_roots(synth_rules([0, 1]), lambda i: f"row {i}")
-    assert np.array_equal(alone[0], kappa[:2]) and np.array_equal(alone[1], length[:2])
-    for row in (0, 1):
+    assert kappa[2] < -1e3  # the near-null row's root is far out
+    for row in (0, 1, 2):
+        alone = causality._kappa_roots(synth_rules([row]), lambda i: f"row {i}")
+        assert alone[0][0] == kappa[row] and alone[1][0] == length[row]
         assert abs(synth_residual(row, kappa[row])) < 1e-12
+    pair = causality._kappa_roots(synth_rules([0, 1]), lambda i: f"row {i}")
+    assert np.array_equal(pair[0], kappa[:2]) and np.array_equal(pair[1], length[:2])
+
+
+def warpb_rules(m):
+    """Shooting rules of interior and near-null warpb pairs on m-point rules."""
+    prof = get_profile("warpb")
+    rng = np.random.default_rng(47)
+    t1 = rng.uniform(-1.0, 0.5, 40)
+    t2 = t1 + rng.uniform(0.05, 2.0, 40)
+    cone = np.array([cone_time(prof, b) - cone_time(prof, a) for a, b in zip(t1, t2)])
+    frac = np.concatenate([rng.uniform(-0.95, 0.95, 30), [1.0, -1.0] * 5])
+    frac[30:] *= 1.0 - np.logspace(-3, -7, 10)
+    edges = np.stack([t1, t2], axis=1)
+    xs, w = causality._rule_nodes(edges, m)
+    a, b, _, _ = prof.eval_many(xs)
+    return causality._Rules.from_nodes(w, a, b, frac * cone)
+
+
+def test_kappa_bracket_is_the_least_sweep_bracket(monkeypatch):
+    rules = warpb_rules(32)
+    roots, seen = causality._roots, []
+
+    def recording(rules, lo, hi, rlo, rhi, name):
+        seen.append((lo, hi, rlo, rhi))
+        return roots(rules, lo, hi, rlo, rhi, name)
+
+    monkeypatch.setattr(causality, "_roots", recording)
+    causality._kappa_roots(rules, lambda i: f"row {i}")
+    (lo, hi, rlo, rhi), = seen
+    # brute force: max(2^i, 2^j) for the first i with a residual > 0 at 2^i
+    # and the first j with one < 0 at -2^j
+    ladder = 2.0 ** np.arange(64)
+    up, down = rules.endpoint(ladder) > 0.0, rules.endpoint(-ladder) < 0.0
+    assert up.any(1).all() and down.any(1).all()
+    k = np.maximum(up.argmax(1), down.argmax(1))
+    assert np.array_equal(hi, ladder[k]) and np.array_equal(lo, -hi)
+    # the end residuals are the sweep's own, bit for bit
+    assert np.array_equal(rhi, rules.endpoint(hi).diagonal())
+    assert np.array_equal(rlo, rules.endpoint(lo).diagonal())
+
+
+def test_kappa_endpoint_is_non_decreasing():
+    # exactly along the sweep's ladder +-2^k, which the bracket relies on; on
+    # a finer ladder up to rounding, which moves the residual by an ulp where
+    # kappa^2 + b starts to round to kappa^2
+    rules = warpb_rules(32)
+    for step, slack in ((1.0, 0.0), (0.125, 1e-15)):
+        ladder = 2.0 ** np.arange(-20.0, 64.0, step)
+        res = rules.endpoint(np.concatenate([-ladder[::-1], [0.0], ladder]))
+        assert (np.diff(res, axis=1) >= -slack).all()
+
+
+# a warpb pair whose kappa Newton iteration falls into a 2-cycle between two
+# u = asinh(kappa) 1.25e-12 apart, wider than XTOL, at the rounding floor
+CYCLE_P = P(0.7459653195137426, -0.031538110635106475)
+CYCLE_Q = P(3.526880476450398, 1.2515357956159963)
+
+
+def test_kappa_newton_stops_at_the_rounding_floor(monkeypatch):
+    calls = []
+    newton = causality._Rules.newton
+
+    def counting(self, k):
+        calls.append(len(k))
+        return newton(self, k)
+
+    monkeypatch.setattr(causality._Rules, "newton", counting)
+    d = lorentzian_distance(get_profile("warpb"), CYCLE_P, CYCLE_Q, with_path=False)
+    assert len(calls) <= 20
+    assert 0.0 < d.value < math.sqrt((CYCLE_Q.t - CYCLE_P.t) ** 2 - (CYCLE_Q.x - CYCLE_P.x) ** 2)
+
+
+def test_kappa_newton_out_of_steps_raises(monkeypatch):
+    monkeypatch.setattr(causality, "ROOT_MAX_ITER", 1)
+    with pytest.raises(
+        ShootingFailed,
+        match=r"kappa of pair \(0\.7459653195137426,-0\.031538110635106475\) -> "
+              r"\(3\.526880476450398,1\.2515357956159963\) did not converge in 1 Newton steps",
+    ):
+        lorentzian_distance(get_profile("warpb"), CYCLE_P, CYCLE_Q, with_path=False)
 
 
 def test_kappa_solver_without_sign_change_raises():
