@@ -16,18 +16,20 @@ which reduce the system to the strictly monotone quadrature
     s(T) = int_{t0}^{T} sqrt(a(u)) / sqrt(kappa^2/b(u) - eps) du,
     x(T) = x0 + int_{t0}^{T} kappa sqrt(a(u)) / (b(u) sqrt(kappa^2/b(u) - eps)) du,
 
-inverted for T in one batch: a march of T toward the domain end brackets
-each s, then safeguarded Newton runs on every unconverged s at once.  The
-metric is only C^1, so the Runge-Kutta error theory is not trusted; every
-run is certified a posteriori by conserved-quantity drift and by
-cross-checking against the quadrature route.
+inverted for T in one batch: one sorted search over a march of T toward
+the domain end brackets every s, then safeguarded Newton runs on every
+unconverged s at once.  A finite end is the march's last point, so the
+affine bound there is s(t_max).  Past-directed data is solved in the
+time-reflected profile.  The metric is only C^1, so the Runge-Kutta error
+theory is not trusted; every run is certified a posteriori by
+conserved-quantity drift and by cross-checking against the quadrature route.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -39,7 +41,7 @@ from .profiles import (
     TangentVector,
     classify_vector,
 )
-from .quadrature import AnchoredMap, ClosedFormMap, _flat_map, in_blocks, toward_end
+from .quadrature import ROOT_MAX_ITER, AnchoredMap, ClosedFormMap, _flat_map, in_blocks, toward_end
 
 DRIFT_TOL = 1e-6   # allowed conserved-quantity drift per unit affine parameter
 INVERT_TOL = 1e-12  # relative tolerance of the quadrature inversion in T
@@ -57,7 +59,8 @@ class InextendibleCertificate:
 
     max_param is the affine-parameter bound; t_boundary the domain edge the
     time coordinate approaches (+-inf when the escape is to an unbounded
-    end); x_limit the spatial coordinate observed near the boundary.
+    end); x_limit the spatial coordinate at a finite edge, or 2^40 past the
+    start toward an unbounded one (None where it is not finite).
     """
 
     max_param: float
@@ -261,20 +264,15 @@ def _advance_fixed(profile, p, v, s_values, h):
 # -- quadrature route ---------------------------------------------------------
 
 
-def _stall_gate(s: float) -> float:
-    """Least gain in s between march points that counts as progress."""
-    return max(1e-13, 1e-12 * abs(s))
-
-
 class _Quadrature:
     """Conserved-quantity solver for the future-directed causal geodesic
     from p with conserved quantities cons = (kappa, eps).
 
-    The public entry points compute cons once from a velocity; distance
-    maximizers pass their exact (kappa, eps); (0, 0), which a causal vector
-    gives only by underflow, raises QuadratureError.  Each geodesic reads
-    only maps of its own, anchored at t0, so a value depends only on the
-    geodesic and T.  When the profile's flat map is a closed form (b == 1,
+    The public entry points compute cons once from a velocity (_oriented);
+    distance maximizers pass their exact (kappa, eps); (0, 0), which a causal
+    vector gives only by underflow, raises QuadratureError.  Each geodesic
+    reads only maps of its own, anchored at t0, so a value depends only on
+    the geodesic and T.  When the profile's flat map is a closed form (b == 1,
     so kappa^2 / b - eps is a constant c^2), s(T) is that closed form scaled
     by 1 / c and re-anchored at t0; otherwise s is an AnchoredMap.  With
     b == 1, x(T) = x0 + kappa s(T); otherwise x has an AnchoredMap too.
@@ -325,88 +323,80 @@ class _Quadrature:
 
             x_map = anchored(f_x)
             self.x_at = lambda ts: x0 + x_map.many(ts)
-        # the march from t0 toward the domain end: its points (T, s(T)) in
-        # blocks, those computed so far, and once it has ended the affine
-        # bound (None when an unbounded march saw none)
+        # the march from t0 toward the domain end, in blocks; a finite end is
+        # its last point.  _T and _S hold the points (T, s(T)) computed so far,
+        # from (t0, 0); once the march has ended, _total is the affine bound
         finite = math.isfinite(profile.t_max)
+        ends = islice(toward_end(t0, profile.t_max), 49 if finite else 75)
         self._march = in_blocks(lambda ts: s_map.many(ts).tolist(),
-                                islice(toward_end(t0, profile.t_max), 49 if finite else 75))
-        self._points, self._stall, self._ended, self._total = [], 0, False, None
+                                chain(ends, [profile.t_max] if finite else []))
+        self._T, self._S, self._stall, self._ended, self._total = [t0], [0.0], 0, False, math.inf
 
     def _extend(self) -> None:
         """Compute the next march point, or end the march.
 
         s(T) is mapped over the march in blocks of 1, 1, 2, 4, 8, 8, ...
         points (in_blocks).  s(T) is strictly increasing, so the march ends
-        when s overflows (bound inf), stalls at the affine length available,
-        or runs out of points: at a finite end the last s is the bound.  A
-        NaN s raises QuadratureError: it is not an overflow.
+        when s overflows (bound inf) or when it runs out of points.  A finite
+        end is the last point: the integrand is finite there, so the bound
+        is s(t_max).  An unbounded march that runs out saw no bound (inf);
+        it also ends when s stalls on three points in a row, at the affine
+        length available: that length can converge although t escapes to
+        infinity.  A NaN s raises QuadratureError: it is not an overflow.
         """
-        pts = self._points
         finite = math.isfinite(self.profile.t_max)
-        prev = pts[-1][1] if pts else 0.0
-        T, sT = next(self._march, (None, prev))
+        T, sT = next(self._march, (None, None))
         if T is None:
-            self._ended, self._total = True, prev if finite else None
+            self._ended, self._total = True, self._S[-1] if finite else math.inf
             return
         if math.isnan(sT):
             raise QuadratureError(
                 f"affine parameter s(T) is NaN at T = {self.t_sign * T!r}: the metric "
                 "degenerates before this point")
-        pts.append((T, sT))
-        self._stall = self._stall + 1 if sT - prev < _stall_gate(sT) else 0
-        # an unbounded march waits one step longer: the affine length can
-        # converge although t escapes to infinity
-        if not math.isfinite(sT) or self._stall >= (2 if finite else 3):
+        stalled = not finite and sT - self._S[-1] < max(1e-13, 1e-12 * abs(sT))
+        self._stall = self._stall + 1 if stalled else 0
+        self._T.append(T)
+        self._S.append(sT)
+        if not math.isfinite(sT) or self._stall >= 3:
             self._ended, self._total = True, sT
-
-    def _bracket(self, s: float):
-        """(s, lo, hi, s(lo), s(hi)) around s from consecutive march points,
-        or None when s lies beyond the affine bound."""
-        if s < 0.0:
-            raise ValueError("affine parameter must be non-negative")
-        lo, slo, i = self.t0, 0.0, 0
-        while i < len(self._points) or not self._ended:
-            if i == len(self._points):
-                self._extend()
-                continue
-            T, sT = self._points[i]
-            i += 1
-            # a saturating integral can touch the target exactly in floats;
-            # only healthy progress onto the target counts as a bracket
-            if not math.isfinite(sT) or sT > s or (sT == s and sT - slo > _stall_gate(sT)):
-                return s, lo, T, slo, sT
-            lo, slo = T, sT
-        if self._total is None:
-            raise QuadratureError("affine target not bracketed while doubling T")
-        return None
 
     def times(self, s_values) -> np.ndarray:
         """T at each s of s_values, in order, up to the first s beyond the
         affine bound.
 
-        Each s is bracketed by the march; safeguarded Newton then runs on the
-        still-active rows with one evaluation of the maps per iteration.  A
-        row's arithmetic is its own, so its T does not depend on the batch.
+        The march extends until one point lies strictly above the largest s
+        or the march ends; an s at or past the bound of an ended march is
+        beyond it.  One search over the march then brackets every s between
+        its last point at or below s and the next one: a point that hits s
+        is its T (s = 0 is t0), and safeguarded Newton runs on the other rows
+        with one evaluation of the maps per iteration.  A row's arithmetic
+        is its own, so its T does not depend on the batch.  A row still
+        moving after ROOT_MAX_ITER steps raises QuadratureError.
         """
-        rows = []
-        for s in s_values:
-            row = self._bracket(float(s))
-            if row is None:
-                break
-            rows.append(row)
-        s, lo, hi, slo, shi = np.array(rows).reshape(-1, 5).T
-        # a bracket end can hit the target exactly (s = 0 is t0)
-        out = np.where(shi == s, hi, lo)
-        act = np.nonzero((slo != s) & (shi != s))[0]
-        s, lo, hi, slo, shi = s[act], lo[act], hi[act], slo[act], shi[act]
-        T = lo + (s - slo) * (hi - lo) / (shi - slo)
+        s = np.fromiter(s_values, dtype=float)
+        if not (np.isfinite(s) & (s >= 0.0)).all():
+            raise ValueError("affine parameter must be finite and non-negative")
+        top = s.max(initial=-1.0)
+        while not self._ended and self._S[-1] <= top:
+            self._extend()
+        beyond = np.flatnonzero(s >= self._total)
+        if len(beyond):
+            s = s[:beyond[0]]
+        if s.max(initial=-1.0) >= self._S[-1]:
+            raise QuadratureError("affine target not bracketed while doubling T")
+        march_T, march_s = np.array(self._T), np.array(self._S)
+        i = np.searchsorted(march_s, s, side="right")  # the first point above s
+        out = march_T[i - 1]
+        act = np.flatnonzero(march_s[i - 1] != s)
+        i = i[act]
+        s, lo, hi, slo, shi = s[act], march_T[i - 1], march_T[i], march_s[i - 1], march_s[i]
         # past an overflowed s (exp2t) the iterate is inf or nan, and the
         # bracket throws it back to the midpoint
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(100):
+            T = lo + (s - slo) * (hi - lo) / (shi - slo)
+            for _ in range(ROOT_MAX_ITER):
                 if not len(act):
-                    return out
+                    break
                 T = np.where((lo < T) & (T < hi), T, 0.5 * (lo + hi))
                 err, rate = self.s_at(T) - s, self._rate(T)
                 step = err / rate
@@ -423,21 +413,23 @@ class _Quadrature:
                     out[act[stop]] = np.where(done, T, 0.5 * (lo + hi))[stop]
                     keep = ~stop
                     act, s, T, lo, hi = act[keep], s[keep], T[keep], lo[keep], hi[keep]
-        out[act] = 0.5 * (lo + hi)
+        if len(act):
+            raise QuadratureError(
+                f"inversion of s = {s.item(0)!r} did not converge in {ROOT_MAX_ITER} "
+                "Newton steps")
         return out
 
     def _certificate(self, total):
         tmax = self.profile.t_max
-        # the march point 2^-45 of the span short of a finite end, or 2^40
-        # past t0 toward an unbounded one
-        *_, t_near = islice(toward_end(self.t0, tmax), 45 if math.isfinite(tmax) else 41)
+        # x at a finite end, or 2^40 past t0 toward an unbounded one
+        *_, t_near = (tmax,) if math.isfinite(tmax) else islice(toward_end(self.t0, tmax), 41)
         try:
             x_lim = float(self.x_at(t_near))
             if not math.isfinite(x_lim):
                 x_lim = None
         except (DomainExceeded, QuadratureError):
             x_lim = None
-        return InextendibleCertificate(total, tmax, x_lim)
+        return InextendibleCertificate(total, self.t_sign * tmax, x_lim)
 
     def t_of(self, s: float) -> float:
         T = self.times((s,))
@@ -446,8 +438,9 @@ class _Quadrature:
         return float(T[0])
 
     def point_at(self, s: float) -> SpacetimePoint:
+        """The point at s, in the caller's time."""
         T = self.t_of(s)
-        return SpacetimePoint(T, float(self.x_at(T)))
+        return SpacetimePoint(self.t_sign * T, float(self.x_at(T)))
 
     def rows(self, T, s=None) -> np.ndarray:
         """Rows (s, t, x, dt/ds = 1 / rate, dx/ds) at the times T; s defaults
@@ -465,18 +458,31 @@ class _Quadrature:
         """Affine length available before the domain boundary (may be inf)."""
         while not self._ended:
             self._extend()
-        return math.inf if self._total is None else self._total
+        return self._total
 
 
-def _require_future_causal(profile, p, v, eps_null):
+def _reflect(profile, p, v):
+    return (
+        profile.reflected(),
+        SpacetimePoint(-p.t, p.x),
+        TangentVector(-v.tau0, v.xi0),
+    )
+
+
+def _oriented(profile: MetricProfile, p: SpacetimePoint, v: TangentVector, eps_null: float):
+    """The solver of the causal geodesic from (p, v) and its start velocity:
+    past-directed data is solved in the time-reflected profile a~(t) = a(-t)
+    from (-tau0, xi0), with t_sign = -1.  tau0 = 0 is rejected: such a vector
+    is causal only inside the null band, and it has no time direction."""
     char = classify_vector(profile, p, v, eps_null=eps_null)
     if not char.is_causal:
         raise NotCausal(f"vector {v} is {char.kind}, need timelike or null")
-    if v.tau0 <= 0.0:
-        raise NotCausal(
-            "quadrature route requires future-directed data (tau0 > 0); "
-            "past-directed vectors are handled by time reflection"
-        )
+    if v.tau0 == 0.0:
+        raise NotCausal(f"vector {v} has tau0 = 0, need a time direction")
+    t_sign = math.copysign(1.0, v.tau0)
+    if t_sign < 0.0:
+        profile, p, v = _reflect(profile, p, v)
+    return _Quadrature(profile, p, conserved_quantities(profile, p, v), t_sign), v
 
 
 def quadrature_advance(
@@ -486,21 +492,15 @@ def quadrature_advance(
     s_target: float,
     eps_null: float = EPS_NULL,
 ) -> SpacetimePoint:
-    """Advance the causal geodesic from (p, v) to affine parameter s_target.
+    """Advance the future-directed causal geodesic from (p, v) to affine
+    parameter s_target.
 
     Raises Inextendible with a boundary-limit certificate when the affine
     length available before the domain boundary is below s_target.
     """
-    _require_future_causal(profile, p, v, eps_null)
-    return _Quadrature(profile, p, conserved_quantities(profile, p, v)).point_at(s_target)
-
-
-def _reflect(profile, p, v):
-    return (
-        profile.reflected(),
-        SpacetimePoint(-p.t, p.x),
-        TangentVector(-v.tau0, v.xi0),
-    )
+    if v.tau0 < 0.0:
+        raise NotCausal(f"vector {v} is past-directed; the quadrature route needs tau0 > 0")
+    return _oriented(profile, p, v, eps_null)[0].point_at(s_target)
 
 
 def causal_exp(
@@ -514,23 +514,10 @@ def causal_exp(
     Accepts future- and past-directed causal vectors; past-directed data is
     solved in the time-reflected profile a~(t) = a(-t) and mapped back.
     """
-    char = classify_vector(profile, p, v, eps_null=eps_null)
-    if not char.is_causal:
-        raise NotCausal(f"vector {v} is {char.kind}, need timelike or null")
-    if v.tau0 > 0.0:
-        try:
-            return quadrature_advance(profile, p, v, 1.0, eps_null=eps_null)
-        except Inextendible as exc:
-            return exc.certificate
-    rprof, rp, rv = _reflect(profile, p, v)
-    _require_future_causal(rprof, rp, rv, eps_null)
-    cons = conserved_quantities(rprof, rp, rv)
     try:
-        out = _Quadrature(rprof, rp, cons, t_sign=-1.0).point_at(1.0)
+        return _oriented(profile, p, v, eps_null)[0].point_at(1.0)
     except Inextendible as exc:
-        cert = exc.certificate
-        return InextendibleCertificate(cert.max_param, -cert.t_boundary, cert.x_limit)
-    return SpacetimePoint(-out.t, out.x)
+        return exc.certificate
 
 
 def affine_bound(
@@ -540,13 +527,7 @@ def affine_bound(
     eps_null: float = EPS_NULL,
 ) -> float:
     """Affine length available to the causal geodesic before the domain ends."""
-    char = classify_vector(profile, p, v, eps_null=eps_null)
-    if not char.is_causal:
-        raise NotCausal(f"vector {v} is {char.kind}, need timelike or null")
-    t_sign = 1.0 if v.tau0 > 0.0 else -1.0
-    if t_sign < 0.0:
-        profile, p, v = _reflect(profile, p, v)
-    return _Quadrature(profile, p, conserved_quantities(profile, p, v), t_sign).bound()
+    return _oriented(profile, p, v, eps_null)[0].bound()
 
 
 def exp_continuity_probe(
@@ -593,14 +574,11 @@ def uniqueness_witness(
 
     The three solvers are compared at n_checks shared affine parameters up
     to s_max; a small gap certifies that all of them found the one solution
-    the conserved-quantity reduction admits for tau0 != 0.
+    the conserved-quantity reduction admits for tau0 != 0.  v must be causal
+    with tau0 != 0; past-directed data runs in the time-reflected profile.
     """
-    if v.tau0 == 0.0:
-        raise NotCausal("uniqueness witness requires tau0 != 0")
-    t_sign = math.copysign(1.0, v.tau0)
-    if t_sign < 0.0:
-        profile, p, v = _reflect(profile, p, v)
-    quad = _Quadrature(profile, p, conserved_quantities(profile, p, v), t_sign)
+    quad, v = _oriented(profile, p, v, EPS_NULL)
+    profile, p = quad.profile, SpacetimePoint(quad.t0, quad.x0)
     s_checks = [s_max * i / n_checks for i in range(1, n_checks + 1)]
     T = quad.times(s_checks)
     if len(T) < n_checks:
@@ -624,8 +602,9 @@ def geodesic_states(
     the given order, that lies beyond the affine bound.  A state depends only
     on its own s, not on the other parameters asked for.
     """
-    _require_future_causal(profile, p, v, eps_null)
-    quad = _Quadrature(profile, p, conserved_quantities(profile, p, v))
+    if v.tau0 < 0.0:
+        raise NotCausal(f"vector {v} is past-directed; the quadrature route needs tau0 > 0")
+    quad, _ = _oriented(profile, p, v, eps_null)
     s = [float(x) for x in s_values]
     T = quad.times(s)
     return [tuple(row) for row in quad.rows(T, s[:len(T)]).tolist()]

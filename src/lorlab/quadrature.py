@@ -467,7 +467,9 @@ def bracketed_root(g, lo, hi, glo, ghi, xtol: float = 1e-12) -> np.ndarray:
     lo, hi, glo = g(lo) and ghi = g(hi) are 1-d arrays with a sign change in
     every row; xtol is relative to max(1, |lo|, |hi|).  g maps one point per
     row to its value; a finished row is given its last point again and keeps
-    its state, so its root does not depend on the other rows.
+    its state, so its root does not depend on the other rows.  A row whose
+    bracket is still wider than xtol after ROOT_MAX_ITER steps raises
+    QuadratureError naming that bracket.
     """
     lo, hi, glo, ghi = (np.array(v, dtype=float) for v in (lo, hi, glo, ghi))
     x = np.where(glo == 0.0, lo, hi)  # each row's last point, or its exact root
@@ -490,10 +492,15 @@ def bracketed_root(g, lo, hi, glo, ghi, xtol: float = 1e-12) -> np.ndarray:
             raise QuadratureError(
                 f"root not bracketed on [{lo.item(bad[0])!r}, {hi.item(bad[0])!r}]")
         side = np.zeros(len(x))  # 1 after a step that moved hi, -1 after one that moved lo
-        for _ in range(ROOT_MAX_ITER):
+        for it in range(ROOT_MAX_ITER + 1):
             live &= ~(hi - lo <= xtol * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi))))
             if not live.any():
                 break
+            if it == ROOT_MAX_ITER:
+                i = np.flatnonzero(live)[0]
+                raise QuadratureError(
+                    f"root on [{lo.item(i)!r}, {hi.item(i)!r}] did not converge in "
+                    f"{ROOT_MAX_ITER} steps")
             denom = ghi - glo
             mid = np.where(denom != 0.0, hi - ghi * (hi - lo) / denom, 0.5 * (lo + hi))
             x = np.where(live, np.where((lo < mid) & (mid < hi), mid, 0.5 * (lo + hi)), x)

@@ -1,5 +1,5 @@
 import math
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -32,9 +32,10 @@ from lorlab import (
     quadrature_advance,
     uniqueness_witness,
 )
-from lorlab.geodesics import DRIFT_TOL, GeodesicPath, _Quadrature, _reflect
-from lorlab.profiles import MetricProfile
-from lorlab.quadrature import toward_end
+from lorlab import geodesics
+from lorlab.geodesics import DRIFT_TOL, GeodesicPath, _oriented, _Quadrature, _reflect
+from lorlab.profiles import EPS_NULL, MetricProfile
+from lorlab.quadrature import in_blocks, toward_end
 
 P = SpacetimePoint
 V = TangentVector
@@ -282,7 +283,7 @@ def test_quadrature_states_depend_only_on_their_own_s(name):
         assert geodesic_states(prof, p, v, order) == [want[0.5]]
 
 
-@pytest.mark.parametrize("s", [1e150, 1e154, 1e200, 1e300])
+@pytest.mark.parametrize("s", [1e150, 1e154, 1e200, 1e223, 1e300, 1.7e308])
 def test_exp2t_inversion_where_a_overflows(s):
     # s(T) = e^T - 1 from (0, 0) with v = (1, 0), and dt/ds = e^{-T}; a = e^{2T}
     # overflows past T ~ 355, but the closed-form rate e^T does not
@@ -396,6 +397,57 @@ def test_underflowed_conserved_quantities_raise():
         affine_bound(get_profile("exp2t"), P(-400.0, 0.0), V(1e174, 0.0))
 
 
+def test_finite_end_bound_is_the_map_value_at_the_end():
+    # strip01 has a = b = 1 on (0, 1): s(t) = t - t0, so the bounds are
+    # 1 - t0 forward and t0 backward, and s = 0.5 from t0 = 0.5 is not reached
+    strip = get_profile("strip01")
+    assert affine_bound(strip, P(0.3, 0), V(1, 0)) == 1.0 - 0.3
+    assert affine_bound(strip, P(0.3, 0), V(-1, 0)) == 0.3
+    with pytest.raises(Inextendible) as err:
+        quadrature_advance(strip, P(0.5, 0), V(1, 0), 0.5)
+    assert err.value.certificate == InextendibleCertificate(0.5, 1.0, 0.0)
+    # with anchored maps (b != 1) the bound is s at the end, and x_limit is x there
+    p, v = P(1.5, 0.0), V(1.0, 0.1)
+    quad = _Quadrature(MIXED, p, conserved_quantities(MIXED, p, v))
+    with pytest.raises(Inextendible) as err:
+        quad.t_of(1.0)
+    assert err.value.certificate == InextendibleCertificate(
+        float(quad.s_at(2.0)), 2.0, float(quad.x_at(2.0)))
+    assert quad.bound() == float(quad.s_at(2.0))
+
+
+def test_past_directed_certificates_name_the_callers_end():
+    slab = MetricProfile("slab", (const(1.0),), (const(1.0),), t_min=-1.0, t_max=2.0)
+    assert causal_exp(slab, P(-0.5, 0.25), V(-1.0, 0.0)) == InextendibleCertificate(
+        0.5, -1.0, 0.25)
+    with pytest.raises(Inextendible) as err:
+        uniqueness_witness(slab, P(0.0, 0.0), V(-1.0, 0.0), s_max=2.0)
+    assert err.value.certificate == InextendibleCertificate(1.0, -1.0, 0.0)
+
+
+@pytest.mark.parametrize("entry", [affine_bound, causal_exp, uniqueness_witness])
+@pytest.mark.parametrize("name", ["minkowski", "warpb"])
+def test_null_band_vector_without_time_direction_is_rejected(entry, name):
+    # g(v, v) = 1e-12 lies in the null band, but tau0 = 0 picks no time direction
+    with pytest.raises(NotCausal, match="tau0 = 0"):
+        entry(get_profile(name), P(0, 0), V(0, 1e-6))
+
+
+@pytest.mark.parametrize("s", [-1e-3, math.inf, math.nan])
+def test_inversion_rejects_a_parameter_out_of_range(s):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        geodesic_states(get_profile("minkowski"), P(0, 0), V(1, 0), [0.5, s])
+
+
+def test_inversion_out_of_steps_raises(monkeypatch):
+    p, v = P(0.5, 0.0), V(1.0, 0.3)
+    assert quadrature_advance(_fresh("c1power"), p, v, 0.37).t > 0.5
+    monkeypatch.setattr(geodesics, "ROOT_MAX_ITER", 1)
+    with pytest.raises(QuadratureError,
+                       match=r"^inversion of s = 0\.37 did not converge in 1 Newton steps$"):
+        quadrature_advance(_fresh("c1power"), p, v, 0.37)
+
+
 # -- exp continuity ------------------------------------------------------------------
 
 
@@ -453,6 +505,11 @@ def test_uniqueness_witness_past_directed():
 def test_uniqueness_witness_rejects_zero_tau():
     with pytest.raises(NotCausal):
         uniqueness_witness(get_profile("minkowski"), P(0, 0), V(0, 1))
+
+
+def test_uniqueness_witness_rejects_spacelike():
+    with pytest.raises(NotCausal, match="spacelike"):
+        uniqueness_witness(get_profile("minkowski"), P(0, 0), V(1, 2))
 
 
 # -- dual-solver equivalence property ----------------------------------------------------
@@ -695,3 +752,126 @@ def test_drift_max_is_the_benchmark_drift():
         td, xd = path.samples[:, 3], path.samples[:, 4]
         vec = max(np.abs(b * xd - kappa0).max(), np.abs(-a * td * td + b * xd * xd - eps0).max())
         assert path.drift_max == pytest.approx(float(vec), rel=0.0, abs=1e-14)
+
+
+# -- gate: the sorted march against the per-target walk it replaced ----------------
+#
+# SeedInversion holds verbatim copies of the quadrature route's inversion
+# before one sorted march bracketed every target: the stall gate, the march,
+# its extension, the per-target bracket walk and the batched Newton.  It
+# inverts the maps of the solver it is given.
+
+
+def seed_stall_gate(s: float) -> float:
+    """Least gain in s between march points that counts as progress."""
+    return max(1e-13, 1e-12 * abs(s))
+
+
+class SeedInversion:
+    def __init__(self, quad):
+        self.profile, self.t_sign, self.t0 = quad.profile, quad.t_sign, quad.t0
+        self.s_at, self._rate = quad.s_at, quad._rate
+        profile, t0 = self.profile, self.t0
+        finite = math.isfinite(profile.t_max)
+        self._march = in_blocks(lambda ts: quad.s_at(ts).tolist(),
+                                islice(toward_end(t0, profile.t_max), 49 if finite else 75))
+        self._points, self._stall, self._ended, self._total = [], 0, False, None
+
+    def _extend(self) -> None:
+        pts = self._points
+        finite = math.isfinite(self.profile.t_max)
+        prev = pts[-1][1] if pts else 0.0
+        T, sT = next(self._march, (None, prev))
+        if T is None:
+            self._ended, self._total = True, prev if finite else None
+            return
+        if math.isnan(sT):
+            raise QuadratureError(
+                f"affine parameter s(T) is NaN at T = {self.t_sign * T!r}: the metric "
+                "degenerates before this point")
+        pts.append((T, sT))
+        self._stall = self._stall + 1 if sT - prev < seed_stall_gate(sT) else 0
+        # an unbounded march waits one step longer: the affine length can
+        # converge although t escapes to infinity
+        if not math.isfinite(sT) or self._stall >= (2 if finite else 3):
+            self._ended, self._total = True, sT
+
+    def _bracket(self, s: float):
+        if s < 0.0:
+            raise ValueError("affine parameter must be non-negative")
+        lo, slo, i = self.t0, 0.0, 0
+        while i < len(self._points) or not self._ended:
+            if i == len(self._points):
+                self._extend()
+                continue
+            T, sT = self._points[i]
+            i += 1
+            # a saturating integral can touch the target exactly in floats;
+            # only healthy progress onto the target counts as a bracket
+            if not math.isfinite(sT) or sT > s or (sT == s and sT - slo > seed_stall_gate(sT)):
+                return s, lo, T, slo, sT
+            lo, slo = T, sT
+        if self._total is None:
+            raise QuadratureError("affine target not bracketed while doubling T")
+        return None
+
+    def times(self, s_values) -> np.ndarray:
+        rows = []
+        for s in s_values:
+            row = self._bracket(float(s))
+            if row is None:
+                break
+            rows.append(row)
+        s, lo, hi, slo, shi = np.array(rows).reshape(-1, 5).T
+        # a bracket end can hit the target exactly (s = 0 is t0)
+        out = np.where(shi == s, hi, lo)
+        act = np.nonzero((slo != s) & (shi != s))[0]
+        s, lo, hi, slo, shi = s[act], lo[act], hi[act], slo[act], shi[act]
+        T = lo + (s - slo) * (hi - lo) / (shi - slo)
+        # past an overflowed s (exp2t) the iterate is inf or nan, and the
+        # bracket throws it back to the midpoint
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(100):
+                if not len(act):
+                    return out
+                T = np.where((lo < T) & (T < hi), T, 0.5 * (lo + hi))
+                err, rate = self.s_at(T) - s, self._rate(T)
+                step = err / rate
+                below = err < 0.0
+                lo, hi = np.where(below, T, lo), np.where(below, hi, T)
+                tol = geodesics.INVERT_TOL * np.maximum(1.0, np.abs(T))
+                # a step from an overflowed rate is 0 wherever T is
+                done = (np.abs(step) <= tol) & np.isfinite(rate)
+                T = T - step
+                # a converged row keeps its last Newton step, a row whose
+                # bracket has narrowed to tol its midpoint
+                stop = done | (hi - lo <= tol)
+                if np.count_nonzero(stop):
+                    out[act[stop]] = np.where(done, T, 0.5 * (lo + hi))[stop]
+                    keep = ~stop
+                    act, s, T, lo, hi = act[keep], s[keep], T[keep], lo[keep], hi[keep]
+        out[act] = 0.5 * (lo + hi)
+        return out
+
+
+@pytest.mark.parametrize("prof", [get_profile(n) for n in CATALOG_NAMES] + [MIXED],
+                         ids=lambda prof: prof.name)
+def test_sorted_march_is_bitwise_the_per_target_walk(prof):
+    t_window, tau_window = IC_WINDOWS.get(prof.name, ((-1.5, 1.5), (0.2, 1.0)))
+    rng = np.random.default_rng(14)
+    for _ in range(8):
+        p, v = random_causal(prof, rng, t_window, tau_window)  # half past-directed
+        quad, _ = _oriented(prof, p, v, EPS_NULL)
+        seed = SeedInversion(_oriented(prof, p, v, EPS_NULL)[0])
+        # interior targets: s = 0, s at the first march points (each hits a
+        # bracket end) while s still gains on them, and random s below those
+        hits = []
+        for s in quad.s_at(list(islice(toward_end(quad.t0, quad.profile.t_max), 20))).tolist():
+            if not math.isfinite(s) or s - (hits or [0.0])[-1] < seed_stall_gate(s):
+                break
+            hits.append(s)
+        targets = [0.0, *hits, *(hits[-1] * rng.uniform(0.0, 1.0, 20)).tolist()]
+        targets = rng.permutation(targets).tolist()
+        want = seed.times(targets)
+        assert len(want) == len(targets)
+        assert quad.times(targets).tobytes() == want.tobytes()

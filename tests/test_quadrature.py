@@ -196,6 +196,19 @@ def test_bracketed_root_rows_equal_their_batch_of_one():
     assert len(set(evals)) > 2  # rows finish at different iterations
 
 
+def test_bracketed_root_out_of_steps_raises(monkeypatch):
+    from lorlab import quadrature
+    from lorlab.errors import QuadratureError
+
+    f = ROOT_ROWS[-1][0]  # steep: many iterations
+    assert f(bracketed_root(*one_row(f, -1.0, 1.0))[0]) == pytest.approx(0.0, abs=1e-9)
+    monkeypatch.setattr(quadrature, "ROOT_MAX_ITER", 1)
+    with pytest.raises(QuadratureError,
+                       match=r"^root on \[0\.004254927059383573, 1\.0\] did not converge in 1 "
+                             r"steps$"):
+        bracketed_root(*one_row(f, -1.0, 1.0))
+
+
 def test_bracketed_root_names_the_unbracketed_row():
     from lorlab.errors import QuadratureError
 
