@@ -326,7 +326,7 @@ def _shoot_block(profile, edges, dx, name):
         edges_r, dx_r = (edges, dx) if len(rows) == n else (edges[rows], dx[rows])
         nodes = [_rule_nodes(edges_r, m) for m in ms]
         xs = np.concatenate([x for x, _ in nodes], axis=1) if len(ms) > 1 else nodes[0][0]
-        a, b, _, _ = profile.eval_many(xs)
+        a, b = profile.coefficients_many(xs)
         out, s = [], 0
         for x, w in nodes:
             e = s + x.shape[1]

@@ -297,7 +297,7 @@ class _Quadrature:
                 "conserved quantities underflowed, so s(T) is not defined")
 
         def f_s(u):
-            a, b, _, _ = profile.eval_many(u)
+            a, b = profile.coefficients_many(u)
             return np.sqrt(a / (kappa * kappa / b - eps))
 
         def anchored(f):
@@ -318,7 +318,7 @@ class _Quadrature:
             self.x_at = lambda ts: x0 + kappa * s_map.many(ts)
         else:
             def f_x(u):
-                a, b, _, _ = profile.eval_many(u)
+                a, b = profile.coefficients_many(u)
                 return kappa * np.sqrt(a) / (b * np.sqrt(kappa * kappa / b - eps))
 
             x_map = anchored(f_x)
@@ -369,9 +369,12 @@ class _Quadrature:
         beyond it.  One search over the march then brackets every s between
         its last point at or below s and the next one: a point that hits s
         is its T (s = 0 is t0), and safeguarded Newton runs on the other rows
-        with one evaluation of the maps per iteration.  A row's arithmetic
-        is its own, so its T does not depend on the batch.  A row still
-        moving after ROOT_MAX_ITER steps raises QuadratureError.
+        with one evaluation of the maps per iteration.  Its secant start is
+        kept anywhere on the closed bracket, so a target an ulp from a march
+        value converges from that point in one step; a later iterate not
+        strictly inside the bracket is its midpoint.  A row's arithmetic is
+        its own, so its T does not depend on the batch.  A row still moving
+        after ROOT_MAX_ITER steps raises QuadratureError.
         """
         s = np.fromiter(s_values, dtype=float)
         if not (np.isfinite(s) & (s >= 0.0)).all():
@@ -394,10 +397,14 @@ class _Quadrature:
         # bracket throws it back to the midpoint
         with np.errstate(over="ignore", invalid="ignore"):
             T = lo + (s - slo) * (hi - lo) / (shi - slo)
+            # the secant start may sit on a march point an ulp from s, where
+            # one Newton step converges; a later iterate on a bracket end is
+            # bisected, since it may repeat a point Newton has evaluated
+            inside = (lo <= T) & (T <= hi)
             for _ in range(ROOT_MAX_ITER):
                 if not len(act):
                     break
-                T = np.where((lo < T) & (T < hi), T, 0.5 * (lo + hi))
+                T = np.where(inside, T, 0.5 * (lo + hi))
                 err, rate = self.s_at(T) - s, self._rate(T)
                 step = err / rate
                 below = err < 0.0
@@ -413,6 +420,7 @@ class _Quadrature:
                     out[act[stop]] = np.where(done, T, 0.5 * (lo + hi))[stop]
                     keep = ~stop
                     act, s, T, lo, hi = act[keep], s[keep], T[keep], lo[keep], hi[keep]
+                inside = (lo < T) & (T < hi)
         if len(act):
             raise QuadratureError(
                 f"inversion of s = {s.item(0)!r} did not converge in {ROOT_MAX_ITER} "
@@ -449,16 +457,22 @@ class _Quadrature:
         if self.profile.has_unit_b:
             dxds = np.full(len(T), kappa)  # kappa / b with b exactly 1.0
         else:
-            dxds = kappa / self.profile.eval_many(T)[1]
+            dxds = kappa / self.profile.coefficients_many(T)[1]
         return np.column_stack([
             self.s_at(T) if s is None else s, T, self.x_at(T), 1.0 / self._rate(T), dxds,
         ])
 
-    def bound(self) -> float:
-        """Affine length available before the domain boundary (may be inf)."""
-        while not self._ended:
+    def bound(self, cap: float = math.inf) -> float:
+        """min(cap, the affine length available before the domain boundary);
+        inf when both are.
+
+        The march extends only while its last s is at most cap, as past that
+        point the length exceeds cap; so a capped bound leaves the rest of the
+        march uncomputed (toward an unbounded end it runs out to t0 + 2^74).
+        """
+        while not self._ended and self._S[-1] <= cap:
             self._extend()
-        return self._total
+        return min(cap, self._total)
 
 
 def _reflect(profile, p, v):

@@ -371,13 +371,14 @@ def make_cauchy_sequence(
 
     Points are gamma(s_k) at s_k = cap (1 - 2^-k) where cap is span clipped
     to the geodesic's affine bound, with gap bounds B_k = 2 cap 2^-k, so the
-    premises of the Cauchy probe hold by construction.
+    premises of the Cauchy probe hold by construction.  The bound is marched
+    toward only until s passes span.
     """
     char = classify_vector(profile, p, v, eps_null=eps_null)
     if char.kind != "timelike" or v.tau0 <= 0.0:
         raise NotCausal("Cauchy sequences run along future timelike geodesics")
     quad = _Quadrature(profile, p, conserved_quantities(profile, p, v))
-    cap = min(float(span), quad.bound())
+    cap = quad.bound(float(span))
     T = quad.times(islice(toward_end(0.0, cap), n))
     pts = [SpacetimePoint(t, x) for t, x in zip(T.tolist(), quad.x_at(T).tolist())]
     bounds = [math.ldexp(cap, 1 - k) for k in range(1, len(pts) + 1)]  # 2 cap 2^-k

@@ -65,22 +65,29 @@ class Term:
         e = math.exp(self.lam * t)
         return self.c * e, self.c * self.lam * e
 
-    def value_and_deriv_many(self, t: np.ndarray):
-        # scalar returns for t-independent parts keep allocations down; the
-        # caller broadcasts the accumulated sums
+    # the batch forms return scalars for t-independent parts, which keeps
+    # allocations down; _sum_many broadcasts the accumulated sums
+
+    def value_many(self, t: np.ndarray):
         k = self.kind
         if k == "const":
-            return self.c, 0.0
+            return self.c
         if k == "linear":
-            return self.c * t, self.c
+            return self.c * t
+        if k == "power":
+            return self.c * np.abs(t - self.t0) ** self.p
+        return self.c * np.exp(self.lam * t)
+
+    def deriv_many(self, t: np.ndarray):
+        k = self.kind
+        if k == "const":
+            return 0.0
+        if k == "linear":
+            return self.c
         if k == "power":
             u = t - self.t0
-            au = np.abs(u)
-            val = self.c * au ** self.p
-            der = self.c * self.p * au ** (self.p - 1.0) * np.sign(u)
-            return val, der
-        e = np.exp(self.lam * t)
-        return self.c * e, self.c * self.lam * e
+            return self.c * self.p * np.abs(u) ** (self.p - 1.0) * np.sign(u)
+        return self.c * self.lam * np.exp(self.lam * t)
 
     def is_smooth(self) -> bool:
         """True when the term is analytic everywhere (no kink at t0)."""
@@ -100,6 +107,16 @@ def constant_value(terms) -> float | None:
             return None
         total += term.c
     return total
+
+
+def _sum_many(terms, part, t: np.ndarray) -> np.ndarray:
+    """Sum of part(term, t) over the terms, in order from 0.0, filled out to
+    t's shape where every part is t-independent."""
+    total = 0.0
+    for term in terms:
+        total = total + part(term, t)
+    total = np.asarray(total, dtype=float)
+    return total if total.shape == t.shape else np.full(t.shape, total)
 
 
 def _outside(t, t_min, t_max, name) -> DomainExceeded:
@@ -280,7 +297,7 @@ class MetricProfile:
             raise InvalidProfile(f"{self.name}: empty floor-check window")
         inset = 1e-9 * (hi - lo)
         grid = np.linspace(lo + inset, hi - inset, GRID_POINTS)
-        a, b, _, _ = self.eval_many(grid)
+        a, b = self.coefficients_many(grid)
         if a.min() < self.alpha or b.min() < self.alpha:
             worst = float(min(a.min(), b.min()))
             raise InvalidProfile(
@@ -335,30 +352,27 @@ class MetricProfile:
         """
         return _compile_geodesic_rhs(self)
 
-    def eval_many(self, t: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Vectorized (a, b, a', b'); every entry must lie inside the domain."""
+    def coefficients_many(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized (a, b); every entry must lie inside the domain (a NaN
+        does not).  The terms are summed in order, so a and b are those of
+        eval_many bit for bit; integrands call this, as they need no
+        derivatives."""
         t = np.asarray(t, dtype=float)
         if t.size and not ((t > self.t_min).all() and (t < self.t_max).all()):
             raise DomainExceeded(
                 f"grid leaves open domain ({self.t_min!r}, {self.t_max!r}) "
                 f"of profile {self.name!r}"
             )
-        a = da = 0.0
-        for term in self.terms_a:
-            v, d = term.value_and_deriv_many(t)
-            a = a + v
-            da = da + d
-        b = db = 0.0
-        for term in self.terms_b:
-            v, d = term.value_and_deriv_many(t)
-            b = b + v
-            db = db + d
-        # t-independent sums are still scalars here; fill them out to t's shape
-        out = []
-        for arr in (a, b, da, db):
-            arr = np.asarray(arr, dtype=float)
-            out.append(arr if arr.shape == t.shape else np.full(t.shape, arr))
-        return tuple(out)
+        return (_sum_many(self.terms_a, Term.value_many, t),
+                _sum_many(self.terms_b, Term.value_many, t))
+
+    def eval_many(self, t: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Vectorized (a, b, a', b'): coefficients_many, then the derivative
+        sums in the same term order."""
+        a, b = self.coefficients_many(t)
+        t = np.asarray(t, dtype=float)
+        return (a, b, _sum_many(self.terms_a, Term.deriv_many, t),
+                _sum_many(self.terms_b, Term.deriv_many, t))
 
     # -- structure ---------------------------------------------------------
 

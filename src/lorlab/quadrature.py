@@ -92,15 +92,28 @@ def _split_rule(m: int):
     return frac, np.tile(_WEIGHTS, m)
 
 
-def _rule_values(f, lo: np.ndarray, width: np.ndarray, ms) -> list[np.ndarray]:
-    """The rule's value on each panel at each refinement m of ms, from one
-    call of f; the products are summed exactly."""
+@lru_cache(maxsize=None)
+def _rule_layout(ms: tuple[int, ...]):
+    """The nodes on [0, 1] of the rules at each m of ms, side by side, and
+    each rule's (m, weights, first column, end column) among them."""
     rules = [_split_rule(m) for m in ms]
-    frac = np.concatenate([fr for fr, _ in rules])
+    frac = rules[0][0] if len(rules) == 1 else np.concatenate([fr for fr, _ in rules])
+    cols, start = [], 0
+    for m, (_, w) in zip(ms, rules):
+        cols.append((m, w, start, start + len(w)))
+        start += len(w)
+    return frac, cols
+
+
+def _rule_values(f, lo: np.ndarray, width: np.ndarray, ms) -> list[np.ndarray]:
+    """The rule's value on each panel at each refinement m of the tuple ms,
+    from one call of f on the cached node layout of ms; the products are
+    summed exactly."""
+    frac, cols = _rule_layout(ms)
     vals = np.asarray(f((lo[:, None] + width[:, None] * frac).ravel()), dtype=float)
-    cols = np.split(vals.reshape(len(lo), -1), np.cumsum([len(w) for _, w in rules[:-1]]), axis=1)
-    return [(0.5 / m) * width * np.array([_fsum(row) for row in (v * w).tolist()])
-            for m, (_, w), v in zip(ms, rules, cols)]
+    vals = vals.reshape(len(lo), -1)
+    return [(0.5 / m) * width * np.array([_fsum(row) for row in (vals[:, s:e] * w).tolist()])
+            for m, w, s, e in cols]
 
 
 def _refine(f, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray) -> np.ndarray:
@@ -383,7 +396,7 @@ def _store_map(profile: MetricProfile, key: str, form, g):
         owner = weakref.proxy(profile)
 
         def f(u):
-            a, b, _, _ = owner.eval_many(u)
+            a, b = owner.coefficients_many(u)
             return g(a, b)
 
         m = AnchoredMap(f, anchor, breaks=profile.breakpoints,

@@ -26,16 +26,25 @@ from lorlab import (
     get_profile,
     integrate_geodesic,
     linear,
+    make_cauchy_sequence,
     ode_rhs,
     parse_profiles,
     power,
+    probe_condition_a,
     quadrature_advance,
     uniqueness_witness,
 )
-from lorlab import geodesics
-from lorlab.geodesics import DRIFT_TOL, GeodesicPath, _oriented, _Quadrature, _reflect
+from lorlab import geodesics, probes
+from lorlab.geodesics import (
+    DRIFT_TOL,
+    INVERT_TOL,
+    GeodesicPath,
+    _oriented,
+    _Quadrature,
+    _reflect,
+)
 from lorlab.profiles import EPS_NULL, MetricProfile
-from lorlab.quadrature import in_blocks, toward_end
+from lorlab.quadrature import ROOT_MAX_ITER, in_blocks, toward_end
 
 P = SpacetimePoint
 V = TangentVector
@@ -295,22 +304,32 @@ def test_exp2t_inversion_where_a_overflows(s):
     assert dtds == pytest.approx(math.exp(-t), rel=1e-12, abs=0.0)
 
 
-def test_inversion_returns_a_bracket_end_that_hits_the_target(monkeypatch):
-    prof = _fresh("minkowski")
+def _count_s_at(quad):
+    """Route quad's s_at through a counter, which Newton calls once per
+    iteration (the march reads its map directly), and return the counts."""
     calls = []
-    eval_many = MetricProfile.eval_many
+    s_at = quad.s_at
 
-    def counted(self, t):
-        calls.append(np.size(t))
-        return eval_many(self, t)
+    def counted(ts):
+        calls.append(np.size(ts))
+        return s_at(ts)
 
-    monkeypatch.setattr(MetricProfile, "eval_many", counted)
+    quad.s_at = counted
+    return calls
+
+
+def test_inversion_returns_a_bracket_end_that_hits_the_target():
+    prof = _fresh("minkowski")
     p, v = P(1.0, 0.3), V(1.0, 0.0)
     quad = _Quadrature(prof, p, conserved_quantities(prof, p, v))
+    calls = _count_s_at(quad)
     # s(T) = T - 1, and the march points T = 2, 3, 5, ..., 65 give s = 2^k
     assert quad.t_of(1.0) == 2.0
     assert quad.t_of(64.0) == 65.0
     assert calls == []  # no Newton iteration ran
+    # the counter sees Newton when it runs
+    assert quad.t_of(1.5) == 2.5
+    assert calls == [1]
 
 
 # -- causal_exp --------------------------------------------------------------------
@@ -875,3 +894,130 @@ def test_sorted_march_is_bitwise_the_per_target_walk(prof):
         want = seed.times(targets)
         assert len(want) == len(targets)
         assert quad.times(targets).tobytes() == want.tobytes()
+
+
+# -- gate: Newton on the closed bracket against the open-bracket inversion ---------
+#
+# seed_times is a verbatim copy of _Quadrature.times from before Newton kept
+# an iterate on a bracket end.  It inverts the maps of the solver it is given.
+
+
+def seed_times(self, s_values) -> np.ndarray:
+    """T at each s of s_values, in order, up to the first s beyond the
+    affine bound.
+
+    The march extends until one point lies strictly above the largest s
+    or the march ends; an s at or past the bound of an ended march is
+    beyond it.  One search over the march then brackets every s between
+    its last point at or below s and the next one: a point that hits s
+    is its T (s = 0 is t0), and safeguarded Newton runs on the other rows
+    with one evaluation of the maps per iteration.  A row's arithmetic
+    is its own, so its T does not depend on the batch.  A row still
+    moving after ROOT_MAX_ITER steps raises QuadratureError.
+    """
+    s = np.fromiter(s_values, dtype=float)
+    if not (np.isfinite(s) & (s >= 0.0)).all():
+        raise ValueError("affine parameter must be finite and non-negative")
+    top = s.max(initial=-1.0)
+    while not self._ended and self._S[-1] <= top:
+        self._extend()
+    beyond = np.flatnonzero(s >= self._total)
+    if len(beyond):
+        s = s[:beyond[0]]
+    if s.max(initial=-1.0) >= self._S[-1]:
+        raise QuadratureError("affine target not bracketed while doubling T")
+    march_T, march_s = np.array(self._T), np.array(self._S)
+    i = np.searchsorted(march_s, s, side="right")  # the first point above s
+    out = march_T[i - 1]
+    act = np.flatnonzero(march_s[i - 1] != s)
+    i = i[act]
+    s, lo, hi, slo, shi = s[act], march_T[i - 1], march_T[i], march_s[i - 1], march_s[i]
+    # past an overflowed s (exp2t) the iterate is inf or nan, and the
+    # bracket throws it back to the midpoint
+    with np.errstate(over="ignore", invalid="ignore"):
+        T = lo + (s - slo) * (hi - lo) / (shi - slo)
+        for _ in range(ROOT_MAX_ITER):
+            if not len(act):
+                break
+            T = np.where((lo < T) & (T < hi), T, 0.5 * (lo + hi))
+            err, rate = self.s_at(T) - s, self._rate(T)
+            step = err / rate
+            below = err < 0.0
+            lo, hi = np.where(below, T, lo), np.where(below, hi, T)
+            tol = INVERT_TOL * np.maximum(1.0, np.abs(T))
+            # a step from an overflowed rate is 0 wherever T is
+            done = (np.abs(step) <= tol) & np.isfinite(rate)
+            T = T - step
+            # a converged row keeps its last Newton step, a row whose
+            # bracket has narrowed to tol its midpoint
+            stop = done | (hi - lo <= tol)
+            if np.count_nonzero(stop):
+                out[act[stop]] = np.where(done, T, 0.5 * (lo + hi))[stop]
+                keep = ~stop
+                act, s, T, lo, hi = act[keep], s[keep], T[keep], lo[keep], hi[keep]
+    if len(act):
+        raise QuadratureError(
+            f"inversion of s = {s.item(0)!r} did not converge in {ROOT_MAX_ITER} "
+            "Newton steps")
+    return out
+
+
+def _near_march_targets(quad, rng):
+    """s = 0, the first march values while s still gains on them, a target an
+    ulp or two either side of each, and random targets below them."""
+    hits = []
+    for s in quad.s_at(list(islice(toward_end(quad.t0, quad.profile.t_max), 20))).tolist():
+        if not math.isfinite(s) or s - (hits or [0.0])[-1] < seed_stall_gate(s):
+            break
+        hits.append(s)
+    hits = np.array(hits)
+    near = [np.nextafter(hits, 0.0), np.nextafter(np.nextafter(hits, 0.0), 0.0),
+            np.nextafter(hits, np.inf)]
+    targets = [0.0, *hits, *np.concatenate(near), *(hits[-1] * rng.uniform(0.0, 1.0, 20))]
+    return rng.permutation(targets).tolist()
+
+
+@pytest.mark.parametrize("prof", [get_profile(n) for n in CATALOG_NAMES] + [MIXED],
+                         ids=lambda prof: prof.name)
+def test_newton_on_a_bracket_end_moves_t_within_the_inversion_tolerance(prof):
+    t_window, tau_window = IC_WINDOWS.get(prof.name, ((-1.5, 1.5), (0.2, 1.0)))
+    rng = np.random.default_rng(15)
+    for _ in range(8):
+        p, v = random_causal(prof, rng, t_window, tau_window)  # half past-directed
+        quad, _ = _oriented(prof, p, v, EPS_NULL)
+        seed, _ = _oriented(prof, p, v, EPS_NULL)
+        targets = _near_march_targets(quad, rng)
+        want = seed_times(seed, targets)
+        got = quad.times(targets)
+        assert len(got) == len(want) == len(targets)
+        assert (np.abs(got - want) <= INVERT_TOL * np.maximum(1.0, np.abs(want))).all()
+
+
+def _newton_rows(monkeypatch):
+    """Newton's row-iterations in every solver the probes build from now on."""
+    calls = []
+
+    class Counted(_Quadrature):
+        def __init__(self, *args):
+            super().__init__(*args)
+            calls.append(_count_s_at(self))
+
+    monkeypatch.setattr(probes, "_Quadrature", Counted)
+    return lambda: sum(sum(c) for c in calls)
+
+
+def test_cauchy_target_an_ulp_below_a_march_value_takes_one_newton_step(monkeypatch):
+    # the bound is 0.9, and s = 0.45 lies one ulp below the march's
+    # s(0.55) = 0.45000000000000007; every other target hits a march value.
+    # An open bracket bisected that row down to INVERT_TOL: 39 iterations
+    rows = _newton_rows(monkeypatch)
+    make_cauchy_sequence(_fresh("strip01"), P(0.1, 0.0), V(1.0, 0.0), span=1.0, n=30)
+    assert rows() == 1
+
+
+def test_condition_a_targets_an_ulp_from_march_values_take_one_newton_step(monkeypatch):
+    # from q = (0.2, 0) the targets s = 2^k meet s(0.2 + 2^k) = 2^k - 1 ulp;
+    # an open bracket took 83 iterations for these 11 targets
+    rows = _newton_rows(monkeypatch)
+    probe_condition_a(_fresh("minkowski"), P(0.1, 0.0), P(0.2, 0.0), V(1.0, 0.0), [10, 100])
+    assert rows() == 5

@@ -314,7 +314,9 @@ def test_make_cauchy_sequence_satisfies_premises():
         assert rep.holds
 
 
-@pytest.mark.parametrize("name, span", [("exp2t", 0.7), ("strip01", 5.0)])
+@pytest.mark.parametrize("name, span", [("exp2t", 0.7), ("strip01", 5.0), ("strip01", 1.0),
+                                        ("minkowski", 8.0), ("c1power", 1.0),
+                                        ("c1power", 1e6), ("warpb", 1.0)])
 def test_make_cauchy_sequence_at_geometric_parameters(name, span):
     prof = get_profile(name)
     pts, bounds = make_cauchy_sequence(prof, P(0.1, 0), V(1, 0), span=span, n=30)
@@ -330,6 +332,30 @@ def test_make_cauchy_sequence_caps_at_exit():
                                        span=5.0, n=25)
     assert max(p.t for p in pts) < 1.0
     assert 1.0 - pts[-1].t < 1e-6
+
+
+def test_capped_bound_marches_only_past_the_span(monkeypatch):
+    made = []
+
+    class Recorded(_Quadrature):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(probes, "_Quadrature", Recorded)
+    p, v = P(0.1, 0.0), V(1.0, 0.0)
+    for name in ("c1power", "strip01"):
+        prof = get_profile(name)
+        make_cauchy_sequence(prof, p, v, span=1.0, n=30)
+        full = _Quadrature(prof, p, conserved_quantities(prof, p, v))
+        full.bound()
+        if name == "c1power":
+            # the bound is inf: the march stops at its first s above the span
+            assert not made[-1]._ended and made[-1]._S[-2] <= 1.0 < made[-1]._S[-1]
+            assert len(made[-1]._T) < len(full._T)
+        else:
+            # the bound 0.9 lies below the span, so the march runs to its end
+            assert made[-1]._ended and made[-1]._T == full._T
 
 
 # -- implication report ----------------------------------------------------------------

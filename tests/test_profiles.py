@@ -91,6 +91,114 @@ def test_eval_many_matches_scalar():
         assert (a[i], b[i], da[i], db[i]) == (sa, sb, sda, sdb)
 
 
+# -- gate: coefficients_many against the eval_many it was split from -------------
+#
+# seed_value_and_deriv_many and seed_eval_many are verbatim copies of
+# Term.value_and_deriv_many and MetricProfile.eval_many from before the values
+# and derivatives were summed in separate passes.
+
+
+def seed_value_and_deriv_many(self, t: np.ndarray):
+    # scalar returns for t-independent parts keep allocations down; the
+    # caller broadcasts the accumulated sums
+    k = self.kind
+    if k == "const":
+        return self.c, 0.0
+    if k == "linear":
+        return self.c * t, self.c
+    if k == "power":
+        u = t - self.t0
+        au = np.abs(u)
+        val = self.c * au ** self.p
+        der = self.c * self.p * au ** (self.p - 1.0) * np.sign(u)
+        return val, der
+    e = np.exp(self.lam * t)
+    return self.c * e, self.c * self.lam * e
+
+
+def seed_eval_many(self, t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Vectorized (a, b, a', b'); every entry must lie inside the domain."""
+    t = np.asarray(t, dtype=float)
+    if t.size and not ((t > self.t_min).all() and (t < self.t_max).all()):
+        raise DomainExceeded(
+            f"grid leaves open domain ({self.t_min!r}, {self.t_max!r}) "
+            f"of profile {self.name!r}"
+        )
+    a = da = 0.0
+    for term in self.terms_a:
+        v, d = seed_value_and_deriv_many(term, t)
+        a = a + v
+        da = da + d
+    b = db = 0.0
+    for term in self.terms_b:
+        v, d = seed_value_and_deriv_many(term, t)
+        b = b + v
+        db = db + d
+    # t-independent sums are still scalars here; fill them out to t's shape
+    out = []
+    for arr in (a, b, da, db):
+        arr = np.asarray(arr, dtype=float)
+        out.append(arr if arr.shape == t.shape else np.full(t.shape, arr))
+    return tuple(out)
+
+
+GATE_PROFILES = [get_profile(n) for n in CATALOG_NAMES] + [
+    # every term kind in a, a kink at 0.2, and an exp term in b
+    MetricProfile(
+        "mixed",
+        (const(1.0), linear(0.1), power(0.7, 0.2, 1.5), exponential(0.3, 0.7)),
+        (const(0.5), exponential(0.6, 0.3)),
+        t_min=-2.0, t_max=2.0, alpha=0.1,
+    ),
+    # linear and exp terms, kinks at -0.4 and 0.6 and a smooth power at 0.6
+    MetricProfile(
+        "two_kinks",
+        (const(2.0), linear(0.3), power(0.5, -0.4, 1.5), power(0.2, 0.6, 2.0),
+         exponential(0.1, -0.8)),
+        (const(1.0), linear(-0.05), power(0.3, 0.6, 1.7), exponential(0.2, 0.5)),
+        t_min=-3.0, t_max=3.0, alpha=0.1,
+    ),
+]
+
+
+def _gate_times(prof, rng):
+    """Random times inside prof's domain, its power centers (u == 0) and
+    the floats either side of them, and 0."""
+    lo, hi = max(prof.t_min, -20.0), min(prof.t_max, 20.0)
+    centers = np.array([term.t0 for term in prof.terms_a + prof.terms_b
+                        if term.kind == "power"] + [0.0])
+    ts = np.concatenate([rng.uniform(lo, hi, 200), centers,
+                         np.nextafter(centers, -np.inf), np.nextafter(centers, np.inf)])
+    return ts[(ts > prof.t_min) & (ts < prof.t_max)]
+
+
+@pytest.mark.parametrize("prof", GATE_PROFILES, ids=lambda prof: prof.name)
+def test_coefficients_many_is_bitwise_the_values_of_eval_many(prof):
+    rng = np.random.default_rng(15)
+    ts = _gate_times(prof, rng)
+    for t in (ts, ts.reshape(-1, 1), ts[:1].reshape(()), ts[:0]):
+        want = seed_eval_many(prof, t)
+        got = prof.coefficients_many(t)
+        assert len(got) == 2
+        for g, w in zip(got + prof.eval_many(t), want[:2] + want):
+            assert g.shape == w.shape == np.shape(t)
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("prof", GATE_PROFILES, ids=lambda prof: prof.name)
+def test_coefficients_many_rejects_nan_and_points_outside_the_domain(prof):
+    inside = _gate_times(prof, np.random.default_rng(15))[:5]
+    bad = [np.nan, -np.inf, np.inf]
+    bad += [end for end in (prof.t_min, prof.t_max) if np.isfinite(end)]
+    bad += [prof.t_max + 1.0] if np.isfinite(prof.t_max) else []
+    for t in bad:
+        for grid in (np.append(inside, t), np.array(t)):
+            with pytest.raises(DomainExceeded):
+                prof.coefficients_many(grid)
+            with pytest.raises(DomainExceeded):
+                prof.eval_many(grid)
+
+
 # -- christoffel ----------------------------------------------------------------
 
 
