@@ -12,6 +12,7 @@ on the built-in catalog and on a mixed profile with every term kind:
     lorentzian_distance         random pairs, with the maximizing path
     implication_report          the catalog probe configs
     space taumat                space_from_points on 32 random points
+    uniqueness_witness          random causal vectors, half past-directed
 
 A call that raises prints the exception instead.  To compare two checkouts:
 
@@ -145,6 +146,10 @@ def dump(prof, rng):
     print(f"{name} implication_report -> {attempt(ll.implication_report, prof, CONFIGS[name])}")
     space = ll.space_from_points(prof, region_points(prof, rng, 32))
     print(f"{name} space taumat -> {show(space.taumat)}")
+    for i in range(3):
+        p, v = causal_vector(prof, rng)
+        print(f"{name} uniqueness_witness {i} {show((p, v))} -> "
+              f"{attempt(ll.uniqueness_witness, prof, p, v)}")
 
 
 def main():

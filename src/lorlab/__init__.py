@@ -75,15 +75,12 @@ from .profiles import (
     CATALOG_NAMES,
     EPS_NULL,
     CausalCharacter,
-    ChristoffelTriple,
     MetricProfile,
     SpacetimePoint,
     TangentVector,
     Term,
-    christoffel,
     classify_vector,
     const,
-    eval_profile,
     exponential,
     format_profile,
     get_profile,

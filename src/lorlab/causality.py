@@ -51,7 +51,7 @@ from .quadrature import (
     _cone_map,
     _flat_map,
     _panel_edges,
-    _rule_nodes,
+    _rule_layout,
 )
 
 
@@ -322,17 +322,16 @@ def _shoot_block(profile, edges, dx, name):
     n = len(dx)
 
     def rules_at(rows, *ms):
-        # the rules at each m in ms, from one evaluation of the profile
+        # the rules at each m in ms, from one evaluation of the profile on
+        # the cached node layout of ms; each row keeps its nodes in panel order
         edges_r, dx_r = (edges, dx) if len(rows) == n else (edges[rows], dx[rows])
-        nodes = [_rule_nodes(edges_r, m) for m in ms]
-        xs = np.concatenate([x for x, _ in nodes], axis=1) if len(ms) > 1 else nodes[0][0]
-        a, b = profile.coefficients_many(xs)
-        out, s = [], 0
-        for x, w in nodes:
-            e = s + x.shape[1]
-            out.append(_Rules.from_nodes(w, a[:, s:e], b[:, s:e], dx_r))
-            s = e
-        return out
+        frac, cols = _rule_layout(ms)
+        width = (edges_r[:, 1:] - edges_r[:, :-1])[..., None]
+        a, b = profile.coefficients_many(edges_r[:, :-1, None] + width * frac)
+        flat = (len(dx_r), -1)
+        return [_Rules.from_nodes(((0.5 / m) * width * w).reshape(flat),
+                                  a[..., s:e].reshape(flat), b[..., s:e].reshape(flat), dx_r)
+                for m, w, s, e in cols]
 
     kappa, length = np.empty(n), np.empty(n)
     # rows whose rule has not converged; no row can at m = 1, so that level

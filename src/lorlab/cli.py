@@ -196,6 +196,8 @@ def _run_geodesic(args) -> int:
     for name in ("smax", "step"):
         if not 0.0 < getattr(args, name) < math.inf:
             raise _CliError(f"--{name} must be positive and finite")
+    if args.drift_tol is not None and args.method == "quadrature":
+        raise _CliError("--drift-tol applies to --method ode or both")
     profile = _load_profile(args)
     p = SpacetimePoint(*_pair(args.p))
     v = TangentVector(*_pair(args.v))
@@ -322,11 +324,11 @@ def _probe_config(args) -> probes.ProbeConfig:
                 if not sep or key not in _PROBE_CONFIG_KEYS:
                     raise _CliError(f"unknown probe config line {raw.strip()!r}")
                 values[key] = _PROBE_CONFIG_KEYS[key](value.strip())
-    if values["q"] is None:
+    if values["q"] is None and args.kind != "tcc":
         raise _CliError("probe needs --q (or q: in --config)")
     return probes.ProbeConfig(
         p=SpacetimePoint(*values["p"]),
-        q=SpacetimePoint(*values["q"]),
+        q=None if values["q"] is None else SpacetimePoint(*values["q"]),
         fc_bound=values["fc_bound"],
         ca_direction=TangentVector(*values["ca_direction"]),
         ca_bounds=tuple(values["ca_bounds"]),

@@ -582,20 +582,20 @@ def uniqueness_witness(
     v: TangentVector,
     steps: tuple[float, float] = (1e-2, 1e-3),
     s_max: float = 1.0,
-    n_checks: int = 10,
 ) -> float:
     """Maximum three-way gap between two RK4 runs and the quadrature route.
 
-    The three solvers are compared at n_checks shared affine parameters up
-    to s_max; a small gap certifies that all of them found the one solution
-    the conserved-quantity reduction admits for tau0 != 0.  v must be causal
-    with tau0 != 0; past-directed data runs in the time-reflected profile.
+    The three solvers are compared at the ten shared affine parameters
+    s_max i / 10 (i = 1, ..., 10); a small gap certifies that all of them
+    found the one solution the conserved-quantity reduction admits for
+    tau0 != 0.  v must be causal with tau0 != 0; past-directed data runs in
+    the time-reflected profile.
     """
     quad, v = _oriented(profile, p, v, EPS_NULL)
     profile, p = quad.profile, SpacetimePoint(quad.t0, quad.x0)
-    s_checks = [s_max * i / n_checks for i in range(1, n_checks + 1)]
+    s_checks = [s_max * i / 10 for i in range(1, 11)]
     T = quad.times(s_checks)
-    if len(T) < n_checks:
+    if len(T) < len(s_checks):
         raise Inextendible(quad._certificate(quad.bound()))
     runs = [zip(T.tolist(), quad.x_at(T).tolist())]
     runs += [[st[:2] for st in _advance_fixed(profile, p, v, s_checks, h)] for h in steps]

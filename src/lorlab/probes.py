@@ -36,7 +36,7 @@ import numpy as np
 
 from .causality import _relation, _separations, causally_related, lorentzian_distance
 from .errors import NotCausal, NotChronological, PremiseViolated
-from .geodesics import _Quadrature, conserved_quantities
+from .geodesics import _oriented
 from .profiles import (
     EPS_NULL,
     MetricProfile,
@@ -165,10 +165,10 @@ def probe_finite_compactness(
     q: SpacetimePoint,
     B: float,
     nx: int = 65,
-    n_trace: int = 48,
     eps_null: float = EPS_NULL,
 ) -> tuple[ProbeReport, K1Region]:
-    """Trace K1 = {x : p << q <= x, T(p, x) <= B} and judge its compactness."""
+    """Trace K1 = {x : p << q <= x, T(p, x) <= B} and judge its compactness;
+    a region capped inside the domain is traced on 48 slices of nx points."""
     if not B > 0.0:  # a nan bound would pass every slice and fake an escape
         raise ValueError("bound B must be positive")
     _require_chronological(profile, p, q, eps_null)
@@ -212,7 +212,7 @@ def probe_finite_compactness(
 
     # trace the capped region in one scan: its rows, its cone edges and the
     # sample cells where T(p, (t, .)) crosses B, listed slice by slice
-    ts = np.linspace(q.t, t_top, n_trace)
+    ts = np.linspace(q.t, t_top, 48)
     min_T, lo, hi, xs, Ts = _slices(profile, p, q, B, ts, nx, eps_null)
     r, i = np.nonzero((Ts[:, :-1] <= B) != (Ts[:, 1:] <= B))
     roots = bracketed_root(lambda x: _tvals(profile, p, ts[r], x, eps_null) - B,
@@ -247,12 +247,9 @@ def probe_condition_a(
     if not bounds or not all(B > 0.0 for B in bounds):
         raise ValueError("condition A needs at least one bound, and every bound positive")
     _require_chronological(profile, p, q, eps_null)
-    char = classify_vector(profile, q, v, eps_null=eps_null)
-    if not char.is_causal:
-        raise NotCausal(f"direction {v} is {char.kind}, need timelike or null")
     if v.tau0 <= 0.0:
         raise NotCausal("probe extends future-directed geodesics (tau0 > 0)")
-    quad = _Quadrature(profile, q, conserved_quantities(profile, q, v))
+    quad, _ = _oriented(profile, q, v, eps_null)
     bound = quad.bound()
 
     # march s toward the affine bound; each bound is bracketed between the
@@ -377,7 +374,7 @@ def make_cauchy_sequence(
     char = classify_vector(profile, p, v, eps_null=eps_null)
     if char.kind != "timelike" or v.tau0 <= 0.0:
         raise NotCausal("Cauchy sequences run along future timelike geodesics")
-    quad = _Quadrature(profile, p, conserved_quantities(profile, p, v))
+    quad, _ = _oriented(profile, p, v, eps_null)
     cap = quad.bound(float(span))
     T = quad.times(islice(toward_end(0.0, cap), n))
     pts = [SpacetimePoint(t, x) for t, x in zip(T.tolist(), quad.x_at(T).tolist())]

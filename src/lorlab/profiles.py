@@ -230,15 +230,6 @@ class TangentVector:
 
 
 @dataclass(frozen=True)
-class ChristoffelTriple:
-    """The three non-vanishing Christoffel symbols of the warped metric."""
-
-    g000: float  # G^0_00 = a'/(2a)
-    g011: float  # G^0_11 = b'/(2a)
-    g101: float  # G^1_01 = G^1_10 = b'/(2b)
-
-
-@dataclass(frozen=True)
 class CausalCharacter:
     """Causal class of a tangent vector together with its squared norm."""
 
@@ -416,17 +407,6 @@ class MetricProfile:
 
 
 # -- operations -------------------------------------------------------------
-
-
-def eval_profile(profile: MetricProfile, t: float) -> tuple[float, float, float, float]:
-    """Evaluate (a, b, a', b') with exact term-wise derivatives."""
-    return profile.eval(t)
-
-
-def christoffel(profile: MetricProfile, t: float) -> ChristoffelTriple:
-    """G^0_00 = a'/(2a), G^0_11 = b'/(2a), G^1_01 = b'/(2b)."""
-    a, b, da, db = profile.eval(t)
-    return ChristoffelTriple(da / (2.0 * a), db / (2.0 * a), db / (2.0 * b))
 
 
 def classify_vector(

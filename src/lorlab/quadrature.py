@@ -187,18 +187,6 @@ def panel_integrals(f, los, his, breaks=()) -> np.ndarray:
     return np.array([sgn * _fsum(vals[i:j]) for sgn, i, j in rows])
 
 
-def _rule_nodes(edges, m: int):
-    """Nodes and weights of the composite rule at refinement m on the panels
-    between consecutive edges; a stack of layouts (..., panels + 1) gives
-    one row of nodes per layout."""
-    edges = np.asarray(edges, dtype=float)
-    width = (edges[..., 1:] - edges[..., :-1])[..., None]
-    frac, w = _split_rule(m)
-    shape = edges.shape[:-1] + (-1,)
-    return ((edges[..., :-1, None] + width * frac).reshape(shape),
-            ((0.5 / m) * width * w).reshape(shape))
-
-
 class ClosedFormMap:
     """Closed form of t -> int_anchor^t k exp(r u) du, evaluated in floats.
 

@@ -34,6 +34,7 @@ from lorlab import (
 )
 
 from lorlab import causality
+from lorlab.quadrature import _rule_layout
 from oracles import enumerate_tau_length, lattice_distance, simpson_integral
 
 P = SpacetimePoint
@@ -303,6 +304,17 @@ def test_distance_warpb_off_axis_against_lattice_oracle():
     assert abs(d.value - oracle) < 2e-2
 
 
+@pytest.mark.parametrize("delta", [0.25, 1e-3, 1e-6, 1e-9, 1e-11])
+def test_shooting_near_null_against_exact_b4(delta):
+    # a = 1, b = 4: T = sqrt(dt^2 - 4 dx^2) exactly, here 1 - 2 dx = 2 delta
+    b4 = MetricProfile("b4", (const(1.0),), (const(4.0),))
+    dx = 0.5 - delta
+    d = lorentzian_distance(b4, P(0, 0), P(1, dx), with_path=False)
+    assert d.method == "shooting"
+    exact = math.sqrt((1.0 - 2.0 * dx) * (1.0 + 2.0 * dx))
+    assert abs(d.value - exact) <= max(1e-10, 1e-9 * exact)
+
+
 def test_distance_reduction_shooting_agree_on_unit_b():
     rng = np.random.default_rng(31)
     for name in ("minkowski", "exp2t", "c1power"):
@@ -385,10 +397,10 @@ def warpb_rules(m):
     cone = np.array([cone_time(prof, b) - cone_time(prof, a) for a, b in zip(t1, t2)])
     frac = np.concatenate([rng.uniform(-0.95, 0.95, 30), [1.0, -1.0] * 5])
     frac[30:] *= 1.0 - np.logspace(-3, -7, 10)
-    edges = np.stack([t1, t2], axis=1)
-    xs, w = causality._rule_nodes(edges, m)
-    a, b, _, _ = prof.eval_many(xs)
-    return causality._Rules.from_nodes(w, a, b, frac * cone)
+    width = (t2 - t1)[:, None]
+    nodes, ((_, w, _, _),) = _rule_layout((m,))
+    a, b = prof.coefficients_many(t1[:, None] + width * nodes)
+    return causality._Rules.from_nodes((0.5 / m) * width * w, a, b, frac * cone)
 
 
 def test_kappa_bracket_is_the_least_sweep_bracket(monkeypatch):

@@ -77,6 +77,18 @@ def test_geodesic_underflowed_data_exits_cleanly(capsys, method):
     assert "Traceback" not in err
 
 
+def test_geodesic_drift_tol_rejected_without_ode(capsys):
+    argv = ("geodesic", "--profile", "minkowski", "--p", "0,0", "--v", "1,0",
+            "--smax", "0.01", "--step", "0.005", "--drift-tol", "1e-3")
+    code, out, err = run(capsys, *argv, "--method", "quadrature")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --drift-tol")
+    for method in ("ode", "both"):
+        code, out, _ = run(capsys, *argv, "--method", method)
+        assert code == 0 and "# method=ode" in out
+
+
 def test_geodesic_unknown_profile_exits_1(capsys):
     code, _, err = run(capsys, "geodesic", "--profile", "nosuch", "--p", "0,0",
                        "--v", "1,0", "--smax", "1", "--step", "0.1")
@@ -297,6 +309,23 @@ def test_probe_tcc_kind(capsys, tmp_path, monkeypatch):
     assert code == 2
     assert "timelike_cauchy fails_with_witness" in out
     assert (tmp_path / "witness_tcc.txt").exists()
+
+
+def test_probe_tcc_needs_no_q(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "probe", "--profile", "minkowski", "--kind", "tcc",
+                         "--p", "0,0")
+    assert code == 0, err
+    assert "timelike_cauchy holds_on_probe" in out
+
+
+@pytest.mark.parametrize("kind", ["fc", "ca", "all"])
+def test_probe_without_q_rejected_where_read(capsys, kind):
+    code, out, err = run(capsys, "probe", "--profile", "minkowski", "--kind", kind,
+                         "--p", "0,0")
+    assert code == 1
+    assert out == ""
+    assert "probe needs --q" in err
 
 
 def test_axioms_byte_deterministic(capsys):

@@ -34,7 +34,7 @@ from lorlab import (
     quadrature_advance,
     uniqueness_witness,
 )
-from lorlab import geodesics, probes
+from lorlab import geodesics
 from lorlab.geodesics import (
     DRIFT_TOL,
     INVERT_TOL,
@@ -1002,7 +1002,7 @@ def _newton_rows(monkeypatch):
             super().__init__(*args)
             calls.append(_count_s_at(self))
 
-    monkeypatch.setattr(probes, "_Quadrature", Counted)
+    monkeypatch.setattr(geodesics, "_Quadrature", Counted)
     return lambda: sum(sum(c) for c in calls)
 
 

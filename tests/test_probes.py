@@ -28,7 +28,7 @@ from lorlab import (
 )
 from lorlab.errors import QuadratureError
 from lorlab.geodesics import _Quadrature, conserved_quantities
-from lorlab import probes
+from lorlab import geodesics, probes
 from lorlab.causality import _separations, cone_time
 from lorlab.probes import (
     FAILS,
@@ -342,7 +342,7 @@ def test_capped_bound_marches_only_past_the_span(monkeypatch):
             super().__init__(*args)
             made.append(self)
 
-    monkeypatch.setattr(probes, "_Quadrature", Recorded)
+    monkeypatch.setattr(geodesics, "_Quadrature", Recorded)
     p, v = P(0.1, 0.0), V(1.0, 0.0)
     for name in ("c1power", "strip01"):
         prof = get_profile(name)

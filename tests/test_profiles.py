@@ -10,10 +10,8 @@ from lorlab import (
     MetricProfile,
     SpacetimePoint,
     TangentVector,
-    christoffel,
     classify_vector,
     const,
-    eval_profile,
     exponential,
     format_profile,
     get_profile,
@@ -26,31 +24,31 @@ P = SpacetimePoint
 V = TangentVector
 
 
-# -- eval_profile -------------------------------------------------------------
+# -- eval ---------------------------------------------------------------------
 
 
 def test_eval_minkowski_constant():
-    assert eval_profile(get_profile("minkowski"), 0.7) == (1.0, 1.0, 0.0, 0.0)
+    assert get_profile("minkowski").eval(0.7) == (1.0, 1.0, 0.0, 0.0)
 
 
 def test_eval_exp2t_at_zero():
     # d/dt e^{2t} = 2 e^{2t}, so (a, b, a', b') = (1, 1, 2, 0) at t = 0
-    a, b, da, db = eval_profile(get_profile("exp2t"), 0.0)
+    a, b, da, db = get_profile("exp2t").eval(0.0)
     assert (a, b, db) == (1.0, 1.0, 0.0)
     assert da == pytest.approx(2.0, abs=1e-15)
 
 
 def test_eval_c1power_derivative_vanishes_at_kink():
     # one-sided limits of (3/2)|t|^{1/2} agree (= 0) at the center
-    a, b, da, db = eval_profile(get_profile("c1power"), 0.0)
+    a, b, da, db = get_profile("c1power").eval(0.0)
     assert (a, b, da, db) == (1.0, 1.0, 0.0, 0.0)
 
 
 def test_eval_outside_domain():
     with pytest.raises(DomainExceeded):
-        eval_profile(get_profile("strip01"), 1.0)
+        get_profile("strip01").eval(1.0)
     with pytest.raises(DomainExceeded):
-        eval_profile(get_profile("strip01"), -0.2)
+        get_profile("strip01").eval(-0.2)
 
 
 def test_power_exponent_must_exceed_one():
@@ -197,46 +195,6 @@ def test_coefficients_many_rejects_nan_and_points_outside_the_domain(prof):
                 prof.coefficients_many(grid)
             with pytest.raises(DomainExceeded):
                 prof.eval_many(grid)
-
-
-# -- christoffel ----------------------------------------------------------------
-
-
-def test_christoffel_flat_vanishes():
-    for t in (-2.0, 0.0, 0.7):
-        tri = christoffel(get_profile("minkowski"), t)
-        assert (tri.g000, tri.g011, tri.g101) == (0.0, 0.0, 0.0)
-
-
-def test_christoffel_exp_time_warp():
-    # a = e^{2t}: a'/2a = 1 for every t; b constant kills the other two
-    tri = christoffel(get_profile("exp2t"), 0.0)
-    assert tri.g000 == pytest.approx(1.0, abs=1e-15)
-    assert tri.g011 == 0.0
-    assert tri.g101 == 0.0
-
-
-def test_christoffel_exp_space_warp():
-    prof = MetricProfile("bexp", (const(1.0),), (exponential(1.0, 2.0),),
-                         alpha=1e-18, check_window=(-20.0, 20.0))
-    tri = christoffel(prof, 0.0)
-    assert tri.g000 == 0.0
-    assert tri.g011 == pytest.approx(1.0, abs=1e-15)
-    assert tri.g101 == pytest.approx(1.0, abs=1e-15)
-
-
-def test_christoffel_consistent_with_eval_quotients():
-    rng = np.random.default_rng(7)
-    for name in CATALOG_NAMES:
-        prof = get_profile(name)
-        lo = max(prof.t_min, -5.0) + 0.01
-        hi = min(prof.t_max, 5.0) - 0.01
-        for t in rng.uniform(lo, hi, 25):
-            a, b, da, db = eval_profile(prof, t)
-            tri = christoffel(prof, t)
-            assert tri.g000 == da / (2 * a)
-            assert tri.g011 == db / (2 * a)
-            assert tri.g101 == db / (2 * b)
 
 
 # -- classify_vector ---------------------------------------------------------------
