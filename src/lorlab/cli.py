@@ -85,7 +85,7 @@ def _load_profile(args) -> profiles.MetricProfile:
 
 def _check_tolerances(args):
     for name in ("eps_null", "drift_tol"):
-        if getattr(args, name, None) is not None and getattr(args, name) <= 0.0:
+        if getattr(args, name, None) is not None and not getattr(args, name) > 0.0:
             raise _CliError(f"--{name.replace('_', '-')} must be positive")
 
 
@@ -140,11 +140,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", choices=("fc", "tcc", "ca", "all"), required=True)
     sp.add_argument("--p", required=True)
     sp.add_argument("--q", help="second point t,x (fc/ca and kind=all)")
-    sp.add_argument("--B", type=float, default=5.0, help="finite-compactness bound")
-    sp.add_argument("--v", default="1,0", help="geodesic direction for ca")
-    sp.add_argument("--ca-B", default="10,100", help="comma list of ca bounds")
-    sp.add_argument("--cauchy-span", type=float, default=1.0)
-    sp.add_argument("--cauchy-n", type=int, default=30)
+    # each of these is rejected by a kind that does not read it
+    sp.add_argument("--B", type=float, help="finite-compactness bound (fc; default 5)")
+    sp.add_argument("--v", type=_pair, help="geodesic direction (ca, tcc; default 1,0)")
+    sp.add_argument("--ca-B", type=_float_list,
+                    help="comma list of ca bounds (ca; default 10,100)")
+    sp.add_argument("--cauchy-span", type=float, help="sequence span (tcc; default 1)")
+    sp.add_argument("--cauchy-n", type=int, help="sequence length (tcc; default 30)")
     sp.add_argument("--config", help="key-value config file overriding the flags")
     sp.add_argument("--witness-file", default=None,
                     help="where to write the witness on failure")
@@ -302,17 +304,27 @@ _PROBE_CONFIG_KEYS = {
 }
 
 
+# the probe flags that only some kinds read (kind all reads every one), and
+# the config keys each sets
+_PROBE_FLAGS = {
+    "B": (("fc",), ("fc_bound",)),
+    "v": (("ca", "tcc"), ("ca_direction", "cauchy_direction")),
+    "ca_B": (("ca",), ("ca_bounds",)),
+    "cauchy_span": (("tcc",), ("cauchy_span",)),
+    "cauchy_n": (("tcc",), ("cauchy_len",)),
+}
+
+
 def _probe_config(args) -> probes.ProbeConfig:
-    values = {
-        "p": _pair(args.p),
-        "q": _pair(args.q) if args.q else None,
-        "fc_bound": args.B,
-        "ca_direction": _pair(args.v),
-        "ca_bounds": tuple(_float_list(args.ca_B)),
-        "cauchy_direction": _pair(args.v),
-        "cauchy_span": args.cauchy_span,
-        "cauchy_len": args.cauchy_n,
-    }
+    values = {"p": _pair(args.p), "q": _pair(args.q) if args.q else None}
+    for flag, (kinds, keys) in _PROBE_FLAGS.items():
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        if args.kind not in (*kinds, "all"):
+            raise _CliError(
+                f"probe --kind {args.kind} does not read --{flag.replace('_', '-')}")
+        values.update(dict.fromkeys(keys, value))
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             for raw in fh:
@@ -324,18 +336,16 @@ def _probe_config(args) -> probes.ProbeConfig:
                 if not sep or key not in _PROBE_CONFIG_KEYS:
                     raise _CliError(f"unknown probe config line {raw.strip()!r}")
                 values[key] = _PROBE_CONFIG_KEYS[key](value.strip())
-    if values["q"] is None and args.kind != "tcc":
+    p, q = values.pop("p"), values.pop("q")
+    if q is None and args.kind != "tcc":
         raise _CliError("probe needs --q (or q: in --config)")
+    for key in ("ca_direction", "cauchy_direction"):
+        if key in values:
+            values[key] = TangentVector(*values[key])
+    if "ca_bounds" in values:
+        values["ca_bounds"] = tuple(values["ca_bounds"])
     return probes.ProbeConfig(
-        p=SpacetimePoint(*values["p"]),
-        q=None if values["q"] is None else SpacetimePoint(*values["q"]),
-        fc_bound=values["fc_bound"],
-        ca_direction=TangentVector(*values["ca_direction"]),
-        ca_bounds=tuple(values["ca_bounds"]),
-        cauchy_direction=TangentVector(*values["cauchy_direction"]),
-        cauchy_span=values["cauchy_span"],
-        cauchy_len=values["cauchy_len"],
-    )
+        p=SpacetimePoint(*p), q=None if q is None else SpacetimePoint(*q), **values)
 
 
 def _witness_text(report: probes.ProbeReport) -> str:

@@ -1,12 +1,14 @@
 """Causal geodesics of g = -a(t) dt^2 + b(t) dx^2, solved two independent ways.
 
 Route one integrates the second-order geodesic system with fixed-step
-classical Runge-Kutta.  One fused step unrolls the four stages on plain
-floats and evaluates the profile through its generated scalar evaluator
-(MetricProfile.geodesic_rhs), bitwise the same arithmetic as ode_rhs, the
-documented reference form.  The drift check's evaluation at each new state
-is the next step's first stage, so a step costs four evaluations.  Route
-two uses the two conserved quantities
+classical Runge-Kutta.  The whole step loop is generated for the profile's
+term kinds (rk4_run of MetricProfile._kernels): the four stages unrolled on
+plain floats with the coefficient code inlined, bitwise the same arithmetic
+as ode_rhs, the documented reference form, plus the domain and drift
+checks.  The drift check's evaluation at each new state is the next step's
+first stage, so a step costs four evaluations.  A step that leaves the
+domain is bisected with the generated single step.  Route two uses the two
+conserved quantities
 
     kappa = b(t) dx/ds          (spatial momentum),
     eps   = g(gdot, gdot)       (constant squared speed),
@@ -128,31 +130,6 @@ def ode_rhs(profile: MetricProfile, state) -> tuple[float, float, float, float]:
     return (td, xd, -g000 * td * td - g011 * xd * xd, -2.0 * g101 * td * xd)
 
 
-def _rk4(rhs, state, k1, h):
-    """One classical RK4 step of h from state = (t, x, dt/ds, dx/ds).
-
-    k1 is rhs at state, which the caller has: the four stages are unrolled
-    on plain floats, and only the fourth-order update needs x.  The
-    arithmetic is that of four ode_rhs stages, operation for operation.
-    """
-    t, x, td, xd = state
-    at1, ax1, _, _ = k1
-    hh = 0.5 * h
-    td2, xd2 = td + hh * at1, xd + hh * ax1
-    at2, ax2, _, _ = rhs(t + hh * td, td2, xd2)
-    td3, xd3 = td + hh * at2, xd + hh * ax2
-    at3, ax3, _, _ = rhs(t + hh * td2, td3, xd3)
-    td4, xd4 = td + h * at3, xd + h * ax3
-    at4, ax4, _, _ = rhs(t + h * td3, td4, xd4)
-    h6 = h / 6.0
-    return (
-        t + h6 * (td + 2.0 * td2 + 2.0 * td3 + td4),
-        x + h6 * (xd + 2.0 * xd2 + 2.0 * xd3 + xd4),
-        td + h6 * (at1 + 2.0 * at2 + 2.0 * at3 + at4),
-        xd + h6 * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4),
-    )
-
-
 def integrate_geodesic(
     profile: MetricProfile,
     p: SpacetimePoint,
@@ -163,101 +140,64 @@ def integrate_geodesic(
 ) -> GeodesicPath:
     """Fixed-step RK4 until s_max or domain exit.
 
-    A domain exit is located by bisecting the final step and converts to
+    The steps run in the profile's generated loop (rk4_run of
+    MetricProfile._kernels).  A domain exit is located by bisecting the
+    final step with the generated single step and converts to
     inextendible=True with max_param set to the exit parameter; it is never
     raised.  Conserved-quantity drift beyond 1000 * drift_tol * (1 + s)
     raises StepTooLarge, the signal that the merely continuous right-hand
     side needs a smaller step.  The drift check evaluates the profile at
     each new state, and that evaluation is the next step's k1, so a step
-    costs four evaluations.
+    costs four evaluations.  step and s_max must be positive and finite,
+    drift_tol positive.
     """
     profile.require_inside(p.t)
     if v.tau0 == 0.0 and v.xi0 == 0.0:
         raise NotCausal("zero initial velocity")
-    if step <= 0.0 or s_max <= 0.0:
-        raise ValueError("step and s_max must be positive")
+    if not (0.0 < step < math.inf and 0.0 < s_max < math.inf):
+        raise ValueError("step and s_max must be positive and finite")
+    if not drift_tol > 0.0:
+        raise ValueError("drift_tol must be positive")
     cons = conserved_quantities(profile, p, v)
-    hard_limit = 1000.0 * drift_tol
-    kappa0, eps0 = cons.kappa, cons.epsilon
-    rhs, t_min, t_max = profile.geodesic_rhs, profile.t_min, profile.t_max
-    worst = 0.0
-
-    def checked(state, s):
-        """rhs at state, once its conserved-quantity drift is in budget."""
-        nonlocal worst
-        t, _, td, xd = state
-        k = rhs(t, td, xd)
-        a, b = k[2], k[3]
-        dk = abs(b * xd - kappa0)
-        de = abs(-a * td * td + b * xd * xd - eps0)
-        budget = hard_limit * (1.0 + s)
-        if dk > budget or de > budget:
-            raise StepTooLarge(
-                f"conserved-quantity drift exceeded {budget!r} at s={s!r}; "
-                "reduce the step"
-            )
-        worst = max(worst, dk, de)
-        return k
-
-    def inside_step(state, k1, h):
-        """The step, or None when a stage or its end leaves the domain."""
-        try:
-            nxt = _rk4(rhs, state, k1, h)
-        except DomainExceeded:
-            return None
-        return nxt if t_min < nxt[0] < t_max else None
-
-    rows = [(0.0, p.t, p.x, v.tau0, v.xi0)]
-    state = (p.t, p.x, v.tau0, v.xi0)
-    s = 0.0
+    _, run, rk4_step = profile._kernels
+    drift = (cons.kappa, cons.epsilon, 1000.0 * drift_tol)
+    rows = [0.0, p.t, p.x, v.tau0, v.xi0]  # flat, five numbers a row
     end = s_max - 1e-15 * max(1.0, s_max)
-    k1 = rhs(p.t, v.tau0, v.xi0) if s < end else None
-    inext = False
-    max_param = math.inf
-    while s < end:
-        h = min(step, s_max - s)
-        nxt = inside_step(state, k1, h)
-        if nxt is None:
-            lo, hi = 0.0, h
-            good = None
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                trial = inside_step(state, k1, mid)
-                if trial is None:
-                    hi = mid
-                else:
-                    lo, good = mid, trial
-                if hi - lo <= 1e-14 * max(1.0, step):
-                    break
-            if good is not None and lo > 0.0:
-                s += lo
-                state = good
-                rows.append((s, *state))
-                checked(state, s)
-            inext = True
-            max_param = s
-            break
-        s += h
-        state = nxt
-        rows.append((s, *state))
-        k1 = checked(state, s)
-    return GeodesicPath(np.asarray(rows, dtype=float), cons, max_param, inext, worst)
+    worst, left = run(rows.extend, 0.0, p.t, p.x, v.tau0, v.xi0, s_max, end, step, *drift, 0.0)
+    s = math.inf
+    if left is not None:
+        # the longest part of the leaving step that stays inside
+        s, *state = left
+        lo, hi, good = 0.0, min(step, s_max - s), None
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            try:
+                good, lo = rk4_step(*state, mid), mid
+            except DomainExceeded:
+                hi = mid
+            if hi - lo <= 1e-14 * max(1.0, step):
+                break
+        if good is not None and lo > 0.0:
+            s += lo
+            rows += (s, *good)
+            # a run with end = s takes no step: the drift check of the last state
+            worst, _ = run(rows.extend, s, *good, s_max, s, step, *drift, worst)
+    samples = np.array(rows, dtype=float).reshape(-1, 5)
+    return GeodesicPath(samples, cons, s, left is not None, worst)
 
 
 def _advance_fixed(profile, p, v, s_values, h):
     """States of the RK4 route at each s of the increasing s_values: full
-    steps of h from p, then a remainder step that is not carried forward."""
-    rhs = profile.geodesic_rhs
+    steps of h from p, then a remainder step that is not carried forward.
+    A step that leaves the domain raises DomainExceeded."""
+    rk4_step = profile._kernels[2]
     state, done, out = (p.t, p.x, v.tau0, v.xi0), 0, []
     for s in s_values:
         n = int(math.floor(s / h + 1e-12))
         for _ in range(n - done):
-            state = _rk4(rhs, state, rhs(state[0], state[2], state[3]), h)
+            state = rk4_step(*state, h)
         done, rem = n, s - n * h
-        if rem > 1e-15 * max(1.0, s):
-            out.append(_rk4(rhs, state, rhs(state[0], state[2], state[3]), rem))
-        else:
-            out.append(state)
+        out.append(rk4_step(*state, rem) if rem > 1e-15 * max(1.0, s) else state)
     return out
 
 

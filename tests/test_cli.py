@@ -109,6 +109,18 @@ def test_negative_tolerance_rejected(capsys):
     assert "eps-null" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("distance", "--profile", "minkowski", "--p", "0,0", "--q", "2,1", "--eps-null", "nan"),
+    ("geodesic", "--profile", "minkowski", "--p", "0,0", "--v", "1,0",
+     "--smax", "1", "--step", "0.1", "--drift-tol", "nan"),
+])
+def test_nan_tolerance_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "must be positive" in err
+
+
 _VALID_ARGS = {
     "catalog": (),
     "geodesic": ("--profile", "minkowski", "--p", "0,0", "--v", "1,0",
@@ -326,6 +338,38 @@ def test_probe_without_q_rejected_where_read(capsys, kind):
     assert code == 1
     assert out == ""
     assert "probe needs --q" in err
+
+
+@pytest.mark.parametrize("kind, flags", [
+    ("tcc", ("--B", "7", "--ca-B", "1,2")),
+    ("tcc", ("--ca-B", "1,2")),
+    ("fc", ("--cauchy-n", "5", "--cauchy-span", "3")),
+    ("fc", ("--v", "1,0.5")),
+    ("ca", ("--B", "7")),
+    ("ca", ("--cauchy-n", "5")),
+])
+def test_probe_rejects_flags_its_kind_does_not_read(capsys, tmp_path, monkeypatch, kind, flags):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "probe", "--profile", "minkowski", "--kind", kind,
+                         "--p", "0,0", "--q", "1,0", *flags)
+    assert code == 1
+    assert out == ""
+    assert "does not read" in err
+    assert not list(tmp_path.glob("witness*"))
+
+
+@pytest.mark.parametrize("kind, flags", [
+    ("fc", ("--B", "4")),
+    ("ca", ("--v", "1,0.5", "--ca-B", "3,30")),
+    ("tcc", ("--v", "1,0.5", "--cauchy-span", "0.5", "--cauchy-n", "5")),
+    ("all", ("--B", "4", "--v", "1,0.5", "--ca-B", "3,30", "--cauchy-n", "5")),
+])
+def test_probe_accepts_the_flags_its_kind_reads(capsys, tmp_path, monkeypatch, kind, flags):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "probe", "--profile", "minkowski", "--kind", kind,
+                         "--p", "0,0", "--q", "1,0", *flags)
+    assert code in (0, 2), err  # a verdict either way
+    assert f"kind {kind}" in out
 
 
 def test_axioms_byte_deterministic(capsys):

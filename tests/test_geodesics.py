@@ -34,7 +34,7 @@ from lorlab import (
     quadrature_advance,
     uniqueness_witness,
 )
-from lorlab import geodesics
+from lorlab import geodesics, profiles
 from lorlab.geodesics import (
     DRIFT_TOL,
     INVERT_TOL,
@@ -211,6 +211,22 @@ def test_integrate_step_too_large():
 def test_integrate_rejects_zero_velocity():
     with pytest.raises(NotCausal):
         integrate_geodesic(get_profile("minkowski"), P(0, 0), V(0, 0), 1.0, 0.1)
+
+
+@pytest.mark.parametrize("s_max, step, drift_tol", [
+    (1.0, math.nan, DRIFT_TOL),   # once a false exit: one row, inextendible at 0
+    (1.0, math.inf, DRIFT_TOL),
+    (1.0, 0.0, DRIFT_TOL),
+    (math.nan, 0.1, DRIFT_TOL),   # once only the start row
+    (math.inf, 0.1, DRIFT_TOL),
+    (-1.0, 0.1, DRIFT_TOL),
+    (1.0, 0.1, math.nan),         # once no drift check at all
+    (1.0, 0.1, 0.0),
+    (1.0, 0.1, -1e-6),
+])
+def test_integrate_rejects_non_finite_or_non_positive_input(s_max, step, drift_tol):
+    with pytest.raises(ValueError):
+        integrate_geodesic(get_profile("minkowski"), P(0, 0), V(1, 0.5), s_max, step, drift_tol)
 
 
 # -- quadrature_advance --------------------------------------------------------------
@@ -687,6 +703,56 @@ IC_WINDOWS = {
     "warpb": ((-0.5, 0.5), (0.2, 1.0)),
 }
 
+# a decreases toward t_max, so a geodesic heading there speeds up: its later
+# stages reach further than the earlier ones
+RAMP = MetricProfile("ramp", (const(2.0), linear(-0.5)), (const(1.0), exponential(0.2, 1.0)),
+                     t_min=-1.0, t_max=1.0)
+
+# (profile, p, v, step, first point of the first step outside the domain)
+EXIT_CASES = [
+    (MIXED, P(1.99, 0.0), V(0.5, 0.0), 0.1, 2),
+    (RAMP, P(0.94975, 0.0), V(1.0, 0.0), 0.1, 3),
+    (MIXED, P(1.974875, 0.0), V(0.5, 0.0), 0.1, 4),
+    (RAMP, P(0.8999992, 0.0), V(1.0, 1.0), 0.1, "end"),
+]
+
+
+def _first_outside(profile, p, v, h):
+    """Where the per-stage RK4 step of h from (p, v) first leaves the domain:
+    stage 2, 3 or 4, "end", or None when it stays inside."""
+    state = (p.t, p.x, v.tau0, v.xi0)
+    k = seed_ode_rhs(profile, state)
+    for stage, frac in ((2, 0.5), (3, 0.5), (4, 1.0)):
+        nxt = tuple(y + frac * h * kk for y, kk in zip(state, k))
+        if not profile.contains(nxt[0]):
+            return stage
+        k = seed_ode_rhs(profile, nxt)
+    return "end" if seed_try_step(profile, state, h) is None else None
+
+
+def test_exit_cases_leave_at_each_stage_and_at_the_end():
+    for prof, p, v, step, where in EXIT_CASES:
+        assert _first_outside(prof, p, v, step) == where
+        assert integrate_geodesic(prof, p, v, 1.0, step).inextendible
+
+
+def test_a_step_whose_third_stage_alone_leaves_is_an_exit():
+    # a is a steep well centred at 0.8.  A coarse step from below it speeds
+    # up toward t_max at its first stage, so stage 3 overshoots the end; past
+    # the centre the pull back is strong, so stage 4 and the end state lie
+    # inside.  Only the stage-3 check sees this exit
+    well = MetricProfile("well", (const(1.0), power(50.0, 0.8, 2.0)), (const(1.0),),
+                         t_min=-1.0, t_max=1.0)
+    p, v, step = P(0.66237, 0.0), V(2.0, 0.0), 0.2
+    assert _first_outside(well, p, v, step) == 3
+    # a step this coarse breaks the default drift budget, so the runs allow
+    # a drift_tol of 1
+    want = seed_integrate_geodesic(well, p, v, 1.0, step, 1.0)
+    got = integrate_geodesic(well, p, v, 1.0, step, 1.0)
+    assert got.samples.tobytes() == want.samples.tobytes()
+    assert (got.max_param, got.inextendible) == (want.max_param, True)
+
+
 def _gate_cases():
     """(profile, p, v, s_max, step) runs covering every branch of the step."""
     cases = []
@@ -714,6 +780,7 @@ def _gate_cases():
         cases.append((MIXED, p, v, 1.0, 1e-3))
     cases.append((MIXED, P(0.2, 0.0), V(1.0, -0.4), 1.0, 1e-3))
     cases.append((MIXED, P(1.5, 0.0), V(1.0, 0.1), 2.0, 1e-3))
+    cases += [(prof, p, v, 1.0, step) for prof, p, v, step, _ in EXIT_CASES]
     return cases
 
 
@@ -734,6 +801,48 @@ def test_fused_rk4_is_bitwise_the_per_stage_route():
         assert got.conserved == want.conserved
         exits += got.inextendible
     assert exits >= 3
+
+
+def test_profiles_of_the_same_term_kinds_share_one_code_object():
+    # MIXED's term kinds, with other constants and another domain
+    other = MetricProfile(
+        "mixed2",
+        (const(1.5), linear(-0.2), power(0.4, -0.3, 1.8), exponential(0.1, -0.9)),
+        (const(0.8), exponential(0.3, 0.5)),
+        t_min=-1.5, t_max=1.2, alpha=0.1,
+    )
+    for fn_a, fn_b in zip(MIXED._kernels, other._kernels):
+        assert fn_a is not fn_b and fn_a.__code__ is fn_b.__code__
+    for prof in (MIXED, other):
+        rng = np.random.default_rng(31)
+        exits = 0
+        for _ in range(3):
+            p, v = random_causal(prof, rng, (-1.0, 1.0))
+            for s_max, step in ((1.0, 1e-3), (6.0, 1e-2)):
+                want = seed_integrate_geodesic(prof, p, v, s_max, step)
+                got = integrate_geodesic(prof, p, v, s_max, step)
+                assert got.samples.tobytes() == want.samples.tobytes()
+                assert (got.max_param, got.inextendible) == (want.max_param, want.inextendible)
+                exits += got.inextendible
+        assert exits >= 2
+
+
+def test_generated_source_is_compiled_once_per_distinct_source(monkeypatch):
+    compiled = []
+
+    def counting_compile(src, *args):
+        compiled.append(src)
+        return compile(src, *args)
+
+    profiles._compiled.cache_clear()
+    monkeypatch.setattr(profiles, "compile", counting_compile, raising=False)
+    flat = [MetricProfile(f"b{c}", (const(1.0),), (const(c),)) for c in (1.0, 2.0, 3.0)]
+    kinks = [MetricProfile(f"k{c}", (const(1.0), power(c, 0.0, 1.5)), (const(1.0),))
+             for c in (1.0, 2.0)]
+    for prof in flat + kinks:
+        prof.geodesic_rhs(0.5, 1.0, 0.0)
+        integrate_geodesic(prof, P(0.0, 0.0), V(1.0, 0.2), 0.1, 1e-2)
+    assert len(compiled) == len(set(compiled)) == 2
 
 
 def test_fused_rk4_raises_the_same_step_too_large():
