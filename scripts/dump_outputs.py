@@ -2,9 +2,9 @@
 """Print a deterministic dump of lorlab's public results on seeded inputs.
 
 Every value is printed with repr, so two checkouts agree on a line only when
-they agree bit for bit; arrays of more than 64 entries are printed as their
-shape and a SHA-256 of their bytes.  The inputs are drawn from a fixed seed
-on the built-in catalog and on a mixed profile with every term kind:
+they agree bit for bit; arrays are printed entry by entry.  The inputs are
+drawn from a fixed seed on the built-in catalog and on a mixed profile with
+every term kind:
 
     causal_exp, affine_bound    random causal vectors, half past-directed
     geodesic_states             future-directed vectors, 11 parameters on [0, 1]
@@ -14,17 +14,30 @@ on the built-in catalog and on a mixed profile with every term kind:
     space taumat                space_from_points on 32 random points
     uniqueness_witness          random causal vectors, half past-directed
 
-A call that raises prints the exception instead.  To compare two checkouts:
+A call that raises prints the exception instead.  To compare two checkouts,
+dump each with this script (copy it into the other checkout's scripts/
+when that one prints another format) and compare the dumps:
 
     python3 scripts/dump_outputs.py > new.txt
     python3 /path/to/other/checkout/scripts/dump_outputs.py > old.txt
-    diff old.txt new.txt
+    python3 scripts/dump_outputs.py --compare old.txt new.txt
+
+For each public function (the second word of a line) --compare prints how
+many of its lines moved, the worst relative move |a - b| / max(|a|, |b|) of
+any number in them and the worst absolute move |a - b|, numbers paired in
+order of appearance.  A relative move of a number that is itself a small
+difference (a gap or a diameter) can be large where the absolute move is a
+few ulps of the quantities it came from.  A line whose text around the
+numbers changed (an exception in place of a value, or another count of
+numbers) is counted as changed text, with no move.  It exits 1 when the
+dumps have different numbers of lines.
 """
 
+import argparse
 import dataclasses
-import hashlib
 import math
 import os
+import re
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -78,10 +91,7 @@ def show(obj) -> str:
                           for f in dataclasses.fields(obj) if f.repr)
         return f"{type(obj).__name__}({inner})"
     if isinstance(obj, np.ndarray):
-        if obj.size <= 64:
-            return f"array({show(obj.tolist())})"
-        digest = hashlib.sha256(np.ascontiguousarray(obj).tobytes()).hexdigest()[:16]
-        return f"array(shape={obj.shape}, dtype={obj.dtype}, sha256={digest})"
+        return f"array({show(obj.tolist())})"
     if isinstance(obj, dict):
         return "{" + ", ".join(f"{show(k)}: {show(v)}" for k, v in obj.items()) + "}"
     if isinstance(obj, (list, tuple)):
@@ -152,7 +162,53 @@ def dump(prof, rng):
               f"{attempt(ll.uniqueness_witness, prof, p, v)}")
 
 
-def main():
+NUMBER = re.compile(r"(?<![\w.])-?(?:inf|nan|\d+(?:\.\d*)?(?:e[-+]?\d+)?)(?![\w.])")
+
+
+def moves(a: float, b: float) -> tuple[float, float]:
+    """The relative and the absolute move from a to b."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0, 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf, math.inf
+    return abs(a - b) / max(abs(a), abs(b)), abs(a - b)
+
+
+def compare(old_path: str, new_path: str) -> int:
+    with open(old_path) as fh:
+        old = fh.read().splitlines()
+    with open(new_path) as fh:
+        new = fh.read().splitlines()
+    if len(old) != len(new):
+        print(f"the dumps differ in length: {len(old)} and {len(new)} lines")
+        return 1
+    stats = {}  # function -> [lines, moved, changed text, worst relative, worst absolute]
+    for a, b in zip(old, new):
+        row = stats.setdefault(a.split()[1], [0, 0, 0, 0.0, 0.0])
+        row[0] += 1
+        if a == b:
+            continue
+        na, nb = NUMBER.findall(a), NUMBER.findall(b)
+        if NUMBER.sub("#", a) != NUMBER.sub("#", b) or len(na) != len(nb):
+            row[2] += 1
+            continue
+        row[1] += 1
+        for x, y in zip(na, nb):
+            rel, ab = moves(float(x), float(y))
+            row[3], row[4] = max(row[3], rel), max(row[4], ab)
+    for name, (lines, moved, text, rel, ab) in stats.items():
+        print(f"{name}: {moved} of {lines} lines moved, worst relative move {rel:.3g}, "
+              f"worst absolute move {ab:.3g}" + (f"; {text} changed text" if text else ""))
+    return 0
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="compare two dumps instead of printing one")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
     rng = np.random.default_rng(SEED)
     for prof in profiles():
         dump(prof, rng)

@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import NotAChain, NotReducible, QuadratureError, ShootingFailed
 from .geodesics import ConservedQuantities, GeodesicPath, _Quadrature
-from .profiles import EPS_NULL, MetricProfile, SpacetimePoint
+from .profiles import EPS_NULL, MetricProfile, SpacetimePoint, check_eps_null
 from .quadrature import (
     QUAD_TOL,
     ROOT_MAX_ITER,
@@ -128,6 +128,7 @@ def causally_related(
     eps_null: float = EPS_NULL,
 ) -> CausalVerdict:
     """Classify the ordered pair (p, q) by the signed cone slack."""
+    check_eps_null(eps_null)
     profile.require_inside(p.t)
     profile.require_inside(q.t)
     cm = _cone_map(profile)
@@ -468,6 +469,7 @@ def lorentzian_distance(
     A value that overflows to inf (a closed-form flat time past the float
     range) comes without a maximizer.
     """
+    check_eps_null(eps_null)
     if method not in ("auto", "reduction", "shooting"):
         raise ValueError(f"unknown method {method!r}")
     if method == "reduction" and not profile.has_unit_b:

@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--kind", choices=("fc", "tcc", "ca", "all"), required=True)
     sp.add_argument("--p", required=True)
-    sp.add_argument("--q", help="second point t,x (fc/ca and kind=all)")
+    sp.add_argument("--q", type=_pair, help="second point t,x (fc, ca)")
     # each of these is rejected by a kind that does not read it
     sp.add_argument("--B", type=float, help="finite-compactness bound (fc; default 5)")
     sp.add_argument("--v", type=_pair, help="geodesic direction (ca, tcc; default 1,0)")
@@ -292,36 +292,42 @@ def _run_axioms(args) -> int:
     return 0 if ok else 2
 
 
+# each probe config key's parser and the kinds that read it (kind all reads
+# every one)
 _PROBE_CONFIG_KEYS = {
-    "p": _pair,
-    "q": _pair,
-    "fc_bound": float,
-    "ca_direction": _pair,
-    "ca_bounds": _float_list,
-    "cauchy_direction": _pair,
-    "cauchy_span": float,
-    "cauchy_len": int,
+    "p": (_pair, ("fc", "ca", "tcc")),
+    "q": (_pair, ("fc", "ca")),
+    "fc_bound": (float, ("fc",)),
+    "ca_direction": (_pair, ("ca",)),
+    "ca_bounds": (_float_list, ("ca",)),
+    "cauchy_direction": (_pair, ("tcc",)),
+    "cauchy_span": (float, ("tcc",)),
+    "cauchy_len": (int, ("tcc",)),
 }
 
 
-# the probe flags that only some kinds read (kind all reads every one), and
-# the config keys each sets
+# the probe flags besides --p, and the config keys each sets; a kind rejects
+# a flag that sets no key it reads
 _PROBE_FLAGS = {
-    "B": (("fc",), ("fc_bound",)),
-    "v": (("ca", "tcc"), ("ca_direction", "cauchy_direction")),
-    "ca_B": (("ca",), ("ca_bounds",)),
-    "cauchy_span": (("tcc",), ("cauchy_span",)),
-    "cauchy_n": (("tcc",), ("cauchy_len",)),
+    "q": ("q",),
+    "B": ("fc_bound",),
+    "v": ("ca_direction", "cauchy_direction"),
+    "ca_B": ("ca_bounds",),
+    "cauchy_span": ("cauchy_span",),
+    "cauchy_n": ("cauchy_len",),
 }
 
 
 def _probe_config(args) -> probes.ProbeConfig:
-    values = {"p": _pair(args.p), "q": _pair(args.q) if args.q else None}
-    for flag, (kinds, keys) in _PROBE_FLAGS.items():
+    def reads(key):
+        return args.kind in (*_PROBE_CONFIG_KEYS[key][1], "all")
+
+    values = {"p": _pair(args.p), "q": None}
+    for flag, keys in _PROBE_FLAGS.items():
         value = getattr(args, flag)
         if value is None:
             continue
-        if args.kind not in (*kinds, "all"):
+        if not any(map(reads, keys)):
             raise _CliError(
                 f"probe --kind {args.kind} does not read --{flag.replace('_', '-')}")
         values.update(dict.fromkeys(keys, value))
@@ -335,7 +341,9 @@ def _probe_config(args) -> probes.ProbeConfig:
                 key = key.strip()
                 if not sep or key not in _PROBE_CONFIG_KEYS:
                     raise _CliError(f"unknown probe config line {raw.strip()!r}")
-                values[key] = _PROBE_CONFIG_KEYS[key](value.strip())
+                if not reads(key):
+                    raise _CliError(f"probe --kind {args.kind} does not read config key {key!r}")
+                values[key] = _PROBE_CONFIG_KEYS[key][0](value.strip())
     p, q = values.pop("p"), values.pop("q")
     if q is None and args.kind != "tcc":
         raise _CliError("probe needs --q (or q: in --config)")

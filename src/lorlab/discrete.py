@@ -17,7 +17,7 @@ import numpy as np
 
 from .causality import _separations
 from .errors import RegionOutsideDomain, TooLarge
-from .profiles import EPS_NULL, MetricProfile, SpacetimePoint
+from .profiles import EPS_NULL, MetricProfile, SpacetimePoint, check_eps_null
 from .quadrature import _cone_map
 
 MAX_POINTS = 500
@@ -73,6 +73,7 @@ def space_from_points(
     lorentzian_distance(...).value bit for bit, so a discrete space is
     consistent with the continuum values it samples.
     """
+    check_eps_null(eps_null)
     pts = [p if isinstance(p, SpacetimePoint) else SpacetimePoint(*p) for p in points]
     if len(pts) < 2:
         raise ValueError("a discrete space needs at least 2 points")
@@ -96,6 +97,7 @@ def sample_space(
     eps_null: float = EPS_NULL,
 ) -> DiscreteCausalSpace:
     """n uniform points in the rectangle region = (t0, t1, x0, x1), per seed."""
+    check_eps_null(eps_null)
     t0, t1, x0, x1 = (float(v) for v in region)
     if not (t0 < t1 and x0 < x1):
         raise RegionOutsideDomain("region rectangle is empty")

@@ -41,6 +41,7 @@ from .profiles import (
     MetricProfile,
     SpacetimePoint,
     TangentVector,
+    check_eps_null,
     classify_vector,
 )
 from .quadrature import ROOT_MAX_ITER, AnchoredMap, ClosedFormMap, _flat_map, in_blocks, toward_end
@@ -402,17 +403,42 @@ class _Quadrature:
             self.s_at(T) if s is None else s, T, self.x_at(T), 1.0 / self._rate(T), dxds,
         ])
 
+    def _diverges(self) -> bool:
+        """True when s(T) is known to diverge toward an unbounded end.
+
+        On [t0, inf) every term of a and of b is then non-negative and each
+        coefficient has a positive constant part, so a >= A > 0 and b >= B >
+        0 there; with eps <= 0 the integrand sqrt(a / (kappa^2 / b - eps)) is
+        at least sqrt(A / (kappa^2 / B - eps)) > 0.  Every term is checked,
+        not only the leading one: a negative term can drive a coefficient
+        through zero however small it is.
+        """
+        profile, t0 = self.profile, self.t0
+        return (profile.t_max == math.inf and self.eps <= 0.0
+                and _bounded_below(profile.terms_a, t0) and _bounded_below(profile.terms_b, t0))
+
     def bound(self, cap: float = math.inf) -> float:
         """min(cap, the affine length available before the domain boundary);
         inf when both are.
 
-        The march extends only while its last s is at most cap, as past that
+        When s(T) diverges (_diverges) this is cap, with no march.  Else the
+        march extends only while its last s is at most cap, as past that
         point the length exceeds cap; so a capped bound leaves the rest of the
         march uncomputed (toward an unbounded end it runs out to t0 + 2^74).
         """
+        if not self._ended and self._diverges():
+            return cap
         while not self._ended and self._S[-1] <= cap:
             self._extend()
         return min(cap, self._total)
+
+
+def _bounded_below(terms, t0: float) -> bool:
+    """True when every term is non-negative on [t0, inf) and the constant
+    terms sum to a positive value, which the coefficient then stays above."""
+    if any(term.c < 0.0 or (term.kind == "linear" and term.c * t0 < 0.0) for term in terms):
+        return False
+    return sum(term.c for term in terms if term.kind == "const") > 0.0
 
 
 def _reflect(profile, p, v):
@@ -452,6 +478,7 @@ def quadrature_advance(
     Raises Inextendible with a boundary-limit certificate when the affine
     length available before the domain boundary is below s_target.
     """
+    check_eps_null(eps_null)
     if v.tau0 < 0.0:
         raise NotCausal(f"vector {v} is past-directed; the quadrature route needs tau0 > 0")
     return _oriented(profile, p, v, eps_null)[0].point_at(s_target)
@@ -468,6 +495,7 @@ def causal_exp(
     Accepts future- and past-directed causal vectors; past-directed data is
     solved in the time-reflected profile a~(t) = a(-t) and mapped back.
     """
+    check_eps_null(eps_null)
     try:
         return _oriented(profile, p, v, eps_null)[0].point_at(1.0)
     except Inextendible as exc:
@@ -481,6 +509,7 @@ def affine_bound(
     eps_null: float = EPS_NULL,
 ) -> float:
     """Affine length available to the causal geodesic before the domain ends."""
+    check_eps_null(eps_null)
     return _oriented(profile, p, v, eps_null)[0].bound()
 
 
@@ -497,6 +526,7 @@ def exp_continuity_probe(
     non-causal perturbations and perturbations whose geodesic no longer
     survives to parameter 1 are skipped and counted.
     """
+    check_eps_null(eps_null)
     base = causal_exp(profile, p, v, eps_null=eps_null)
     if isinstance(base, InextendibleCertificate):
         raise Inextendible(base)
@@ -556,6 +586,7 @@ def geodesic_states(
     the given order, that lies beyond the affine bound.  A state depends only
     on its own s, not on the other parameters asked for.
     """
+    check_eps_null(eps_null)
     if v.tau0 < 0.0:
         raise NotCausal(f"vector {v} is past-directed; the quadrature route needs tau0 > 0")
     quad, _ = _oriented(profile, p, v, eps_null)

@@ -42,6 +42,7 @@ from .profiles import (
     MetricProfile,
     SpacetimePoint,
     TangentVector,
+    check_eps_null,
     classify_vector,
 )
 from .quadrature import _cone_map, bracketed_root, in_blocks, toward_end
@@ -155,6 +156,7 @@ def _slices(profile, p, q, B, ts, nx, eps_null):
 
 def k1_slices(profile, p, q, B, ts, nx=65, eps_null=EPS_NULL):
     """Keep-interval rows (t, x_keep_lo, x_keep_hi, min_T) for given times."""
+    check_eps_null(eps_null)
     min_T, lo, hi, _, _ = _slices(profile, p, q, B, ts, nx, eps_null)
     return np.column_stack([ts, lo, hi, min_T])
 
@@ -169,6 +171,7 @@ def probe_finite_compactness(
 ) -> tuple[ProbeReport, K1Region]:
     """Trace K1 = {x : p << q <= x, T(p, x) <= B} and judge its compactness;
     a region capped inside the domain is traced on 48 slices of nx points."""
+    check_eps_null(eps_null)
     if not B > 0.0:  # a nan bound would pass every slice and fake an escape
         raise ValueError("bound B must be positive")
     _require_chronological(profile, p, q, eps_null)
@@ -243,6 +246,7 @@ def probe_condition_a(
     report records the first parameter with T > B, or the supremum of T
     observed when the geodesic dies with T capped below B.
     """
+    check_eps_null(eps_null)
     bounds = sorted({float(B) for B in B_list})
     if not bounds or not all(B > 0.0 for B in bounds):
         raise ValueError("condition A needs at least one bound, and every bound positive")
@@ -314,6 +318,7 @@ def probe_timelike_cauchy(
     are verified first; violating them raises PremiseViolated, which flags a
     malformed probe rather than a property of the spacetime.
     """
+    check_eps_null(eps_null)
     pts = [s if isinstance(s, SpacetimePoint) else SpacetimePoint(*s) for s in seq]
     bounds = [float(b) for b in B_seq]
     if len(pts) < 3:
@@ -371,6 +376,7 @@ def make_cauchy_sequence(
     premises of the Cauchy probe hold by construction.  The bound is marched
     toward only until s passes span.
     """
+    check_eps_null(eps_null)
     char = classify_vector(profile, p, v, eps_null=eps_null)
     if char.kind != "timelike" or v.tau0 <= 0.0:
         raise NotCausal("Cauchy sequences run along future timelike geodesics")
@@ -428,6 +434,7 @@ def replay_witness(
     fresh evaluation; a witness is sound when this stays within quadrature
     noise (well under 1e-7).
     """
+    check_eps_null(eps_null)
     if report.holds:
         return 0.0
     w = report.witness

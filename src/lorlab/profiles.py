@@ -503,6 +503,15 @@ class MetricProfile:
 # -- operations -------------------------------------------------------------
 
 
+def check_eps_null(eps_null: float) -> None:
+    """Raise ValueError unless eps_null, a null band half-width, is finite and
+    non-negative.  Every null test compares a value with the band, so a NaN
+    band would put every vector and pair outside it (a timelike pair would
+    read 'unrelated'), and an infinite one inside it."""
+    if not 0.0 <= eps_null < math.inf:
+        raise ValueError(f"eps_null must be finite and non-negative, got {eps_null!r}")
+
+
 def classify_vector(
     profile: MetricProfile,
     p: SpacetimePoint,
@@ -514,6 +523,7 @@ def classify_vector(
     A band |g(v, v)| <= eps_null counts as null; the exact zero vector is
     its own class.
     """
+    check_eps_null(eps_null)
     a, b, _, _ = profile.eval(p.t)
     if v.tau0 == 0.0 and v.xi0 == 0.0:
         return CausalCharacter("zero", 0.0)

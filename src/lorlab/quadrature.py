@@ -2,32 +2,42 @@
 
 Panels are laid out around declared breakpoints with geometric grading so
 kinked integrands (|u|^p terms with non-even p) converge like smooth ones.
-Each panel is halved until its own integral stops changing.  The rule is a
-correctly rounded table and every sum is exact (math.fsum), so an integral
-depends only on its integrand and interval: not on the BLAS or LAPACK build,
-and not on the other intervals integrated in the same batch.
+Each panel is halved until its own integral stops changing and the 16-node
+interpolants of the level before reproduce the rule on its parts, so the
+dense output of the level kept is stable too.  The rule is a correctly
+rounded table and every integral is an exact sum (math.fsum) of the rule's
+products, so it depends only on its integrand and interval: not on the BLAS
+or LAPACK build, and not on the other intervals integrated in the same
+batch.
 
-ClosedFormMap and AnchoredMap are the only cumulative maps.  A value of
-either depends only on the map and its argument, never on earlier queries
-or on the batch it is asked in.  Every AnchoredMap lays its knots on the
-same grid.  _cone_map and _flat_map pick one of them for a profile and
-share it through the profile.
+ClosedFormMap and AnchoredMap are the only cumulative maps.  An AnchoredMap
+integrates every cell between its knots whole and keeps f at the nodes its
+refinement accepted; a value inside a cell is dense output: the inner knot's
+value, the rule's sums over the parts before t, and the integral of t's
+part's interpolant up to t.  That arithmetic is elementwise or summed along
+each row's own entries (never a BLAS call), so a value of either map
+depends only on the map and its argument, never on earlier queries or on
+the batch it is asked in.  Every AnchoredMap lays its knots on the same
+grid.  _cone_map and _flat_map pick one of them for a profile and share it
+through the profile.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import weakref
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from itertools import islice
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import DomainExceeded, QuadratureError
 from .profiles import MetricProfile, constant_value
 
-QUAD_TOL = 1e-10
+QUAD_TOL = 1e-10   # absolute tolerance of an integral, shared out over its panels
+DENSE_TOL = 1e-13  # the same for the interpolants that give values inside a cell
 
 # 16-point Gauss-Legendre rule on [-1, 1], correctly rounded.  A table rather
 # than numpy's leggauss, whose eigenvalue solve leaves the weights tens of
@@ -46,6 +56,9 @@ _POS_WEIGHTS = np.array([
 _NODES = np.concatenate([-_POS_NODES[::-1], _POS_NODES])
 _WEIGHTS = np.concatenate([_POS_WEIGHTS[::-1], _POS_WEIGHTS])
 _UNIT_NODES = 0.5 * (_NODES + 1.0)  # the nodes mapped onto [0, 1]
+# barycentric weights of the nodes, (-1)^j sqrt((1 - x_j^2) w_j) up to a
+# common factor (Wang and Xiang 2012)
+_BARY = np.where(np.arange(16) % 2, -1.0, 1.0) * np.sqrt((1.0 - _NODES * _NODES) * _WEIGHTS)
 _GRADE_LEVELS = 36
 
 MAX_LEVELS = 14         # halvings of a panel before refinement stalls
@@ -105,86 +118,251 @@ def _rule_layout(ms: tuple[int, ...]):
     return frac, cols
 
 
-def _rule_values(f, lo: np.ndarray, width: np.ndarray, ms) -> list[np.ndarray]:
-    """The rule's value on each panel at each refinement m of the tuple ms,
-    from one call of f on the cached node layout of ms; the products are
-    summed exactly."""
+def _node_values(f, lo: np.ndarray, width: np.ndarray, ms) -> list[np.ndarray]:
+    """f at the rule's nodes on each panel at each refinement m of the tuple
+    ms, as one (panels, m, 16) array per m, from one call of f on the cached
+    node layout of ms."""
     frac, cols = _rule_layout(ms)
     vals = np.asarray(f((lo[:, None] + width[:, None] * frac).ravel()), dtype=float)
     vals = vals.reshape(len(lo), -1)
-    return [(0.5 / m) * width * np.array([_fsum(row) for row in (vals[:, s:e] * w).tolist()])
-            for m, w, s, e in cols]
+    return [vals[:, s:e].reshape(len(lo), m, 16) for m, _, s, e in cols]
 
 
-def _refine(f, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray) -> np.ndarray:
-    """Integral of f over each panel [lo[k], hi[k]], halved until stable.
+def _rule_sums(vals: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """The rule's value on each panel from its node values (panels, m, 16);
+    the products are summed exactly."""
+    m = vals.shape[1]
+    prods = (vals * _WEIGHTS).reshape(len(vals), -1).tolist()
+    return (0.5 / m) * width * np.array([_fsum(row) for row in prods])
 
-    Every panel is split into m = 1, 2, 4, ... equal parts until its own
-    value moves by at most tol[k] (with a floating-point floor); m = 1 and
-    m = 2 come from one call of f, as no panel can stop at m = 1 unless its
-    value is not finite.  The rule's products are summed exactly, so a
-    panel's value depends only on f and its edges, not on the other panels
-    integrated alongside it.
+
+def _lagrange(s: np.ndarray) -> np.ndarray:
+    """The 16 Lagrange basis polynomials of the rule's nodes at every entry
+    of s, along a new last axis, by the barycentric formula.  At a node the
+    basis is exactly a unit vector."""
+    d = s[..., None] - _NODES
+    exact = d == 0.0
+    if exact.any():
+        q = _BARY / np.where(exact, 1.0, d)
+        return np.where(exact.any(-1, keepdims=True), exact, q / q.sum(-1, keepdims=True))
+    q = _BARY / d
+    return q / q.sum(-1, keepdims=True)
+
+
+@lru_cache(maxsize=None)
+def _dense_tables():
+    """(M, H) for a part's interpolant p through its node values F.
+
+    The mean of p over [-1, -1 + 2 theta] is a degree-15 polynomial in
+    2 theta - 1, whose values at the nodes are M @ F.  H @ F is the integral
+    of p over the left half of the part in the rule's units of that half
+    (the whole half is sum w_j F_j there); reversed H gives the right half.
+    Both come from the rule mapped onto the subinterval, exact for p."""
+    means = _lagrange(np.outer(_UNIT_NODES, 2.0 * _UNIT_NODES) - 1.0)
+    return (0.5 * (means * _WEIGHTS[:, None]).sum(1),
+            (_lagrange(_UNIT_NODES - 1.0) * _WEIGHTS[:, None]).sum(0))
+
+
+def _head(F: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Integral of each row's interpolant over the first fraction theta of
+    its part, in the rule's units (the whole part is sum w_j F_j).
+
+    It is 2 theta times the interpolant's mean over that fraction (M of
+    _dense_tables), so it keeps full relative accuracy as theta goes to 0.
+    Every step is elementwise or a sum over a row's own entries, so a row's
+    value does not depend on the other rows.
+    """
+    return 2.0 * theta * np.einsum("ni,ij,nj->n", _lagrange(2.0 * theta - 1.0),
+                                   _dense_tables()[0], F)
+
+
+def _dense_gap(prev: np.ndarray, cur: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """Worst gap on each panel between the rule on the parts of the current
+    level (cur, m parts) and the previous level's interpolants (prev, m / 2
+    parts) integrated over the same parts.  Each gap is summed along its own
+    row; it only decides when refinement stops."""
+    n, m, _ = cur.shape
+    h = _dense_tables()[1]
+    # part 2q is the left half of previous part q, part 2q + 1 its right half
+    halves = np.stack([prev * h, prev * h[::-1]], axis=2).reshape(n, m, 16)
+    gap = np.abs((cur * _WEIGHTS - halves).sum(-1)).max(axis=1)
+    return (0.5 / m) * width * gap
+
+
+def _refine(f, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray):
+    """Integral of f over each panel [lo[k], hi[k]], halved until stable,
+    and f at its nodes on the level it stopped at.
+
+    tol[k] is the panel's share of QUAD_TOL.  Every panel is split into
+    m = 1, 2, 4, ... equal parts until, at m, its value moved by at most
+    tol[k] from m / 2, and the interpolants of level m / 2 reproduce the
+    rule's sums over the m parts within the same share of DENSE_TOL; each
+    bound has a floating-point floor.  So the dense output of the level
+    kept is at least as stable as its value.  m = 1 and m = 2 come from one
+    call of f, as no panel can stop at m = 1 unless its value is not
+    finite.  The rule's products are summed exactly, so a panel's value
+    depends only on f and its edges, not on the other panels integrated
+    alongside it.  Returns the values and each panel's (m, 16) node values.
     """
     out = np.empty(len(lo))
+    nodes = [None] * len(lo)
     idx = np.arange(len(lo))
     width = hi - lo
     m = 2
     # overflow to inf is a legitimate sentinel for the marching logic
     with np.errstate(over="ignore", invalid="ignore"):
-        prev, cur = _rule_values(f, lo, width, (1, 2))
+        fprev, fcur = _node_values(f, lo, width, (1, 2))
+        prev, cur = _rule_sums(fprev, width), _rule_sums(fcur, width)
         # a panel whose m = 1 value is not finite ends there
-        cur = np.where(np.isfinite(prev), cur, prev)
-        while True:
+        keep = np.isfinite(prev)
+        if not keep.all():
+            for k in np.flatnonzero(~keep).tolist():
+                out[k], nodes[k] = prev[k], fprev[k]
+            idx, width, tol = idx[keep], width[keep], tol[keep]
+            fprev, fcur, prev, cur = fprev[keep], fcur[keep], prev[keep], cur[keep]
+        while len(idx):
             change = np.abs(cur - prev)
-            done = ~np.isfinite(cur) | (change <= np.maximum(tol, 16e-16 * np.abs(cur)))
+            floor = 16e-16 * np.abs(cur)
+            done = ~np.isfinite(cur) | (change <= np.maximum(tol, floor))
+            check = np.flatnonzero(done & np.isfinite(cur))
+            if len(check):
+                gap = _dense_gap(fprev[check], fcur[check], width[check])
+                done[check] = gap <= np.maximum(DENSE_TOL / QUAD_TOL * tol[check], floor[check])
+                change[check] = np.maximum(change[check], gap)
+            for k in np.flatnonzero(done).tolist():
+                out[idx[k]], nodes[idx[k]] = cur[k], fcur[k]
             if done.all():
-                out[idx] = cur
-                return out
-            if done.any():
-                out[idx[done]] = cur[done]
-                keep = ~done
-                idx, lo, width, tol = idx[keep], lo[keep], width[keep], tol[keep]
-                cur, change = cur[keep], change[keep]
-            if m >= 2 ** (MAX_LEVELS - 1):
                 break
-            prev = cur
+            keep = ~done
+            idx, width, tol = idx[keep], width[keep], tol[keep]
+            fcur, cur, change = fcur[keep], cur[keep], change[keep]
+            if m >= 2 ** (MAX_LEVELS - 1):
+                raise QuadratureError(
+                    f"panel refinement stalled on [{float(lo[idx[0]])!r}, {float(hi[idx[0]])!r}]: "
+                    f"last change {float(change[0])!r}"
+                )
+            fprev, prev = fcur, cur
             m *= 2
-            cur, = _rule_values(f, lo, width, (m,))
-    raise QuadratureError(
-        f"panel refinement stalled on [{float(lo[0])!r}, {float(hi[idx[0]])!r}]: "
-        f"last change {float(change[0])!r}"
-    )
+            fcur, = _node_values(f, lo[idx], width, (m,))
+            cur = _rule_sums(fcur, width)
+    return out, nodes
+
+
+class _Cell:
+    """An interval [lo, hi] integrated whole, with dense output inside.
+
+    Its panels are graded toward the breakpoints in it (_panel_edges), and
+    each keeps f at its nodes on the level its refinement accepted.  total
+    is the math.fsum of the panel values.  The integral from the cell's
+    inner end (lo for sgn = 1, hi for sgn = -1: the end nearer its map's
+    anchor) to a t inside needs no f (parts, _evaluate).
+    """
+
+    __slots__ = ("lo", "hi", "sgn", "edges", "nodes", "total", "halves", "_parts")
+
+    def __init__(self, lo: float, hi: float, sgn: float = 1.0):
+        self.lo, self.hi, self.sgn = lo, hi, sgn
+        self.halves = self._parts = None
+
+    def parts(self):
+        """The rows (sgn * inner edges, widths, sgn * sums before) and the
+        node values of the m equal parts of every panel, listed from the
+        inner end, each seen from its own inner edge (its node values
+        reversed for sgn = -1).  The sums before are the rule's sums over
+        the parts between the inner end and each part, added in order."""
+        sgn = self.sgn
+        if self._parts is None:
+            inner, h = [], []
+            for e0, e1, vals in zip(self.edges, self.edges[1:], self.nodes):
+                m, w = len(vals), e1 - e0
+                edges = [e0 + w * i / m for i in range(m)] + [e1]
+                inner += edges[:-1] if sgn > 0.0 else edges[1:]
+                h += [w / m] * m
+            # the third row is a placeholder for the sums before
+            rows, F = np.array([inner, h, h]), np.concatenate(self.nodes)
+            if sgn < 0.0:
+                rows, F = rows[:, ::-1] * [[-1.0], [1.0], [1.0]], F[::-1, ::-1]
+            with np.errstate(over="ignore", invalid="ignore"):
+                before = np.cumsum((F * _WEIGHTS).sum(-1) * (0.5 * sgn) * rows[1])
+            rows[2, 0], rows[2, 1:] = 0.0, before[:-1]
+            self._parts = (rows, F)
+        return self._parts
+
+
+def _evaluate(table, F, st, sgn: float) -> np.ndarray:
+    """The value before each t's part plus sgn * the integral of the part's
+    interpolant from its inner edge to t, for parts listed outward as
+    _Cell.parts lists them: table holds the rows (sgn * inner edges,
+    ascending; widths; values before), and st is sgn * t, past the first
+    edge."""
+    k = table[0].searchsorted(st, "right") - 1
+    key, h, before = table[:, k]
+    return before + (0.5 * sgn) * h * _head(F[k], (st - key) / h)
+
+
+def _integrate(f, cells, breaks) -> None:
+    """Integrate every cell in one refinement batch, with QUAD_TOL shared
+    out over each cell's panels in proportion to their length."""
+    lo, hi, tol, spans = [], [], [], []
+    for cell in cells:
+        cell.edges = edges = _panel_edges(cell.lo, cell.hi, breaks) if cell.lo != cell.hi else []
+        share = QUAD_TOL / (cell.hi - cell.lo) if edges else 0.0
+        spans.append((len(lo), len(lo) + max(len(edges) - 1, 0)))
+        lo.extend(edges[:-1])
+        hi.extend(edges[1:])
+        tol.extend(share * (e1 - e0) for e0, e1 in zip(edges, edges[1:]))
+    if not lo:
+        values, nodes = [], []
+    else:
+        values, nodes = _refine(f, np.array(lo), np.array(hi), np.array(tol))
+        values = values.tolist()
+    for cell, (i, j) in zip(cells, spans):
+        cell.nodes = nodes[i:j]
+        cell.total = _fsum(values[i:j])
+
+
+def _leaf(f, cell: _Cell, t: float, sgn: float, breaks):
+    """The cell whose parts answer t, or None, and the sum of the totals
+    between it and the cell's inner end (lo for sgn = 1, hi for sgn = -1).
+
+    A cell whose total is not finite answers from its halves, bisected at
+    the midpoint while floats can split it, so a value before an overflow
+    or a NaN stays finite.  Once the totals before t are not finite, they
+    are the answer (None).  The halves are integrated when first needed."""
+    outside = 0.0
+    while not math.isfinite(cell.total):
+        mid = 0.5 * (cell.lo + cell.hi)
+        if not cell.lo < mid < cell.hi:
+            break
+        if cell.halves is None:
+            cell.halves = (_Cell(cell.lo, mid, sgn), _Cell(mid, cell.hi, sgn))
+            _integrate(f, cell.halves, breaks)
+        near, far = cell.halves if sgn > 0.0 else cell.halves[::-1]
+        if sgn * t <= sgn * mid:
+            cell = near
+        else:
+            outside = _fsum([outside, near.total])
+            if not math.isfinite(outside):
+                return None, outside
+            cell = far
+    return cell, outside
 
 
 def panel_integrals(f, los, his, breaks=()) -> np.ndarray:
     """Integrals of the vectorized callable f over each [los[i], his[i]].
 
     Panels are graded toward the breakpoints in each interval; each is
-    halved until its own value is stable, with QUAD_TOL shared out in
-    proportion to panel length.  The rule's products and the panel values
-    are summed exactly (math.fsum), so an entry depends only on f, its
-    interval and breaks: not on BLAS summation order, and not on the other
-    intervals integrated together.  Raises QuadratureError if refinement
-    stalls.
+    halved until its own value and its dense output are stable, with
+    QUAD_TOL shared out in proportion to panel length.  The rule's products
+    and the panel values are summed exactly (math.fsum), so an entry
+    depends only on f, its interval and breaks: not on BLAS summation
+    order, and not on the other intervals integrated together.  Raises
+    QuadratureError if refinement stalls.
     """
-    rows, lo, hi, ptol = [], [], [], []
-    for a, b in zip(los, his):
-        a, b, sgn = float(a), float(b), 1.0
-        if b < a:
-            a, b, sgn = b, a, -1.0
-        start = len(ptol)
-        if a != b:
-            edges = _panel_edges(a, b, breaks)
-            share = QUAD_TOL / (b - a)
-            lo.extend(edges[:-1])
-            hi.extend(edges[1:])
-            ptol.extend(share * (e1 - e0) for e0, e1 in zip(edges, edges[1:]))
-        rows.append((sgn, start, len(ptol)))
-    vals = []
-    if ptol:
-        vals = _refine(f, np.array(lo), np.array(hi), np.array(ptol)).tolist()
-    return np.array([sgn * _fsum(vals[i:j]) for sgn, i, j in rows])
+    pairs = [(float(a), float(b)) for a, b in zip(los, his)]
+    cells = [_Cell(min(a, b), max(a, b)) for a, b in pairs]
+    _integrate(f, cells, breaks)
+    return np.array([-c.total if b < a else c.total for c, (a, b) in zip(cells, pairs)])
 
 
 class ClosedFormMap:
@@ -231,58 +409,113 @@ class ClosedFormMap:
 
 
 class _Side:
-    """Knots of an anchored map on one side of its anchor, listed outward."""
+    """Knots of an anchored map on one side of its anchor, listed outward,
+    and the cells between them."""
 
-    def __init__(self, sgn: float, anchor: float, end: float, breaks):
+    def __init__(self, f, sgn: float, anchor: float, end: float, breaks):
+        self.f = f
         self.sgn = sgn
         self.anchor = anchor
         self.end = end                     # domain end on this side
-        self.kinks = frozenset(breaks)
+        self.all_breaks = breaks
         self.breaks = sorted(              # breakpoints on this side, outward
-            (b for b in self.kinks if sgn * anchor < sgn * b < sgn * end),
+            (b for b in breaks if sgn * anchor < sgn * b < sgn * end),
             key=lambda b: sgn * b,
         )
         self.knots = [anchor]
-        self.cells = []                    # integral from knot k to knot k + 1
+        self.cells = []                    # _Cell from knot k to knot k + 1
         self.cum = {0: 0.0}                # fsum of the cells before knot k
         self.closed = False                # no knot left before the domain end
         self._grid = 0                     # next grid knot
         self._brk = 0                      # next breakpoint
+        self._gap = None                   # distance to a finite end, once past the grid
+        self._keys = None                  # sgn * knots, as an array
+        self._pieces = []                  # each cell's parts, from its knot's value
+        self._table = None                 # the pieces joined
+
+    def _next_knot(self) -> float:
+        """The next knot outward: the next grid knot, the next breakpoint if
+        it comes first, and past the grid the end itself, approached by
+        halving the gap to a finite end until that gap is below 2^-40 of the
+        end's scale, or the largest float toward an infinite end."""
+        sgn, end = self.sgn, self.end
+        # grid knot k lies 2^k from the anchor, at inf past the float range
+        k = self._grid
+        knot = self.anchor + sgn * (math.ldexp(1.0, k) if k < 1024 else math.inf)
+        past = not sgn * knot < sgn * end
+        if past and not math.isfinite(end):
+            knot = sgn * sys.float_info.max
+        elif past:
+            if self._gap is None:
+                self._gap = end - self.knots[-1]
+            self._gap *= 0.5
+            near = abs(self._gap) <= 2.0 ** -40 * max(abs(end), abs(end - self.anchor))
+            knot = end if near else end - self._gap
+        if self._brk < len(self.breaks) and sgn * self.breaks[self._brk] <= sgn * knot:
+            if self.breaks[self._brk] == knot and not past:
+                self._grid += 1
+            knot = self.breaks[self._brk]
+            self._brk += 1
+            self._gap = None
+        elif not past:
+            self._grid += 1
+        return knot
 
     def extend_to(self, t: float):
-        """Add knots until one lies at or beyond t or the domain ends."""
+        """Add knots until one lies at or beyond t or the last one is laid:
+        a finite end, or the largest float toward an infinite one."""
         sgn = self.sgn
+        last = sgn * sys.float_info.max
         while not self.closed and sgn * self.knots[-1] < sgn * t:
-            # grid knot k lies 2^k from the anchor, at inf past the float range
-            k = self._grid
-            knot = self.anchor + sgn * (math.ldexp(1.0, k) if k < 1024 else math.inf)
-            if self._brk < len(self.breaks) and sgn * self.breaks[self._brk] <= sgn * knot:
-                if self.breaks[self._brk] == knot:
-                    self._grid += 1
-                knot = self.breaks[self._brk]
-                self._brk += 1
-            else:
-                self._grid += 1
-            if not sgn * knot < sgn * self.end:
-                self.closed = True
-            elif sgn * knot > sgn * self.knots[-1]:
+            knot = self._next_knot()
+            if sgn * knot > sgn * self.knots[-1]:
                 self.knots.append(knot)
+            self.closed = knot in (self.end, last)
 
     def value_at(self, k: int) -> float:
         v = self.cum.get(k)
         if v is None:
-            v = self.cum[k] = _fsum(self.cells[:k])
+            v = self.cum[k] = _fsum([self.sgn * c.total for c in self.cells[:k]])
         return v
 
-    def start_for(self, t: float) -> int:
-        """Knot a partial panel to t starts from: the inner end of t's cell,
-        or the outer end when the inner one is a breakpoint."""
+    def keys(self) -> np.ndarray:
+        if self._keys is None or len(self._keys) != len(self.knots):
+            self._keys = self.sgn * np.array(self.knots)
+        return self._keys
+
+    def inside(self, st: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """Values at the t lying inside the cells k, given st = sgn * t: the
+        dense output of every cell's parts, joined into one table from the
+        anchor outward.  A t in a cell whose total is not finite is answered
+        by _leaf."""
         sgn = self.sgn
-        i = bisect_right(self.knots, sgn * t, key=lambda k: sgn * k) - 1
-        if self.knots[i] == t or i + 1 == len(self.knots):
-            return i
-        inner, outer = self.knots[i], self.knots[i + 1]
-        return i + 1 if inner in self.kinks and outer not in self.kinks else i
+        for j in range(len(self._pieces), len(self.cells)):
+            rows, F = self.cells[j].parts()
+            if self.value_at(j):
+                rows = rows + np.array([[0.0], [0.0], [self.value_at(j)]])
+            self._pieces.append((rows, F))
+            self._table = None
+        if self._table is None:
+            rows, F = zip(*self._pieces)
+            self._table = (rows[0], F[0]) if len(rows) == 1 else (
+                np.concatenate(rows, axis=1), np.concatenate(F))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _evaluate(*self._table, st, sgn)
+            if np.isfinite(out).all():
+                return out
+            for i in np.flatnonzero(~np.isfinite(out)).tolist():
+                j = int(k[i])
+                # past a cell that is not finite, the knot's value answers
+                if not math.isfinite(self.value_at(j)):
+                    out[i] = self.value_at(j)
+                elif not math.isfinite(self.cells[j].total):
+                    leaf, outside = _leaf(self.f, self.cells[j], sgn * float(st[i]), sgn,
+                                          self.all_breaks)
+                    if leaf is not None:
+                        part = _evaluate(*leaf.parts(), st[i:i + 1], sgn)[0]
+                        outside = _fsum([outside, sgn * part])
+                    out[i] = self.value_at(j) + sgn * outside
+        return out
 
 
 class AnchoredMap:
@@ -290,22 +523,26 @@ class AnchoredMap:
 
     Knots lie at anchor +- 2^k for k >= 0, and the breakpoints are knots
     too, so a march from the anchor by doubling steps lands on knots.
-    Each cell between knots is integrated whole, and a knot's value is the
-    math.fsum of the cells between it and the anchor.  A value adds one
-    partial panel from the inner knot of t's cell, or from the outer knot
-    when the inner one is a breakpoint (a panel starting there would be
-    graded toward the kink on every query).  So a value depends only on
-    (f, anchor, breaks, domain, t), never on earlier queries or on the
-    batch it is asked in.  At most MEMO_SIZE values are remembered; the
-    knots grow with the queried range only.
+    Toward a finite domain end the knots go on halving the distance to it,
+    and the end itself is the last knot, so every t up to the end lies in a
+    cell; toward an infinite end the last knot is the largest float, whose
+    value +-inf takes.  Each cell between knots is integrated whole,
+    and a knot's value is the math.fsum of the cells between it and the
+    anchor.  A value inside a cell is its inner knot's value plus the
+    cell's dense output (_Cell), so once a cell exists a query evaluates no
+    f.  A cell whose integral is not finite is bisected toward t (_leaf).
+    So a value depends only on (f, anchor, breaks, domain, t), never on
+    earlier queries or on the batch it is asked in.  At most MEMO_SIZE
+    values are remembered; the knots and cells grow with the queried range
+    only.  A t outside the closed domain raises DomainExceeded.
     """
 
     def __init__(self, f, anchor: float, breaks=(), domain=(-math.inf, math.inf)):
         self._f = f
         self._breaks = tuple(breaks)
         self.anchor = float(anchor)
-        t_min, t_max = domain
-        self._sides = {sgn: _Side(sgn, self.anchor, end, self._breaks)
+        self._domain = t_min, t_max = domain
+        self._sides = {sgn: _Side(f, sgn, self.anchor, end, self._breaks)
                        for sgn, end in ((1.0, t_max), (-1.0, t_min))}
         self._memo: dict[float, float] = {}
 
@@ -334,31 +571,44 @@ class AnchoredMap:
         return np.array(out, dtype=float).reshape(ts.shape)
 
     def _compute(self, todo):
-        anchor = self.anchor
-        if todo[-1] > anchor:
-            self._sides[1.0].extend_to(todo[-1])
-        if todo[0] < anchor:
-            self._sides[-1.0].extend_to(todo[0])
-        # the start knot of each t: its value plus one partial panel to t
-        at = [self._sides[1.0 if t > anchor else -1.0] for t in todo]
-        at = [(side, side.start_for(t)) for side, t in zip(at, todo)]
-        # the cells before the start knots not integrated yet and the partial
-        # panels, in one batch
-        new = [(side, k) for side in self._sides.values()
-               for k in range(len(side.cells), max((j for s, j in at if s is side), default=0))]
-        parts = [(i, side.knots[k], t)
-                 for i, (t, (side, k)) in enumerate(zip(todo, at)) if side.knots[k] != t]
-        found = panel_integrals(
-            self._f,
-            [side.knots[k] for side, k in new] + [lo for _, lo, _ in parts],
-            [side.knots[k + 1] for side, k in new] + [hi for _, _, hi in parts],
-            breaks=self._breaks,
-        ).tolist()
-        for (side, _), c in zip(new, found):
-            side.cells.append(c)
-        values = [side.value_at(k) for side, k in at]
-        for (i, _, _), v in zip(parts, found[len(new):]):
-            values[i] += v
+        t_min, t_max = self._domain
+        bad = next((t for t in todo if not t_min <= t <= t_max), None)
+        if bad is not None:
+            raise DomainExceeded(
+                f"t={bad!r} outside the domain [{t_min!r}, {t_max!r}] of an anchored map")
+        values = [0.0] * len(todo)  # t == anchor stays 0
+        # todo is sorted: the t below the anchor, then those above it
+        below, above = bisect_left(todo, self.anchor), bisect_right(todo, self.anchor)
+        found, new = [], []
+        for sgn, at in ((-1.0, range(below)), (1.0, range(above, len(todo)))):
+            if not at:
+                continue
+            side = self._sides[sgn]
+            side.extend_to(todo[at[-1] if sgn > 0.0 else at[0]])
+            # each t's knot k, the last at or before it, and whether t lies
+            # inside the cell from knot k (past the last knot it does not);
+            # that cell and those before it are integrated in one batch
+            keys = side.keys()
+            st = sgn * np.array(todo[at.start:at.stop])
+            k = keys.searchsorted(st, "right") - 1
+            inside = keys[k] != st
+            if side.closed:
+                inside &= k + 1 < len(keys)
+            found.append((side, at, st, k, inside))
+            outer = -1 if sgn > 0.0 else 0
+            for j in range(len(side.cells), int(k[outer] + inside[outer])):
+                side.cells.append(_Cell(*sorted(side.knots[j:j + 2]), sgn))
+                new.append(side.cells[-1])
+        if new:
+            _integrate(self._f, new, self._breaks)
+        for side, at, st, k, inside in found:
+            for i, j in zip(at, k.tolist()):
+                values[i] = side.value_at(j)
+            where = np.flatnonzero(inside)
+            if len(where):
+                dense = side.inside(st[where], k[where])
+                for i, v in zip(where.tolist(), dense.tolist()):
+                    values[at[i]] = v
         return values
 
 

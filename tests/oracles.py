@@ -85,3 +85,45 @@ def lattice_distance(profile, p, q, nt=400, nx=400, width=None):
             nxt = np.maximum(nxt, shifted + wgt)
         best = nxt
     return float(best[j_q])
+
+
+def mp_coefficient(terms, u):
+    """A coefficient of a profile at the mpmath number u."""
+    import mpmath
+
+    total = mpmath.mpf(0)
+    for term in terms:
+        if term.kind == "const":
+            total += term.c
+        elif term.kind == "linear":
+            total += term.c * u
+        elif term.kind == "power":
+            total += term.c * abs(u - term.t0) ** term.p
+        else:
+            total += term.c * mpmath.exp(term.lam * u)
+    return total
+
+
+def mp_integral(f, lo, hi, breaks=(), dps=30):
+    """int_lo^hi f in mpmath at dps digits, split at the breakpoints in
+    between; mpmath is imported here, so a caller can skip when it is
+    missing."""
+    import mpmath
+
+    mpmath.mp.dps = dps
+    a, b = sorted((lo, hi))
+    pts = [a] + [c for c in breaks if a < c < b] + [b]
+    total = sum(mpmath.quad(f, [x, y]) for x, y in zip(pts, pts[1:]))
+    return float(total if hi >= lo else -total)
+
+
+def mp_cumulative(profile, kind, t):
+    """int from the profile's anchor to t of sqrt(a) (kind 'flat') or
+    sqrt(a / b) (kind 'cone'), by mp_integral."""
+    import mpmath
+
+    def f(u):
+        a = mp_coefficient(profile.terms_a, u)
+        return mpmath.sqrt(a if kind == "flat" else a / mp_coefficient(profile.terms_b, u))
+
+    return mp_integral(f, profile.anchor_time(), t, profile.breakpoints)

@@ -192,8 +192,10 @@ def test_cumulative_maps_independent_of_query_history(name):
 def test_dropped_profile_frees_its_maps_without_the_cycle_collector():
     prof = _fresh("c1power")
     cone_time(prof, 0.5)
-    # the affine bound marches maps of its own to t0 + 2^74
+    # the affine bound is known to diverge; a point on the geodesic
+    # integrates cells of maps of its own
     assert affine_bound(prof, P(0.1, 0.0), V(1.0, 0.0)) == math.inf
+    quadrature_advance(prof, P(0.1, 0.0), V(1.0, 0.0), 3.0)
     refs = (weakref.ref(prof), weakref.ref(prof._maps["flat"]))
     gc.disable()
     try:
@@ -630,3 +632,44 @@ def test_d_length_polyline_converges_to_arclength():
 def test_d_length_dominates_endpoint_distance(pts):
     end_to_end = math.hypot(pts[-1][0] - pts[0][0], pts[-1][1] - pts[0][1])
     assert d_length(pts) >= end_to_end - 1e-9
+
+
+def _eps_null_calls():
+    """Every public function that takes eps_null, called with a given band."""
+    import lorlab as ll
+
+    mink = get_profile("minkowski")
+    p, q, v = P(0.0, 0.0), P(2.0, 1.0), V(1.0, 0.5)
+    seq, bounds = ll.make_cauchy_sequence(mink, p, V(1.0, 0.0), n=4)
+    failing = ll.probe_finite_compactness(get_profile("strip01"), P(0.1, 0), P(0.2, 0), 5.0)[0]
+    return {
+        "classify_vector": lambda e: ll.classify_vector(mink, p, v, eps_null=e),
+        "causally_related": lambda e: causally_related(mink, p, q, eps_null=e),
+        "lorentzian_distance": lambda e: lorentzian_distance(mink, p, q, eps_null=e),
+        "space_from_points": lambda e: space_from_points(mink, [p, q], eps_null=e),
+        "sample_space": lambda e: ll.sample_space(mink, (0.0, 1.0, 0.0, 1.0), 4, 0, eps_null=e),
+        "quadrature_advance": lambda e: quadrature_advance(mink, p, v, 1.0, eps_null=e),
+        "causal_exp": lambda e: ll.causal_exp(mink, p, v, eps_null=e),
+        "affine_bound": lambda e: affine_bound(mink, p, v, eps_null=e),
+        "exp_continuity_probe": lambda e: ll.exp_continuity_probe(mink, p, v, [0.1], eps_null=e),
+        "geodesic_states": lambda e: ll.geodesic_states(mink, p, v, [0.5], eps_null=e),
+        "k1_slices": lambda e: ll.k1_slices(mink, p, q, 5.0, [1.0], eps_null=e),
+        "probe_finite_compactness": lambda e: ll.probe_finite_compactness(mink, p, q, 5.0,
+                                                                          eps_null=e),
+        "probe_condition_a": lambda e: ll.probe_condition_a(mink, p, q, v, [10.0], eps_null=e),
+        "probe_timelike_cauchy": lambda e: ll.probe_timelike_cauchy(mink, seq, bounds,
+                                                                    eps_null=e),
+        "make_cauchy_sequence": lambda e: ll.make_cauchy_sequence(mink, p, v, eps_null=e),
+        "replay_witness": lambda e: ll.replay_witness(get_profile("strip01"), failing,
+                                                      eps_null=e),
+    }
+
+
+@pytest.mark.parametrize("eps_null", [math.nan, -1e-12, math.inf])
+def test_public_functions_reject_an_unusable_null_band(eps_null):
+    # a NaN band read the timelike pair (0, 0), (2, 1) as 'unrelated' with
+    # distance 0.0; every entry point now checks the band first
+    for name, call in _eps_null_calls().items():
+        call(1e-12)  # the default band works
+        with pytest.raises(ValueError, match="eps_null must be finite and non-negative"):
+            call(eps_null)

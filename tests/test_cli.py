@@ -317,7 +317,7 @@ def test_probe_rejects_vacuous_bounds(capsys, tmp_path, monkeypatch, kind, flag)
 def test_probe_tcc_kind(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, "probe", "--profile", "strip01", "--kind", "tcc",
-                       "--p", "0.1,0", "--q", "0.2,0", "--cauchy-span", "2.0")
+                       "--p", "0.1,0", "--cauchy-span", "2.0")
     assert code == 2
     assert "timelike_cauchy fails_with_witness" in out
     assert (tmp_path / "witness_tcc.txt").exists()
@@ -366,8 +366,9 @@ def test_probe_rejects_flags_its_kind_does_not_read(capsys, tmp_path, monkeypatc
 ])
 def test_probe_accepts_the_flags_its_kind_reads(capsys, tmp_path, monkeypatch, kind, flags):
     monkeypatch.chdir(tmp_path)
+    q = () if kind == "tcc" else ("--q", "1,0")
     code, out, err = run(capsys, "probe", "--profile", "minkowski", "--kind", kind,
-                         "--p", "0,0", "--q", "1,0", *flags)
+                         "--p", "0,0", *q, *flags)
     assert code in (0, 2), err  # a verdict either way
     assert f"kind {kind}" in out
 
@@ -411,6 +412,52 @@ def test_probe_config_unknown_key(capsys, tmp_path):
                        "--p", "0,0", "--q", "1,0", "--config", str(cfg))
     assert code == 1
     assert "unknown" in err
+
+
+def test_probe_tcc_rejects_q(capsys, tmp_path, monkeypatch):
+    # tcc starts its sequence at --p; a --q it would ignore is an error
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "probe", "--profile", "minkowski", "--kind", "tcc",
+                         "--p", "0,0", "--q", "0.2,0")
+    assert code == 1
+    assert out == ""
+    assert "does not read --q" in err
+
+
+@pytest.mark.parametrize("kind, line", [
+    ("fc", "ca_bounds: 1,2"),
+    ("fc", "cauchy_len: 5"),
+    ("ca", "fc_bound: 4.0"),
+    ("tcc", "q: 0.25,0"),
+    ("tcc", "ca_direction: 1,0.5"),
+])
+def test_probe_config_rejects_keys_its_kind_does_not_read(capsys, tmp_path, monkeypatch,
+                                                           kind, line):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "probe.cfg"
+    cfg.write_text(line + "\n")
+    q = () if kind == "tcc" else ("--q", "1,0")
+    code, out, err = run(capsys, "probe", "--profile", "minkowski", "--kind", kind,
+                         "--p", "0,0", *q, "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert f"does not read config key {line.split(':')[0]!r}" in err
+
+
+@pytest.mark.parametrize("kind, line", [
+    ("ca", "cauchy_span: 2.0"),  # read by tcc only, which kind all runs too
+    ("tcc", "cauchy_span: 2.0"),
+    ("fc", "q: 1,0"),
+])
+def test_probe_config_accepts_keys_its_kind_reads(capsys, tmp_path, monkeypatch, kind, line):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "probe.cfg"
+    cfg.write_text(line + "\n")
+    q = ("--q", "1,0") if kind == "ca" else ()
+    code, out, err = run(capsys, "probe", "--profile", "minkowski",
+                         "--kind", "all" if kind == "ca" else kind, "--p", "0,0", *q,
+                         "--config", str(cfg))
+    assert code in (0, 2), err
 
 
 def test_profile_file_loading(capsys, tmp_path):

@@ -426,6 +426,79 @@ def test_nan_affine_parameter_is_not_an_infinite_bound():
             affine_bound(lin, P(0.0, 0.0), v)
 
 
+def test_geodesic_maps_match_an_mpmath_reference():
+    # s(T) and x(T) inside cells come from dense output; on MIXED, whose
+    # kink at 0.2 lies just outside some cells, an interpolant check as
+    # loose as the integral's (QUAD_TOL) left s 8.7e-13 off
+    mpmath = pytest.importorskip("mpmath")
+    from oracles import mp_coefficient, mp_integral
+
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        p, v = random_causal(MIXED, rng, (-1.2, 1.2), future_only=True)
+        cons = conserved_quantities(MIXED, p, v)
+        quad = _Quadrature(MIXED, p, cons)
+        k, e = mpmath.mpf(cons.kappa), mpmath.mpf(cons.epsilon)
+
+        def f_s(u):
+            a, b = mp_coefficient(MIXED.terms_a, u), mp_coefficient(MIXED.terms_b, u)
+            return mpmath.sqrt(a / (k * k / b - e))
+
+        def f_x(u):
+            b = mp_coefficient(MIXED.terms_b, u)
+            return k * f_s(u) / b
+
+        Ts = p.t + rng.uniform(0.0, min(1.0, MIXED.t_max - p.t - 1e-3), 5)
+        got_s, got_x = quad.s_at(Ts), quad.x_at(Ts) - p.x
+        for T, s, x in zip(Ts.tolist(), got_s.tolist(), got_x.tolist()):
+            for got, f in ((s, f_s), (x, f_x)):
+                want = mp_integral(f, p.t, T, MIXED.breakpoints)
+                assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (p, v, T)
+
+
+def _count_extends(monkeypatch):
+    calls = []
+    extend = _Quadrature._extend
+    monkeypatch.setattr(_Quadrature, "_extend", lambda self: calls.append(1) or extend(self))
+    return calls
+
+
+def test_divergent_bound_needs_no_march(monkeypatch):
+    calls = _count_extends(monkeypatch)
+    # every term of a and b is non-negative on [t0, inf) with a positive
+    # constant part, in either time direction: s(T) diverges
+    for name, p, v in [("c1power", P(0.1, 0.0), V(1.0, 0.0)),
+                       ("c1power", P(-0.4, 0.0), V(-1.0, 0.3)),
+                       ("warpb", P(0.2, 0.0), V(1.0, 0.5)),
+                       ("minkowski", P(0.0, 0.0), V(1.0, 0.0))]:
+        assert affine_bound(_fresh(name), p, v) == math.inf
+    assert calls == []
+    # the same geodesics still march to invert s
+    row, = geodesic_states(_fresh("c1power"), P(0.1, 0.0), V(1.0, 0.0), [3.0])
+    assert calls and row[0] == 3.0
+
+
+def test_bound_checks_the_sign_of_every_term(monkeypatch):
+    calls = _count_extends(monkeypatch)
+    # a = 1 - t / 100 + 1e-6 |t|^1.5 leads with a positive power, but
+    # a(1000) = -9: the march meets the NaN that a leading-term rule misses
+    dip = MetricProfile("dip", (const(1.0), linear(-0.01), power(1e-6, 0.0, 1.5)),
+                        (const(1.0),), alpha=0.5)
+    with pytest.raises(QuadratureError, match=r"NaN at T = 128\.0:"):
+        affine_bound(dip, P(0.0, 0.0), V(1.0, 0.0))
+    # a linear term is non-negative on [t0, inf) only from t0 >= 0
+    lin = MetricProfile("lin", (const(1.0), linear(1e-3)), (const(1.0),), alpha=0.9)
+    calls.clear()
+    assert affine_bound(lin, P(0.5, 0.0), V(1.0, 0.0)) == math.inf
+    assert calls == []
+    assert affine_bound(lin, P(-0.5, 0.0), V(1.0, 0.0)) == math.inf
+    assert calls  # marched: the rule cannot tell
+    # a finite end is never a divergent tail
+    calls.clear()
+    assert affine_bound(MIXED, P(0.5, 0.0), V(1.0, 0.0)) < math.inf
+    assert calls
+
+
 def test_underflowed_conserved_quantities_raise():
     # a(-400) = e^-800 underflows to 0, so kappa = eps = 0
     with pytest.raises(QuadratureError, match="underflow"):

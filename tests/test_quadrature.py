@@ -5,20 +5,23 @@ import numpy as np
 import pytest
 
 from lorlab.causality import cone_time, flat_time
-from lorlab.profiles import get_profile
+from lorlab.errors import DomainExceeded
+from lorlab.profiles import MetricProfile, get_profile
 from lorlab.quadrature import (
     MEMO_SIZE,
     AnchoredMap,
     ClosedFormMap,
+    _node_values,
     _panel_edges,
-    _rule_values,
+    _rule_sums,
     bracketed_root,
     in_blocks,
     panel_integrals,
     toward_end,
 )
 
-from oracles import simpson_integral
+from oracles import mp_cumulative, simpson_integral
+from test_geodesics import MIXED
 
 
 def test_panel_integral_exponential():
@@ -73,7 +76,8 @@ def test_panel_rule_weights_sum_to_length():
         seen.append(xs)
         return np.ones_like(xs)
 
-    w, = _rule_values(one, edges[:-1], np.diff(edges), (2,))
+    vals, = _node_values(one, edges[:-1], np.diff(edges), (2,))
+    w = _rule_sums(vals, np.diff(edges))
     xs, = seen
     assert w.sum() == pytest.approx(3.0, abs=1e-12)
     assert ((xs > 0.0) & (xs < 3.0)).all()
@@ -110,10 +114,10 @@ def test_sparse_anchored_map():
     for t in (1.0, 0.5, -1.0, 7.3, -20.0, 1e-7):
         assert am(t) == pytest.approx(math.expm1(t), rel=1e-13, abs=1e-15)
     assert am._sides[1.0].knots[:5] == [0.0, 1.0, 2.0, 4.0, 8.0]
-    # a value integrates only the cells before the knot it starts from
+    # a value integrates only its own cell and the cells before it
     fresh = AnchoredMap(np.exp, 0.0)
     assert fresh(0.5) == am(0.5)
-    assert fresh._sides[1.0].cells == []
+    assert len(fresh._sides[1.0].cells) == 1 and fresh._sides[-1.0].cells == []
     f = lambda u: np.sqrt(1.0 + np.abs(u - 0.3) ** 1.5)
     make = lambda: AnchoredMap(f, 0.0, breaks=(0.3,))
     ts = np.random.default_rng(5).uniform(-9.0, 9.0, 32)
@@ -131,6 +135,66 @@ def test_anchored_map_independent_of_history_and_batch():
     shared = make()
     assert [shared(t) for t in ts[::-1]] == want[::-1]
     assert shared.many(ts).tolist() == want
+
+
+def test_anchored_map_value_before_an_overflowing_cell():
+    # the cell [512, 1024] overflows, so the value at 700 comes from its
+    # halves bisected toward 700; past the overflow the value is inf
+    am = AnchoredMap(np.exp, 0.0)
+    assert am(700.0) == pytest.approx(math.expm1(700.0), rel=1e-13)
+    assert am(1000.0) == math.inf
+    assert am(-1e308) == -1.0
+    fresh = AnchoredMap(np.exp, 0.0)
+    assert fresh.many([1000.0, 700.0, -1e308]).tolist() == [math.inf, am(700.0), -1.0]
+    # the same below the anchor, where the cells run from their upper ends
+    down = AnchoredMap(lambda u: np.exp(-u), 0.0)
+    assert down(-700.0) == pytest.approx(-math.expm1(700.0), rel=1e-13)
+    assert down(-1000.0) == -math.inf
+
+
+def test_anchored_map_knots_reach_a_finite_end():
+    # past the grid the knots halve the gap to the end, as toward_end does,
+    # and the end itself is the last knot: every t up to it lies in a cell
+    strip = AnchoredMap(lambda u: 1.0 / (1.0 + u * u), 0.5, domain=(0.0, 1.0))
+    assert strip(1.0) == pytest.approx(math.atan(1.0) - math.atan(0.5), abs=1e-15)
+    assert strip(0.0) == pytest.approx(-math.atan(0.5), abs=1e-15)
+    for sgn, end in ((1.0, 1.0), (-1.0, 0.0)):
+        side = strip._sides[sgn]
+        assert side.closed and side.knots[-1] == end
+        inner = side.knots[1:-1]
+        assert inner == [sgn * t for t in islice(toward_end(sgn * 0.5, sgn * end), len(inner))]
+        assert abs(end - inner[-1]) <= 2.0 ** -39  # the next halving would reach 2^-40
+    for t in (1.0 + 1e-12, -1e-300, math.nan):
+        with pytest.raises(DomainExceeded):
+            strip(t)
+
+
+def test_undeclared_kink_still_converges():
+    # the dense-output check must not demand more than refinement can give
+    # where a kink is not declared as a breakpoint
+    got = panel_integrals(lambda u: np.abs(u - 0.3) ** 1.5, [0.0], [1.0])[0]
+    assert got == pytest.approx((0.3 ** 2.5 + 0.7 ** 2.5) / 2.5, abs=1e-10)
+
+
+def test_dense_output_matches_an_mpmath_reference():
+    pytest.importorskip("mpmath")
+    c1power = get_profile("c1power")
+    # next to the kink at 0: the parent read 1.2e-11 and 9.8e-14 off here
+    for t in (1.6e-4, -0.0313):
+        want = mp_cumulative(c1power, "cone", t)
+        assert abs(cone_time(c1power, t) - want) <= 1e-13 * max(1.0, abs(want))
+    rng = np.random.default_rng(18)
+    cases = [(c1power, "flat", 3.0), (c1power, "cone", 3.0),
+             (get_profile("warpb"), "cone", 3.0), (MIXED, "cone", 1.999), (MIXED, "flat", 1.999)]
+    for prof, kind, reach in cases:
+        prof = MetricProfile(prof.name, prof.terms_a, prof.terms_b, prof.t_min, prof.t_max,
+                             prof.alpha)  # fresh maps
+        near = 10.0 ** rng.uniform(-9.0, 0.0, 8)
+        ts = np.concatenate([rng.uniform(-reach, reach, 16), near, -near, 0.2 + near / 10])
+        got = (flat_time if kind == "flat" else cone_time)
+        for t in ts.tolist():
+            want = mp_cumulative(prof, kind, t)
+            assert abs(got(prof, t) - want) <= 1e-13 * max(1.0, abs(want)), (prof.name, kind, t)
 
 
 def test_anchored_map_memo_is_bounded():
