@@ -6,6 +6,7 @@ they agree bit for bit; arrays are printed entry by entry.  The inputs are
 drawn from a fixed seed on the built-in catalog and on a mixed profile with
 every term kind:
 
+    cone_time, flat_time        at the knots anchor +- 2^k inside the domain
     causal_exp, affine_bound    random causal vectors, half past-directed
     geodesic_states             future-directed vectors, 11 parameters on [0, 1]
     make_cauchy_sequence        future timelike vectors, span 1 and 8
@@ -134,6 +135,11 @@ def region_points(prof, rng, n):
 
 def dump(prof, rng):
     name = prof.name
+    anchor = prof.anchor_time()
+    knots = [t for k in range(11) for t in (anchor - 2.0 ** k, anchor + 2.0 ** k)
+             if prof.t_min < t < prof.t_max]
+    for f in (ll.cone_time, ll.flat_time):
+        print(f"{name} {f.__name__} knots -> {attempt(lambda: [f(prof, t) for t in knots])}")
     for i in range(10):
         p, v = causal_vector(prof, rng)
         print(f"{name} causal_exp {i} {show((p, v))} -> {attempt(ll.causal_exp, prof, p, v)}")
