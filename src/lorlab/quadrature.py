@@ -485,11 +485,11 @@ class _Side:
 
     def inside(self, st: np.ndarray, k: np.ndarray) -> np.ndarray:
         """Values at the t lying inside the cells k, given st = sgn * t: the
-        dense output of every cell's parts, joined into one table from the
-        anchor outward.  A t in a cell whose total is not finite is answered
-        by _leaf."""
+        dense output of the parts of every cell up to the last of them,
+        joined into one table from the anchor outward.  A t in a cell whose
+        total is not finite is answered by _leaf."""
         sgn = self.sgn
-        for j in range(len(self._pieces), len(self.cells)):
+        for j in range(len(self._pieces), int(k.max()) + 1):
             rows, F = self.cells[j].parts()
             if self.value_at(j):
                 rows = rows + np.array([[0.0], [0.0], [self.value_at(j)]])
