@@ -10,7 +10,10 @@ every term kind:
     causal_exp, affine_bound    random causal vectors, half past-directed
     geodesic_states             future-directed vectors, 11 parameters on [0, 1]
     make_cauchy_sequence        future timelike vectors, span 1 and 8
-    lorentzian_distance         random pairs, with the maximizing path
+    lorentzian_distance         random pairs, with the maximizing path; then
+                                near-null pairs: the 'mix' pair of margin
+                                1.6e-11, b4 (T exact) at five margins and
+                                warpb at |dx| = (1 - 10^-u) times the cone
     implication_report          the catalog probe configs
     space taumat                space_from_points on 32 random points
     uniqueness_witness          random causal vectors, half past-directed
@@ -56,6 +59,13 @@ MIXED = ll.MetricProfile(
     (ll.const(0.5), ll.exponential(0.6, 0.3)),
     t_min=-2.0, t_max=2.0, alpha=0.1,
 )
+# near-null shooting: a = 1, b = 4, where T = sqrt(dt^2 - 4 dx^2) exactly, and
+# a pair of margin 1.6e-11 with kappa near 8.8e5, where kappa / q rounds to 1
+B4 = ll.MetricProfile("b4", (ll.const(1.0),), (ll.const(4.0),))
+B4_DELTAS = (0.25, 1e-3, 1e-6, 1e-9, 1e-11)
+MIX = ll.MetricProfile("mix", (ll.const(1), ll.power(1, 0.3, 1.5)), (ll.exponential(1, 1),),
+                       alpha=1e-9)
+MIX_PAIR = (P(1.4711221123536244, -0.8078635145770623), P(3.9933257002179845, 0.5979339234358898))
 # start times and |dt/ds| windows of the start vectors
 WINDOWS = {
     "minkowski": ((-1.0, 1.0), (0.2, 1.0)),
@@ -168,6 +178,22 @@ def dump(prof, rng):
               f"{attempt(ll.uniqueness_witness, prof, p, v)}")
 
 
+def dump_near_null(rng):
+    print(f"mix lorentzian_distance near-null {show(MIX_PAIR)} -> "
+          f"{attempt(ll.lorentzian_distance, MIX, *MIX_PAIR)}")
+    for delta in B4_DELTAS:
+        q = P(1.0, 0.5 - delta)
+        print(f"b4 lorentzian_distance near-null {show(q)} -> "
+              f"{attempt(ll.lorentzian_distance, B4, P(0.0, 0.0), q)}")
+    warpb = ll.get_profile("warpb")
+    for u in rng.uniform(1.0, 12.0, 4):
+        p = P(float(rng.uniform(-0.5, 0.0)), 0.0)
+        t = float(rng.uniform(p.t + 0.5, 1.0))
+        q = P(t, (1.0 - 10.0 ** -u) * (ll.cone_time(warpb, t) - ll.cone_time(warpb, p.t)))
+        print(f"warpb lorentzian_distance near-null {show((p, q))} -> "
+              f"{attempt(ll.lorentzian_distance, warpb, p, q)}")
+
+
 NUMBER = re.compile(r"(?<![\w.])-?(?:inf|nan|\d+(?:\.\d*)?(?:e[-+]?\d+)?)(?![\w.])")
 
 
@@ -218,6 +244,7 @@ def main(argv=None):
     rng = np.random.default_rng(SEED)
     for prof in profiles():
         dump(prof, rng)
+    dump_near_null(rng)
     return 0
 
 

@@ -14,13 +14,16 @@ T(p, q) is computed two ways.  When b == 1 the time reparameterization
 tau(t) = int sqrt(a) du flattens the metric to -dtau^2 + dx^2, and T is the
 flat interval sqrt(dtau^2 - dx^2).  Otherwise a maximizing geodesic from p
 to q is found by shooting on the conserved spatial momentum kappa at
-unit-speed normalization.  The endpoint x is strictly increasing in kappa:
-the residual is sum w sqrt(a/b) kappa / sqrt(kappa^2 + b) - dx over a
-rule's nodes, each term has derivative w sqrt(a/b) b / (kappa^2 + b)^{3/2}
-> 0, and Gauss weights, panel widths, a and b are all positive.  So every
-pair has exactly one root, solved in its bracket by Newton.  On
-profiles that are not globally hyperbolic the shooting value is only a
-lower bound for the supremum over all causal curves.
+unit-speed normalization.  Each pair is solved reflected, on |dx| with
+kappa >= 0, and kappa takes the sign of dx back.  With q = sqrt(kappa^2 + b)
+and the rule's cone C = sum w sqrt(a/b), the endpoint residual sum w
+sqrt(a/b) kappa / q - |dx| is summed as (C - |dx|) - sum w sqrt(a b) / (q (q
++ kappa)), positive terms that do not cancel near the null cone.  It is
+strictly increasing, -|dx| at 0 and positive at k_hi = sqrt(sum w sqrt(a b)
+/ (C - |dx|)), so a pair whose rule cone is above |dx| has exactly one root,
+solved by Newton on [0, k_hi].  On profiles that are not globally hyperbolic
+the shooting value is only a lower bound for the supremum over all causal
+curves.
 
 Shooting runs on a batch of pairs at once: each pair's Gauss-Legendre rule
 is a row of (pairs x nodes) arrays, every gate applies per row to the rows
@@ -190,49 +193,38 @@ RULE_LEVELS = 12       # doublings of m for the cone surrogate to converge
 REFINEMENTS = 4        # further doublings for the shooting length to settle
 XTOL = 1e-12           # relative kappa tolerance of a root
 BLOCK_PANELS = 1024    # rule panels of the pairs solved together
-EVAL_BUDGET = 1 << 13  # (pair, kappa, node) elements evaluated at once
-SWEEP_BLOCK = 4        # bracket sweep magnitudes tried per pass
-_SWEEP = 2.0 ** np.arange(64)
-_SWEEP_COLS = [np.concatenate([ks, -ks]) for ks in _SWEEP.reshape(-1, SWEEP_BLOCK)]
 
 
 class _Rules:
-    """Shooting integrals of a batch of pairs, one node layout per row.
+    """Shooting integrals of a batch of reflected pairs, one node layout per row.
 
-    Rows hold wc = w sqrt(a / b), wl = w sqrt(a b) and b at the nodes, and
-    the target dx.  With q = sqrt(kappa^2 + b), the endpoint-x residual is
-    sum wc kappa / q - dx and the g-length is sum wl / q.  Each sum runs over
-    one row's nodes (a numpy reduction, not BLAS), so a row's values depend
-    only on that row, never on the rest of the batch.
+    Rows hold wl = w sqrt(a b) and b at the nodes, the rule's cone C =
+    sum w sqrt(a / b) and the target |dx|.  With q = sqrt(kappa^2 + b), the
+    residual is (C - |dx|) - D(kappa), D = sum wl / (q (q + kappa)), as w
+    sqrt(a / b) (1 - kappa / q) = wl / (q (q + kappa)); each term of D falls
+    as kappa >= 0 grows, in floating point too.  The g-length is sum wl / q.
+    Each sum runs over one row's nodes (a numpy reduction, not BLAS), so a
+    row's values depend only on that row, never on the rest of the batch.
     """
 
-    def __init__(self, wc, wl, b, dx):
-        self.wc, self.wl, self.b, self.dx = wc, wl, b, dx
+    def __init__(self, cone, wl, b, dx):
+        self.cone, self.wl, self.b, self.dx = cone, wl, b, dx
+        self.gap = cone - dx
 
     @classmethod
     def from_nodes(cls, w, a, b, dx):
-        """Rows from weights w and a, b at the nodes, and the targets dx."""
+        """Rows from weights w and a, b at the nodes, and the targets |dx|."""
         wsa, sb = w * np.sqrt(a), np.sqrt(b)
-        return cls(wsa / sb, wsa * sb, b, dx)
+        return cls((wsa / sb).sum(-1), wsa * sb, b, dx)
 
     def take(self, rows):
-        return _Rules(self.wc[rows], self.wl[rows], self.b[rows], self.dx[rows])
-
-    def endpoint(self, ks):
-        """Residual of every row at every kappa of the 1-d array ks."""
-        out = np.empty((len(self.dx), len(ks)))
-        step = max(1, EVAL_BUDGET // (len(ks) * self.b.shape[1]))
-        k = ks[:, None]
-        for s in range(0, len(out), step):
-            q = np.sqrt(k * k + self.b[s:s + step, None, :])
-            out[s:s + step] = (self.wc[s:s + step, None, :] * (k / q)).sum(-1)
-        return out - self.dx[:, None]
+        return _Rules(self.cone[rows], self.wl[rows], self.b[rows], self.dx[rows])
 
     def newton(self, k):
-        """Residual and its kappa derivative at one kappa per row."""
+        """Residual and its kappa derivative sum wl / q^3 at one kappa per row."""
         k = k[:, None]
         q = np.sqrt(k * k + self.b)
-        return (self.wc * (k / q)).sum(-1) - self.dx, (self.wl / (q * q * q)).sum(-1)
+        return self.gap - (self.wl / (q * (q + k))).sum(-1), (self.wl / (q * q * q)).sum(-1)
 
     def length(self, k):
         k = k[:, None]
@@ -240,14 +232,14 @@ class _Rules:
 
 
 def _roots(rules, lo, hi, rlo, rhi, name):
-    """Root of each row's increasing residual in [lo, hi], where it is
-    rlo < 0 at lo and rhi > 0 at hi.
+    """Root of each row's non-decreasing residual in [lo, hi], where it is
+    rlo <= 0 at lo and rhi > 0 at hi.
 
     Newton in u = asinh(kappa) from the false-position point, where the
-    residual is far less flat than in kappa at large |kappa|; a step that
+    residual is far less flat than in kappa at large kappa; a step that
     leaves the bracket bisects it in u instead.  A row stops once its u
-    step is at most XTOL, a kappa change of at most about XTOL max(1, |kappa|),
-    or once a step returns onto a bracket end: at large |kappa| the
+    step is at most XTOL, a kappa change of at most about XTOL max(1, kappa),
+    or once a step returns onto a bracket end: at large kappa the
     residual's rounding noise can hold Newton in a 2-cycle of wider steps.
     A row still moving after ROOT_MAX_ITER steps raises ShootingFailed;
     name(i) describes row i's pair.
@@ -281,46 +273,37 @@ def _roots(rules, lo, hi, rlo, rhi, name):
 
 
 def _kappa_roots(rules, name):
-    """Endpoint-matching kappa and g-length of every row.
+    """Endpoint-matching kappa >= 0 and g-length of every reflected row.
 
-    Every wc is > 0, so each row's residual is strictly increasing in kappa
-    and has one root.  The sweep finds each row's least bracket [-2^j, 2^j]
-    with a residual < 0 at -2^j and > 0 at 2^j, where Newton solves it to
-    XTOL.  The residual tends to +-(cone - |dx|) as kappa -> +-inf, so a
-    chronological pair always brackets.  name(i) describes row i's pair in
-    errors.
+    The bracket is in closed form.  D(0) = C, so the residual is -|dx| at
+    0; q (q + kappa) > 2 kappa^2 bounds D(kappa) < sum wl / (2 kappa^2), so
+    the residual exceeds (C - |dx|) / 2 > 0 at k_hi = sqrt(sum wl / (C -
+    |dx|)).  Newton solves each row on [0, k_hi] to XTOL.  A row whose rule
+    cone C is not above |dx|, or whose k_hi overflows, has no root and
+    raises ShootingFailed; name(i) describes row i's pair.
     """
-    n = len(rules.dx)
-    bound, rlo, rhi = np.empty(n), np.empty(n), np.empty(n)
-    todo = np.arange(n)
-    for j in range(0, len(_SWEEP), SWEEP_BLOCK):
-        sub = rules if j == 0 else rules.take(todo)
-        res = sub.endpoint(_SWEEP_COLS[j // SWEEP_BLOCK]).reshape(-1, 2, SWEEP_BLOCK)
-        brackets = (res[:, 0] > 0.0) & (res[:, 1] < 0.0)
-        hit = np.nonzero(brackets.any(1))[0]
-        col = brackets[hit].argmax(1)
-        rows = todo[hit]
-        bound[rows], rhi[rows], rlo[rows] = _SWEEP[j + col], res[hit, 0, col], res[hit, 1, col]
-        todo = np.delete(todo, hit)
-        if not len(todo):
-            k = _roots(rules, -bound, bound, rlo, rhi, name)
-            return k, rules.length(k)
-    raise ShootingFailed(
-        f"no endpoint-x sign change for {name(todo[0])} within kappa bracket 2^64"
-    )
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        hi = np.sqrt(rules.wl.sum(-1) / rules.gap)
+    bad = np.flatnonzero(~(hi < np.inf))
+    if len(bad):
+        raise ShootingFailed(f"no endpoint-x root for {name(bad[0])}: its rule cone "
+                             f"minus |dx| is {float(rules.gap[bad[0]])!r}")
+    k = _roots(rules, np.zeros(len(hi)), hi, -rules.dx, rules.newton(hi)[0], name)
+    return k, rules.length(k)
 
 
 def _shoot_block(profile, edges, dx, name):
     """(kappa, length) of pairs whose node layouts share their panel count.
 
-    One loop doubles m for every pair: first until its cone surrogate
-    integral sum w sqrt(a / b) converges, where kappa is solved, then until
-    the g-length of the kappa Newton-corrected on the finer rule stops
-    moving.  Pairs solved at the same level refine together, and each level
-    evaluates the profile once per such cohort and once for the pairs whose
-    rule is still converging.
+    Pairs are solved reflected; kappa takes the sign of dx back (0 when dx =
+    0).  One loop doubles m for every pair: first until its rule cone C
+    converges, where kappa is solved, then until the g-length of the kappa
+    Newton-corrected on the finer rule stops moving.  Pairs solved at the
+    same level refine together, and each level evaluates the profile once
+    per such cohort and once for the pairs whose rule is still converging.
     """
     n = len(dx)
+    sign, dx = np.sign(dx), np.abs(dx)
 
     def rules_at(rows, *ms):
         # the rules at each m in ms, from one evaluation of the profile on
@@ -339,7 +322,7 @@ def _shoot_block(profile, edges, dx, name):
     # is evaluated together with m = 2
     todo = np.arange(n)
     coarse, rules = rules_at(todo, 1, 2)
-    prev = coarse.wc.sum(-1)
+    prev = coarse.cone
     cohorts = []                     # (rows, kappa, length, level solved at)
     for level in range(1, RULE_LEVELS + REFINEMENTS):
         m = 1 << level
@@ -361,7 +344,7 @@ def _shoot_block(profile, edges, dx, name):
         if len(todo):
             if level > 1:
                 rules, = rules_at(todo, m)
-            surr = rules.wc.sum(-1)
+            surr = rules.cone
             conv = np.abs(surr - prev) <= np.maximum(QUAD_TOL, 16e-16 * np.abs(surr))
             done = np.count_nonzero(conv)
             if done:
@@ -376,7 +359,7 @@ def _shoot_block(profile, edges, dx, name):
                 )
             prev = surr
         if not cohorts and not len(todo):
-            return kappa, length
+            return sign * kappa, length
     raise QuadratureError("shooting length did not stabilize under refinement")
 
 

@@ -131,8 +131,10 @@ def check_axioms(space: DiscreteCausalSpace, tol: float = 1e-7) -> AxiomReport:
     """Exhaustive verification of the relation algebra and the time separation.
 
     Lower semicontinuity is vacuous on finite point sets and is reported as
-    skipped rather than passed.
+    skipped rather than passed.  A NaN, negative or infinite tol is rejected.
     """
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
     _require_small(space)
     chron = space.chron
     causal = space.causal

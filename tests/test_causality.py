@@ -28,6 +28,7 @@ from lorlab import (
     lorentzian_distance,
     minkowski_reduce,
     parse_profiles,
+    power,
     quadrature_advance,
     space_from_points,
     tau_length_chain,
@@ -314,7 +315,33 @@ def test_shooting_near_null_against_exact_b4(delta):
     d = lorentzian_distance(b4, P(0, 0), P(1, dx), with_path=False)
     assert d.method == "shooting"
     exact = math.sqrt((1.0 - 2.0 * dx) * (1.0 + 2.0 * dx))
-    assert abs(d.value - exact) <= max(1e-10, 1e-9 * exact)
+    assert abs(d.value - exact) <= 1e-13 * exact
+
+
+def test_shooting_mirror_pairs_share_their_value():
+    # a pair is solved on |dx|: the mirror pair has the same T bit for bit and
+    # the opposite kappa, dx = 0 gives kappa = 0, and each maximizer ends on q
+    warpb, p = get_profile("warpb"), P(-0.3, 0.2)
+    results = {dx: lorentzian_distance(warpb, p, P(0.9, 0.2 + dx)) for dx in (-0.7, 0.0, 0.7)}
+    assert results[-0.7].value == results[0.7].value
+    kappa = {dx: d.maximizer.conserved.kappa for dx, d in results.items()}
+    assert kappa[0.7] > 0.0 and kappa[-0.7] == -kappa[0.7] and kappa[0.0] == 0.0
+    for dx, d in results.items():
+        end = d.maximizer.samples[-1]
+        assert math.hypot(end[1] - 0.9, end[2] - (0.2 + dx)) < 1e-9
+
+
+def test_shooting_near_null_mix_pair_converges():
+    # margin 1.6e-11 with kappa near 8.8e5, where kappa / q rounds to 1: the
+    # residual summed as sum wc kappa / q - dx cannot resolve the root there
+    mix = MetricProfile("mix", (const(1), power(1, 0.3, 1.5)), (exponential(1, 1),),
+                        alpha=1e-9)
+    p = P(1.4711221123536244, -0.8078635145770623)
+    q = P(3.9933257002179845, 0.5979339234358898)
+    d = lorentzian_distance(mix, p, q)
+    assert d.method == "shooting" and 0.0 < d.value < 1e-4
+    end = d.maximizer.samples[-1]
+    assert math.hypot(end[1] - q.t, end[2] - q.x) <= 1e-9
 
 
 def test_distance_reduction_shooting_agree_on_unit_b():
@@ -361,7 +388,7 @@ def test_distance_isometry_check_unit_b():
 
 
 # three synthetic rule rows of the batched kappa solver: two ordinary ones and
-# a near-null one, whose dx is within 1e-9 of its cone sum w sqrt(a / b) = 1
+# a near-null one, whose |dx| is within 1e-9 of its cone sum w sqrt(a / b) = 1
 SYNTH_W = np.array([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
 SYNTH_A = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1e4]])
 SYNTH_B = np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 1e4]])
@@ -369,8 +396,9 @@ SYNTH_DX = np.array([0.3, -0.5, 1e-9 - 1.0])
 
 
 def synth_rules(rows):
+    # the solver works on reflected rows: |dx|, kappa >= 0
     return causality._Rules.from_nodes(
-        SYNTH_W[rows], SYNTH_A[rows], SYNTH_B[rows], SYNTH_DX[rows]
+        SYNTH_W[rows], SYNTH_A[rows], SYNTH_B[rows], np.abs(SYNTH_DX[rows])
     )
 
 
@@ -381,17 +409,20 @@ def synth_residual(row, k):
 
 def test_kappa_solver_rows_equal_their_batch_of_one():
     kappa, length = causality._kappa_roots(synth_rules([0, 1, 2]), lambda i: f"row {i}")
-    assert kappa[2] < -1e3  # the near-null row's root is far out
+    assert (kappa >= 0.0).all()
+    assert kappa[2] > 1e3  # the near-null row's root is far out
     for row in (0, 1, 2):
         alone = causality._kappa_roots(synth_rules([row]), lambda i: f"row {i}")
         assert alone[0][0] == kappa[row] and alone[1][0] == length[row]
-        assert abs(synth_residual(row, kappa[row])) < 1e-12
+        # the root of the reflected row, with the sign of dx, solves the pair
+        assert abs(synth_residual(row, math.copysign(kappa[row], SYNTH_DX[row]))) < 1e-12
     pair = causality._kappa_roots(synth_rules([0, 1]), lambda i: f"row {i}")
     assert np.array_equal(pair[0], kappa[:2]) and np.array_equal(pair[1], length[:2])
 
 
-def warpb_rules(m):
-    """Shooting rules of interior and near-null warpb pairs on m-point rules."""
+def warpb_nodes(m):
+    """Weights, a, b at the nodes of m-point rules, and the signed dx, of
+    interior and near-null warpb pairs."""
     prof = get_profile("warpb")
     rng = np.random.default_rng(47)
     t1 = rng.uniform(-1.0, 0.5, 40)
@@ -402,11 +433,10 @@ def warpb_rules(m):
     width = (t2 - t1)[:, None]
     nodes, ((_, w, _, _),) = _rule_layout((m,))
     a, b = prof.coefficients_many(t1[:, None] + width * nodes)
-    return causality._Rules.from_nodes((0.5 / m) * width * w, a, b, frac * cone)
+    return (0.5 / m) * width * w, a, b, frac * cone
 
 
-def test_kappa_bracket_is_the_least_sweep_bracket(monkeypatch):
-    rules = warpb_rules(32)
+def test_kappa_residual_and_its_closed_form_bracket(monkeypatch):
     roots, seen = causality._roots, []
 
     def recording(rules, lo, hi, rlo, rhi, name):
@@ -414,29 +444,28 @@ def test_kappa_bracket_is_the_least_sweep_bracket(monkeypatch):
         return roots(rules, lo, hi, rlo, rhi, name)
 
     monkeypatch.setattr(causality, "_roots", recording)
-    causality._kappa_roots(rules, lambda i: f"row {i}")
-    (lo, hi, rlo, rhi), = seen
-    # brute force: max(2^i, 2^j) for the first i with a residual > 0 at 2^i
-    # and the first j with one < 0 at -2^j
-    ladder = 2.0 ** np.arange(64)
-    up, down = rules.endpoint(ladder) > 0.0, rules.endpoint(-ladder) < 0.0
-    assert up.any(1).all() and down.any(1).all()
-    k = np.maximum(up.argmax(1), down.argmax(1))
-    assert np.array_equal(hi, ladder[k]) and np.array_equal(lo, -hi)
-    # the end residuals are the sweep's own, bit for bit
-    assert np.array_equal(rhi, rules.endpoint(hi).diagonal())
-    assert np.array_equal(rlo, rules.endpoint(lo).diagonal())
-
-
-def test_kappa_endpoint_is_non_decreasing():
-    # exactly along the sweep's ladder +-2^k, which the bracket relies on; on
-    # a finer ladder up to rounding, which moves the residual by an ulp where
-    # kappa^2 + b starts to round to kappa^2
-    rules = warpb_rules(32)
-    for step, slack in ((1.0, 0.0), (0.125, 1e-15)):
-        ladder = 2.0 ** np.arange(-20.0, 64.0, step)
-        res = rules.endpoint(np.concatenate([-ladder[::-1], [0.0], ladder]))
-        assert (np.diff(res, axis=1) >= -slack).all()
+    ladder = np.concatenate([[0.0], 2.0 ** np.arange(-20.0, 64.0, 0.125)])
+    for w, a, b, dx in (warpb_nodes(32), (SYNTH_W, SYNTH_A, SYNTH_B, SYNTH_DX)):
+        adx = np.abs(dx)
+        rules = causality._Rules.from_nodes(w, a, b, adx)
+        causality._kappa_roots(rules, lambda i: f"row {i}")
+        lo, hi, rlo, rhi = seen.pop()
+        # [0, sqrt(sum wl / (C - |dx|))], with the residual -|dx| exactly at
+        # 0 and the solver's own residual, > 0, at k_hi
+        assert np.array_equal(lo, np.zeros(len(dx))) and np.array_equal(rlo, -adx)
+        assert np.array_equal(hi, np.sqrt(rules.wl.sum(-1) / (rules.cone - adx)))
+        assert (rhi > 0.0).all() and np.array_equal(rhi, rules.newton(hi)[0])
+        # row by row along the ladder: non-decreasing with no rounding slack,
+        # and the direct form sum wc kappa / q - |dx| to within its rounding,
+        # a few ulps of the cone C (of |dx| on the near-null rows)
+        res = np.array([rules.newton(np.full(len(dx), k))[0] for k in ladder]).T
+        assert (np.diff(res, axis=1) >= 0.0).all()
+        k = ladder[None, :, None]
+        wc = w * np.sqrt(a) / np.sqrt(b)
+        old = (wc[:, None, :] * (k / np.sqrt(k * k + b[:, None, :]))).sum(-1) - adx[:, None]
+        ulp = np.spacing(rules.cone)[:, None]
+        assert (np.abs(res - old) <= 4.0 * ulp).all()
+        assert (np.abs(res[:, 0] + adx) <= 2.0 * ulp[:, 0]).all()
 
 
 # a warpb pair whose kappa Newton iteration falls into a 2-cycle between two
@@ -470,11 +499,15 @@ def test_kappa_newton_out_of_steps_raises(monkeypatch):
 
 
 def test_kappa_solver_without_sign_change_raises():
-    rules = causality._Rules.from_nodes(
-        SYNTH_W[:1], SYNTH_A[:1], SYNTH_B[:1], np.array([5.0])  # dx beyond the cone
-    )
-    with pytest.raises(ShootingFailed, match=r"row 0 within kappa bracket 2\^64"):
-        causality._kappa_roots(rules, lambda i: f"row {i}")
+    # a = b: the rule cone is 1; |dx| beyond it, on it, and inside it by an
+    # ulp, where k_hi = sqrt(sum wl / (1 - |dx|)) overflows: no root, and the
+    # row is named
+    ab = np.array([[1.0, 1e300]])
+    for dx in (5.0, 1.0, 1.0 - 2.0 ** -53):
+        rules = causality._Rules.from_nodes(SYNTH_W[:1], ab, ab, np.array([dx]))
+        with pytest.raises(ShootingFailed, match=r"no endpoint-x root for row 0: its rule "
+                                                 r"cone minus \|dx\| is "):
+            causality._kappa_roots(rules, lambda i: f"row {i}")
 
 
 def test_reverse_triangle_property():

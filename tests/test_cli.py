@@ -414,6 +414,25 @@ def test_probe_config_unknown_key(capsys, tmp_path):
     assert "unknown" in err
 
 
+@pytest.mark.parametrize("span", ["nan", "inf", "-1"])
+def test_probe_tcc_rejects_a_span_with_no_finite_cap(capsys, tmp_path, monkeypatch, span):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "probe", "--profile", "minkowski", "--kind", "tcc",
+                         "--p", "0,0", "--cauchy-span", span)
+    assert code == 1
+    assert out == ""
+    assert "Cauchy span" in err
+    assert not (tmp_path / "witness_tcc.txt").exists()
+
+
+def test_axioms_rejects_a_nan_tolerance(capsys):
+    code, out, err = run(capsys, "axioms", "--profile", "minkowski", "--region", "0,1,0,1",
+                         "--n", "20", "--tol", "nan")
+    assert code == 1
+    assert out == ""
+    assert "tol must be finite and non-negative" in err
+
+
 def test_probe_tcc_rejects_q(capsys, tmp_path, monkeypatch):
     # tcc starts its sequence at --p; a --q it would ignore is an error
     monkeypatch.chdir(tmp_path)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -324,6 +326,14 @@ def test_checks_reject_oversized_spaces():
         check_axioms(space)
     with pytest.raises(TooLarge):
         check_pushup(space)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-7, math.inf])
+def test_check_axioms_rejects_an_unusable_tolerance(tol):
+    space = sample_space(get_profile("minkowski"), (0.0, 1.0, 0.0, 1.0), 10, seed=1)
+    with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+        check_axioms(space, tol=tol)
+    assert check_axioms(space, tol=0.0).tol == 0.0
 
 
 # -- gate: the checkers against their masked full-matrix form --------------------

@@ -316,7 +316,8 @@ def test_make_cauchy_sequence_satisfies_premises():
 
 @pytest.mark.parametrize("name, span", [("exp2t", 0.7), ("strip01", 5.0), ("strip01", 1.0),
                                         ("minkowski", 8.0), ("c1power", 1.0),
-                                        ("c1power", 1e6), ("warpb", 1.0)])
+                                        ("c1power", 1e6), ("warpb", 1.0),
+                                        ("strip01", math.inf)])
 def test_make_cauchy_sequence_at_geometric_parameters(name, span):
     prof = get_profile(name)
     pts, bounds = make_cauchy_sequence(prof, P(0.1, 0), V(1, 0), span=span, n=30)
@@ -325,6 +326,14 @@ def test_make_cauchy_sequence_at_geometric_parameters(name, span):
     want = [quad.point_at(cap * (1.0 - 2.0 ** -k)) for k in range(1, 31)]
     assert [(p.t, p.x) for p in pts] == [(p.t, p.x) for p in want]
     assert bounds == [2.0 * cap * 2.0 ** -k for k in range(1, 31)]
+
+
+@pytest.mark.parametrize("span", [math.nan, 0.0, -1.0, math.inf])
+def test_make_cauchy_sequence_rejects_a_span_with_no_finite_cap(span):
+    # minkowski geodesics have no affine bound, so an infinite span has no
+    # finite cap
+    with pytest.raises(ValueError, match="Cauchy span"):
+        make_cauchy_sequence(get_profile("minkowski"), P(0, 0), V(1, 0), span=span)
 
 
 def test_make_cauchy_sequence_caps_at_exit():
