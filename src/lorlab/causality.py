@@ -15,15 +15,18 @@ tau(t) = int sqrt(a) du flattens the metric to -dtau^2 + dx^2, and T is the
 flat interval sqrt(dtau^2 - dx^2).  Otherwise a maximizing geodesic from p
 to q is found by shooting on the conserved spatial momentum kappa at
 unit-speed normalization.  Each pair is solved reflected, on |dx| with
-kappa >= 0, and kappa takes the sign of dx back.  With q = sqrt(kappa^2 + b)
-and the rule's cone C = sum w sqrt(a/b), the endpoint residual sum w
-sqrt(a/b) kappa / q - |dx| is summed as (C - |dx|) - sum w sqrt(a b) / (q (q
-+ kappa)), positive terms that do not cancel near the null cone.  It is
-strictly increasing, -|dx| at 0 and positive at k_hi = sqrt(sum w sqrt(a b)
-/ (C - |dx|)), so a pair whose rule cone is above |dx| has exactly one root,
-solved by Newton on [0, k_hi].  On profiles that are not globally hyperbolic
-the shooting value is only a lower bound for the supremum over all causal
-curves.
+kappa >= 0, and kappa takes the sign of dx back.  Its gap C - |dx| is the
+relation's margin, from the cone map, so the shooting T is positive exactly
+where the relation says chronological.  With q = sqrt(kappa^2 + b), the
+endpoint residual sum w sqrt(a/b) kappa / q - |dx| is summed as gap - sum w
+sqrt(a b) / (q (q + kappa)), positive terms that do not cancel near the null
+cone.  It is strictly increasing in kappa and positive at k_hi = sqrt(sum w
+sqrt(a b) / gap), so each pair has one root in [0, k_hi] (0 where the
+residual at 0 is already positive), solved by Newton on the m = 2 rule.  One
+loop then doubles the rule, Newton-corrects kappa once per level and keeps
+each pair's g-length once it settles.  On profiles that are not globally
+hyperbolic the shooting value is only a lower bound for the supremum over
+all causal curves.
 
 Shooting runs on a batch of pairs at once: each pair's Gauss-Legendre rule
 is a row of (pairs x nodes) arrays, every gate applies per row to the rows
@@ -189,8 +192,7 @@ def _flat_interval(dtau, dx):
 
 # -- shooting solver -----------------------------------------------------------
 
-RULE_LEVELS = 12       # doublings of m for the cone surrogate to converge
-REFINEMENTS = 4        # further doublings for the shooting length to settle
+MAX_LEVELS = 16        # rule doublings before the shooting length must settle
 XTOL = 1e-12           # relative kappa tolerance of a root
 BLOCK_PANELS = 1024    # rule panels of the pairs solved together
 
@@ -198,27 +200,21 @@ BLOCK_PANELS = 1024    # rule panels of the pairs solved together
 class _Rules:
     """Shooting integrals of a batch of reflected pairs, one node layout per row.
 
-    Rows hold wl = w sqrt(a b) and b at the nodes, the rule's cone C =
-    sum w sqrt(a / b) and the target |dx|.  With q = sqrt(kappa^2 + b), the
-    residual is (C - |dx|) - D(kappa), D = sum wl / (q (q + kappa)), as w
-    sqrt(a / b) (1 - kappa / q) = wl / (q (q + kappa)); each term of D falls
-    as kappa >= 0 grows, in floating point too.  The g-length is sum wl / q.
-    Each sum runs over one row's nodes (a numpy reduction, not BLAS), so a
-    row's values depend only on that row, never on the rest of the batch.
+    Rows hold wl = w sqrt(a b) and b at the nodes, and each pair's gap C -
+    |dx|: its margin, the cone slack that the relation computed from the
+    cone map.  With q = sqrt(kappa^2 + b), the residual is gap - D(kappa),
+    D = sum wl / (q (q + kappa)), the rule's sum of w sqrt(a / b) (1 - kappa
+    / q); each term of D falls as kappa >= 0 grows, in floating point too.
+    The g-length is sum wl / q.  Each sum runs over one row's nodes (a numpy
+    reduction, not BLAS), so a row's values depend only on that row, never
+    on the rest of the batch.
     """
 
-    def __init__(self, cone, wl, b, dx):
-        self.cone, self.wl, self.b, self.dx = cone, wl, b, dx
-        self.gap = cone - dx
-
-    @classmethod
-    def from_nodes(cls, w, a, b, dx):
-        """Rows from weights w and a, b at the nodes, and the targets |dx|."""
-        wsa, sb = w * np.sqrt(a), np.sqrt(b)
-        return cls((wsa / sb).sum(-1), wsa * sb, b, dx)
+    def __init__(self, wl, b, gap):
+        self.wl, self.b, self.gap = wl, b, gap
 
     def take(self, rows):
-        return _Rules(self.cone[rows], self.wl[rows], self.b[rows], self.dx[rows])
+        return _Rules(self.wl[rows], self.b[rows], self.gap[rows])
 
     def newton(self, k):
         """Residual and its kappa derivative sum wl / q^3 at one kappa per row."""
@@ -233,7 +229,7 @@ class _Rules:
 
 def _roots(rules, lo, hi, rlo, rhi, name):
     """Root of each row's non-decreasing residual in [lo, hi], where it is
-    rlo <= 0 at lo and rhi > 0 at hi.
+    rlo at lo and rhi > 0 at hi; a row with rlo > 0 ends at lo.
 
     Newton in u = asinh(kappa) from the false-position point, where the
     residual is far less flat than in kappa at large kappa; a step that
@@ -275,99 +271,72 @@ def _roots(rules, lo, hi, rlo, rhi, name):
 def _kappa_roots(rules, name):
     """Endpoint-matching kappa >= 0 and g-length of every reflected row.
 
-    The bracket is in closed form.  D(0) = C, so the residual is -|dx| at
-    0; q (q + kappa) > 2 kappa^2 bounds D(kappa) < sum wl / (2 kappa^2), so
-    the residual exceeds (C - |dx|) / 2 > 0 at k_hi = sqrt(sum wl / (C -
-    |dx|)).  Newton solves each row on [0, k_hi] to XTOL.  A row whose rule
-    cone C is not above |dx|, or whose k_hi overflows, has no root and
-    raises ShootingFailed; name(i) describes row i's pair.
+    The bracket is in closed form: q (q + kappa) > 2 kappa^2 bounds D(kappa)
+    < sum wl / (2 kappa^2), so the residual exceeds gap / 2 > 0 at k_hi =
+    sqrt(sum wl / gap).  At 0 it is evaluated, gap - sum wl / b, and a row
+    where that is already positive (|dx| within the rule's rounding of 0)
+    ends at 0.  Newton solves each row on [0, k_hi] to XTOL.  A row whose
+    k_hi is not finite (a gap that is not positive, or an overflow) has no
+    root and raises ShootingFailed; name(i) describes row i's pair.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         hi = np.sqrt(rules.wl.sum(-1) / rules.gap)
     bad = np.flatnonzero(~(hi < np.inf))
     if len(bad):
-        raise ShootingFailed(f"no endpoint-x root for {name(bad[0])}: its rule cone "
-                             f"minus |dx| is {float(rules.gap[bad[0]])!r}")
-    k = _roots(rules, np.zeros(len(hi)), hi, -rules.dx, rules.newton(hi)[0], name)
+        raise ShootingFailed(f"no endpoint-x root for {name(bad[0])}: k_hi is not finite "
+                             f"at gap {float(rules.gap[bad[0]])!r}")
+    lo = np.zeros(len(hi))
+    k = _roots(rules, lo, hi, rules.newton(lo)[0], rules.newton(hi)[0], name)
     return k, rules.length(k)
 
 
-def _shoot_block(profile, edges, dx, name):
+def _shoot_block(profile, edges, dx, gap, name):
     """(kappa, length) of pairs whose node layouts share their panel count.
 
-    Pairs are solved reflected; kappa takes the sign of dx back (0 when dx =
-    0).  One loop doubles m for every pair: first until its rule cone C
-    converges, where kappa is solved, then until the g-length of the kappa
-    Newton-corrected on the finer rule stops moving.  Pairs solved at the
-    same level refine together, and each level evaluates the profile once
-    per such cohort and once for the pairs whose rule is still converging.
+    Pairs are solved reflected, on their gap C - |dx| with kappa >= 0, and
+    kappa takes the sign of dx back (0 when dx = 0).  kappa is solved on
+    the m = 2 rule.  Then one loop doubles m, Newton-corrects kappa once on
+    the finer rule and accepts a row once its g-length moved by at most
+    max(QUAD_TOL, 16e-16 L), the test of quadrature's panel refinement.
+    Each level evaluates the profile once, for the rows still active.
     """
-    n = len(dx)
-    sign, dx = np.sign(dx), np.abs(dx)
 
-    def rules_at(rows, *ms):
-        # the rules at each m in ms, from one evaluation of the profile on
-        # the cached node layout of ms; each row keeps its nodes in panel order
-        edges_r, dx_r = (edges, dx) if len(rows) == n else (edges[rows], dx[rows])
-        frac, cols = _rule_layout(ms)
+    def rules_at(rows, m):
+        # the m-point rule of each row, from one evaluation of the profile on
+        # the cached node layout; each row keeps its nodes in panel order
+        frac, ((_, w, _, _),) = _rule_layout((m,))
+        edges_r = edges[rows]
         width = (edges_r[:, 1:] - edges_r[:, :-1])[..., None]
         a, b = profile.coefficients_many(edges_r[:, :-1, None] + width * frac)
-        flat = (len(dx_r), -1)
-        return [_Rules.from_nodes(((0.5 / m) * width * w).reshape(flat),
-                                  a[..., s:e].reshape(flat), b[..., s:e].reshape(flat), dx_r)
-                for m, w, s, e in cols]
+        flat = (len(rows), -1)
+        wsa = ((0.5 / m) * width * w * np.sqrt(a)).reshape(flat)
+        return _Rules(wsa * np.sqrt(b).reshape(flat), b.reshape(flat), gap[rows])
 
+    n = len(dx)
+    act = np.arange(n)
+    k, ln = _kappa_roots(rules_at(act, 2), name)
     kappa, length = np.empty(n), np.empty(n)
-    # rows whose rule has not converged; no row can at m = 1, so that level
-    # is evaluated together with m = 2
-    todo = np.arange(n)
-    coarse, rules = rules_at(todo, 1, 2)
-    prev = coarse.cone
-    cohorts = []                     # (rows, kappa, length, level solved at)
-    for level in range(1, RULE_LEVELS + REFINEMENTS):
-        m = 1 << level
-        refining = []
-        for rows, k, ln, since in cohorts:
-            fine, = rules_at(rows, m)
-            res, dres = fine.newton(k)
-            k = k - res / dres
-            ln, prev_ln = fine.length(k), ln
-            ok = np.abs(ln - prev_ln) <= np.maximum(1e-10, 1e-9 * np.abs(ln))
-            if np.count_nonzero(ok) == len(ok):
-                kappa[rows], length[rows] = k, ln
-                continue
-            if level - since >= REFINEMENTS:
-                raise QuadratureError("shooting length did not stabilize under refinement")
-            kappa[rows[ok]], length[rows[ok]] = k[ok], ln[ok]
-            refining.append((rows[~ok], k[~ok], ln[~ok], since))
-        cohorts = refining
-        if len(todo):
-            if level > 1:
-                rules, = rules_at(todo, m)
-            surr = rules.cone
-            conv = np.abs(surr - prev) <= np.maximum(QUAD_TOL, 16e-16 * np.abs(surr))
-            done = np.count_nonzero(conv)
-            if done:
-                rows, sub = (todo, rules) if done == len(todo) else (todo[conv], rules.take(conv))
-                cohorts.append((rows, *_kappa_roots(sub, lambda j: name(rows[j])), level))
-                todo, surr = todo[~conv], surr[~conv]
-            if len(todo) and level == RULE_LEVELS - 1:
-                j = todo[0]
-                raise QuadratureError(
-                    f"node layout on [{float(edges[j, 0])!r}, {float(edges[j, -1])!r}] "
-                    "did not converge"
-                )
-            prev = surr
-        if not cohorts and not len(todo):
-            return sign * kappa, length
-    raise QuadratureError("shooting length did not stabilize under refinement")
+    for level in range(2, MAX_LEVELS):
+        fine = rules_at(act, 1 << level)
+        res, dres = fine.newton(k)
+        k = k - res / dres
+        ln, prev = fine.length(k), ln
+        ok = np.abs(ln - prev) <= np.maximum(QUAD_TOL, 16e-16 * np.abs(ln))
+        kappa[act[ok]], length[act[ok]] = k[ok], ln[ok]
+        if np.count_nonzero(ok) == len(ok):
+            return np.sign(dx) * kappa, length
+        act, k, ln = act[~ok], k[~ok], ln[~ok]
+    raise QuadratureError(
+        f"shooting length of {name(act[0])} did not stabilize under refinement"
+    )
 
 
-def _shoot(profile, t1, x1, t2, x2):
+def _shoot(profile, t1, x1, t2, x2, gap):
     """Unit-speed shooting for chronological pairs (t1, x1) -> (t2, x2).
 
-    Takes 1-d arrays and returns (kappa, length) arrays.  A pair's values do
-    not depend on the other pairs of the batch.
+    Takes 1-d arrays, gap holding each pair's margin (_relation), and
+    returns (kappa, length) arrays.  A pair's values do not depend on the
+    other pairs of the batch.
     """
     n = len(t1)
     breaks = profile.breakpoints
@@ -397,7 +366,7 @@ def _shoot(profile, t1, x1, t2, x2):
             for s in range(0, len(idx), size):
                 sel = idx[s:s + size]
                 kappa[sel], length[sel] = _shoot_block(
-                    profile, edges[s:s + size], x2[sel] - x1[sel],
+                    profile, edges[s:s + size], x2[sel] - x1[sel], gap[sel],
                     lambda j, sel=sel: name(sel[j]),
                 )
     return kappa, length
@@ -410,17 +379,18 @@ def _separations(profile, t1, x1, t2, x2, dcone, eps_null):
     dcone is the cone-time difference cone_time(t2) - cone_time(t1).  Each
     entry of T equals lorentzian_distance(profile, p, q, with_path=False).value
     bit for bit: 0 off the chronological relation, the flat interval when
-    b == 1, and a batched shooting solve otherwise.  The relation masks are
-    those of causally_related.
+    b == 1, and a batched shooting solve on the relation's margin otherwise.
+    The relation masks are those of causally_related.
     """
     t1, x1, t2, x2, dcone = np.broadcast_arrays(t1, x1, t2, x2, dcone)
     dx = x2 - x1
-    _, chron, causal = _relation(dcone, dx, t2 - t1, eps_null)
+    margin, chron, causal = _relation(dcone, dx, t2 - t1, eps_null)
     out = np.zeros(chron.shape)
     if profile.has_unit_b:
         out[chron] = _flat_interval(dcone[chron], dx[chron])
     elif chron.any():
-        out[chron] = _shoot(profile, t1[chron], x1[chron], t2[chron], x2[chron])[1]
+        out[chron] = _shoot(profile, t1[chron], x1[chron], t2[chron], x2[chron],
+                            margin[chron])[1]
     return out, chron, causal
 
 
@@ -475,7 +445,7 @@ def lorentzian_distance(
         dtau, dx = np.array([fm(q.t) - fm(p.t)]), np.array([q.x - p.x])
         value = float(_flat_interval(dtau, dx)[0])
     else:
-        pair = np.array([[p.t], [p.x], [q.t], [q.x]])
+        pair = np.array([[p.t], [p.x], [q.t], [q.x], [verdict.margin]])
         kappa, value = (float(v[0]) for v in _shoot(profile, *pair))
     if not (with_path and 0.0 < value < math.inf):
         return DistanceResult(value, None, resolved)

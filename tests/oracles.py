@@ -127,3 +127,35 @@ def mp_cumulative(profile, kind, t):
         return mpmath.sqrt(a if kind == "flat" else a / mp_coefficient(profile.terms_b, u))
 
     return mp_integral(f, profile.anchor_time(), t, profile.breakpoints)
+
+
+def mp_shooting(profile, p, q, kappa0, dps=30):
+    """T(p, q) by shooting in mpmath at dps digits: the kappa, found from
+    kappa0 by the secant method, whose unit-speed geodesic from p reaches
+    q.x at q.t, and that geodesic's g-length int sqrt(a b) / sqrt(kappa^2 +
+    b) dt.  Each integral is split at the breakpoints in between; mpmath is
+    imported here, so a caller can skip when it is missing."""
+    import mpmath
+
+    mpmath.mp.dps = dps
+    pts = [p.t] + [c for c in profile.breakpoints if p.t < c < q.t] + [q.t]
+
+    def integral(f):
+        return sum(mpmath.quad(f, [x, y]) for x, y in zip(pts, pts[1:]))
+
+    def coefficients(u):
+        return mp_coefficient(profile.terms_a, u), mp_coefficient(profile.terms_b, u)
+
+    def reach(k):
+        def f(u):
+            a, b = coefficients(u)
+            return mpmath.sqrt(a / b) * k / mpmath.sqrt(k * k + b)
+        return integral(f) - (mpmath.mpf(q.x) - mpmath.mpf(p.x))
+
+    kappa = mpmath.findroot(reach, mpmath.mpf(kappa0))
+
+    def length(u):
+        a, b = coefficients(u)
+        return mpmath.sqrt(a * b) / mpmath.sqrt(kappa * kappa + b)
+
+    return float(integral(length))

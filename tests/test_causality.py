@@ -4,11 +4,12 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from lorlab import (
     CATALOG_NAMES,
+    EPS_NULL,
     MetricProfile,
     NotAChain,
     NotReducible,
@@ -36,7 +37,8 @@ from lorlab import (
 
 from lorlab import causality
 from lorlab.quadrature import _rule_layout
-from oracles import enumerate_tau_length, lattice_distance, simpson_integral
+from oracles import enumerate_tau_length, lattice_distance, mp_shooting, simpson_integral
+from test_geodesics import MIXED
 
 P = SpacetimePoint
 V = TangentVector
@@ -318,6 +320,39 @@ def test_shooting_near_null_against_exact_b4(delta):
     assert abs(d.value - exact) <= 1e-13 * exact
 
 
+def test_shooting_random_near_null_pairs_against_exact_b4():
+    # margins from 0.1 down to 1e-12 of the cone dt / 2; dt - 2 |dx| is exact
+    b4 = MetricProfile("b4", (const(1.0),), (const(4.0),))
+    rng = np.random.default_rng(61)
+    for _ in range(200):
+        t1 = rng.uniform(-1.0, 1.0)
+        t2 = t1 + rng.uniform(0.05, 2.5)
+        dx = rng.choice((-1.0, 1.0)) * (1.0 - 10.0 ** -rng.uniform(1.0, 12.0)) * (t2 - t1) / 2
+        d = lorentzian_distance(b4, P(t1, 0.0), P(t2, dx), with_path=False)
+        dt = t2 - t1
+        exact = math.sqrt((dt - 2.0 * abs(dx)) * (dt + 2.0 * abs(dx)))
+        if causally_related(b4, P(t1, 0.0), P(t2, dx)).chronological:
+            assert abs(d.value - exact) <= 1e-13 * exact, (t1, t2, dx)
+
+
+def test_shooting_against_an_mpmath_solve():
+    # interior pairs on warpb and on MIXED (a kink at 0.2, an exponential b)
+    # against a 30-digit shooting solve from the solver's own kappa; the
+    # first MIXED pair ends 6e-4 below the kink, where the rule converges
+    # slowest (5.6e-12 off)
+    pytest.importorskip("mpmath")
+    rng = np.random.default_rng(59)
+    near_kink = (P(-0.13310035876276882, 0.6330278325544181),
+                 P(0.19940454425674914, 0.3327777084020478))
+    for prof, t_range, fixed in ((get_profile("warpb"), (-1.0, 1.0), []),
+                                 (MIXED, (-1.5, 1.5), [near_kink])):
+        pairs = fixed + [random_chronological_pair(prof, rng, t_range) for _ in range(8)]
+        for p, q in pairs:
+            d = lorentzian_distance(prof, p, q, method="shooting")
+            want = mp_shooting(prof, p, q, d.maximizer.conserved.kappa)
+            assert abs(d.value - want) <= 1e-11 * want, (prof.name, p, q)
+
+
 def test_shooting_mirror_pairs_share_their_value():
     # a pair is solved on |dx|: the mirror pair has the same T bit for bit and
     # the opposite kappa, dx = 0 gives kappa = 0, and each maximizer ends on q
@@ -342,6 +377,40 @@ def test_shooting_near_null_mix_pair_converges():
     assert d.method == "shooting" and 0.0 < d.value < 1e-4
     end = d.maximizer.samples[-1]
     assert math.hypot(end[1] - q.t, end[2] - q.x) <= 1e-9
+
+
+@pytest.mark.parametrize("name, p, q", [
+    # margins 1.4e-12, 1.7e-11 and 8.4e-12: a gap taken from each level's
+    # rule cone moved by ulps between levels, and T with it, so these raised
+    # "shooting length did not stabilize"
+    ("warpb", P(0.24782326144339328, 0.0), P(1.7353657096235098, -1.0732599838851584)),
+    ("c1power", P(-0.6582330694107523, 0.0), P(1.2721419472707074, 2.3047868031881613)),
+    ("exp2t", P(0.08292325832718972, 0.0), P(1.3676879410098803, -2.839804014132297)),
+])
+def test_shooting_near_null_pairs_on_the_relations_gap(name, p, q):
+    d = lorentzian_distance(get_profile(name), p, q, method="shooting")
+    assert d.method == "shooting" and d.value > 0.0
+    end = d.maximizer.samples[-1]
+    assert math.hypot(end[1] - q.t, end[2] - q.x) <= 1e-9
+
+
+@given(
+    st.sampled_from(["warpb", "c1power"]),
+    st.floats(-1.0, 1.0),
+    st.floats(0.05, 2.5),
+    st.floats(math.log10(2.0 * EPS_NULL), -10.0),
+    st.sampled_from([-1.0, 1.0]),
+)
+def test_shooting_is_positive_on_every_near_null_chronological_pair(name, t1, dt, e, sign):
+    # a margin in (eps_null, 1e-10] is chronological, and its shooting T > 0
+    prof = get_profile(name)
+    p = P(t1, 0.0)
+    t2 = t1 + dt
+    q = P(t2, sign * (cone_time(prof, t2) - cone_time(prof, t1) - 10.0 ** e))
+    verdict = causally_related(prof, p, q)
+    assume(EPS_NULL < verdict.margin <= 1e-10)
+    assert verdict.chronological
+    assert lorentzian_distance(prof, p, q, method="shooting", with_path=False).value > 0.0
 
 
 def test_distance_reduction_shooting_agree_on_unit_b():
@@ -395,11 +464,16 @@ SYNTH_B = np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 1e4]])
 SYNTH_DX = np.array([0.3, -0.5, 1e-9 - 1.0])
 
 
+def rules_of(w, a, b, adx):
+    """Reflected rows from weights w and a, b at the nodes: wl = w sqrt(a b)
+    and the gap C - |dx|, with the rows' own cone C = sum w sqrt(a / b) in
+    place of the relation's margin."""
+    wsa, sb = w * np.sqrt(a), np.sqrt(b)
+    return causality._Rules(wsa * sb, b, (wsa / sb).sum(-1) - adx)
+
+
 def synth_rules(rows):
-    # the solver works on reflected rows: |dx|, kappa >= 0
-    return causality._Rules.from_nodes(
-        SYNTH_W[rows], SYNTH_A[rows], SYNTH_B[rows], np.abs(SYNTH_DX[rows])
-    )
+    return rules_of(SYNTH_W[rows], SYNTH_A[rows], SYNTH_B[rows], np.abs(SYNTH_DX[rows]))
 
 
 def synth_residual(row, k):
@@ -447,13 +521,17 @@ def test_kappa_residual_and_its_closed_form_bracket(monkeypatch):
     ladder = np.concatenate([[0.0], 2.0 ** np.arange(-20.0, 64.0, 0.125)])
     for w, a, b, dx in (warpb_nodes(32), (SYNTH_W, SYNTH_A, SYNTH_B, SYNTH_DX)):
         adx = np.abs(dx)
-        rules = causality._Rules.from_nodes(w, a, b, adx)
+        rules = rules_of(w, a, b, adx)
         causality._kappa_roots(rules, lambda i: f"row {i}")
         lo, hi, rlo, rhi = seen.pop()
-        # [0, sqrt(sum wl / (C - |dx|))], with the residual -|dx| exactly at
-        # 0 and the solver's own residual, > 0, at k_hi
-        assert np.array_equal(lo, np.zeros(len(dx))) and np.array_equal(rlo, -adx)
-        assert np.array_equal(hi, np.sqrt(rules.wl.sum(-1) / (rules.cone - adx)))
+        wc = w * np.sqrt(a) / np.sqrt(b)
+        cone = wc.sum(-1)
+        ulp = np.spacing(cone)[:, None]
+        # [0, sqrt(sum wl / gap)], with the solver's own residual at both
+        # ends: within 2 ulps of the cone C of -|dx| at 0, and > 0 at k_hi
+        assert np.array_equal(lo, np.zeros(len(dx))) and np.array_equal(rlo, rules.newton(lo)[0])
+        assert (np.abs(rlo + adx) <= 2.0 * ulp[:, 0]).all()
+        assert np.array_equal(hi, np.sqrt(rules.wl.sum(-1) / rules.gap))
         assert (rhi > 0.0).all() and np.array_equal(rhi, rules.newton(hi)[0])
         # row by row along the ladder: non-decreasing with no rounding slack,
         # and the direct form sum wc kappa / q - |dx| to within its rounding,
@@ -461,11 +539,11 @@ def test_kappa_residual_and_its_closed_form_bracket(monkeypatch):
         res = np.array([rules.newton(np.full(len(dx), k))[0] for k in ladder]).T
         assert (np.diff(res, axis=1) >= 0.0).all()
         k = ladder[None, :, None]
-        wc = w * np.sqrt(a) / np.sqrt(b)
         old = (wc[:, None, :] * (k / np.sqrt(k * k + b[:, None, :]))).sum(-1) - adx[:, None]
-        ulp = np.spacing(rules.cone)[:, None]
         assert (np.abs(res - old) <= 4.0 * ulp).all()
-        assert (np.abs(res[:, 0] + adx) <= 2.0 * ulp[:, 0]).all()
+        # a gap above the rule's cone, |dx| within its rounding of 0, ends at 0
+        above = causality._Rules(rules.wl, rules.b, cone * (1.0 + 2.0 ** -50))
+        assert (causality._kappa_roots(above, lambda i: f"row {i}")[0] == 0.0).all()
 
 
 # a warpb pair whose kappa Newton iteration falls into a 2-cycle between two
@@ -499,15 +577,13 @@ def test_kappa_newton_out_of_steps_raises(monkeypatch):
 
 
 def test_kappa_solver_without_sign_change_raises():
-    # a = b: the rule cone is 1; |dx| beyond it, on it, and inside it by an
-    # ulp, where k_hi = sqrt(sum wl / (1 - |dx|)) overflows: no root, and the
-    # row is named
+    # a = b: the rule cone is 1, and |dx| is inside it by an ulp, where k_hi =
+    # sqrt(sum wl / gap) overflows: no root, and the row is named
     ab = np.array([[1.0, 1e300]])
-    for dx in (5.0, 1.0, 1.0 - 2.0 ** -53):
-        rules = causality._Rules.from_nodes(SYNTH_W[:1], ab, ab, np.array([dx]))
-        with pytest.raises(ShootingFailed, match=r"no endpoint-x root for row 0: its rule "
-                                                 r"cone minus \|dx\| is "):
-            causality._kappa_roots(rules, lambda i: f"row {i}")
+    rules = rules_of(SYNTH_W[:1], ab, ab, np.array([1.0 - 2.0 ** -53]))
+    with pytest.raises(ShootingFailed, match=r"no endpoint-x root for row 0: k_hi is not "
+                                             r"finite at gap 1\.1102230246251565e-16"):
+        causality._kappa_roots(rules, lambda i: f"row {i}")
 
 
 def test_reverse_triangle_property():
