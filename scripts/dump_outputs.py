@@ -15,7 +15,8 @@ every term kind:
                                 1.6e-11, b4 (T exact) at five margins and
                                 warpb at |dx| = (1 - 10^-u) times the cone
     implication_report          the catalog probe configs
-    space taumat                space_from_points on 32 random points
+    space chron, causal, dmat,  space_from_points on 32 random points, every
+      taumat                    matrix of the space
     uniqueness_witness          random causal vectors, half past-directed
 
 A call that raises prints the exception instead.  To compare two checkouts,
@@ -171,7 +172,8 @@ def dump(prof, rng):
               f"{attempt(ll.lorentzian_distance, prof, p, q)}")
     print(f"{name} implication_report -> {attempt(ll.implication_report, prof, CONFIGS[name])}")
     space = ll.space_from_points(prof, region_points(prof, rng, 32))
-    print(f"{name} space taumat -> {show(space.taumat)}")
+    for matrix in ("chron", "causal", "dmat", "taumat"):
+        print(f"{name} space {matrix} -> {show(getattr(space, matrix))}")
     for i in range(3):
         p, v = causal_vector(prof, rng)
         print(f"{name} uniqueness_witness {i} {show((p, v))} -> "

@@ -173,16 +173,16 @@ def minkowski_reduce(profile: MetricProfile, p: SpacetimePoint) -> tuple[float, 
     return flat_time(profile, p.t), p.x
 
 
-def _flat_interval(dtau, dx):
-    """sqrt(dtau^2 - dx^2), or 0 off the cone, elementwise on arrays.
+def _flat_interval(dtau, dx, chron):
+    """sqrt(dtau^2 - dx^2) where chron holds, else 0, elementwise on arrays.
 
     Where a square overflows, the scaled form |dtau| sqrt((1 - r)(1 + r))
     with r = dx / dtau gives the finite interval instead.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         q = dtau * dtau - dx * dx
-    out = np.sqrt(np.where(q > 0.0, q, 0.0))
-    big = ~np.isfinite(q)
+    out = np.sqrt(np.where(chron & (q > 0.0), q, 0.0))
+    big = chron & ~np.isfinite(q)
     if big.any():
         r = dx[big] / dtau[big]
         w = (1.0 - r) * (1.0 + r)
@@ -385,10 +385,10 @@ def _separations(profile, t1, x1, t2, x2, dcone, eps_null):
     t1, x1, t2, x2, dcone = np.broadcast_arrays(t1, x1, t2, x2, dcone)
     dx = x2 - x1
     margin, chron, causal = _relation(dcone, dx, t2 - t1, eps_null)
-    out = np.zeros(chron.shape)
     if profile.has_unit_b:
-        out[chron] = _flat_interval(dcone[chron], dx[chron])
-    elif chron.any():
+        return _flat_interval(dcone, dx, chron), chron, causal
+    out = np.zeros(chron.shape)
+    if chron.any():
         out[chron] = _shoot(profile, t1[chron], x1[chron], t2[chron], x2[chron],
                             margin[chron])[1]
     return out, chron, causal
@@ -443,7 +443,7 @@ def lorentzian_distance(
     if use_reduction:
         fm = _flat_map(profile)
         dtau, dx = np.array([fm(q.t) - fm(p.t)]), np.array([q.x - p.x])
-        value = float(_flat_interval(dtau, dx)[0])
+        value = float(_flat_interval(dtau, dx, True)[0])
     else:
         pair = np.array([[p.t], [p.x], [q.t], [q.x], [verdict.margin]])
         kappa, value = (float(v[0]) for v in _shoot(profile, *pair))

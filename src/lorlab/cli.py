@@ -261,6 +261,7 @@ def _run_axioms(args) -> int:
     region = tuple(_float_list(args.region))
     if len(region) != 4:
         raise _CliError("--region needs t0,t1,x0,x1")
+    discrete._require_small(args.n)
     kwargs = {}
     if args.eps_null is not None:
         kwargs["eps_null"] = args.eps_null
@@ -281,14 +282,11 @@ def _run_axioms(args) -> int:
         import os
 
         os.makedirs(args.dump_dir, exist_ok=True)
-        names = ("chron", "causal", "dmat", "taumat")
-        mats = (space.chron.astype(float), space.causal.astype(float),
-                space.dmat, space.taumat)
         cols = tuple(f"j{i}" for i in range(len(space)))
-        for name, mat in zip(names, mats):
+        for name in ("chron", "causal", "dmat", "taumat"):
             with open(os.path.join(args.dump_dir, name + ".csv"), "w",
                       encoding="utf-8") as fh:
-                fh.write(_csv(mat, cols))
+                fh.write(_csv(getattr(space, name), cols))
     return 0 if ok else 2
 
 

@@ -1,17 +1,18 @@
 """Finite causal spaces sampled from a profile, with exhaustive axiom checks.
 
-A sampled space stores the chronological and causal relation matrices, the
-Euclidean coordinate distance matrix, and the time separation matrix.  The
-checkers are exhaustive, so point counts are capped at 500.  The reverse
-triangle check scans, for each middle point, its causal past x its causal
-future.  The relation algebra and push-up checks count links with 0/1 matrix
-products in float64: every count is an integer of at most 500, exact in any
-summation order, so the verdicts do not depend on the BLAS build.
+A sampled space stores the chronological and causal relation matrices and
+the time separation matrix.  The checkers are exhaustive, so point counts
+are capped at 500.  The reverse triangle check scans, for each middle point,
+its causal past x its causal future.  The relation algebra and push-up
+checks count links with 0/1 matrix products in float32: every count is an
+integer of at most 500 < 2^24, exact in any summation order, so the verdicts
+do not depend on the BLAS build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,14 +26,21 @@ MAX_POINTS = 500
 
 @dataclass
 class DiscreteCausalSpace:
+    """Points with their relation and separation matrices; dmat is computed on first read."""
+
     points: list[SpacetimePoint]
     chron: np.ndarray   # boolean matrix of <<
     causal: np.ndarray  # boolean matrix of <=
-    dmat: np.ndarray    # Euclidean coordinate distances
     taumat: np.ndarray  # time separations (0 off the causal relation)
 
     def __len__(self) -> int:
         return len(self.points)
+
+    @cached_property
+    def dmat(self) -> np.ndarray:
+        ts = np.array([p.t for p in self.points])
+        xs = np.array([p.x for p in self.points])
+        return np.hypot(ts[None, :] - ts[:, None], xs[None, :] - xs[:, None])
 
 
 @dataclass(frozen=True)
@@ -66,7 +74,7 @@ class AxiomReport:
 def space_from_points(
     profile: MetricProfile, points, eps_null: float = EPS_NULL
 ) -> DiscreteCausalSpace:
-    """Build the relation, distance, and time-separation matrices for points.
+    """Build the relation and time-separation matrices for points.
 
     Entries of taumat come from the same distance computation (and the same
     cumulative integrals) as the scalar operations, in one batch: each equals
@@ -85,8 +93,7 @@ def space_from_points(
     cone = _cone_map(profile).many(ts)
     taumat, chron, causal = _separations(profile, ts[:, None], xs[:, None], ts[None, :],
                                          xs[None, :], cone[None, :] - cone[:, None], eps_null)
-    dmat = np.hypot(ts[None, :] - ts[:, None], xs[None, :] - xs[:, None])
-    return DiscreteCausalSpace(pts, chron, causal, dmat, taumat)
+    return DiscreteCausalSpace(pts, chron, causal, taumat)
 
 
 def sample_space(
@@ -115,11 +122,10 @@ def sample_space(
     return space_from_points(profile, pts, eps_null=eps_null)
 
 
-def _require_small(space):
-    if len(space) > MAX_POINTS:
-        raise TooLarge(
-            f"{len(space)} points exceed the exhaustive-check budget {MAX_POINTS}"
-        )
+def _require_small(n: int) -> None:
+    """Raise TooLarge when n points exceed the exhaustive-check budget."""
+    if n > MAX_POINTS:
+        raise TooLarge(f"{n} points exceed the exhaustive-check budget {MAX_POINTS}")
 
 
 def _first_link(relation_a, relation_b, i, k):
@@ -135,7 +141,7 @@ def check_axioms(space: DiscreteCausalSpace, tol: float = 1e-7) -> AxiomReport:
     """
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
-    _require_small(space)
+    _require_small(len(space))
     chron = space.chron
     causal = space.causal
     tau = space.taumat
@@ -150,7 +156,7 @@ def check_axioms(space: DiscreteCausalSpace, tol: float = 1e-7) -> AxiomReport:
         bad = (i, i)
         violations += int((~causal.diagonal()).sum())
     for rel in (causal, chron):
-        implied = (rel.astype(np.float64) @ rel.astype(np.float64)) > 0
+        implied = (rel.astype(np.float32) @ rel.astype(np.float32)) > 0
         viol = implied & ~rel
         if viol.any():
             violations += int(viol.sum())
@@ -161,8 +167,7 @@ def check_axioms(space: DiscreteCausalSpace, tol: float = 1e-7) -> AxiomReport:
     if mixed.any():
         violations += int(mixed.sum())
         if bad is None:
-            i, j = (int(v[0]) for v in np.nonzero(mixed))
-            bad = (i, j)
+            bad = tuple(int(v[0]) for v in np.nonzero(mixed))
     checks.append(
         CheckResult(
             "relation-algebra",
@@ -183,7 +188,7 @@ def check_axioms(space: DiscreteCausalSpace, tol: float = 1e-7) -> AxiomReport:
         k = causal[y].nonzero()[0]
         if not (len(i) and len(k)):
             continue
-        resid = tau[i, y, None] + tau[y, k] - tau[i][:, k]
+        resid = tau[i, y, None] + tau[y, k] - tau[i[:, None], k]
         a, b = divmod(int(resid.argmax()), len(k))
         if resid[a, b] > worst:
             worst = float(resid[a, b])
@@ -205,12 +210,10 @@ def check_axioms(space: DiscreteCausalSpace, tol: float = 1e-7) -> AxiomReport:
     bad = None
     resid = 0.0
     if pos_wrong.any():
-        i, j = (int(v[0]) for v in np.nonzero(pos_wrong))
-        bad = (i, j)
+        bad = tuple(int(v[0]) for v in np.nonzero(pos_wrong))
         resid = float(tau[pos_wrong].max())
     elif zero_wrong.any():
-        i, j = (int(v[0]) for v in np.nonzero(zero_wrong))
-        bad = (i, j)
+        bad = tuple(int(v[0]) for v in np.nonzero(zero_wrong))
         resid = float(violations)
     checks.append(
         CheckResult(
@@ -226,8 +229,7 @@ def check_axioms(space: DiscreteCausalSpace, tol: float = 1e-7) -> AxiomReport:
     resid = float(off.max()) if off.size else 0.0
     bad = None
     if resid > 0.0:
-        i, j = (int(v[0]) for v in np.nonzero(off == resid))
-        bad = (i, j)
+        bad = tuple(int(v[0]) for v in np.nonzero(off == resid))
     checks.append(
         CheckResult(
             "vanishing-on-unrelated",
@@ -241,9 +243,9 @@ def check_axioms(space: DiscreteCausalSpace, tol: float = 1e-7) -> AxiomReport:
 
 def check_pushup(space: DiscreteCausalSpace) -> CheckResult:
     """x <= y << z or x << y <= z must imply x << z, on every triple."""
-    _require_small(space)
-    chron = space.chron.astype(np.float64)
-    causal = space.causal.astype(np.float64)
+    _require_small(len(space))
+    chron = space.chron.astype(np.float32)
+    causal = space.causal.astype(np.float32)
     implied = ((causal @ chron) > 0) | ((chron @ causal) > 0)
     viol = implied & ~space.chron
     if not viol.any():
@@ -260,5 +262,5 @@ def check_causality(space: DiscreteCausalSpace) -> CheckResult:
     sym = space.causal & space.causal.T & ~np.eye(len(space), dtype=bool)
     if not sym.any():
         return CheckResult("causality", "pass", 0.0, None)
-    i, j = (int(v[0]) for v in np.nonzero(sym))
-    return CheckResult("causality", "fail", float(sym.sum()) / 2.0, (i, j))
+    return CheckResult("causality", "fail", float(sym.sum()) / 2.0,
+                       tuple(int(v[0]) for v in np.nonzero(sym)))

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from lorlab import discrete
 from lorlab.cli import main
 
 SQRT3 = "1.7320508075688772"
@@ -277,6 +278,17 @@ def test_axioms_report_and_dump(capsys, tmp_path):
         assert (dump / f"{name}.csv").exists()
     header = (dump / "taumat.csv").read_text().splitlines()[0]
     assert header.startswith("j0,j1,")
+
+
+def test_axioms_rejects_too_many_points_before_sampling(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sample_space called")
+
+    monkeypatch.setattr(discrete, "sample_space", refuse)
+    code, _, err = run(capsys, "axioms", "--profile", "warpb", "--region", "0,1,0,1",
+                       "--n", str(discrete.MAX_POINTS + 1))
+    assert code == 1
+    assert "TooLarge" in err
 
 
 def test_probe_all_minkowski_exit_0(capsys, tmp_path, monkeypatch):

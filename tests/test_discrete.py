@@ -17,8 +17,9 @@ from lorlab import (
     sample_space,
     space_from_points,
 )
-from lorlab.causality import BLOCK_PANELS
+from lorlab.causality import BLOCK_PANELS, flat_time
 from lorlab.discrete import (
+    MAX_POINTS,
     AxiomReport,
     CheckResult,
     DiscreteCausalSpace,
@@ -145,6 +146,29 @@ def test_unit_b_taumat_equals_scalar_distance(name):
         for j, q in enumerate(space.points):
             want = lorentzian_distance(prof, p, q, with_path=False).value
             assert space.taumat[i, j] == want
+
+
+def test_flat_taumat_where_the_squares_overflow():
+    # far up exp2t, dtau and dx are near 1e174, so every chronological pair's
+    # squares overflow and take the scaled form of the flat interval
+    prof = get_profile("exp2t")
+    space = sample_space(prof, (400.0, 401.0, 0.0, 1e174), 12, seed=3)
+    assert space.chron.sum() == 25
+    for i, p in enumerate(space.points):
+        for j, q in enumerate(space.points):
+            if space.chron[i, j]:
+                dtau, dx = flat_time(prof, q.t) - flat_time(prof, p.t), q.x - p.x
+                assert not math.isfinite(dtau * dtau - dx * dx)
+            want = lorentzian_distance(prof, p, q, with_path=False).value
+            assert repr(float(space.taumat[i, j])) == repr(want), (i, j)
+
+
+def test_dmat_is_the_coordinate_distance_matrix():
+    rng = np.random.default_rng(5)
+    ts, xs = rng.uniform(0, 1, 40), rng.uniform(-3, 3, 40)
+    space = space_from_points(get_profile("minkowski"), [P(t, x) for t, x in zip(ts, xs)])
+    want = np.hypot(ts[None, :] - ts[:, None], xs[None, :] - xs[:, None])
+    assert np.array_equal(space.dmat.view(np.int64), want.view(np.int64))
 
 
 def test_warpb_taumat_equals_scalar_distance():
@@ -340,7 +364,7 @@ def test_check_axioms_rejects_an_unusable_tolerance(tol):
 #
 # masked_check_axioms and int64_check_pushup are the checkers as they were
 # before the reverse triangle scanned only each middle point's causal past x
-# future and the link counts became float64 products; the current checkers
+# future and the link counts became float matrix products; the current checkers
 # must give the same status, residual and witness bit for bit.
 
 
@@ -350,7 +374,7 @@ def masked_check_axioms(space, tol=1e-7):
     Lower semicontinuity is vacuous on finite point sets and is reported as
     skipped rather than passed.
     """
-    _require_small(space)
+    _require_small(len(space))
     chron = space.chron
     causal = space.causal
     tau = space.taumat
@@ -452,7 +476,7 @@ def masked_check_axioms(space, tol=1e-7):
 
 def int64_check_pushup(space):
     """x <= y << z or x << y <= z must imply x << z, on every triple."""
-    _require_small(space)
+    _require_small(len(space))
     chron = space.chron.astype(np.int64)
     causal = space.causal.astype(np.int64)
     implied = ((causal @ chron) > 0) | ((chron @ causal) > 0)
@@ -472,8 +496,7 @@ def synthetic_space(causal, tau):
     eye = np.eye(n, dtype=bool)
     causal = np.asarray(causal, dtype=bool) | eye
     pts = [P(float(i), 0.0) for i in range(n)]
-    return DiscreteCausalSpace(pts, causal & ~eye, causal, np.zeros((n, n)),
-                               np.asarray(tau, dtype=float))
+    return DiscreteCausalSpace(pts, causal & ~eye, causal, np.asarray(tau, dtype=float))
 
 
 def tie_across_middles():
@@ -506,11 +529,24 @@ def catalog_space(name):
     return sample_space(get_profile(name), REGIONS[name], n, seed=8)
 
 
+def chain_at_the_cap():
+    # MAX_POINTS points in one chain: the link counts reach MAX_POINTS
+    pts = [P(i / MAX_POINTS, 0.0) for i in range(MAX_POINTS)]
+    return space_from_points(get_profile("minkowski"), pts), None
+
+
+def chain_at_the_cap_one_entry_cleared():
+    space = copy_space(chain_at_the_cap()[0])
+    space.causal[0, MAX_POINTS - 1] = False
+    return space, None
+
+
 GATE_SPACES = {
     **{name: lambda name=name: catalog_space(name) for name in CATALOG_NAMES},
     **{f.__name__: lambda f=f: f()[0] for f in (
         zeroed_chron_tau, lowered_triangle, tau_on_unrelated, cleared_chron,
-        symmetric_causal, tie_across_middles, tie_at_one_middle)},
+        symmetric_causal, tie_across_middles, tie_at_one_middle, chain_at_the_cap,
+        chain_at_the_cap_one_entry_cleared)},
 }
 
 
