@@ -15,6 +15,9 @@ every term kind:
                                 1.6e-11, b4 (T exact) at five margins and
                                 warpb at |dx| = (1 - 10^-u) times the cone
     implication_report          the catalog probe configs
+    probe_finite_compactness,   the same configs: the finite-compactness
+      k1_slices                 region's boundary, and the slice rows at 8
+                                times from below q.t to the region's last slice
     space chron, causal, dmat,  space_from_points on 32 random points, every
       taumat                    matrix of the space
     uniqueness_witness          random causal vectors, half past-directed
@@ -170,7 +173,14 @@ def dump(prof, rng):
         p, q = sorted(region_points(prof, rng, 2), key=lambda pt: pt.t)
         print(f"{name} lorentzian_distance {i} {show((p, q))} -> "
               f"{attempt(ll.lorentzian_distance, prof, p, q)}")
-    print(f"{name} implication_report -> {attempt(ll.implication_report, prof, CONFIGS[name])}")
+    cfg = CONFIGS[name]
+    print(f"{name} implication_report -> {attempt(ll.implication_report, prof, cfg)}")
+    _, region = ll.probe_finite_compactness(prof, cfg.p, cfg.q, cfg.fc_bound)
+    print(f"{name} probe_finite_compactness boundary -> {show(region.boundary)}")
+    reach = float(region.slices[-1, 0]) - cfg.q.t
+    ts = np.linspace(cfg.q.t - 0.1 * reach, cfg.q.t + reach, 8)
+    print(f"{name} k1_slices {show(ts)} -> "
+          f"{attempt(ll.k1_slices, prof, cfg.p, cfg.q, cfg.fc_bound, ts)}")
     space = ll.space_from_points(prof, region_points(prof, rng, 32))
     for matrix in ("chron", "causal", "dmat", "taumat"):
         print(f"{name} space {matrix} -> {show(getattr(space, matrix))}")

@@ -174,7 +174,8 @@ def minkowski_reduce(profile: MetricProfile, p: SpacetimePoint) -> tuple[float, 
 
 
 def _flat_interval(dtau, dx, chron):
-    """sqrt(dtau^2 - dx^2) where chron holds, else 0, elementwise on arrays.
+    """sqrt(dtau^2 - dx^2) where chron holds, else 0, elementwise on arrays
+    that numpy broadcasts together.
 
     Where a square overflows, the scaled form |dtau| sqrt((1 - r)(1 + r))
     with r = dx / dtau gives the finite interval instead.
@@ -184,6 +185,7 @@ def _flat_interval(dtau, dx, chron):
     out = np.sqrt(np.where(chron & (q > 0.0), q, 0.0))
     big = chron & ~np.isfinite(q)
     if big.any():
+        dtau, dx = np.broadcast_arrays(dtau, dx)
         r = dx[big] / dtau[big]
         w = (1.0 - r) * (1.0 + r)
         out[big] = np.abs(dtau[big]) * np.sqrt(np.where(w > 0.0, w, 0.0))
@@ -373,20 +375,22 @@ def _shoot(profile, t1, x1, t2, x2, gap):
 
 
 def _separations(profile, t1, x1, t2, x2, dcone, eps_null):
-    """(T, chronological, causal) for p = (t1, x1) and q = (t2, x2), arrays
-    broadcast together.
+    """(T, chronological, causal) for p = (t1, x1) and q = (t2, x2), each of
+    the shape that numpy broadcasts the five input arrays to.
 
     dcone is the cone-time difference cone_time(t2) - cone_time(t1).  Each
     entry of T equals lorentzian_distance(profile, p, q, with_path=False).value
     bit for bit: 0 off the chronological relation, the flat interval when
     b == 1, and a batched shooting solve on the relation's margin otherwise.
-    The relation masks are those of causally_related.
+    The relation masks are those of causally_related.  Only the shooting
+    route, which picks its pairs by mask, spreads the inputs to that shape;
+    elsewhere the arithmetic broadcasts them.
     """
-    t1, x1, t2, x2, dcone = np.broadcast_arrays(t1, x1, t2, x2, dcone)
     dx = x2 - x1
     margin, chron, causal = _relation(dcone, dx, t2 - t1, eps_null)
     if profile.has_unit_b:
         return _flat_interval(dcone, dx, chron), chron, causal
+    t1, x1, t2, x2, margin = np.broadcast_arrays(t1, x1, t2, x2, margin, chron)[:5]
     out = np.zeros(chron.shape)
     if chron.any():
         out[chron] = _shoot(profile, t1[chron], x1[chron], t2[chron], x2[chron],

@@ -134,6 +134,12 @@ def _march_cap(profile):
 # -- finite compactness --------------------------------------------------------
 
 
+def _check_nx(nx):
+    # one point would be a single cone edge standing for the whole slice
+    if not (isinstance(nx, (int, np.integer)) and nx >= 2):
+        raise ValueError(f"slice points nx must be an integer of at least 2, got {nx!r}")
+
+
 def _slices(profile, p, q, B, ts, nx, eps_null):
     """(min_T, keep_lo, keep_hi, xs, Ts) on the cone slices of q at the times
     ts: xs and Ts hold one row of nx points per slice, and a slice at or
@@ -155,8 +161,10 @@ def _slices(profile, p, q, B, ts, nx, eps_null):
 
 
 def k1_slices(profile, p, q, B, ts, nx=65, eps_null=EPS_NULL):
-    """Keep-interval rows (t, x_keep_lo, x_keep_hi, min_T) for given times."""
+    """Keep-interval rows (t, x_keep_lo, x_keep_hi, min_T) for given times,
+    each slice scanned at nx >= 2 points."""
     check_eps_null(eps_null)
+    _check_nx(nx)
     min_T, lo, hi, _, _ = _slices(profile, p, q, B, ts, nx, eps_null)
     return np.column_stack([ts, lo, hi, min_T])
 
@@ -170,14 +178,16 @@ def probe_finite_compactness(
     eps_null: float = EPS_NULL,
 ) -> tuple[ProbeReport, K1Region]:
     """Trace K1 = {x : p << q <= x, T(p, x) <= B} and judge its compactness;
-    a region capped inside the domain is traced on 48 slices of nx points."""
+    a region capped inside the domain is traced on 48 slices of nx >= 2
+    points."""
     check_eps_null(eps_null)
+    _check_nx(nx)
     if not B > 0.0:  # a nan bound would pass every slice and fake an escape
         raise ValueError("bound B must be positive")
     _require_chronological(profile, p, q, eps_null)
     base_witness = {"p": (p.t, p.x), "q": (q.t, q.x), "bound": float(B)}
 
-    T_pq = float(_tvals(profile, p, [q.t], [q.x], eps_null)[0])
+    T_pq = float(_tvals(profile, p, np.array([q.t]), np.array([q.x]), eps_null)[0])
     if T_pq > B:
         region = K1Region(p, q, B, np.empty((0, 4)), [], True, True)
         witness = dict(base_witness, empty=True, t_top=q.t)
@@ -263,7 +273,7 @@ def probe_condition_a(
         xs = quad.x_at(ts)
         return ts, xs, _tvals(profile, p, ts, xs, eps_null)
 
-    T_prev = float(_tvals(profile, p, [q.t], [q.x], eps_null)[0])
+    T_prev = float(_tvals(profile, p, np.array([q.t]), np.array([q.x]), eps_null)[0])
     crossings = {B: 0.0 for B in bounds if T_prev > B}
     pending = [B for B in bounds if B not in crossings]
     s_prev = 0.0
@@ -375,11 +385,14 @@ def make_cauchy_sequence(
     to the geodesic's affine bound, with gap bounds B_k = 2 cap 2^-k, so the
     premises of the Cauchy probe hold by construction.  The bound is marched
     toward only until s passes span.  A span that is not positive, or whose
-    cap is not finite, raises ValueError.
+    cap is not finite, raises ValueError, as does an n that is not an
+    integer of at least 3 (the Cauchy probe needs 3 points).
     """
     check_eps_null(eps_null)
     if not span > 0.0:
         raise ValueError(f"Cauchy span must be positive, got {span!r}")
+    if not (isinstance(n, (int, np.integer)) and n >= 3):
+        raise ValueError(f"Cauchy sequence length n must be an integer of at least 3, got {n!r}")
     char = classify_vector(profile, p, v, eps_null=eps_null)
     if char.kind != "timelike" or v.tau0 <= 0.0:
         raise NotCausal("Cauchy sequences run along future timelike geodesics")

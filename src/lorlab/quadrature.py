@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import sys
 import weakref
-from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from itertools import islice
 
@@ -483,13 +482,13 @@ class _Side:
             self._keys = self.sgn * np.array(self.knots)
         return self._keys
 
-    def inside(self, st: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """Values at the t lying inside the cells k, given st = sgn * t: the
-        dense output of the parts of every cell up to the last of them,
-        joined into one table from the anchor outward.  A t in a cell whose
-        total is not finite is answered by _leaf."""
+    def inside(self, st: np.ndarray, k: np.ndarray, upto: int) -> np.ndarray:
+        """Values at the t lying inside the cells k, all before cell upto,
+        given st = sgn * t: the dense output of the parts of the cells
+        before upto, joined into one table from the anchor outward.  A t in
+        a cell whose total is not finite is answered by _leaf."""
         sgn = self.sgn
-        for j in range(len(self._pieces), int(k.max()) + 1):
+        for j in range(len(self._pieces), upto):
             rows, F = self.cells[j].parts()
             if self.value_at(j):
                 rows = rows + np.array([[0.0], [0.0], [self.value_at(j)]])
@@ -554,61 +553,73 @@ class AnchoredMap:
         return float(self.many((t,))[0])
 
     def many(self, ts) -> np.ndarray:
-        """Values at every entry of ts, equal to the scalar calls bit for bit."""
+        """Values at every entry of ts, equal to the scalar calls bit for bit.
+
+        Remembered values are looked up one by one; the rest are computed
+        together, in the order asked and repeats included.  When those all
+        lie strictly inside cells already joined into the dense table, that
+        takes one search of the knots and one evaluation of the table.  A t
+        on a knot or past the last one takes the knot's value, one in a cell
+        whose total is not finite is answered by _leaf, and one past the
+        integrated cells integrates the cells up to it first.
+        """
         ts = np.asarray(ts, dtype=float)
         flat = ts.ravel().tolist()
         memo = self._memo
         out = [memo.get(t) for t in flat]
-        todo = sorted({t for t, v in zip(flat, out) if v is None})
-        if todo:
-            found = self._compute(todo)
-            for t, v in zip(todo, found):
+        miss = [i for i, v in enumerate(out) if v is None]
+        if miss:
+            todo = [flat[i] for i in miss]
+            found = self._compute(np.array(todo)).tolist()
+            for i, t, v in zip(miss, todo, found):
                 if len(memo) >= MEMO_SIZE:
                     memo.pop(next(iter(memo)))
-                memo[t] = v
-            lookup = dict(zip(todo, found))
-            out = [lookup[t] if v is None else v for t, v in zip(flat, out)]
+                memo[t] = out[i] = v
         return np.array(out, dtype=float).reshape(ts.shape)
 
-    def _compute(self, todo):
+    def _compute(self, t: np.ndarray) -> np.ndarray:
         t_min, t_max = self._domain
-        bad = next((t for t in todo if not t_min <= t <= t_max), None)
-        if bad is not None:
+        lo, hi = float(t.min()), float(t.max())
+        if not t_min <= lo <= hi <= t_max:  # a nan fails too
+            bad = t[~((t_min <= t) & (t <= t_max))]
             raise DomainExceeded(
-                f"t={bad!r} outside the domain [{t_min!r}, {t_max!r}] of an anchored map")
-        values = [0.0] * len(todo)  # t == anchor stays 0
-        # todo is sorted: the t below the anchor, then those above it
-        below, above = bisect_left(todo, self.anchor), bisect_right(todo, self.anchor)
+                f"t={float(bad.min())!r} outside the domain [{t_min!r}, {t_max!r}] "
+                "of an anchored map")
+        values = np.zeros(len(t))  # t == anchor stays 0
         found, new = [], []
-        for sgn, at in ((-1.0, range(below)), (1.0, range(above, len(todo)))):
-            if not at:
+        for sgn, near, far in ((-1.0, hi, lo), (1.0, lo, hi)):
+            key0 = sgn * self.anchor
+            if not sgn * far > key0:
                 continue
+            # the entries on this side, as st = sgn * t
+            at = slice(None) if sgn * near > key0 else np.flatnonzero(sgn * t > key0)
+            st = sgn * t[at]
             side = self._sides[sgn]
-            side.extend_to(todo[at[-1] if sgn > 0.0 else at[0]])
+            side.extend_to(far)
             # each t's knot k, the last at or before it, and whether t lies
             # inside the cell from knot k (past the last knot it does not);
-            # that cell and those before it are integrated in one batch
+            # the cells up to far's are integrated in one batch
             keys = side.keys()
-            st = sgn * np.array(todo[at.start:at.stop])
             k = keys.searchsorted(st, "right") - 1
             inside = keys[k] != st
             if side.closed:
                 inside &= k + 1 < len(keys)
-            found.append((side, at, st, k, inside))
-            outer = -1 if sgn > 0.0 else 0
-            for j in range(len(side.cells), int(k[outer] + inside[outer])):
+            upto = min(int(keys.searchsorted(sgn * far)), len(keys) - 1)
+            found.append((side, at, st, k, inside, upto))
+            for j in range(len(side.cells), upto):
                 side.cells.append(_Cell(*sorted(side.knots[j:j + 2]), sgn))
                 new.append(side.cells[-1])
         if new:
             _integrate(self._f, new, self._breaks)
-        for side, at, st, k, inside in found:
-            for i, j in zip(at, k.tolist()):
-                values[i] = side.value_at(j)
-            where = np.flatnonzero(inside)
-            if len(where):
-                dense = side.inside(st[where], k[where])
-                for i, v in zip(where.tolist(), dense.tolist()):
-                    values[at[i]] = v
+        for side, at, st, k, inside, upto in found:
+            if inside.all():
+                values[at] = side.inside(st, k, upto)
+                continue
+            # a t on a knot, or past the last one, takes the knot's value
+            part = np.array([side.value_at(j) for j in k.tolist()])
+            if inside.any():
+                part[inside] = side.inside(st[inside], k[inside], upto)
+            values[at] = part
         return values
 
 

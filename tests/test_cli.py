@@ -437,6 +437,17 @@ def test_probe_tcc_rejects_a_span_with_no_finite_cap(capsys, tmp_path, monkeypat
     assert not (tmp_path / "witness_tcc.txt").exists()
 
 
+@pytest.mark.parametrize("n", ["-1", "0", "2"])
+def test_probe_tcc_rejects_a_sequence_shorter_than_three(capsys, tmp_path, monkeypatch, n):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "probe", "--profile", "minkowski", "--kind", "tcc",
+                         "--p", "0,0", "--cauchy-n", n)
+    assert code == 1
+    assert out == ""
+    assert f"Cauchy sequence length n must be an integer of at least 3, got {n}" in err
+    assert not (tmp_path / "witness_tcc.txt").exists()
+
+
 def test_axioms_rejects_a_nan_tolerance(capsys):
     code, out, err = run(capsys, "axioms", "--profile", "minkowski", "--region", "0,1,0,1",
                          "--n", "20", "--tol", "nan")

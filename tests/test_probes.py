@@ -106,6 +106,16 @@ def test_fc_requires_positive_bound():
         probe_finite_compactness(get_profile("minkowski"), P(0, 0), P(1, 0), -1.0)
 
 
+@pytest.mark.parametrize("nx", (1, 0, -3, 2.0))
+def test_slices_need_two_points(nx):
+    # one point would stand for the whole slice as a single cone edge
+    mink, p, q = get_profile("minkowski"), P(0, 0), P(1, 0)
+    with pytest.raises(ValueError, match="nx"):
+        k1_slices(mink, p, q, 5.0, [1.5], nx=nx)
+    with pytest.raises(ValueError, match="nx"):
+        probe_finite_compactness(mink, p, q, 5.0, nx=nx)
+
+
 def test_fc_rejects_nan_bound():
     # every min_T > nan is false, so the march would run to the end and
     # report an escape on Minkowski space
@@ -125,13 +135,16 @@ def test_fc_slices_are_k1_slices_of_the_trace(name, q, B):
 
 @pytest.mark.parametrize("name, q, B, dt", [("minkowski", P(1, 0.37), 1.5, 0.7),
                                             ("c1power", P(0.5, 0.4), 1.2, 0.7),
-                                            ("warpb", P(0.5, 0.1), 0.9, 0.45)])
+                                            ("warpb", P(0.5, 0.1), 0.9, 0.45),
+                                            ("exp2t", P(400, 0.3), 8e173, 0.5)])
 @pytest.mark.parametrize("nx", (65, 10))
 def test_k1_slices_are_the_scalar_slice_scans(name, q, B, dt, nx):
     # rows below q.t, at q.t (half = 0) and past the cap (nothing kept), in
     # one batch.  With nx = 10 the keep interval of the slice at q.t + dt
     # starts at a grid point that a batched linspace would round differently
-    # because of the zero-width row (nx - 1 is not a power of 2)
+    # because of the zero-width row (nx - 1 is not a power of 2).  Far up on
+    # exp2t the squares of the flat interval overflow, so its scaled form
+    # runs on the (n, 1) cone-time and (n, nx) space differences
     prof, p = get_profile(name), P(0, 0)
     ts = np.array([q.t - 0.25, q.t, q.t + dt, q.t + 9.0])
     got = k1_slices(prof, p, q, B, ts, nx=nx)
@@ -334,6 +347,15 @@ def test_make_cauchy_sequence_rejects_a_span_with_no_finite_cap(span):
     # finite cap
     with pytest.raises(ValueError, match="Cauchy span"):
         make_cauchy_sequence(get_profile("minkowski"), P(0, 0), V(1, 0), span=span)
+
+
+@pytest.mark.parametrize("n", [-1, 0, 2, 2.5, 30.0, True])
+def test_make_cauchy_sequence_rejects_a_length_below_three(monkeypatch, n):
+    # the Cauchy probe needs 3 points; the length is checked before the
+    # geodesic is built or marched
+    monkeypatch.setattr(probes, "_oriented", None)
+    with pytest.raises(ValueError, match="Cauchy sequence length n"):
+        make_cauchy_sequence(get_profile("minkowski"), P(0, 0), V(1, 0), n=n)
 
 
 def test_make_cauchy_sequence_caps_at_exit():

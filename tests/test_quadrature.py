@@ -125,6 +125,14 @@ def test_sparse_anchored_map():
     assert make().many(ts).tolist() == [make()(t) for t in ts]
 
 
+def assert_later_batches_match_fresh_maps(make, shared, batches):
+    """Each batch, asked of shared with nothing remembered, equals by repr
+    the values of maps that saw nothing else."""
+    for batch in batches:
+        shared._memo.clear()
+        assert list(map(repr, shared.many(batch).tolist())) == [repr(make()(t)) for t in batch]
+
+
 def test_anchored_map_independent_of_history_and_batch():
     f = lambda u: np.sqrt(1.0 + np.abs(u - 0.3) ** 1.5)
     make = lambda: AnchoredMap(f, 0.0, breaks=(0.3,))
@@ -135,6 +143,15 @@ def test_anchored_map_independent_of_history_and_batch():
     shared = make()
     assert [shared(t) for t in ts[::-1]] == want[::-1]
     assert shared.many(ts).tolist() == want
+    # later batches once the dense tables exist, with nothing remembered:
+    # new points inside the tabled cells, part edges (each cell's first is
+    # its knot), every knot and both floats beside the breakpoint
+    inner = np.random.default_rng(5).uniform(-3.0, 3.0, 16).tolist()
+    edges = [sgn * e for sgn, side in shared._sides.items() for e in side._table[0][0].tolist()]
+    knots = [t for side in shared._sides.values() for t in side.knots]
+    beside = [math.nextafter(0.3, 0.0), math.nextafter(0.3, 1.0)]
+    assert_later_batches_match_fresh_maps(
+        make, shared, (inner, edges[::3], knots + beside, inner + edges[1::3] + beside))
 
 
 def test_anchored_map_value_before_an_overflowing_cell():
@@ -150,6 +167,16 @@ def test_anchored_map_value_before_an_overflowing_cell():
     down = AnchoredMap(lambda u: np.exp(-u), 0.0)
     assert down(-700.0) == pytest.approx(-math.expm1(700.0), rel=1e-13)
     assert down(-1000.0) == -math.inf
+    # later batches once the tables exist, with nothing remembered: inside
+    # the overflowing cell (on the edges of its halves too), on its knots,
+    # past the overflow in it and past it, and on part edges before it
+    near = [600.0, 640.0, 700.5, 709.0, 709.78, 768.0, 512.0, 1024.0, 709.8, 900.0, 1500.0,
+            1e6]
+    for sgn, shared, f in ((1.0, am, np.exp), (-1.0, down, lambda u: np.exp(-u))):
+        ts = [sgn * t for t in near]
+        edges = np.random.default_rng(6).choice(sgn * shared._sides[sgn]._table[0][0], 8)
+        assert_later_batches_match_fresh_maps(
+            lambda: AnchoredMap(f, 0.0), shared, (ts, edges.tolist(), ts[::2] + edges[::2].tolist()))
 
 
 def test_anchored_map_knots_reach_a_finite_end():
