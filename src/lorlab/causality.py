@@ -51,14 +51,7 @@ import numpy as np
 from .errors import NotAChain, NotReducible, QuadratureError, ShootingFailed
 from .geodesics import ConservedQuantities, GeodesicPath, _Quadrature
 from .profiles import EPS_NULL, MetricProfile, SpacetimePoint, check_eps_null
-from .quadrature import (
-    QUAD_TOL,
-    ROOT_MAX_ITER,
-    _cone_map,
-    _flat_map,
-    _panel_edges,
-    _rule_layout,
-)
+from .quadrature import QUAD_TOL, _cone_map, _flat_map, _panel_edges, _rule_layout, solve
 
 
 @dataclass(frozen=True)
@@ -218,6 +211,12 @@ class _Rules:
     def take(self, rows):
         return _Rules(self.wl[rows], self.b[rows], self.gap[rows])
 
+    def residual(self, k):
+        """The residual of newton alone."""
+        k = k[:, None]
+        q = np.sqrt(k * k + self.b)
+        return self.gap - (self.wl / (q * (q + k))).sum(-1)
+
     def newton(self, k):
         """Residual and its kappa derivative sum wl / q^3 at one kappa per row."""
         k = k[:, None]
@@ -229,47 +228,6 @@ class _Rules:
         return (self.wl / np.sqrt(k * k + self.b)).sum(-1)
 
 
-def _roots(rules, lo, hi, rlo, rhi, name):
-    """Root of each row's non-decreasing residual in [lo, hi], where it is
-    rlo at lo and rhi > 0 at hi; a row with rlo > 0 ends at lo.
-
-    Newton in u = asinh(kappa) from the false-position point, where the
-    residual is far less flat than in kappa at large kappa; a step that
-    leaves the bracket bisects it in u instead.  A row stops once its u
-    step is at most XTOL, a kappa change of at most about XTOL max(1, kappa),
-    or once a step returns onto a bracket end: at large kappa the
-    residual's rounding noise can hold Newton in a 2-cycle of wider steps.
-    A row still moving after ROOT_MAX_ITER steps raises ShootingFailed;
-    name(i) describes row i's pair.
-    """
-    k = np.clip(hi - rhi * (hi - lo) / (rhi - rlo), lo, hi)
-    u, ulo, uhi = np.arcsinh(k), np.arcsinh(lo), np.arcsinh(hi)
-    out = np.empty(len(k))
-    act = np.arange(len(k))
-    for _ in range(ROOT_MAX_ITER):
-        r, dr = rules.newton(np.sinh(u))
-        right = r > 0.0                      # u lies right of the root
-        np.copyto(uhi, u, where=right)
-        np.copyto(ulo, u, where=~right)
-        nu = u - r / (dr * np.cosh(u))
-        inside = (ulo <= nu) & (nu <= uhi)
-        if np.count_nonzero(inside) < len(u):
-            nu = np.where(inside, nu, 0.5 * (ulo + uhi))
-        go = (np.abs(nu - u) > XTOL) & (nu != ulo) & (nu != uhi)
-        u = nu
-        moving = np.count_nonzero(go)
-        if not moving:
-            out[act] = np.sinh(u)
-            return out
-        if moving < len(u):
-            out[act[~go]] = np.sinh(u[~go])
-            act, rules = act[go], rules.take(go)
-            u, ulo, uhi = u[go], ulo[go], uhi[go]
-    raise ShootingFailed(
-        f"kappa of {name(act[0])} did not converge in {ROOT_MAX_ITER} Newton steps"
-    )
-
-
 def _kappa_roots(rules, name):
     """Endpoint-matching kappa >= 0 and g-length of every reflected row.
 
@@ -277,9 +235,11 @@ def _kappa_roots(rules, name):
     < sum wl / (2 kappa^2), so the residual exceeds gap / 2 > 0 at k_hi =
     sqrt(sum wl / gap).  At 0 it is evaluated, gap - sum wl / b, and a row
     where that is already positive (|dx| within the rule's rounding of 0)
-    ends at 0.  Newton solves each row on [0, k_hi] to XTOL.  A row whose
-    k_hi is not finite (a gap that is not positive, or an overflow) has no
-    root and raises ShootingFailed; name(i) describes row i's pair.
+    ends at 0.  quadrature.solve takes Newton steps in u = asinh(kappa) on
+    [0, asinh k_hi] to XTOL, from the false-position point: at large kappa
+    the residual is far less flat in u than in kappa.  A row whose k_hi is
+    not finite (a gap that is not positive, or an overflow) has no root and
+    raises ShootingFailed; name(i) describes row i's pair.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         hi = np.sqrt(rules.wl.sum(-1) / rules.gap)
@@ -288,7 +248,21 @@ def _kappa_roots(rules, name):
         raise ShootingFailed(f"no endpoint-x root for {name(bad[0])}: k_hi is not finite "
                              f"at gap {float(rules.gap[bad[0]])!r}")
     lo = np.zeros(len(hi))
-    k = _roots(rules, lo, hi, rules.newton(lo)[0], rules.newton(hi)[0], name)
+    rlo, rhi = rules.residual(lo), rules.residual(hi)
+    start = np.arcsinh(np.clip(hi - rhi * (hi - lo) / (rhi - rlo), lo, hi))
+    live = [rules]  # the rules of the rows solve last asked for
+
+    def g(u, rows):
+        # solve's live rows only drop, so the same count is the same rows
+        if rows.size != live[0].gap.size:
+            live[0] = rules.take(rows)
+        r, dr = live[0].newton(np.sinh(u))
+        return r, dr * np.cosh(u)
+
+    def stuck(i, lo, hi, steps):
+        return ShootingFailed(f"kappa of {name(i)} did not converge in {steps} Newton steps")
+
+    k = np.sinh(solve(g, lo, np.arcsinh(hi), np.minimum(rlo, 0.0), rhi, XTOL, stuck, start))
     return k, rules.length(k)
 
 

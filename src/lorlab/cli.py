@@ -239,6 +239,10 @@ def _run_distance(args) -> int:
 
 
 def _run_cone(args) -> int:
+    if args.n < 2:
+        raise _CliError("--n must be at least 2: the grid runs from p.t to --tmax")
+    if not math.isfinite(args.tmax):
+        raise _CliError("--tmax must be finite")
     profile = _load_profile(args)
     p = SpacetimePoint(*_pair(args.p))
     grid = np.linspace(p.t, args.tmax, args.n)

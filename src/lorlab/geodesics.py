@@ -44,7 +44,7 @@ from .profiles import (
     check_eps_null,
     classify_vector,
 )
-from .quadrature import ROOT_MAX_ITER, AnchoredMap, ClosedFormMap, _flat_map, in_blocks, toward_end
+from .quadrature import AnchoredMap, ClosedFormMap, _flat_map, in_blocks, solve, toward_end
 
 DRIFT_TOL = 1e-6   # allowed conserved-quantity drift per unit affine parameter
 INVERT_TOL = 1e-12  # relative tolerance of the quadrature inversion in T
@@ -309,13 +309,10 @@ class _Quadrature:
         or the march ends; an s at or past the bound of an ended march is
         beyond it.  One search over the march then brackets every s between
         its last point at or below s and the next one: a point that hits s
-        is its T (s = 0 is t0), and safeguarded Newton runs on the other rows
-        with one evaluation of the maps per iteration.  Its secant start is
-        kept anywhere on the closed bracket, so a target an ulp from a march
-        value converges from that point in one step; a later iterate not
-        strictly inside the bracket is its midpoint.  A row's arithmetic is
-        its own, so its T does not depend on the batch.  A row still moving
-        after ROOT_MAX_ITER steps raises QuadratureError.
+        is its T (s = 0 is t0), and the other rows are solved to INVERT_TOL
+        by quadrature.solve's Newton steps from the secant start, with one
+        evaluation of the maps per iteration.  A row's T does not depend on
+        the batch.
         """
         s = np.fromiter(s_values, dtype=float)
         if not (np.isfinite(s) & (s >= 0.0)).all():
@@ -330,43 +327,17 @@ class _Quadrature:
             raise QuadratureError("affine target not bracketed while doubling T")
         march_T, march_s = np.array(self._T), np.array(self._S)
         i = np.searchsorted(march_s, s, side="right")  # the first point above s
-        out = march_T[i - 1]
-        act = np.flatnonzero(march_s[i - 1] != s)
-        i = i[act]
-        s, lo, hi, slo, shi = s[act], march_T[i - 1], march_T[i], march_s[i - 1], march_s[i]
-        # past an overflowed s (exp2t) the iterate is inf or nan, and the
-        # bracket throws it back to the midpoint
+        lo, hi, slo, shi = march_T[i - 1], march_T[i], march_s[i - 1], march_s[i]
+
+        def stuck(k, lo, hi, steps):
+            return QuadratureError(
+                f"inversion of s = {s.item(k)!r} did not converge in {steps} Newton steps")
+
+        # Newton's secant start; solve bisects an overflowed s (exp2t) back first
         with np.errstate(over="ignore", invalid="ignore"):
-            T = lo + (s - slo) * (hi - lo) / (shi - slo)
-            # the secant start may sit on a march point an ulp from s, where
-            # one Newton step converges; a later iterate on a bracket end is
-            # bisected, since it may repeat a point Newton has evaluated
-            inside = (lo <= T) & (T <= hi)
-            for _ in range(ROOT_MAX_ITER):
-                if not len(act):
-                    break
-                T = np.where(inside, T, 0.5 * (lo + hi))
-                err, rate = self.s_at(T) - s, self._rate(T)
-                step = err / rate
-                below = err < 0.0
-                lo, hi = np.where(below, T, lo), np.where(below, hi, T)
-                tol = INVERT_TOL * np.maximum(1.0, np.abs(T))
-                # a step from an overflowed rate is 0 wherever T is
-                done = (np.abs(step) <= tol) & np.isfinite(rate)
-                T = T - step
-                # a converged row keeps its last Newton step, a row whose
-                # bracket has narrowed to tol its midpoint
-                stop = done | (hi - lo <= tol)
-                if np.count_nonzero(stop):
-                    out[act[stop]] = np.where(done, T, 0.5 * (lo + hi))[stop]
-                    keep = ~stop
-                    act, s, T, lo, hi = act[keep], s[keep], T[keep], lo[keep], hi[keep]
-                inside = (lo < T) & (T < hi)
-        if len(act):
-            raise QuadratureError(
-                f"inversion of s = {s.item(0)!r} did not converge in {ROOT_MAX_ITER} "
-                "Newton steps")
-        return out
+            start = lo + (s - slo) * (hi - lo) / (shi - slo)
+            return solve(lambda T, rows: (self.s_at(T) - s[rows], self._rate(T)),
+                         lo, hi, slo - s, shi - s, INVERT_TOL, stuck, start)
 
     def _certificate(self, total):
         tmax = self.profile.t_max

@@ -35,7 +35,7 @@ from itertools import combinations, islice
 import numpy as np
 
 from .causality import _relation, _separations, causally_related, lorentzian_distance
-from .errors import NotCausal, NotChronological, PremiseViolated
+from .errors import NotCausal, NotChronological, PremiseViolated, QuadratureError
 from .geodesics import _oriented
 from .profiles import (
     EPS_NULL,
@@ -45,7 +45,7 @@ from .profiles import (
     check_eps_null,
     classify_vector,
 )
-from .quadrature import _cone_map, bracketed_root, in_blocks, toward_end
+from .quadrature import _cone_map, in_blocks, solve, toward_end
 
 HOLDS = "holds_on_probe"
 FAILS = "fails_with_witness"
@@ -122,6 +122,10 @@ def _tvals(profile, p, ts, xs, eps_null):
     """T(p, (t, x)) for arrays ts and xs, lorentzian_distance bit for bit."""
     cone = _cone_map(profile)
     return _separations(profile, p.t, p.x, ts, xs, cone.many(ts) - cone(p.t), eps_null)[0]
+
+
+def _stuck(i, lo, hi, steps):  # a level crossing that solve did not find
+    return QuadratureError(f"root on [{lo!r}, {hi!r}] did not converge in {steps} steps")
 
 
 def _march_cap(profile):
@@ -204,9 +208,9 @@ def probe_finite_compactness(
     march = islice(toward_end(q.t, profile.t_max, max(1e-2, 1e-2 * abs(B))), n_march)
     for t, (min_T, lo, hi) in in_blocks(scan, march, _march_cap(profile)):
         if min_T > B:
-            t_top = float(bracketed_root(
-                lambda u: _slices(profile, p, q, B, u, nx, eps_null)[0] - B,
-                [t_prev], [t], [g_prev], [min_T - B], xtol=1e-9,
+            t_top = float(solve(
+                lambda u, _: _slices(profile, p, q, B, u, nx, eps_null)[0] - B,
+                [t_prev], [t], [g_prev], [min_T - B], 1e-9, _stuck,
             )[0])
             break
         marched.append((t, lo, hi, min_T))
@@ -228,12 +232,13 @@ def probe_finite_compactness(
     ts = np.linspace(q.t, t_top, 48)
     min_T, lo, hi, xs, Ts = _slices(profile, p, q, B, ts, nx, eps_null)
     r, i = np.nonzero((Ts[:, :-1] <= B) != (Ts[:, 1:] <= B))
-    roots = bracketed_root(lambda x: _tvals(profile, p, ts[r], x, eps_null) - B,
-                           xs[r, i], xs[r, i + 1], Ts[r, i] - B, Ts[r, i + 1] - B, xtol=1e-9)
+    tr = ts[r]
+    roots = solve(lambda x, rows: _tvals(profile, p, tr[rows], x, eps_null) - B,
+                  xs[r, i], xs[r, i + 1], Ts[r, i] - B, Ts[r, i + 1] - B, 1e-9, _stuck)
     kept = np.flatnonzero(~np.isnan(lo))
     edges = zip(np.repeat(ts[kept], 2).tolist(), xs[kept][:, [0, -1]].ravel().tolist())
     # a stable sort keeps each slice's crossings ahead of its cone edges
-    boundary = sorted([*zip(ts[r].tolist(), roots.tolist()), *edges], key=lambda pt: pt[0])
+    boundary = sorted([*zip(tr.tolist(), roots.tolist()), *edges], key=lambda pt: pt[0])
     region = K1Region(p, q, B, np.column_stack([ts, lo, hi, min_T]), boundary, True, True)
     report = ProbeReport("finite_compactness", HOLDS, dict(base_witness, t_top=float(t_top)))
     return report, region
@@ -287,9 +292,9 @@ def probe_condition_a(
         passed = np.array([B for B in pending if T > B])  # pending ascends: a prefix
         if len(passed):
             del pending[:len(passed)]
-            roots = bracketed_root(lambda u: along(u)[2] - passed, np.full_like(passed, s_prev),
-                                   np.full_like(passed, s), T_prev - passed, T - passed,
-                                   xtol=1e-10)
+            roots = solve(lambda u, rows: along(u)[2] - passed[rows],
+                          np.full_like(passed, s_prev), np.full_like(passed, s),
+                          T_prev - passed, T - passed, 1e-10, _stuck)
             crossings.update(zip(passed.tolist(), roots.tolist()))
         tail.append((s, t, x, T))
         s_prev, T_prev = s, T

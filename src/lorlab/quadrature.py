@@ -20,6 +20,9 @@ depends only on the map and its argument, never on earlier queries or on
 the batch it is asked in.  Every AnchoredMap lays its knots on the same
 grid.  _cone_map and _flat_map pick one of them for a profile and share it
 through the profile.
+
+solve is the one batched root solver: the probes' level crossings take its
+Illinois steps, the inversion s -> T and kappa shooting its Newton steps.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ _BARY = np.where(np.arange(16) % 2, -1.0, 1.0) * np.sqrt((1.0 - _NODES * _NODES)
 _GRADE_LEVELS = 36
 
 MAX_LEVELS = 14         # halvings of a panel before refinement stalls
-ROOT_MAX_ITER = 300     # false-position steps of bracketed_root
+ROOT_MAX_ITER = 300     # steps of solve before a row still moving raises
 MEMO_SIZE = 4096        # values an anchored map remembers
 EXPM1_BELOW = 0.5       # exponential closed forms switch to expm1 below this
 
@@ -722,59 +725,100 @@ def in_blocks(f, points, cap: int = 8):
         done += len(block)
 
 
-def bracketed_root(g, lo, hi, glo, ghi, xtol: float = 1e-12) -> np.ndarray:
-    """Root of g in each row's [lo, hi] by Illinois false position with a
-    bisection floor.
+def solve(g, lo, hi, glo, ghi, xtol, error, x=None) -> np.ndarray:
+    """Root of g in each row's bracket [lo, hi], lo <= hi: Newton steps from
+    the start x, or Illinois false position where x is None.
 
-    lo, hi, glo = g(lo) and ghi = g(hi) are 1-d arrays with a sign change in
-    every row; xtol is relative to max(1, |lo|, |hi|).  g maps one point per
-    row to its value; a finished row is given its last point again and keeps
-    its state, so its root does not depend on the other rows.  A row whose
-    bracket is still wider than xtol after ROOT_MAX_ITER steps raises
-    QuadratureError naming that bracket.
+    glo = g(lo) and ghi = g(hi) have opposite signs, or a zero at an end,
+    which is that row's root; Newton's g rises through the root.  g(x, rows)
+    is asked only at the live rows, rows their indices into the batch (a new
+    array whenever one finishes), and returns their values, or for Newton
+    (values, slopes).  A row's arithmetic is its own, so its root does not
+    depend on the batch; g runs in the caller's numpy error state.  An
+    overflowed upper end is first bisected back, and a row whose ends then
+    share a sign raises QuadratureError naming its bracket.
+
+    A row stops at the midpoint of a bracket at most tol = xtol max(1, |lo|,
+    |hi|) wide, before any step too (after a Newton step tol is xtol max(1,
+    |x|), x the end just evaluated); Illinois on an exact zero; Newton at
+    x - step once |step| <= tol with a finite slope.  Newton's start may sit
+    on the closed bracket, so a root an ulp from an end converges from it in
+    one step; a later iterate not strictly inside is bisected, since it may
+    repeat an end Newton has evaluated.  A row still live after ROOT_MAX_ITER
+    steps raises error(i, lo, hi, ROOT_MAX_ITER), from its index and bracket.
     """
-    lo, hi, glo, ghi = (np.array(v, dtype=float) for v in (lo, hi, glo, ghi))
-    x = np.where(glo == 0.0, lo, hi)  # each row's last point, or its exact root
-    exact = (glo == 0.0) | (ghi == 0.0)
-    live = ~exact
-    with np.errstate(all="ignore"):
-        for _ in range(200):
-            # bisect an overflowed upper end back into the finite region
-            over = live & ~np.isfinite(ghi)
-            if not over.any():
-                break
-            x = np.where(over, 0.5 * (lo + hi), x)
-            gm = g(x)
-            to_lo = over & np.isfinite(gm) & ((gm > 0.0) == (glo > 0.0))
-            to_hi = over & ~to_lo
-            lo, glo = np.where(to_lo, x, lo), np.where(to_lo, gm, glo)
-            hi, ghi = np.where(to_hi, x, hi), np.where(to_hi, gm, ghi)
-        bad = np.flatnonzero(live & ((glo > 0.0) == (ghi > 0.0)))
-        if len(bad):
-            raise QuadratureError(
-                f"root not bracketed on [{lo.item(bad[0])!r}, {hi.item(bad[0])!r}]")
-        side = np.zeros(len(x))  # 1 after a step that moved hi, -1 after one that moved lo
-        for it in range(ROOT_MAX_ITER + 1):
-            live &= ~(hi - lo <= xtol * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi))))
-            if not live.any():
-                break
-            if it == ROOT_MAX_ITER:
-                i = np.flatnonzero(live)[0]
-                raise QuadratureError(
-                    f"root on [{lo.item(i)!r}, {hi.item(i)!r}] did not converge in "
-                    f"{ROOT_MAX_ITER} steps")
-            denom = ghi - glo
-            mid = np.where(denom != 0.0, hi - ghi * (hi - lo) / denom, 0.5 * (lo + hi))
-            x = np.where(live, np.where((lo < mid) & (mid < hi), mid, 0.5 * (lo + hi)), x)
-            gm = g(x)
-            exact |= live & (gm == 0.0)
-            live &= gm != 0.0
-            # Illinois: the value at an end kept twice in a row is halved
-            to_hi = live & ((gm > 0.0) == (ghi > 0.0))
-            to_lo = live & ~to_hi
-            glo = np.where(to_hi & (side == 1.0), 0.5 * glo, glo)
-            ghi = np.where(to_lo & (side == -1.0), 0.5 * ghi, ghi)
-            lo, glo = np.where(to_lo, x, lo), np.where(to_lo, gm, glo)
-            hi, ghi = np.where(to_hi, x, hi), np.where(to_hi, gm, ghi)
-            side = np.where(to_hi, 1.0, np.where(to_lo, -1.0, side))
-        return np.where(exact, x, 0.5 * (lo + hi))
+    lo, hi, glo, ghi = [np.array(v, dtype=float) for v in (lo, hi, glo, ghi)]
+    out = np.where(glo == 0.0, lo, hi)  # each row's root where an end hits it
+    rows = ((glo != 0.0) & (ghi != 0.0)).nonzero()[0]
+    if not rows.size:
+        return out
+    if rows.size < lo.size:
+        lo, hi, glo, ghi = lo[rows], hi[rows], glo[rows], ghi[rows]
+    newton = x is not None
+    for _ in range(200):
+        # bisect an overflowed upper end back into the finite region
+        over = (~np.isfinite(ghi)).nonzero()[0]
+        if not over.size:
+            break
+        mid = 0.5 * (lo[over] + hi[over])
+        gm = g(mid, rows[over])
+        gm = gm[0] if newton else gm
+        to_lo = np.isfinite(gm) & ((gm > 0.0) == (glo[over] > 0.0))
+        lo[over[to_lo]], glo[over[to_lo]] = mid[to_lo], gm[to_lo]
+        to_hi = over[~to_lo]
+        hi[to_hi], ghi[to_hi] = mid[~to_lo], gm[~to_lo]
+    up = ghi > 0.0
+    bad = ((up == (glo > 0.0)) | (~up if newton else False)).nonzero()[0]
+    if bad.size:
+        raise QuadratureError(
+            f"root not bracketed on [{lo.item(bad[0])!r}, {hi.item(bad[0])!r}]")
+    # max(-lo, hi) is max(|lo|, |hi|) on lo <= hi; a stopped row's root is in x
+    stop, half = hi - lo <= xtol * np.maximum(1.0, np.maximum(-lo, hi)), 0.5 * (lo + hi)
+    if newton:
+        x = np.asarray(x, dtype=float)[rows]
+        x = np.where(stop | ~((lo <= x) & (x <= hi)), half, x)
+    else:
+        x, last = half, up  # last: the rows whose last step moved hi
+    for it in range(ROOT_MAX_ITER + 1):
+        done = stop.nonzero()[0]
+        if done.size:
+            out[rows[done]] = x[done]
+            if done.size == rows.size:
+                return out
+            keep = ~stop
+            rows, x, lo, hi = rows[keep], x[keep], lo[keep], hi[keep]
+            if not newton:
+                glo, ghi, up, last = glo[keep], ghi[keep], up[keep], last[keep]
+        if it == ROOT_MAX_ITER:
+            raise error(rows.item(0), lo.item(0), hi.item(0), ROOT_MAX_ITER)
+        if newton:
+            v, slope = g(x, rows)
+            step = v / slope
+            right = v > 0.0  # x lies right of the root
+            np.copyto(hi, x, where=right)
+            np.copyto(lo, x, where=~right)
+            tol = xtol * np.maximum(1.0, np.abs(x))
+            stop = (np.abs(step) <= tol) & np.isfinite(slope)
+            x = x - step
+            # one strictly inside is over |step| > tol from the far end, so
+            # only one bisected back from outside may stop on a narrow bracket
+            inside = stop | ((lo < x) & (x < hi))
+            if inside.nonzero()[0].size < x.size:
+                x = np.where(inside, x, 0.5 * (lo + hi))
+                stop |= hi - lo <= tol
+            continue
+        x = hi - ghi * (hi - lo) / (ghi - glo)  # glo and ghi differ in sign
+        x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
+        v = g(x, rows)
+        stop, right = v == 0.0, (v > 0.0) == up
+        left = ~right
+        if it:  # Illinois: the value at an end kept twice in a row is halved
+            np.copyto(glo, 0.5 * glo, where=right & last)
+            np.copyto(ghi, 0.5 * ghi, where=left & ~last)
+        np.copyto(lo, x, where=left)
+        np.copyto(glo, v, where=left)
+        np.copyto(hi, x, where=right)
+        np.copyto(ghi, v, where=right)
+        narrow = hi - lo <= xtol * np.maximum(1.0, np.maximum(-lo, hi))
+        x = np.where(stop | ~narrow, x, 0.5 * (lo + hi))
+        stop, last = stop | narrow, right

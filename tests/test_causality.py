@@ -35,7 +35,7 @@ from lorlab import (
     tau_length_chain,
 )
 
-from lorlab import causality
+from lorlab import causality, quadrature
 from lorlab.quadrature import _rule_layout
 from oracles import enumerate_tau_length, lattice_distance, mp_shooting, simpson_integral
 from test_geodesics import MIXED
@@ -511,13 +511,13 @@ def warpb_nodes(m):
 
 
 def test_kappa_residual_and_its_closed_form_bracket(monkeypatch):
-    roots, seen = causality._roots, []
+    solve, seen = causality.solve, []
 
-    def recording(rules, lo, hi, rlo, rhi, name):
-        seen.append((lo, hi, rlo, rhi))
-        return roots(rules, lo, hi, rlo, rhi, name)
+    def recording(g, lo, hi, glo, ghi, *args):
+        seen.append((lo, hi, glo, ghi))
+        return solve(g, lo, hi, glo, ghi, *args)
 
-    monkeypatch.setattr(causality, "_roots", recording)
+    monkeypatch.setattr(causality, "solve", recording)
     ladder = np.concatenate([[0.0], 2.0 ** np.arange(-20.0, 64.0, 0.125)])
     for w, a, b, dx in (warpb_nodes(32), (SYNTH_W, SYNTH_A, SYNTH_B, SYNTH_DX)):
         adx = np.abs(dx)
@@ -527,12 +527,15 @@ def test_kappa_residual_and_its_closed_form_bracket(monkeypatch):
         wc = w * np.sqrt(a) / np.sqrt(b)
         cone = wc.sum(-1)
         ulp = np.spacing(cone)[:, None]
-        # [0, sqrt(sum wl / gap)], with the solver's own residual at both
-        # ends: within 2 ulps of the cone C of -|dx| at 0, and > 0 at k_hi
-        assert np.array_equal(lo, np.zeros(len(dx))) and np.array_equal(rlo, rules.newton(lo)[0])
+        # [0, sqrt(sum wl / gap)] in u = asinh(kappa), with the solver's own
+        # residual at both ends: within 2 ulps of the cone C of -|dx| at 0
+        # (and never above 0), and > 0 at k_hi
+        k_hi = np.sqrt(rules.wl.sum(-1) / rules.gap)
+        assert np.array_equal(lo, np.zeros(len(dx)))
+        assert np.array_equal(rlo, np.minimum(rules.newton(lo)[0], 0.0))
         assert (np.abs(rlo + adx) <= 2.0 * ulp[:, 0]).all()
-        assert np.array_equal(hi, np.sqrt(rules.wl.sum(-1) / rules.gap))
-        assert (rhi > 0.0).all() and np.array_equal(rhi, rules.newton(hi)[0])
+        assert np.array_equal(hi, np.arcsinh(k_hi))
+        assert (rhi > 0.0).all() and np.array_equal(rhi, rules.newton(k_hi)[0])
         # row by row along the ladder: non-decreasing with no rounding slack,
         # and the direct form sum wc kappa / q - |dx| to within its rounding,
         # a few ulps of the cone C (of |dx| on the near-null rows)
@@ -567,7 +570,7 @@ def test_kappa_newton_stops_at_the_rounding_floor(monkeypatch):
 
 
 def test_kappa_newton_out_of_steps_raises(monkeypatch):
-    monkeypatch.setattr(causality, "ROOT_MAX_ITER", 1)
+    monkeypatch.setattr(quadrature, "ROOT_MAX_ITER", 1)
     with pytest.raises(
         ShootingFailed,
         match=r"kappa of pair \(0\.7459653195137426,-0\.031538110635106475\) -> "

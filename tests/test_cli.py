@@ -255,6 +255,24 @@ def test_cone_csv(capsys):
     assert lines[-1] == "1.0,-1.0,1.0"
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--n", "1", "--n must be at least 2"), ("--n", "0", "--n must be at least 2"),
+    ("--n", "-3", "--n must be at least 2"), ("--tmax", "inf", "--tmax must be finite"),
+    ("--tmax", "-inf", "--tmax must be finite"), ("--tmax", "nan", "--tmax must be finite"),
+])
+def test_cone_rejects_a_short_grid_or_an_infinite_end(capsys, monkeypatch, flag, value, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("grid built")
+
+    monkeypatch.setattr("lorlab.cli.np.linspace", refuse)
+    argv = {"--profile": "minkowski", "--p": "0,0", "--tmax": "1", "--n": "3", flag: value}
+    code, out, err = run(capsys, "cone", *(f"{k}={v}" for k, v in argv.items()))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+    assert "Warning" not in err
+
+
 def test_reduce(capsys):
     code, out, _ = run(capsys, "reduce", "--profile", "exp2t", "--p", "1,0")
     assert code == 0

@@ -34,7 +34,7 @@ from lorlab import (
     quadrature_advance,
     uniqueness_witness,
 )
-from lorlab import geodesics, profiles
+from lorlab import geodesics, profiles, quadrature
 from lorlab.geodesics import (
     DRIFT_TOL,
     INVERT_TOL,
@@ -550,7 +550,7 @@ def test_inversion_rejects_a_parameter_out_of_range(s):
 def test_inversion_out_of_steps_raises(monkeypatch):
     p, v = P(0.5, 0.0), V(1.0, 0.3)
     assert quadrature_advance(_fresh("c1power"), p, v, 0.37).t > 0.5
-    monkeypatch.setattr(geodesics, "ROOT_MAX_ITER", 1)
+    monkeypatch.setattr(quadrature, "ROOT_MAX_ITER", 1)
     with pytest.raises(QuadratureError,
                        match=r"^inversion of s = 0\.37 did not converge in 1 Newton steps$"):
         quadrature_advance(_fresh("c1power"), p, v, 0.37)

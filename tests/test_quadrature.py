@@ -4,8 +4,9 @@ from itertools import islice
 import numpy as np
 import pytest
 
+from lorlab import quadrature
 from lorlab.causality import cone_time, flat_time
-from lorlab.errors import DomainExceeded
+from lorlab.errors import DomainExceeded, QuadratureError
 from lorlab.profiles import MetricProfile, get_profile
 from lorlab.quadrature import (
     MEMO_SIZE,
@@ -14,9 +15,9 @@ from lorlab.quadrature import (
     _node_values,
     _panel_edges,
     _rule_sums,
-    bracketed_root,
     in_blocks,
     panel_integrals,
+    solve,
     toward_end,
 )
 
@@ -232,88 +233,132 @@ def test_anchored_map_memo_is_bounded():
     assert am.many(ts).tolist() == first.tolist()
 
 
-def by_row(fs):
-    """A g for bracketed_root that applies fs[i] to row i."""
-    return lambda x: np.array([f(v) for f, v in zip(fs, x.tolist())])
+def stuck(i, lo, hi, steps):
+    return QuadratureError(f"root on [{lo!r}, {hi!r}] did not converge in {steps} steps")
+
+
+def by_row(fs, seen=None):
+    """A g for solve that applies fs[i] to row i of the batch, and records in
+    seen the rows of every call."""
+    def g(x, rows):
+        if seen is not None:
+            seen.append(rows.tolist())
+        return np.array([fs[i](v) for i, v in zip(rows.tolist(), x.tolist())])
+    return g
+
+
+def newton_by_row(fs, dfs, seen=None):
+    """The same for Newton rows: (values, slopes)."""
+    value, slope = by_row(fs, seen), by_row(dfs)
+    return lambda x, rows: (value(x, rows), slope(x, rows))
 
 
 def one_row(f, lo, hi):
-    """Arguments of bracketed_root for the single row f on [lo, hi]."""
-    return by_row([f]), [lo], [hi], [f(lo)], [f(hi)]
+    """Arguments of solve's Illinois route for the single row f on [lo, hi]."""
+    return by_row([f]), [lo], [hi], [f(lo)], [f(hi)], 1e-12, stuck
 
 
 def test_bracketed_root_monotone():
-    root = bracketed_root(*one_row(lambda t: math.exp(t) - 1.5, 0.0, 2.0))
+    root = solve(*one_row(lambda t: math.exp(t) - 1.5, 0.0, 2.0))
     assert root[0] == pytest.approx(math.log(1.5), abs=1e-12)
 
 
 def test_bracketed_root_requires_sign_change():
-    from lorlab.errors import QuadratureError
-
     with pytest.raises(QuadratureError):
-        bracketed_root(*one_row(lambda t: 1.0 + t * t, -1.0, 1.0))
+        solve(*one_row(lambda t: 1.0 + t * t, -1.0, 1.0))
 
 
 def test_bracketed_root_cubic():
-    root = bracketed_root(*one_row(lambda t: t ** 3 - 2.0, 0.0, 4.0))
+    root = solve(*one_row(lambda t: t ** 3 - 2.0, 0.0, 4.0))
     assert root[0] == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-12)
+
+
+def cube(t):
+    return t ** 3 - 2.0 if t < 3.0 else math.inf
 
 
 ROOT_ROWS = [
     (lambda t: t - 1.0, 1.0, 3.0),                     # zero at the lower end
     (lambda t: t - 0.5, 0.0, 1.0),                     # false position lands on g == 0
-    (lambda t: t ** 3 - 2.0 if t < 3.0 else math.inf, 0.0, 4.0),  # overflowed upper end
+    (cube, 0.0, 4.0),                                  # overflowed upper end
     (lambda t: math.exp(t) - 1.5, 0.0, 2.0),
     (lambda t: t ** 3 - 2.0, 0.0, 4.0),
     (lambda t: math.atan(50.0 * (t - 0.3)), -1.0, 1.0),  # steep: many iterations
 ]
 
+# Newton rows: value, slope, bracket and start
+NEWTON_ROWS = [
+    (lambda t: t - 1.0, lambda t: 1.0, 1.0, 3.0, 2.0),  # zero at the lower end
+    (cube, lambda t: 3.0 * t * t, 0.0, 4.0, 1.0),        # overflowed upper end
+    (lambda t: math.exp(t) - 1.5, math.exp, 0.0, 2.0, 2.0),  # start on an end
+    # the first step from -1 lands at 132, outside the bracket, and is bisected
+    (lambda t: math.atan(50.0 * (t - 0.3)), lambda t: 50.0 / (1.0 + 2500.0 * (t - 0.3) ** 2),
+     -1.0, 1.0, -1.0),
+    (lambda t: t ** 3 - 2.0, lambda t: 3.0 * t * t, 0.0, 4.0, 0.5),
+]
+
+
+def solve_rows(fs, dfs, lo, hi, start, seen):
+    """solve on the rows fs (Newton where dfs holds their slopes), with the
+    rows of every call of g recorded in seen."""
+    g = by_row(fs, seen) if dfs is None else newton_by_row(fs, dfs, seen)
+    return solve(g, lo, hi, [f(a) for f, a in zip(fs, lo)], [f(b) for f, b in zip(fs, hi)],
+                 1e-12, stuck, start)
+
 
 def test_bracketed_root_rows_equal_their_batch_of_one():
     fs, lo, hi = zip(*ROOT_ROWS)
-    calls = []
+    nfs, ndfs, nlo, nhi, nstart = zip(*NEWTON_ROWS)
+    for fs, dfs, lo, hi, start in ((fs, None, lo, hi, None), (nfs, ndfs, nlo, nhi, nstart)):
+        seen = []
+        got = solve_rows(fs, dfs, lo, hi, start, seen).tolist()
+        assert seen and all(rows and rows == sorted(set(rows)) for rows in seen)
+        evals = []
+        for i, root in enumerate(got):
+            alone = []
+            one = slice(i, i + 1)
+            assert repr(solve_rows(fs[one], dfs and dfs[one], lo[one], hi[one],
+                                   start and start[one], alone).tolist()) == repr([root])
+            assert fs[i](root) == pytest.approx(0.0, abs=1e-9)
+            # each call sees only live rows: row i is asked for as often as alone
+            assert sum(i in rows for rows in seen) == len(alone)
+            evals.append(len(alone))
+        assert got[0] == 1.0 and evals[0] == 0  # a zero at the lower end is never asked for
+        assert dfs or got[1] == 0.5  # false position lands on the root
+        assert len(set(evals)) > 2  # rows finish at different iterations
 
-    def g(x):
-        calls.append(len(x))
-        return by_row(fs)(x)
 
-    got = bracketed_root(g, lo, hi, [f(a) for f, a, _ in ROOT_ROWS],
-                         [f(b) for f, _, b in ROOT_ROWS])
-    assert set(calls) == {len(ROOT_ROWS)}  # every call evaluates every row
-    evals = []
-    for (f, a, b), root in zip(ROOT_ROWS, got.tolist()):
-        g1, *ends = one_row(f, a, b)
-        evals.append(0)
+def test_solve_without_live_rows_returns_at_once():
+    def g(x, rows):
+        raise AssertionError("g called")
 
-        def counted(x):
-            evals[-1] += 1
-            return g1(x)
-
-        assert bracketed_root(counted, *ends).tolist() == [root]
-        assert f(root) == pytest.approx(0.0, abs=1e-9)
-    assert got[:2].tolist() == [1.0, 0.5]  # both exact
-    assert len(set(evals)) > 2  # rows finish at different iterations
+    for newton in (False, True):
+        empty = solve(g, [], [], [], [], 1e-12, stuck, [] if newton else None)
+        assert empty.dtype == float and empty.shape == (0,)
+        # every row has a zero at an end: the lower end where both are zero
+        ends = solve(g, [1.0, 0.0, -2.0], [2.0, 0.5, -1.0], [0.0, -1.0, 0.0], [0.0, 0.0, 3.0],
+                     1e-12, stuck, [1.5, 0.25, -1.5] if newton else None)
+        assert ends.tolist() == [1.0, 0.5, -2.0]
+        # a bracket already within xtol stops at its midpoint
+        narrow = solve(g, [2.0], [2.0 + 1e-12], [-1.0], [1.0], 1e-12, stuck,
+                       [2.0] if newton else None)
+        assert narrow.tolist() == [0.5 * (2.0 + (2.0 + 1e-12))]
 
 
 def test_bracketed_root_out_of_steps_raises(monkeypatch):
-    from lorlab import quadrature
-    from lorlab.errors import QuadratureError
-
     f = ROOT_ROWS[-1][0]  # steep: many iterations
-    assert f(bracketed_root(*one_row(f, -1.0, 1.0))[0]) == pytest.approx(0.0, abs=1e-9)
+    assert f(solve(*one_row(f, -1.0, 1.0))[0]) == pytest.approx(0.0, abs=1e-9)
     monkeypatch.setattr(quadrature, "ROOT_MAX_ITER", 1)
     with pytest.raises(QuadratureError,
                        match=r"^root on \[0\.004254927059383573, 1\.0\] did not converge in 1 "
                              r"steps$"):
-        bracketed_root(*one_row(f, -1.0, 1.0))
+        solve(*one_row(f, -1.0, 1.0))
 
 
 def test_bracketed_root_names_the_unbracketed_row():
-    from lorlab.errors import QuadratureError
-
     g = by_row([lambda t: t - 0.5, lambda t: 1.0 + t * t])
     with pytest.raises(QuadratureError, match=r"^root not bracketed on \[-1\.0, 2\.5\]$"):
-        bracketed_root(g, [0.0, -1.0], [1.0, 2.5], [-0.5, 2.0], [0.5, 7.25])
+        solve(g, [0.0, -1.0], [1.0, 2.5], [-0.5, 2.0], [0.5, 7.25], 1e-12, stuck)
 
 
 @pytest.mark.parametrize("start, end", [(0.2, 1.0), (-3.0, 5.5), (0.999, 1.0)])
