@@ -15,10 +15,12 @@ probed on a supplied chronological sequence with vanishing forward gaps.
 
 Every T comes from the batched pair path, lorentzian_distance bit for bit
 (replay_witness alone calls that).  Both marches compute their slices or
-points in blocks of 1, 1, 2, 4, 8 (in_blocks; one point per block with
-b != 1) and the trace is one batch of slices; the level crossings of all
-traced slices are the rows of one root search, as are the condition-A
-bounds passed at one march step.
+points in blocks of 8 (in_blocks; one point per block with b != 1), and
+the finite-compactness march and its cap's root read each slice's minimum
+from the slice's two ends (_slice_min); the slices are scanned at every
+point only in the trace, which is one batch, in k1_slices and in an escape
+witness.  The level crossings of all traced slices are the rows of one
+root search, as are the condition-A bounds passed at one march step.
 
 No finite computation can certify a universally quantified condition, so a
 passing verdict is always "holds_on_probe"; failing verdicts carry a
@@ -128,11 +130,12 @@ def _stuck(i, lo, hi, steps):  # a level crossing that solve did not find
     return QuadratureError(f"root on [{lo!r}, {hi!r}] did not converge in {steps} steps")
 
 
-def _march_cap(profile):
-    """Largest block of a probe march: 1 with b != 1, where every T is a
-    shooting solve that costs more the farther its point, so that no point
-    past the march's stop is computed."""
-    return 8 if profile.has_unit_b else 1
+def _march_blocks(profile, f, points):
+    """in_blocks for a probe march: blocks of 8 from the first point, or of 1
+    with b != 1, where every T is a shooting solve that costs more the
+    farther its point, so that no point past the march's stop is computed."""
+    cap = 8 if profile.has_unit_b else 1
+    return in_blocks(f, points, cap, cap)
 
 
 # -- finite compactness --------------------------------------------------------
@@ -144,24 +147,56 @@ def _check_nx(nx):
         raise ValueError(f"slice points nx must be an integer of at least 2, got {nx!r}")
 
 
-def _slices(profile, p, q, B, ts, nx, eps_null):
-    """(min_T, keep_lo, keep_hi, xs, Ts) on the cone slices of q at the times
-    ts: xs and Ts hold one row of nx points per slice, and a slice at or
-    below q.t is nx copies of q.x.  A slice keeping no point has nan bounds."""
+def _slice_points(profile, p, q, ts, nx, eps_null):
+    """(xs, Ts) on the cone slices of q at the times ts, one row of nx points
+    per slice; a slice at or below q.t is nx copies of q.x.  With nx = 2 the
+    rows are each slice's two ends, the floats linspace puts there."""
     ts = np.asarray(ts, dtype=float)
     cone = _cone_map(profile)
     cone_ts = cone.many(ts)
     half = cone_ts - cone(q.t)
+    lo, hi = q.x - half, q.x + half
+    # one row with a grid step of 0 (at or below q.t, or thinner than an ulp
+    # of q.x) makes linspace round every row its own way: such a row is q.x
+    wide = (hi - lo) / (nx - 1) > 0.0
     xs = np.full((len(ts), nx), float(q.x))
-    wide = half > 0.0  # one zero-width row makes linspace round every row its own way
-    xs[wide] = np.linspace(q.x - half[wide], q.x + half[wide], nx, axis=1)
-    Ts = _separations(profile, p.t, p.x, ts[:, None], xs,
-                      (cone_ts - cone(p.t))[:, None], eps_null)[0]
+    ends = lo[wide], hi[wide]
+    xs[wide] = np.linspace(*ends, nx, axis=1) if nx > 2 else np.array(ends).T
+    dcone = cone_ts - cone(p.t)
+    Ts = _separations(profile, p.t, p.x, ts[:, None], xs, dcone[:, None], eps_null)[0]
+    return xs, Ts, dcone
+
+
+def _slices(profile, p, q, B, ts, nx, eps_null):
+    """(min_T, keep_lo, keep_hi, xs, Ts) on the cone slices of q at the times
+    ts (_slice_points).  A slice keeping no point has nan bounds."""
+    xs, Ts, _ = _slice_points(profile, p, q, ts, nx, eps_null)
     keep = Ts <= B
-    kept, rows = keep.any(axis=1), np.arange(len(ts))
+    kept, rows = keep.any(axis=1), np.arange(len(xs))
     lo = np.where(kept, xs[rows, keep.argmax(axis=1)], math.nan)
     hi = np.where(kept, xs[rows, nx - 1 - keep[:, ::-1].argmax(axis=1)], math.nan)
     return Ts.min(axis=1), lo, hi, xs, Ts
+
+
+def _slice_min(profile, p, q, ts, nx, eps_null):
+    """The min_T of _slices at nx points, read from each slice's two ends.
+
+    At fixed t, T(p, (t, x)) does not increase with |x - p.x|: scaling a
+    maximizer's offset from p.x by l <= 1 gives the integrand sqrt(a - b l^2
+    x'^2) >= sqrt(a - b x'^2).  The grid is monotone in x, so its largest
+    |x - p.x| is at an end.  With b == 1 the rule is exact in floats: at the
+    slice's one dtau the margin dtau - |dx| and the flat interval sqrt(dtau^2
+    - dx^2) are rounded monotone functions of |dx|.  The scaled form that
+    _flat_interval takes where dtau^2 overflows can rise by an ulp, so such
+    a batch is scanned at all nx points.  With b != 1 the rule rests on the
+    premise, which held on every sampled slice of the catalog and of kinked
+    profiles."""
+    _, Ts, dcone = _slice_points(profile, p, q, ts, 2, eps_null)
+    if profile.has_unit_b:
+        top = float(dcone.max())  # a chronological pair has dtau > 0
+        if not math.isfinite(top * top):
+            Ts = _slice_points(profile, p, q, ts, nx, eps_null)[1]
+    return Ts.min(axis=1)
 
 
 def k1_slices(profile, p, q, B, ts, nx=65, eps_null=EPS_NULL):
@@ -186,8 +221,8 @@ def probe_finite_compactness(
     points."""
     check_eps_null(eps_null)
     _check_nx(nx)
-    if not B > 0.0:  # a nan bound would pass every slice and fake an escape
-        raise ValueError("bound B must be positive")
+    if not 0.0 < B < math.inf:  # a nan bound would pass every slice and fake an escape
+        raise ValueError("bound B must be positive and finite")
     _require_chronological(profile, p, q, eps_null)
     base_witness = {"p": (p.t, p.x), "q": (q.t, q.x), "bound": float(B)}
 
@@ -199,31 +234,29 @@ def probe_finite_compactness(
 
     # march the slice level toward the domain end until the region empties;
     # the slice at q.t is the single point q, so its minimum is T(p, q)
-    def scan(ts):  # (min_T, x_keep_lo, x_keep_hi) of each slice
-        return zip(*(v.tolist() for v in _slices(profile, p, q, B, ts, nx, eps_null)[:3]))
+    def g(ts, _=None):  # min_T - B on the slices at the times ts
+        return _slice_min(profile, p, q, ts, nx, eps_null) - B
 
-    marched = []  # (t, x_keep_lo, x_keep_hi, min_T) of every slice passed
+    marched = []  # the times of the slices passed
     t_prev, g_prev = q.t, T_pq - B
     n_march = 40 if math.isfinite(profile.t_max) else 70
-    march = islice(toward_end(q.t, profile.t_max, max(1e-2, 1e-2 * abs(B))), n_march)
-    for t, (min_T, lo, hi) in in_blocks(scan, march, _march_cap(profile)):
-        if min_T > B:
-            t_top = float(solve(
-                lambda u, _: _slices(profile, p, q, B, u, nx, eps_null)[0] - B,
-                [t_prev], [t], [g_prev], [min_T - B], 1e-9, _stuck,
-            )[0])
+    march = islice(toward_end(q.t, profile.t_max, max(1e-2, 1e-2 * B)), n_march)
+    for t, g_t in _march_blocks(profile, lambda ts: g(ts).tolist(), march):
+        if g_t > 0.0:
+            t_top = float(solve(g, [t_prev], [t], [g_prev], [g_t], 1e-9, _stuck)[0])
             break
-        marched.append((t, lo, hi, min_T))
-        t_prev, g_prev = t, min_T - B
+        marched.append(t)
+        t_prev, g_prev = t, g_t
     else:
         # the region runs into the missing boundary: the escape witness is
         # the midline of the surviving part of each slice the march passed
-        mids = [(t, 0.5 * (lo + hi)) for t, lo, hi, _ in marched]
-        slices = np.asarray(marched, dtype=float).reshape(-1, 4)
-        region = K1Region(p, q, B, slices, [], False, False)
-        escaping_T = _tvals(profile, p, *np.array(mids).reshape(-1, 2).T, eps_null).tolist()
+        ts = np.array(marched)
+        min_T, lo, hi, _, _ = _slices(profile, p, q, B, ts, nx, eps_null)
+        mids = 0.5 * (lo + hi)
+        region = K1Region(p, q, B, np.column_stack([ts, lo, hi, min_T]), [], False, False)
         report = ProbeReport("finite_compactness", FAILS, dict(
-            base_witness, escaping_points=mids, escaping_T=escaping_T,
+            base_witness, escaping_points=list(zip(marched, mids.tolist())),
+            escaping_T=_tvals(profile, p, ts, mids, eps_null).tolist(),
             t_boundary=float(profile.t_max)))
         return report, region
 
@@ -263,8 +296,9 @@ def probe_condition_a(
     """
     check_eps_null(eps_null)
     bounds = sorted({float(B) for B in B_list})
-    if not bounds or not all(B > 0.0 for B in bounds):
-        raise ValueError("condition A needs at least one bound, and every bound positive")
+    if not bounds or not all(0.0 < B < math.inf for B in bounds):
+        raise ValueError(
+            "condition A needs at least one bound, and every bound positive and finite")
     _require_chronological(profile, p, q, eps_null)
     if v.tau0 <= 0.0:
         raise NotCausal("probe extends future-directed geodesics (tau0 > 0)")
@@ -284,8 +318,7 @@ def probe_condition_a(
     s_prev = 0.0
     tail = deque(maxlen=5)  # the last march points, the witness of a capped T
     march = islice(toward_end(0.0, bound), 45 if math.isfinite(bound) else 90)
-    points = in_blocks(lambda ss: zip(*(v.tolist() for v in along(ss))), march,
-                       _march_cap(profile))
+    points = _march_blocks(profile, lambda ss: zip(*(v.tolist() for v in along(ss))), march)
     # a block is computed when its first point is asked for: ask for none
     # once every bound is passed
     for s, (t, x, T) in points if pending else ():

@@ -350,23 +350,6 @@ def _leaf(f, cell: _Cell, t: float, sgn: float, breaks):
     return cell, outside
 
 
-def panel_integrals(f, los, his, breaks=()) -> np.ndarray:
-    """Integrals of the vectorized callable f over each [los[i], his[i]].
-
-    Panels are graded toward the breakpoints in each interval; each is
-    halved until its own value and its dense output are stable, with
-    QUAD_TOL shared out in proportion to panel length.  The rule's products
-    and the panel values are summed exactly (math.fsum), so an entry
-    depends only on f, its interval and breaks: not on BLAS summation
-    order, and not on the other intervals integrated together.  Raises
-    QuadratureError if refinement stalls.
-    """
-    pairs = [(float(a), float(b)) for a, b in zip(los, his)]
-    cells = [_Cell(min(a, b), max(a, b)) for a, b in pairs]
-    _integrate(f, cells, breaks)
-    return np.array([-c.total if b < a else c.total for c, (a, b) in zip(cells, pairs)])
-
-
 class ClosedFormMap:
     """Closed form of t -> int_anchor^t k exp(r u) du, evaluated in floats.
 
@@ -713,14 +696,16 @@ def toward_end(start: float, end: float, step: float = 1.0):
         gap *= 2.0
 
 
-def in_blocks(f, points, cap: int = 8):
+def in_blocks(f, points, cap: int = 8, first: int = 1):
     """Yield (point, f's result) one point at a time, calling the batch
-    function f (a list of points to one result each) on blocks of 1, 1, 2,
-    4, ... points, at most cap.  A block is computed when its first point is
-    asked for, so a march that stops early computes no block past its stop;
-    a block of 8 is too small to raise peak memory, as one of 75 did."""
+    function f (a list of points to one result each) on blocks of first
+    points, then as many as were computed before, at most cap: 1, 1, 2, 4,
+    8, 8, ... by default, and cap, cap, ... with first = cap.  A block is
+    computed when its first point is asked for, so a march that stops early
+    computes no block past its stop; a block of 8 is too small to raise peak
+    memory, as one of 75 did."""
     points, done = iter(points), 0
-    while block := list(islice(points, min(max(done, 1), cap))):
+    while block := list(islice(points, min(max(done, first), cap))):
         yield from zip(block, f(block))
         done += len(block)
 

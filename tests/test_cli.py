@@ -332,7 +332,8 @@ def test_probe_strip_fc_exit_2_and_witness_file(capsys, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("kind, flag", [("ca", "--ca-B=,"), ("ca", "--ca-B=-1"),
-                                        ("ca", "--ca-B=0,10"), ("fc", "--B=nan")])
+                                        ("ca", "--ca-B=0,10"), ("fc", "--B=nan"),
+                                        ("fc", "--B=inf"), ("ca", "--ca-B=10,inf")])
 def test_probe_rejects_vacuous_bounds(capsys, tmp_path, monkeypatch, kind, flag):
     # no bound, or one that every T passes or fails, gives no verdict
     monkeypatch.chdir(tmp_path)

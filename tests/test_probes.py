@@ -7,20 +7,26 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lorlab import (
     DomainExceeded,
+    MetricProfile,
     NotCausal,
     NotChronological,
     PremiseViolated,
     ProbeConfig,
     SpacetimePoint,
     TangentVector,
+    const,
+    exponential,
     get_profile,
     implication_report,
     k1_slices,
     lorentzian_distance,
     make_cauchy_sequence,
+    power,
     probe_condition_a,
     probe_finite_compactness,
     probe_timelike_cauchy,
@@ -39,6 +45,8 @@ from lorlab.probes import (
 )
 from lorlab.profiles import EPS_NULL, classify_vector
 from lorlab.quadrature import ROOT_MAX_ITER, toward_end
+
+from test_geodesics import MIXED
 
 P = SpacetimePoint
 V = TangentVector
@@ -116,6 +124,13 @@ def test_slices_need_two_points(nx):
         probe_finite_compactness(mink, p, q, 5.0, nx=nx)
 
 
+def test_fc_rejects_infinite_bound():
+    # the march step 1e-2 B was inf, so the march passed no slice and the
+    # escape witness had no point, which replay_witness scored 0
+    with pytest.raises(ValueError, match="finite"):
+        probe_finite_compactness(get_profile("minkowski"), P(0, 0), P(1, 0), math.inf)
+
+
 def test_fc_rejects_nan_bound():
     # every min_T > nan is false, so the march would run to the end and
     # report an escape on Minkowski space
@@ -155,15 +170,28 @@ def test_k1_slices_are_the_scalar_slice_scans(name, q, B, dt, nx):
     assert math.isnan(got[-1, 1]) and not math.isnan(got[2, 1])
 
 
-@pytest.mark.parametrize("name, q, B, sizes", [("minkowski", P(1, 0), 5.0, [1, 1, 2, 4, 8]),
+def test_k1_slices_rows_ignore_a_slice_thinner_than_an_ulp():
+    # q.x -+ half rounds to q.x on the slice 1e-17 above q.t, a grid step of
+    # 0; had linspace scanned it, every row of the batch would take its
+    # zero-step rounding, which differs where nx - 1 = 9 is not a power of 2
+    mink, p, q, B = get_profile("minkowski"), P(0, 0), P(1e-3, 0.3), 0.35449402742393166
+    ts = np.array([q.t + 1e-17, 0.4250471285354768])
+    got = k1_slices(mink, p, q, B, ts, nx=10)
+    want = [(t, lo, hi, min_T)
+            for t in ts.tolist()
+            for min_T, lo, hi, _, _ in [_slice_scan(mink, p, q, B, t, 10, EPS_NULL)]]
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("name, q, B, sizes", [("minkowski", P(1, 0), 5.0, [8, 8]),
                                                ("warpb", P(0.5, 0), 3.0, [1] * 9)])
 def test_fc_march_scans_in_blocks_but_shoots_nothing_past_its_stop(monkeypatch, name, q, B,
                                                                     sizes):
     # both marches stop at their 9th slice; with b != 1 every T is a shooting
     # solve that costs more the farther its point, so no block runs past it
-    calls, scan = [], probes._slices
-    monkeypatch.setattr(probes, "_slices", lambda *args: calls.append(
-        np.asarray(args[4], dtype=float).tolist()) or scan(*args))
+    calls, slice_min = [], probes._slice_min
+    monkeypatch.setattr(probes, "_slice_min", lambda *args: calls.append(
+        np.asarray(args[3], dtype=float).tolist()) or slice_min(*args))
     rep, _ = probe_finite_compactness(get_profile(name), P(0, 0), q, B)
     march = list(islice(toward_end(q.t, math.inf, 1e-2 * B), 9))
     assert march[-2] < rep.witness["t_top"] < march[-1]
@@ -171,6 +199,114 @@ def test_fc_march_scans_in_blocks_but_shoots_nothing_past_its_stop(monkeypatch, 
     assert sum(calls[:len(sizes)], [])[:9] == march
     if name == "warpb":
         assert max(max(ts) for ts in calls) == march[-1]
+
+
+@pytest.mark.parametrize("name, bounds, stop, sizes", [("minkowski", (10.0, 200.0), 9, [8, 8]),
+                                                       ("warpb", (5.0, 20.0), 6, [1] * 6)])
+def test_ca_march_extends_in_blocks_but_shoots_nothing_past_its_stop(monkeypatch, name,
+                                                                     bounds, stop, sizes):
+    # the march stops at the first point past its last bound: the 9th on
+    # minkowski, where T = 1 + s, and the 6th on warpb, where no block runs
+    # past it; the crossings' root searches ask for parameters between points
+    calls, times = [], _Quadrature.times
+    monkeypatch.setattr(_Quadrature, "times", lambda self, ss: calls.append(
+        np.asarray(ss, dtype=float).tolist()) or times(self, ss))
+    cfg = CONFIGS[name]
+    rep = probe_condition_a(get_profile(name), cfg.p, cfg.q, cfg.ca_direction, bounds)
+    march = list(islice(toward_end(0.0, math.inf), stop))
+    assert rep.holds and march[-2] < max(rep.witness["crossings"].values()) < march[-1]
+    blocks = [ss for ss in calls if ss[0] in march]
+    assert [len(ss) for ss in blocks] == sizes
+    assert sum(blocks, [])[:len(march)] == march
+    if name == "warpb":
+        assert max(max(ss) for ss in calls) == march[-1]
+
+
+# the slice-end rule: (profile, range of p.t, largest q.t - p.t, last slice time)
+END_RULE_UNIT_B = {
+    "minkowski": (get_profile("minkowski"), (-1.0, 1.0), 2.0, 6.0),
+    "strip01": (get_profile("strip01"), (0.02, 0.4), 0.3, 0.99),
+    "exp2t": (get_profile("exp2t"), (-0.5, 0.5), 1.0, 3.0),
+    "c1power": (get_profile("c1power"), (-0.8, 0.8), 1.0, 4.0),
+}
+# warpb and the kinked b != 1 profiles of scripts/dump_outputs.py
+MIX = MetricProfile("mix", (const(1), power(1, 0.3, 1.5)), (exponential(1, 1),), alpha=1e-9)
+END_RULE_SHOOTING = {
+    "warpb": (get_profile("warpb"), (-0.5, 0.5), 1.0, 2.5),
+    "mixed": (MIXED, (-1.5, 0.0), 0.8, 1.9),
+    "mix": (MIX, (0.0, 2.0), 2.0, 5.0),
+}
+
+
+@st.composite
+def slice_batches(draw, case):
+    """p << q (q inside p's cone by a drawn fraction of the cone-time gap)
+    and slice times from just below q.t to the case's last slice time."""
+    profile, window, span, t_end = case
+    p = P(draw(st.floats(*window)), draw(st.floats(-1.0, 1.0)))
+    qt = p.t + draw(st.floats(1e-3, span))
+    lean = draw(st.floats(-0.999, 0.999))
+    q = P(qt, p.x + lean * (cone_time(profile, qt) - cone_time(profile, p.t)))
+    fractions = draw(st.lists(st.floats(-0.01, 1.0), min_size=1, max_size=4))
+    return p, q, np.array([qt + u * (t_end - qt) for u in fractions])
+
+
+def _check_slice_ends(case, batch):
+    profile = case[0]
+    p, q, ts = batch
+    got = probes._slice_min(profile, p, q, ts, 65, EPS_NULL)
+    want = probes._slices(profile, p, q, math.inf, ts, 65, EPS_NULL)[0]
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(END_RULE_UNIT_B))
+@given(data=st.data())
+def test_slice_min_is_read_exactly_from_the_ends_with_unit_b(name, data):
+    """Exact with b == 1, whatever the premise: every point of a slice has
+    its one dtau, and the relation's margin dtau - |dx| and the flat
+    interval sqrt(dtau^2 - dx^2) are IEEE-rounded monotone functions of |dx|,
+    which the grid, monotone in x, takes its largest at an end."""
+    case = END_RULE_UNIT_B[name]
+    _check_slice_ends(case, data.draw(slice_batches(case)))
+
+
+def test_slice_min_scans_where_the_flat_interval_takes_its_scaled_form():
+    # past dtau^2 = inf the scaled form |dtau| sqrt((1 - r)(1 + r)) can rise
+    # by an ulp as |r| grows, so the ends alone miss the minimum of these
+    # slices an ulp or two above q.t; _slice_min scans them at every point
+    mink, p = get_profile("minkowski"), P(0.0, 0.0)
+    q = P(9.605749966830115e270, 1.222105954120503e269)
+    ts = np.array([q.t + k * math.ulp(q.t) for k in range(1, 6)])
+    scan = probes._slices(mink, p, q, math.inf, ts, 65, EPS_NULL)[0]
+    ends = probes._slice_points(mink, p, q, ts, 2, EPS_NULL)[1].min(axis=1)
+    assert (ends != scan).any()
+    assert probes._slice_min(mink, p, q, ts, 65, EPS_NULL).tobytes() == scan.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(END_RULE_SHOOTING))
+@settings(max_examples=20)
+@given(data=st.data())
+def test_slice_min_is_read_from_the_ends_with_shooting(name, data):
+    # with b != 1 the rule rests on the premise that T(p, (t, x)) does not
+    # increase with |x - p.x| in floats too, near-null and thin slices included
+    case = END_RULE_SHOOTING[name]
+    _check_slice_ends(case, data.draw(slice_batches(case)))
+
+
+@settings(max_examples=15)
+@given(pt=st.floats(0.02, 0.4), px=st.floats(-1.0, 1.0), dt=st.floats(1e-3, 0.3),
+       lean=st.floats(-0.9, 0.9), B=st.floats(1.0, 10.0))
+def test_strip_escape_witness_is_the_per_slice_scan(pt, px, dt, lean, B):
+    # T stays below 1 on the strip, so every region escapes; the witness is
+    # read from one scan of every marched slice, the reference scans each
+    strip = get_profile("strip01")
+    p = P(pt, px)
+    q = P(pt + dt, px + lean * (cone_time(strip, pt + dt) - cone_time(strip, pt)))
+    got, got_region = probe_finite_compactness(strip, p, q, B)
+    want, want_region = scalar_probe_finite_compactness(strip, p, q, B)
+    assert not got.holds
+    assert repr(got) == repr(want)
+    assert got_region.slices.tobytes() == want_region.slices.tobytes()
 
 
 def test_k1_nesting_in_bound():
@@ -230,9 +366,11 @@ def test_ca_crossing_at_zero_when_bound_below_Tpq():
     assert rep.witness["crossings"][1.0] == 0.0
 
 
-@pytest.mark.parametrize("bounds", ([], [-1.0], [0.0], [5.0, -1.0], [math.nan]))
+@pytest.mark.parametrize("bounds", ([], [-1.0], [0.0], [5.0, -1.0], [math.nan],
+                                    [10.0, math.inf]))
 def test_ca_rejects_vacuous_bounds(bounds):
-    # no bound, or one that T >= 0 passes at once, makes "holds" say nothing
+    # no bound, or one that T >= 0 passes at once, makes "holds" say nothing;
+    # no T passes inf, whose crossing search gave up doubling T
     with pytest.raises(ValueError, match="bound"):
         probe_condition_a(get_profile("minkowski"), P(0, 0), P(1, 0), V(1, 0), bounds)
 

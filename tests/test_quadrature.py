@@ -12,11 +12,12 @@ from lorlab.quadrature import (
     MEMO_SIZE,
     AnchoredMap,
     ClosedFormMap,
+    _Cell,
+    _integrate,
     _node_values,
     _panel_edges,
     _rule_sums,
     in_blocks,
-    panel_integrals,
     solve,
     toward_end,
 )
@@ -25,38 +26,46 @@ from oracles import mp_cumulative, simpson_integral
 from test_geodesics import MIXED
 
 
+def cell_integrals(f, los, his, breaks=()):
+    """int_lo^hi f for each (lo, hi), from cells integrated whole in one batch."""
+    cells = [_Cell(min(lo, hi), max(lo, hi)) for lo, hi in zip(los, his)]
+    _integrate(f, cells, breaks)
+    return [c.total if lo <= hi else -c.total for c, lo, hi in zip(cells, los, his)]
+
+
 def test_panel_integral_exponential():
-    got = panel_integrals(np.exp, [0.0], [1.0])[0]
+    got = cell_integrals(np.exp, [0.0], [1.0])[0]
     assert got == pytest.approx(math.e - 1.0, abs=1e-12)
 
 
 def test_panel_integral_orientation():
-    got = panel_integrals(np.exp, [1.0], [0.0])[0]
+    # a map anchored at 1 reads the cell [0, 1] backward
+    got = AnchoredMap(np.exp, 1.0)(0.0)
     assert got == pytest.approx(-(math.e - 1.0), abs=1e-12)
 
 
 def test_panel_integral_kink_at_endpoint():
-    got = panel_integrals(lambda u: np.abs(u) ** 1.5, [0.0], [1.0], breaks=(0.0,))[0]
+    got = cell_integrals(lambda u: np.abs(u) ** 1.5, [0.0], [1.0], breaks=(0.0,))[0]
     assert got == pytest.approx(0.4, abs=1e-11)
 
 
 def test_panel_integral_interior_kink():
-    got = panel_integrals(lambda u: np.abs(u) ** 1.5, [-1.0], [1.0], breaks=(0.0,))[0]
+    got = cell_integrals(lambda u: np.abs(u) ** 1.5, [-1.0], [1.0], breaks=(0.0,))[0]
     assert got == pytest.approx(0.8, abs=1e-11)
 
 
 def test_panel_integral_against_simpson():
     f = lambda u: np.sqrt(1.0 + np.abs(u) ** 1.5)
-    got = panel_integrals(f, [-0.5], [2.0], breaks=(0.0,))[0]
+    got = cell_integrals(f, [-0.5], [2.0], breaks=(0.0,))[0]
     want = simpson_integral(f, -0.5, 2.0)
     assert got == pytest.approx(want, abs=5e-11)
 
 
 def test_panel_integral_exact_for_constants():
     one = lambda u: np.ones_like(u)
-    assert panel_integrals(one, [0.25], [0.3])[0] == 0.3 - 0.25
-    assert panel_integrals(one, [0.7], [0.1])[0] == -(0.7 - 0.1)
-    assert panel_integrals(one, [-1.0], [2.0])[0] == 3.0
+    assert cell_integrals(one, [0.25], [0.3])[0] == 0.3 - 0.25
+    assert cell_integrals(one, [0.7], [0.1])[0] == -(0.7 - 0.1)
+    assert cell_integrals(one, [-1.0], [2.0])[0] == 3.0
 
 
 def test_panel_integrals_match_scalar_calls():
@@ -64,9 +73,10 @@ def test_panel_integrals_match_scalar_calls():
     rng = np.random.default_rng(3)
     los = rng.uniform(-1.0, 1.0, 40)
     his = los + rng.uniform(-0.5, 0.5, 40)
-    got = panel_integrals(f, los, his, breaks=(0.0,))
-    want = [panel_integrals(f, [lo], [hi], breaks=(0.0,))[0] for lo, hi in zip(los, his)]
-    assert got.tolist() == want
+    los, his = los.tolist(), his.tolist()
+    got = cell_integrals(f, los, his, breaks=(0.0,))
+    want = [cell_integrals(f, [lo], [hi], breaks=(0.0,))[0] for lo, hi in zip(los, his)]
+    assert got == want
 
 
 def test_panel_rule_weights_sum_to_length():
@@ -200,7 +210,7 @@ def test_anchored_map_knots_reach_a_finite_end():
 def test_undeclared_kink_still_converges():
     # the dense-output check must not demand more than refinement can give
     # where a kink is not declared as a breakpoint
-    got = panel_integrals(lambda u: np.abs(u - 0.3) ** 1.5, [0.0], [1.0])[0]
+    got = cell_integrals(lambda u: np.abs(u - 0.3) ** 1.5, [0.0], [1.0])[0]
     assert got == pytest.approx((0.3 ** 2.5 + 0.7 ** 2.5) / 2.5, abs=1e-10)
 
 
@@ -406,3 +416,12 @@ def test_in_blocks_caps_its_blocks_at_eight_points():
     got = list(in_blocks(lambda block: sizes.append(len(block)) or block, range(30)))
     assert got == [(k, k) for k in range(30)]
     assert sizes == [1, 1, 2, 4, 8, 8, 6]
+
+
+@pytest.mark.parametrize("cap, first, want", [(8, 8, [8, 8, 8, 6]), (1, 1, [1] * 30),
+                                              (8, 2, [2, 2, 4, 8, 8, 6])])
+def test_in_blocks_starts_with_its_first_block(cap, first, want):
+    sizes = []
+    got = list(in_blocks(lambda block: sizes.append(len(block)) or block, range(30), cap, first))
+    assert got == [(k, k) for k in range(30)]
+    assert sizes == want
