@@ -8,8 +8,11 @@ and all three must hold everywhere else.  Exits 1 when a verdict departs
 from that split or a report is inconsistent, and 0 otherwise.
 
 Each report runs on a fresh copy of its profile, so no cumulative map is
-warm from an earlier one.  The time column is the minimum CPU time of the
-profile's reports; --repeat N makes N of them (default 1), all checked:
+warm from an earlier one.  The report column is the minimum CPU time of the
+profile's reports; --repeat N makes N of them (default 1), all checked.  A
+report judges finite compactness without tracing the region, so the traced
+column times probe_finite_compactness, trace included, the same way, and
+its verdicts are checked like the reports':
 
     python3 scripts/run_catalog_probes.py
     python3 scripts/run_catalog_probes.py --repeat 20
@@ -29,6 +32,7 @@ from lorlab import (  # noqa: E402
     get_profile,
     implication_report,
     parse_profiles,
+    probe_finite_compactness,
 )
 
 P = SpacetimePoint
@@ -47,15 +51,15 @@ def flag(holds):
     return "holds" if holds else "FAILS"
 
 
-def timed_reports(name, config, repeat):
-    """(reports, minimum CPU seconds) of repeat reports on fresh profiles."""
-    reps, best = [], float("inf")
+def timed(name, run, repeat):
+    """(results, minimum CPU seconds) of repeat runs on fresh profiles."""
+    outs, best = [], float("inf")
     for _ in range(repeat):
         profile = parse_profiles(format_profile(get_profile(name)))[name]
         start = time.process_time()
-        reps.append(implication_report(profile, config))
+        outs.append(run(profile))
         best = min(best, time.process_time() - start)
-    return reps, best
+    return outs, best
 
 
 def main(argv=None):
@@ -66,16 +70,18 @@ def main(argv=None):
     if repeat < 1:
         parser.error(f"--repeat must be at least 1, got {repeat}")
     print(f"{'profile':<10} {'fin.compact':<12} {'tl.Cauchy':<12} "
-          f"{'divergence':<12} {'consistent':<10} cpu")
+          f"{'divergence':<12} {'consistent':<10} {'report cpu':>10}  {'traced fc cpu':>13}")
     ok = True
     for name, config in CONFIGS.items():
-        reps, best = timed_reports(name, config, repeat)
+        reps, best = timed(name, lambda prof: implication_report(prof, config), repeat)
+        traced, traced_best = timed(name, lambda prof: probe_finite_compactness(
+            prof, config.p, config.q, config.fc_bound)[0], repeat)
         rep = reps[0]
         print(
             f"{name:<10} {flag(rep.finite_compactness.holds):<12} "
             f"{flag(rep.timelike_cauchy.holds):<12} "
             f"{flag(rep.condition_a.holds):<12} "
-            f"{str(rep.consistent).lower():<10} {1e3 * best:7.2f} ms"
+            f"{str(rep.consistent).lower():<10} {1e3 * best:7.2f} ms  {1e3 * traced_best:10.2f} ms"
         )
         for broken in rep.violated:
             print(f"           implication violated: {broken}")
@@ -85,6 +91,7 @@ def main(argv=None):
                 print(f"           unexpected verdict: {r.condition} {r.verdict}")
         ok = ok and all(r.holds == want for rp in reps for r in rp.reports)
         ok = ok and all(rp.consistent for rp in reps)
+        ok = ok and all(fc.holds == want for fc in traced)
     return 0 if ok else 1
 
 

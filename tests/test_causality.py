@@ -266,6 +266,14 @@ def test_distance_flat_interval():
     assert d.maximizer is not None
 
 
+@pytest.mark.parametrize("x", [0.0, 1e200])
+def test_distance_past_the_float_range_is_inf(x):
+    # cone_time(exp2t, 710) is inf: the interval is inf however far apart
+    # the points are, dx^2 overflowing too, and comes without a maximizer
+    d = lorentzian_distance(get_profile("exp2t"), P(0, 0), P(710, x))
+    assert d.value == math.inf and d.maximizer is None
+
+
 def test_distance_exp2t_vertical():
     t1 = math.log(2.0)
     d = lorentzian_distance(get_profile("exp2t"), P(0, 0), P(t1, 0))

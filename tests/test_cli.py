@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from lorlab import discrete
+from lorlab import discrete, probes
 from lorlab.cli import main
 
 SQRT3 = "1.7320508075688772"
@@ -329,6 +329,59 @@ def test_probe_strip_fc_exit_2_and_witness_file(capsys, tmp_path, monkeypatch):
     assert witness.exists()
     text = witness.read_text()
     assert "escaping_points" in text
+
+
+PROBE_RECORDS = [
+    (("minkowski", "fc", "0,0", "1,0"), 0, """profile minkowski
+kind fc
+bounded true
+closed_in_domain true
+finite_compactness holds_on_probe
+finite_compactness.t_top 13.0000000000001
+"""),
+    (("minkowski", "all", "0,0", "1,0"), 0, """profile minkowski
+kind all
+consistent true
+finite_compactness holds_on_probe
+finite_compactness.t_top 13.0000000000001
+timelike_cauchy holds_on_probe
+timelike_cauchy.tail_diameter 5.8673322200775146e-08
+condition_a holds_on_probe
+condition_a.max_param inf
+"""),
+    (("strip01", "fc", "0.1,0", "0.2,0"), 2, """profile strip01
+kind fc
+bounded false
+closed_in_domain false
+finite_compactness fails_with_witness
+"""),
+    (("strip01", "all", "0.1,0", "0.2,0", "--ca-B", "2,10"), 2, """profile strip01
+kind all
+consistent true
+finite_compactness fails_with_witness
+timelike_cauchy fails_with_witness
+timelike_cauchy.tail_diameter 5.280599002510655e-08
+condition_a fails_with_witness
+condition_a.bounded_by 0.8999999999999829
+condition_a.max_param 0.8
+"""),
+]
+
+
+@pytest.mark.parametrize("args, want_code, want", PROBE_RECORDS,
+                         ids=["minkowski-fc", "minkowski-all", "strip01-fc", "strip01-all"])
+def test_probe_records_need_no_trace(capsys, tmp_path, monkeypatch, args, want_code, want):
+    # bounded and closed_in_domain are the verdict; the records are those
+    # printed when every probe traced its region
+    def refuse(*args):
+        raise AssertionError("the region was traced")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(probes, "_trace_region", refuse)
+    name, kind, p, q, *rest = args
+    code, out, _ = run(capsys, "probe", "--profile", name, "--kind", kind, "--p", p,
+                       "--q", q, "--B", "5", *rest)
+    assert (code, out) == (want_code, want)
 
 
 @pytest.mark.parametrize("kind, flag", [("ca", "--ca-B=,"), ("ca", "--ca-B=-1"),

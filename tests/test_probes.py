@@ -174,7 +174,7 @@ def test_k1_slices_rows_ignore_a_slice_thinner_than_an_ulp():
     # q.x -+ half rounds to q.x on the slice 1e-17 above q.t, a grid step of
     # 0; had linspace scanned it, every row of the batch would take its
     # zero-step rounding, which differs where nx - 1 = 9 is not a power of 2
-    mink, p, q, B = get_profile("minkowski"), P(0, 0), P(1e-3, 0.3), 0.35449402742393166
+    mink, p, q, B = get_profile("minkowski"), P(-0.5, 0), P(1e-3, 0.3), 0.9113408055198581
     ts = np.array([q.t + 1e-17, 0.4250471285354768])
     got = k1_slices(mink, p, q, B, ts, nx=10)
     want = [(t, lo, hi, min_T)
@@ -254,7 +254,7 @@ def slice_batches(draw, case):
 def _check_slice_ends(case, batch):
     profile = case[0]
     p, q, ts = batch
-    got = probes._slice_min(profile, p, q, ts, 65, EPS_NULL)
+    got = probes._slice_min(profile, p, q, ts, EPS_NULL)
     want = probes._slices(profile, p, q, math.inf, ts, 65, EPS_NULL)[0]
     assert got.tobytes() == want.tobytes()
 
@@ -270,17 +270,17 @@ def test_slice_min_is_read_exactly_from_the_ends_with_unit_b(name, data):
     _check_slice_ends(case, data.draw(slice_batches(case)))
 
 
-def test_slice_min_scans_where_the_flat_interval_takes_its_scaled_form():
-    # past dtau^2 = inf the scaled form |dtau| sqrt((1 - r)(1 + r)) can rise
-    # by an ulp as |r| grows, so the ends alone miss the minimum of these
-    # slices an ulp or two above q.t; _slice_min scans them at every point
+def test_slice_min_reads_the_ends_where_the_flat_interval_takes_its_scaled_form():
+    # past dtau^2 = inf the flat interval is the plain form on dtau and dx
+    # scaled by one power of two, which stays monotone in |dx|; the scaled
+    # form |dtau| sqrt((1 - r)(1 + r)) could rise by an ulp as |r| grew and
+    # left these slices an ulp or two above q.t their minimum inside
     mink, p = get_profile("minkowski"), P(0.0, 0.0)
     q = P(9.605749966830115e270, 1.222105954120503e269)
     ts = np.array([q.t + k * math.ulp(q.t) for k in range(1, 6)])
     scan = probes._slices(mink, p, q, math.inf, ts, 65, EPS_NULL)[0]
     ends = probes._slice_points(mink, p, q, ts, 2, EPS_NULL)[1].min(axis=1)
-    assert (ends != scan).any()
-    assert probes._slice_min(mink, p, q, ts, 65, EPS_NULL).tobytes() == scan.tobytes()
+    assert ends.tobytes() == scan.tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(END_RULE_SHOOTING))
@@ -307,6 +307,25 @@ def test_strip_escape_witness_is_the_per_slice_scan(pt, px, dt, lean, B):
     assert not got.holds
     assert repr(got) == repr(want)
     assert got_region.slices.tobytes() == want_region.slices.tobytes()
+
+
+def test_k1_slices_require_a_chronological_pair():
+    # q = (0, 5) is not in the future of p = (0, 0), so K1 is empty; the
+    # slice at t = 1.5 read keep bounds (3.5, 6.5) with min_T 0
+    with pytest.raises(NotChronological):
+        k1_slices(get_profile("minkowski"), P(0, 0), P(0, 5), 5.0, [1.5])
+
+
+@pytest.mark.parametrize("B", (math.nan, -1.0, 0.0))
+def test_k1_slices_require_a_positive_bound(B):
+    # such a bound kept no point and read all-nan rows
+    with pytest.raises(ValueError, match="bound"):
+        k1_slices(get_profile("minkowski"), P(0, 0), P(1, 0), B, [1.5])
+
+
+def test_k1_slices_keep_the_whole_slice_under_an_infinite_bound():
+    rows = k1_slices(get_profile("minkowski"), P(0, 0), P(1, 0), math.inf, [1.5])
+    assert rows.tolist() == [[1.5, -0.5, 0.5, math.sqrt(2.0)]]
 
 
 def test_k1_nesting_in_bound():
@@ -546,6 +565,22 @@ def test_implications_all_fail_on_strip():
     assert not rep.timelike_cauchy.holds
     assert not rep.condition_a.holds
     assert rep.consistent and not rep.violated
+
+
+def _refuse_trace(*args):
+    raise AssertionError("the region was traced")
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_implication_report_judges_compactness_without_the_trace(monkeypatch, name):
+    # the report's verdict and witness are the probe's, strip01's escape
+    # witness included, and no region is traced for them
+    prof, cfg = get_profile(name), CONFIGS[name]
+    want, _ = probe_finite_compactness(prof, cfg.p, cfg.q, cfg.fc_bound)
+    monkeypatch.setattr(probes, "_trace_region", _refuse_trace)
+    got = implication_report(prof, cfg).finite_compactness
+    assert repr(got) == repr(want)
+    assert got.holds == (name != "strip01")
 
 
 # -- gate: the batched probes against the scalar route they replaced ---------------
