@@ -24,8 +24,9 @@ the finite-compactness march and its cap's root read each slice's minimum
 from the slice's two ends (_slice_min); the slices are scanned at every
 point only in the trace, which is one batch, in k1_slices and in an escape
 witness, whose marched slices are one batch.  The level crossings of all
-traced slices are the rows of one root search, as are the condition-A
-bounds passed at one march step.
+traced slices are the rows of one root search, as are all the condition-A
+crossings: each bound is bracketed by the march points either side of it,
+and the brackets are solved together once the march ends.
 
 No finite computation can certify a universally quantified condition, so a
 passing verdict is always "holds_on_probe"; failing verdicts carry a
@@ -323,7 +324,8 @@ def probe_condition_a(
     bound = quad.bound()
 
     # march s toward the affine bound; each bound is bracketed between the
-    # last march point below it and the first one above it
+    # last march point below it and the first one above it, and every
+    # bracket is a row of one root search once the march ends
     def along(ss):  # t, x and T(p, gamma(s)) at the parameters ss
         ts = quad.times(ss)
         xs = quad.x_at(ts)
@@ -332,6 +334,7 @@ def probe_condition_a(
     T_prev = float(_tvals(profile, p, np.array([q.t]), np.array([q.x]), eps_null)[0])
     crossings = {B: 0.0 for B in bounds if T_prev > B}
     pending = [B for B in bounds if B not in crossings]
+    brackets = []  # (B, s below it, s above it, T - B at each)
     s_prev = 0.0
     tail = deque(maxlen=5)  # the last march points, the witness of a capped T
     march = islice(toward_end(0.0, bound), 45 if math.isfinite(bound) else 90)
@@ -339,17 +342,17 @@ def probe_condition_a(
     # a block is computed when its first point is asked for: ask for none
     # once every bound is passed
     for s, (t, x, T) in points if pending else ():
-        passed = np.array([B for B in pending if T > B])  # pending ascends: a prefix
-        if len(passed):
-            del pending[:len(passed)]
-            roots = solve(lambda u, rows: along(u)[2] - passed[rows],
-                          np.full_like(passed, s_prev), np.full_like(passed, s),
-                          T_prev - passed, T - passed, 1e-10, _stuck)
-            crossings.update(zip(passed.tolist(), roots.tolist()))
+        while pending and T > pending[0]:  # pending ascends: a prefix is passed
+            B = pending.pop(0)
+            brackets.append((B, s_prev, s, T_prev - B, T - B))
         tail.append((s, t, x, T))
         s_prev, T_prev = s, T
         if not pending:
             break
+    if brackets:
+        passed, *ends = (np.array(c) for c in zip(*brackets))
+        roots = solve(lambda u, rows: along(u)[2] - passed[rows], *ends, 1e-10, _stuck)
+        crossings.update(zip(passed.tolist(), roots.tolist()))
     crossings.update((B, None) for B in pending)
 
     witness = {

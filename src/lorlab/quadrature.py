@@ -22,7 +22,8 @@ grid.  _cone_map and _flat_map pick one of them for a profile and share it
 through the profile.
 
 solve is the one batched root solver: the probes' level crossings take its
-Illinois steps, the inversion s -> T and kappa shooting its Newton steps.
+Illinois steps, two points per row per call of g, the inversion s -> T and
+kappa shooting its Newton steps.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 import math
 import sys
 import weakref
+from collections import OrderedDict
 from functools import lru_cache
 from itertools import islice
 
@@ -518,8 +520,9 @@ class AnchoredMap:
     f.  A cell whose integral is not finite is bisected toward t (_leaf).
     So a value depends only on (f, anchor, breaks, domain, t), never on
     earlier queries or on the batch it is asked in.  At most MEMO_SIZE
-    values are remembered; the knots and cells grow with the queried range
-    only.  A t outside the closed domain raises DomainExceeded.
+    values are remembered, the oldest forgotten first; the knots and cells
+    grow with the queried range only.  A t outside the closed domain raises
+    DomainExceeded.
     """
 
     def __init__(self, f, anchor: float, breaks=(), domain=(-math.inf, math.inf)):
@@ -529,7 +532,7 @@ class AnchoredMap:
         self._domain = t_min, t_max = domain
         self._sides = {sgn: _Side(f, sgn, self.anchor, end, self._breaks)
                        for sgn, end in ((1.0, t_max), (-1.0, t_min))}
-        self._memo: dict[float, float] = {}
+        self._memo: OrderedDict[float, float] = OrderedDict()  # oldest first
 
     def __call__(self, t: float) -> float:
         t = float(t)
@@ -559,7 +562,7 @@ class AnchoredMap:
             found = self._compute(np.array(todo)).tolist()
             for i, t, v in zip(miss, todo, found):
                 if len(memo) >= MEMO_SIZE:
-                    memo.pop(next(iter(memo)))
+                    memo.popitem(last=False)
                 memo[t] = out[i] = v
         return np.array(out, dtype=float).reshape(ts.shape)
 
@@ -710,6 +713,13 @@ def in_blocks(f, points, cap: int = 8, first: int = 1):
         done += len(block)
 
 
+def _false_position(lo, hi, glo, ghi) -> np.ndarray:
+    """The secant point of each bracket, or its midpoint where that point
+    is not strictly inside; glo and ghi differ in sign."""
+    x = hi - ghi * (hi - lo) / (ghi - glo)
+    return np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
+
+
 def solve(g, lo, hi, glo, ghi, xtol, error, x=None) -> np.ndarray:
     """Root of g in each row's bracket [lo, hi], lo <= hi: Newton steps from
     the start x, or Illinois false position where x is None.
@@ -718,19 +728,25 @@ def solve(g, lo, hi, glo, ghi, xtol, error, x=None) -> np.ndarray:
     which is that row's root; Newton's g rises through the root.  g(x, rows)
     is asked only at the live rows, rows their indices into the batch (a new
     array whenever one finishes), and returns their values, or for Newton
-    (values, slopes).  A row's arithmetic is its own, so its root does not
-    depend on the batch; g runs in the caller's numpy error state.  An
-    overflowed upper end is first bisected back, and a row whose ends then
-    share a sign raises QuadratureError naming its bracket.
+    (values, slopes).  An Illinois step asks each row twice in one call, at
+    x - h and x + h: x is the false-position point, moved to lie at least 2h
+    inside the bracket, and h a quarter of the row's tol, so a row whose
+    root lies within h of x closes its bracket on [x - h, x + h] in that
+    call.  A row's arithmetic is its own, so its root does not depend on the
+    batch; g runs in the caller's numpy error state.  An overflowed upper
+    end is first bisected back, and a row whose ends then share a sign
+    raises QuadratureError naming its bracket.
 
-    A row stops at the midpoint of a bracket at most tol = xtol max(1, |lo|,
-    |hi|) wide, before any step too (after a Newton step tol is xtol max(1,
-    |x|), x the end just evaluated); Illinois on an exact zero; Newton at
-    x - step once |step| <= tol with a finite slope.  Newton's start may sit
-    on the closed bracket, so a root an ulp from an end converges from it in
-    one step; a later iterate not strictly inside is bisected, since it may
-    repeat an end Newton has evaluated.  A row still live after ROOT_MAX_ITER
-    steps raises error(i, lo, hi, ROOT_MAX_ITER), from its index and bracket.
+    A row stops once its bracket is at most tol = xtol max(1, |lo|, |hi|)
+    wide, before any step too (after a Newton step tol is xtol max(1, |x|),
+    x the end just evaluated): at the secant point of a bracket its last
+    step closed, else at the midpoint.  Illinois also stops on an exact
+    zero; Newton at x - step once |step| <= tol with a finite slope.
+    Newton's start may sit on the closed bracket, so a root an ulp from an
+    end converges from it in one step; a later iterate not strictly inside
+    is bisected, since it may repeat an end Newton has evaluated.  A row
+    still live after ROOT_MAX_ITER steps raises error(i, lo, hi,
+    ROOT_MAX_ITER), from its index and bracket.
     """
     lo, hi, glo, ghi = [np.array(v, dtype=float) for v in (lo, hi, glo, ghi)]
     out = np.where(glo == 0.0, lo, hi)  # each row's root where an end hits it
@@ -763,7 +779,8 @@ def solve(g, lo, hi, glo, ghi, xtol, error, x=None) -> np.ndarray:
         x = np.asarray(x, dtype=float)[rows]
         x = np.where(stop | ~((lo <= x) & (x <= hi)), half, x)
     else:
-        x, last = half, up  # last: the rows whose last step moved hi
+        x = np.where(stop, half, _false_position(lo, hi, glo, ghi))
+        last = up  # the rows whose last step moved hi alone
     for it in range(ROOT_MAX_ITER + 1):
         done = stop.nonzero()[0]
         if done.size:
@@ -792,18 +809,25 @@ def solve(g, lo, hi, glo, ghi, xtol, error, x=None) -> np.ndarray:
                 x = np.where(inside, x, 0.5 * (lo + hi))
                 stop |= hi - lo <= tol
             continue
-        x = hi - ghi * (hi - lo) / (ghi - glo)  # glo and ghi differ in sign
-        x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
-        v = g(x, rows)
-        stop, right = v == 0.0, (v > 0.0) == up
-        left = ~right
+        h = 0.25 * xtol * np.maximum(1.0, np.maximum(-lo, hi))
+        x = np.minimum(np.maximum(x, lo + 2.0 * h), hi - 2.0 * h)
+        a, b = x - h, x + h
+        v = g(np.concatenate((a, b)), np.concatenate((rows, rows)))
+        va, vb = v[:x.size], v[x.size:]
+        # ra, rb: g has hi's sign at a, at b.  Where it has at a, hi moves to
+        # a; else lo moves to b where it has not at b, and where it has the
+        # bracket closes on [a, b]
+        ra, rb = (va > 0.0) == up, (vb > 0.0) == up
+        move_lo, move_hi = ~ra, ra | rb
         if it:  # Illinois: the value at an end kept twice in a row is halved
-            np.copyto(glo, 0.5 * glo, where=right & last)
-            np.copyto(ghi, 0.5 * ghi, where=left & ~last)
-        np.copyto(lo, x, where=left)
-        np.copyto(glo, v, where=left)
-        np.copyto(hi, x, where=right)
-        np.copyto(ghi, v, where=right)
+            np.copyto(glo, 0.5 * glo, where=ra & last)
+            np.copyto(ghi, 0.5 * ghi, where=~rb & ~last)
+        np.copyto(glo, np.where(rb, va, vb), where=move_lo)
+        np.copyto(lo, np.where(rb, a, b), where=move_lo)
+        np.copyto(ghi, np.where(ra, va, vb), where=move_hi)
+        np.copyto(hi, np.where(ra, a, b), where=move_hi)
+        closed = move_lo & move_hi
         narrow = hi - lo <= xtol * np.maximum(1.0, np.maximum(-lo, hi))
-        x = np.where(stop | ~narrow, x, 0.5 * (lo + hi))
-        stop, last = stop | narrow, right
+        x = np.where(narrow & ~closed, 0.5 * (lo + hi), _false_position(lo, hi, glo, ghi))
+        x = np.where(va == 0.0, a, np.where(vb == 0.0, b, x))  # an exact zero is the root
+        stop, last = (va == 0.0) | (vb == 0.0) | closed | narrow, ra

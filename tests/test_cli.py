@@ -337,13 +337,13 @@ kind fc
 bounded true
 closed_in_domain true
 finite_compactness holds_on_probe
-finite_compactness.t_top 13.0000000000001
+finite_compactness.t_top 12.999999999999995
 """),
     (("minkowski", "all", "0,0", "1,0"), 0, """profile minkowski
 kind all
 consistent true
 finite_compactness holds_on_probe
-finite_compactness.t_top 13.0000000000001
+finite_compactness.t_top 12.999999999999995
 timelike_cauchy holds_on_probe
 timelike_cauchy.tail_diameter 5.8673322200775146e-08
 condition_a holds_on_probe

@@ -1199,7 +1199,10 @@ def test_cauchy_target_an_ulp_below_a_march_value_takes_one_newton_step(monkeypa
 
 def test_condition_a_targets_an_ulp_from_march_values_take_one_newton_step(monkeypatch):
     # from q = (0.2, 0) the targets s = 2^k meet s(0.2 + 2^k) = 2^k - 1 ulp;
-    # an open bracket took 83 iterations for these 11 targets
+    # an open bracket took 83 iterations for the march's 8 targets and the
+    # crossing solves' 3.  The 8 march targets take 2 Newton row-iterations,
+    # and the crossing solve asks 4 targets, two per bound in one call, one
+    # step each
     rows = _newton_rows(monkeypatch)
     probe_condition_a(_fresh("minkowski"), P(0.1, 0.0), P(0.2, 0.0), V(1.0, 0.0), [10, 100])
-    assert rows() == 5
+    assert rows() == 6

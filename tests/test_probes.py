@@ -586,7 +586,8 @@ def test_implication_report_judges_compactness_without_the_trace(monkeypatch, na
 # -- gate: the batched probes against the scalar route they replaced ---------------
 #
 # Verbatim copies of the scalar route: every T through lorentzian_distance and
-# one scalar Illinois search per level crossing and per condition-A bound.
+# one scalar Illinois search per level crossing and per condition-A bound,
+# each step asking g at two points as quadrature.solve does.
 
 
 def scalar_bracketed_root(g, lo: float, hi: float, glo=None, ghi=None,
@@ -611,27 +612,42 @@ def scalar_bracketed_root(g, lo: float, hi: float, glo=None, ghi=None,
             hi, ghi = mid, gm
     if (glo > 0.0) == (ghi > 0.0):
         raise QuadratureError(f"root not bracketed on [{lo!r}, {hi!r}]")
-    side = 0
-    for _ in range(ROOT_MAX_ITER):
-        if hi - lo <= xtol * max(1.0, abs(lo), abs(hi)):
-            break
+
+    def false_position():
         denom = ghi - glo
-        mid = hi - ghi * (hi - lo) / denom if denom != 0.0 else 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if gm == 0.0:
-            return mid
-        if (gm > 0.0) == (ghi > 0.0):
-            hi, ghi = mid, gm
-            if side == 1:
+        mid = hi - ghi * (hi - lo) / denom if denom != 0.0 else math.nan
+        return mid if lo < mid < hi else 0.5 * (lo + hi)
+
+    if hi - lo <= xtol * max(1.0, abs(lo), abs(hi)):
+        return 0.5 * (lo + hi)
+    # each step asks g at x -+ h around the false-position point x, h a
+    # quarter of the stop width, both at least h inside the bracket
+    up, last, x = ghi > 0.0, ghi > 0.0, false_position()
+    for it in range(ROOT_MAX_ITER):
+        h = 0.25 * xtol * max(1.0, abs(lo), abs(hi))
+        x = min(max(x, lo + 2.0 * h), hi - 2.0 * h)
+        a, b = x - h, x + h
+        ga, gb = g(a), g(b)
+        if ga == 0.0:
+            return a
+        if gb == 0.0:
+            return b
+        a_right, b_right = (ga > 0.0) == up, (gb > 0.0) == up
+        if it:  # the value at an end kept twice in a row is halved
+            if a_right and last:
                 glo *= 0.5
-            side = 1
-        else:
-            lo, glo = mid, gm
-            if side == -1:
+            if not b_right and not last:
                 ghi *= 0.5
-            side = -1
+        if a_right:
+            hi, ghi = a, ga
+        elif b_right:  # the root lies between a and b
+            lo, glo, hi, ghi = a, ga, b, gb
+            return false_position()
+        else:
+            lo, glo = b, gb
+        if hi - lo <= xtol * max(1.0, abs(lo), abs(hi)):
+            return 0.5 * (lo + hi)
+        x, last = false_position(), a_right
     return 0.5 * (lo + hi)
 
 
@@ -815,6 +831,102 @@ def test_probes_match_scalar_route(case):
     got = probe_condition_a(prof, cfg.p, cfg.q, cfg.ca_direction, cfg.ca_bounds)
     want = scalar_probe_condition_a(prof, cfg.p, cfg.q, cfg.ca_direction, cfg.ca_bounds)
     assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("case", sorted(GATE_CASES))
+def test_condition_a_solves_every_crossing_in_one_call(monkeypatch, case):
+    # every config marches vertically from q (v = (1, 0), kappa = 0) with
+    # p.x = q.x, so T(p, gamma(s)) = T(p, q) + sqrt(a(q.t)) s is affine in s:
+    # false position lands on each root, and the two points around it close
+    # every bracket in the first call.  The brackets come from different
+    # march points: minkowski passes 10 at s = 16 and 100 at s = 128, two
+    # points of its first block of 8
+    solves, real = [], probes.solve
+
+    def counted(g, lo, hi, *args):
+        solves.append((np.asarray(lo).tolist(), np.asarray(hi).tolist(), []))
+        return real(lambda x, rows: solves[-1][2].append(len(x)) or g(x, rows), lo, hi, *args)
+
+    monkeypatch.setattr(probes, "solve", counted)
+    name, cfg = GATE_CASES[case]
+    rep = probe_condition_a(get_profile(name), cfg.p, cfg.q, cfg.ca_direction, cfg.ca_bounds)
+    if not rep.holds:  # strip01 caps T below every bound: there is nothing to solve
+        assert solves == []
+        return
+    (lo, hi, sizes), = solves
+    assert sizes == [2 * len(cfg.ca_bounds)]
+    if case == "minkowski":
+        assert (lo, hi) == ([8.0, 64.0], [16.0, 128.0])
+    if case == "minkowski+0.37":  # 10 and 10.5 are passed at one march point
+        assert (lo, hi) == ([8.0, 8.0, 64.0], [16.0, 16.0, 128.0])
+
+
+def _exact_roots():
+    """The catalog configs' t_top and condition-A crossings, by key (name,
+    "t_top") or (name, B), as mpmath numbers.  With b == 1 the chart (int
+    sqrt(a) dt, x) is flat, so T is the flat interval and each root has a
+    closed form in F(t) = int_0^t sqrt(a): the slice ends at F(t_top) = E
+    meet T = B where E^2 - (E - F(q.t))^2 = B^2 (p = (0, 0)), and T(p,
+    gamma(s)) = F(q.t) + sqrt(a(q.t)) s.  warpb's t_top is the root of a
+    30-digit shooting solve at the exact slice end (a = 1, b = 1 + t^2)."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    e01, half = mp.exp(mp.mpf("0.1")), mp.mpf("0.5")
+
+    def flat(t):  # F for c1power
+        return mp.quad(lambda u: mp.sqrt(1 + u ** mp.mpf("1.5")), [0, t])
+
+    Fq, c1_rate = flat(half), mp.sqrt(1 + half ** mp.mpf("1.5"))
+    roots = {("minkowski", "t_top"): mp.mpf(13), ("minkowski", 10.0): mp.mpf(9),
+             ("minkowski", 100.0): mp.mpf(99),
+             ("exp2t", "t_top"): mp.log((1 / (e01 - 1) + 1 + e01) / 2),
+             ("c1power", "t_top"): mp.findroot(lambda t: flat(t) - (25 + Fq ** 2) / (2 * Fq),
+                                               mp.mpf(8)),
+             ("warpb", 5.0): mp.mpf("4.5"), ("warpb", 20.0): mp.mpf("19.5")}
+    for B in (10.0, 100.0):
+        roots[("exp2t", B)] = (B + 1 - e01) / e01  # F = e^t - 1
+        roots[("c1power", B)] = (B - Fq) / c1_rate
+
+    def warpb_T(t):  # T((0, 0), (t, asinh(t) - asinh(0.5))) by shooting
+        x = mp.asinh(t) - mp.asinh(half)
+        kappa = mp.findroot(lambda k: mp.quad(
+            lambda u: k / mp.sqrt((1 + u * u) * (k * k + 1 + u * u)), [0, t]) - x, mp.mpf("0.3"))
+        return mp.quad(lambda u: mp.sqrt((1 + u * u) / (kappa * kappa + 1 + u * u)), [0, t])
+
+    roots[("warpb", "t_top")] = mp.findroot(lambda t: warpb_T(t) - 3, mp.mpf("4.5094"))
+    return roots
+
+
+# each root as the solver found it with one point per Illinois step
+ONE_POINT_ROOTS = {
+    ("minkowski", "t_top"): 13.0000000000001, ("minkowski", 10.0): 9.0,
+    ("minkowski", 100.0): 99.0, ("exp2t", "t_top"): 1.759021280484145,
+    ("exp2t", 10.0): 8.953211598395553, ("exp2t", 100.0): 90.38857922163191,
+    ("c1power", "t_top"): 8.011052701625044, ("c1power", 10.0): 8.136663890225439,
+    ("c1power", 100.0): 85.49458922948006, ("warpb", "t_top"): 4.509417005734019,
+    ("warpb", 5.0): 4.5, ("warpb", 20.0): 19.5,
+}
+
+
+def test_catalog_roots_lie_within_their_tolerance_of_the_exact_roots():
+    # t_top is solved to 1e-9 and the crossings to 1e-10, each times max(1,
+    # |root|).  No root is farther from the exact one than the one-point
+    # step's, or than 4 ulps of the root: g's rounding, a few ulps of T over
+    # the slope, puts the float root there
+    exact, got = _exact_roots(), {}
+    for name, cfg in CONFIGS.items():
+        prof = get_profile(name)
+        rep = implication_report(prof, cfg)
+        if rep.consistent and rep.finite_compactness.holds:
+            got[(name, "t_top")] = rep.finite_compactness.witness["t_top"]
+            got.update(((name, B), s) for B, s in rep.condition_a.witness["crossings"].items())
+    assert got.keys() == exact.keys() == ONE_POINT_ROOTS.keys()
+    for key, root in got.items():
+        want = exact[key]
+        off = abs(root - want)
+        assert off <= (1e-9 if key[1] == "t_top" else 1e-10) * max(1.0, abs(want)), key
+        ulp = math.ulp(float(want))
+        assert off <= max(abs(ONE_POINT_ROOTS[key] - want), 4 * ulp), (key, off / ulp)
 
 
 def test_catalog_probe_script_passes():

@@ -243,6 +243,20 @@ def test_anchored_map_memo_is_bounded():
     assert am.many(ts).tolist() == first.tolist()
 
 
+def test_anchored_map_memo_forgets_its_oldest_values_first():
+    am = AnchoredMap(np.exp, 0.0)
+    ts = np.linspace(-1.0, 1.0, MEMO_SIZE + 100)
+    first = np.concatenate([am.many(chunk) for chunk in np.array_split(ts, 9)])
+    assert len(am._memo) == MEMO_SIZE
+    assert list(am._memo) == ts[100:].tolist()  # the first 100 went, in order
+    am.many(ts[100:200])  # a hit changes nothing
+    assert list(am._memo) == ts[100:].tolist()
+    again = am.many(ts[:100])  # recomputed, each evicting the oldest
+    assert again.tobytes() == first[:100].tobytes()
+    assert len(am._memo) == MEMO_SIZE
+    assert list(am._memo) == ts[200:].tolist() + ts[:100].tolist()
+
+
 def stuck(i, lo, hi, steps):
     return QuadratureError(f"root on [{lo!r}, {hi!r}] did not converge in {steps} steps")
 
@@ -289,7 +303,7 @@ def cube(t):
 
 ROOT_ROWS = [
     (lambda t: t - 1.0, 1.0, 3.0),                     # zero at the lower end
-    (lambda t: t - 0.5, 0.0, 1.0),                     # false position lands on g == 0
+    (lambda t: t - 0.5, 0.0, 1.0),                     # false position lands on the root
     (cube, 0.0, 4.0),                                  # overflowed upper end
     (lambda t: math.exp(t) - 1.5, 0.0, 2.0),
     (lambda t: t ** 3 - 2.0, 0.0, 4.0),
@@ -322,7 +336,13 @@ def test_bracketed_root_rows_equal_their_batch_of_one():
     for fs, dfs, lo, hi, start in ((fs, None, lo, hi, None), (nfs, ndfs, nlo, nhi, nstart)):
         seen = []
         got = solve_rows(fs, dfs, lo, hi, start, seen).tolist()
-        assert seen and all(rows and rows == sorted(set(rows)) for rows in seen)
+        # an Illinois step asks each live row twice in one call, as the same
+        # sorted rows listed twice; Newton and the bisection back once
+        once = [rows for rows in seen if rows == sorted(set(rows))]
+        twice = [rows for rows in seen if rows not in once]
+        assert seen and all(rows for rows in seen)
+        assert all(rows[:len(rows) // 2] * 2 == rows for rows in twice)
+        assert bool(twice) == (dfs is None)
         evals = []
         for i, root in enumerate(got):
             alone = []
@@ -334,8 +354,23 @@ def test_bracketed_root_rows_equal_their_batch_of_one():
             assert sum(i in rows for rows in seen) == len(alone)
             evals.append(len(alone))
         assert got[0] == 1.0 and evals[0] == 0  # a zero at the lower end is never asked for
-        assert dfs or got[1] == 0.5  # false position lands on the root
+        # false position on a linear row closes its bracket in one call, at the root
+        assert dfs or (got[1] == 0.5 and evals[1] == 1)
         assert len(set(evals)) > 2  # rows finish at different iterations
+
+
+def test_false_position_closes_linear_rows_in_one_call():
+    # on a line the false-position point is the root up to rounding, so the
+    # two points around it close every row's bracket in the first call
+    rng = np.random.default_rng(3)
+    roots, slopes = rng.uniform(-50.0, 50.0, 40), rng.uniform(-8.0, 8.0, 40)
+    lo, hi = roots - rng.uniform(0.1, 30.0, 40), roots + rng.uniform(0.1, 30.0, 40)
+    seen = []
+    fs = [lambda t, r=r, c=c: c * (t - r) for r, c in zip(roots.tolist(), slopes.tolist())]
+    got = solve(by_row(fs, seen), lo, hi, slopes * (lo - roots), slopes * (hi - roots), 1e-10,
+                stuck)
+    assert seen == [list(range(40)) * 2]
+    assert (np.abs(got - roots) <= 1e-13 * np.maximum(1.0, np.abs(roots))).all()
 
 
 def test_solve_without_live_rows_returns_at_once():
@@ -360,7 +395,7 @@ def test_bracketed_root_out_of_steps_raises(monkeypatch):
     assert f(solve(*one_row(f, -1.0, 1.0))[0]) == pytest.approx(0.0, abs=1e-9)
     monkeypatch.setattr(quadrature, "ROOT_MAX_ITER", 1)
     with pytest.raises(QuadratureError,
-                       match=r"^root on \[0\.004254927059383573, 1\.0\] did not converge in 1 "
+                       match=r"^root on \[0\.004254927059633573, 1\.0\] did not converge in 1 "
                              r"steps$"):
         solve(*one_row(f, -1.0, 1.0))
 
