@@ -201,11 +201,14 @@ def _slice_min(profile, p, q, ts, eps_null):
 def k1_slices(profile, p, q, B, ts, nx=65, eps_null=EPS_NULL):
     """Keep-interval rows (t, x_keep_lo, x_keep_hi, min_T) for given times,
     each slice scanned at nx >= 2 points.  Like the probe it requires p << q
-    and a positive bound B, which may be inf."""
+    and a positive bound B, which may be inf.  A time outside the open
+    domain, nan included, raises DomainExceeded."""
     check_eps_null(eps_null)
     _check_nx(nx)
     if not B > 0.0:
         raise ValueError("bound B must be positive")
+    for t in np.asarray(ts, dtype=float).ravel().tolist():
+        profile.require_inside(t)
     _require_chronological(profile, p, q, eps_null)
     min_T, lo, hi, _, _ = _slices(profile, p, q, B, ts, nx, eps_null)
     return np.column_stack([ts, lo, hi, min_T])
@@ -384,9 +387,12 @@ def probe_timelike_cauchy(
 
     The premises (x_n << x_{n+1}, T(x_n, x_{n+m}) <= B_n, B_n non-increasing)
     are verified first; violating them raises PremiseViolated, which flags a
-    malformed probe rather than a property of the spacetime.
+    malformed probe rather than a property of the spacetime.  A NaN,
+    negative or infinite tol is rejected.
     """
     check_eps_null(eps_null)
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
     pts = [s if isinstance(s, SpacetimePoint) else SpacetimePoint(*s) for s in seq]
     bounds = [float(b) for b in B_seq]
     if len(pts) < 3:

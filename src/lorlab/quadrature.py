@@ -11,15 +11,16 @@ or LAPACK build, and not on the other intervals integrated in the same
 batch.
 
 ClosedFormMap and AnchoredMap are the only cumulative maps.  An AnchoredMap
-integrates every cell between its knots whole and keeps f at the nodes its
-refinement accepted; a value inside a cell is dense output: the inner knot's
-value, the rule's sums over the parts before t, and the integral of t's
-part's interpolant up to t.  That arithmetic is elementwise or summed along
-each row's own entries (never a BLAS call), so a value of either map
-depends only on the map and its argument, never on earlier queries or on
-the batch it is asked in.  Every AnchoredMap lays its knots on the same
-grid.  _cone_map and _flat_map pick one of them for a profile and share it
-through the profile.
+is two rays run upward: f from the anchor, and u -> f(-u) from -anchor for
+the values below it, negated.  A ray integrates every cell between its knots
+whole and keeps f at the nodes its refinement accepted; a value inside a
+cell is dense output: the lower knot's value, the rule's sums over the parts
+before t, and the integral of t's part's interpolant up to t.  That
+arithmetic is elementwise or summed along each row's own entries (never a
+BLAS call), so a value of either map depends only on the map and its
+argument, never on earlier queries or on the batch it is asked in.  Every
+AnchoredMap lays its knots on the same grid.  _cone_map and _flat_map pick
+one of them for a profile and share it through the profile.
 
 solve is the one batched root solver: the probes' level crossings take its
 Illinois steps, two points per row per call of g, the inversion s -> T and
@@ -257,51 +258,44 @@ class _Cell:
 
     Its panels are graded toward the breakpoints in it (_panel_edges), and
     each keeps f at its nodes on the level its refinement accepted.  total
-    is the math.fsum of the panel values.  The integral from the cell's
-    inner end (lo for sgn = 1, hi for sgn = -1: the end nearer its map's
-    anchor) to a t inside needs no f (parts, _evaluate).
+    is the math.fsum of the panel values.  The integral from lo to a t
+    inside needs no f (parts, _evaluate).
     """
 
-    __slots__ = ("lo", "hi", "sgn", "edges", "nodes", "total", "halves", "_parts")
+    __slots__ = ("lo", "hi", "edges", "nodes", "total", "halves", "_parts")
 
-    def __init__(self, lo: float, hi: float, sgn: float = 1.0):
-        self.lo, self.hi, self.sgn = lo, hi, sgn
+    def __init__(self, lo: float, hi: float):
+        self.lo, self.hi = lo, hi
         self.halves = self._parts = None
 
     def parts(self):
-        """The rows (sgn * inner edges, widths, sgn * sums before) and the
-        node values of the m equal parts of every panel, listed from the
-        inner end, each seen from its own inner edge (its node values
-        reversed for sgn = -1).  The sums before are the rule's sums over
-        the parts between the inner end and each part, added in order."""
-        sgn = self.sgn
+        """The rows (left edges, widths, sums before) and the node values of
+        the m equal parts of every panel, listed from lo.  The sums before
+        are the rule's sums over the parts between lo and each part, added
+        in order."""
         if self._parts is None:
-            inner, h = [], []
+            left, h = [], []
             for e0, e1, vals in zip(self.edges, self.edges[1:], self.nodes):
                 m, w = len(vals), e1 - e0
-                edges = [e0 + w * i / m for i in range(m)] + [e1]
-                inner += edges[:-1] if sgn > 0.0 else edges[1:]
+                left += [e0 + w * i / m for i in range(m)]
                 h += [w / m] * m
             # the third row is a placeholder for the sums before
-            rows, F = np.array([inner, h, h]), np.concatenate(self.nodes)
-            if sgn < 0.0:
-                rows, F = rows[:, ::-1] * [[-1.0], [1.0], [1.0]], F[::-1, ::-1]
+            rows, F = np.array([left, h, h]), np.concatenate(self.nodes)
             with np.errstate(over="ignore", invalid="ignore"):
-                before = np.cumsum((F * _WEIGHTS).sum(-1) * (0.5 * sgn) * rows[1])
+                before = np.cumsum((F * _WEIGHTS).sum(-1) * 0.5 * rows[1])
             rows[2, 0], rows[2, 1:] = 0.0, before[:-1]
             self._parts = (rows, F)
         return self._parts
 
 
-def _evaluate(table, F, st, sgn: float) -> np.ndarray:
-    """The value before each t's part plus sgn * the integral of the part's
-    interpolant from its inner edge to t, for parts listed outward as
-    _Cell.parts lists them: table holds the rows (sgn * inner edges,
-    ascending; widths; values before), and st is sgn * t, past the first
-    edge."""
-    k = table[0].searchsorted(st, "right") - 1
+def _evaluate(table, F, t) -> np.ndarray:
+    """The value before each t's part plus the integral of the part's
+    interpolant from its left edge to t, for parts listed as _Cell.parts
+    lists them: table holds the rows (left edges, ascending; widths; values
+    before), and every t lies past the first edge."""
+    k = table[0].searchsorted(t, "right") - 1
     key, h, before = table[:, k]
-    return before + (0.5 * sgn) * h * _head(F[k], (st - key) / h)
+    return before + 0.5 * h * _head(F[k], (t - key) / h)
 
 
 def _integrate(f, cells, breaks) -> None:
@@ -325,9 +319,9 @@ def _integrate(f, cells, breaks) -> None:
         cell.total = _fsum(values[i:j])
 
 
-def _leaf(f, cell: _Cell, t: float, sgn: float, breaks):
+def _leaf(f, cell: _Cell, t: float, breaks):
     """The cell whose parts answer t, or None, and the sum of the totals
-    between it and the cell's inner end (lo for sgn = 1, hi for sgn = -1).
+    between the given cell's lo and that cell's.
 
     A cell whose total is not finite answers from its halves, bisected at
     the midpoint while floats can split it, so a value before an overflow
@@ -339,16 +333,14 @@ def _leaf(f, cell: _Cell, t: float, sgn: float, breaks):
         if not cell.lo < mid < cell.hi:
             break
         if cell.halves is None:
-            cell.halves = (_Cell(cell.lo, mid, sgn), _Cell(mid, cell.hi, sgn))
+            cell.halves = (_Cell(cell.lo, mid), _Cell(mid, cell.hi))
             _integrate(f, cell.halves, breaks)
-        near, far = cell.halves if sgn > 0.0 else cell.halves[::-1]
-        if sgn * t <= sgn * mid:
-            cell = near
-        else:
+        near, far = cell.halves
+        if t > mid:
             outside = _fsum([outside, near.total])
             if not math.isfinite(outside):
                 return None, outside
-            cell = far
+        cell = near if t <= mid else far
     return cell, outside
 
 
@@ -395,50 +387,42 @@ class ClosedFormMap:
             return self.k * np.exp(self.r * np.asarray(ts, dtype=float))
 
 
-class _Side:
-    """Knots of an anchored map on one side of its anchor, listed outward,
-    and the cells between them."""
+class _Ray:
+    """One side of an anchored map run upward, t -> int_anchor^t f on
+    [anchor, end]: its knots, listed upward, and the cells between them."""
 
-    def __init__(self, f, sgn: float, anchor: float, end: float, breaks):
-        self.f = f
-        self.sgn = sgn
-        self.anchor = anchor
-        self.end = end                     # domain end on this side
-        self.all_breaks = breaks
-        self.breaks = sorted(              # breakpoints on this side, outward
-            (b for b in breaks if sgn * anchor < sgn * b < sgn * end),
-            key=lambda b: sgn * b,
-        )
+    def __init__(self, f, anchor: float, end: float, breaks):
+        self.f, self.anchor, self.end, self.all_breaks = f, anchor, end, breaks
+        self.breaks = sorted(b for b in breaks if anchor < b < end)
         self.knots = [anchor]
         self.cells = []                    # _Cell from knot k to knot k + 1
         self.cum = {0: 0.0}                # fsum of the cells before knot k
         self.closed = False                # no knot left before the domain end
-        self._grid = 0                     # next grid knot
-        self._brk = 0                      # next breakpoint
+        self._grid = self._brk = 0         # next grid knot, next breakpoint
         self._gap = None                   # distance to a finite end, once past the grid
-        self._keys = None                  # sgn * knots, as an array
+        self._keys = None                  # the knots, as an array
         self._pieces = []                  # each cell's parts, from its knot's value
         self._table = None                 # the pieces joined
 
     def _next_knot(self) -> float:
-        """The next knot outward: the next grid knot, the next breakpoint if
-        it comes first, and past the grid the end itself, approached by
-        halving the gap to a finite end until that gap is below 2^-40 of the
-        end's scale, or the largest float toward an infinite end."""
-        sgn, end = self.sgn, self.end
-        # grid knot k lies 2^k from the anchor, at inf past the float range
+        """The next knot up: the next grid knot, the next breakpoint if it
+        comes first, and past the grid the end itself, approached by halving
+        the gap to a finite end until that gap is below 2^-40 of the end's
+        scale, or the largest float toward an infinite end."""
+        end = self.end
+        # grid knot k lies 2^k above the anchor, at inf past the float range
         k = self._grid
-        knot = self.anchor + sgn * (math.ldexp(1.0, k) if k < 1024 else math.inf)
-        past = not sgn * knot < sgn * end
+        knot = self.anchor + (math.ldexp(1.0, k) if k < 1024 else math.inf)
+        past = not knot < end
         if past and not math.isfinite(end):
-            knot = sgn * sys.float_info.max
+            knot = sys.float_info.max
         elif past:
             if self._gap is None:
                 self._gap = end - self.knots[-1]
             self._gap *= 0.5
             near = abs(self._gap) <= 2.0 ** -40 * max(abs(end), abs(end - self.anchor))
             knot = end if near else end - self._gap
-        if self._brk < len(self.breaks) and sgn * self.breaks[self._brk] <= sgn * knot:
+        if self._brk < len(self.breaks) and self.breaks[self._brk] <= knot:
             if self.breaks[self._brk] == knot and not past:
                 self._grid += 1
             knot = self.breaks[self._brk]
@@ -451,31 +435,48 @@ class _Side:
     def extend_to(self, t: float):
         """Add knots until one lies at or beyond t or the last one is laid:
         a finite end, or the largest float toward an infinite one."""
-        sgn = self.sgn
-        last = sgn * sys.float_info.max
-        while not self.closed and sgn * self.knots[-1] < sgn * t:
+        while not self.closed and self.knots[-1] < t:
             knot = self._next_knot()
-            if sgn * knot > sgn * self.knots[-1]:
+            if knot > self.knots[-1]:
                 self.knots.append(knot)
-            self.closed = knot in (self.end, last)
+            self.closed = knot in (self.end, sys.float_info.max)
 
     def value_at(self, k: int) -> float:
         v = self.cum.get(k)
         if v is None:
-            v = self.cum[k] = _fsum([self.sgn * c.total for c in self.cells[:k]])
+            v = self.cum[k] = _fsum([c.total for c in self.cells[:k]])
         return v
 
-    def keys(self) -> np.ndarray:
+    def many(self, t: np.ndarray) -> np.ndarray:
+        """Values at every entry of t, each above the anchor and at most the
+        end: a t on a knot or past the last one takes the knot's value, one
+        inside a cell its dense output.  New cells are integrated in one batch."""
+        far = float(t.max())
+        self.extend_to(far)
         if self._keys is None or len(self._keys) != len(self.knots):
-            self._keys = self.sgn * np.array(self.knots)
-        return self._keys
+            self._keys = np.array(self.knots)
+        keys = self._keys
+        k = keys.searchsorted(t, "right") - 1
+        inside = keys[k] != t
+        if self.closed:
+            inside &= k + 1 < len(keys)
+        upto = min(int(keys.searchsorted(far)), len(keys) - 1)
+        if len(self.cells) < upto:
+            new = [_Cell(*self.knots[j:j + 2]) for j in range(len(self.cells), upto)]
+            _integrate(self.f, new, self.all_breaks)
+            self.cells += new
+        if inside.all():
+            return self.inside(t, k, upto)
+        out = np.array([self.value_at(j) for j in k.tolist()])
+        if inside.any():
+            out[inside] = self.inside(t[inside], k[inside], upto)
+        return out
 
-    def inside(self, st: np.ndarray, k: np.ndarray, upto: int) -> np.ndarray:
-        """Values at the t lying inside the cells k, all before cell upto,
-        given st = sgn * t: the dense output of the parts of the cells
-        before upto, joined into one table from the anchor outward.  A t in
-        a cell whose total is not finite is answered by _leaf."""
-        sgn = self.sgn
+    def inside(self, t: np.ndarray, k: np.ndarray, upto: int) -> np.ndarray:
+        """Values at the t lying inside the cells k, all before cell upto:
+        the dense output of the parts of the cells before upto, joined into
+        one table from the anchor up.  A t in a cell whose total is not
+        finite is answered by _leaf."""
         for j in range(len(self._pieces), upto):
             rows, F = self.cells[j].parts()
             if self.value_at(j):
@@ -487,7 +488,7 @@ class _Side:
             self._table = (rows[0], F[0]) if len(rows) == 1 else (
                 np.concatenate(rows, axis=1), np.concatenate(F))
         with np.errstate(over="ignore", invalid="ignore"):
-            out = _evaluate(*self._table, st, sgn)
+            out = _evaluate(*self._table, t)
             if np.isfinite(out).all():
                 return out
             for i in np.flatnonzero(~np.isfinite(out)).tolist():
@@ -496,42 +497,41 @@ class _Side:
                 if not math.isfinite(self.value_at(j)):
                     out[i] = self.value_at(j)
                 elif not math.isfinite(self.cells[j].total):
-                    leaf, outside = _leaf(self.f, self.cells[j], sgn * float(st[i]), sgn,
-                                          self.all_breaks)
+                    leaf, outside = _leaf(self.f, self.cells[j], float(t[i]), self.all_breaks)
                     if leaf is not None:
-                        part = _evaluate(*leaf.parts(), st[i:i + 1], sgn)[0]
-                        outside = _fsum([outside, sgn * part])
-                    out[i] = self.value_at(j) + sgn * outside
+                        outside = _fsum([outside, _evaluate(*leaf.parts(), t[i:i + 1])[0]])
+                    out[i] = self.value_at(j) + outside
         return out
 
 
 class AnchoredMap:
     """Cumulative integral t -> int_anchor^t f whose value depends only on t.
 
-    Knots lie at anchor +- 2^k for k >= 0, and the breakpoints are knots
-    too, so a march from the anchor by doubling steps lands on knots.
-    Toward a finite domain end the knots go on halving the distance to it,
-    and the end itself is the last knot, so every t up to the end lies in a
-    cell; toward an infinite end the last knot is the largest float, whose
-    value +-inf takes.  Each cell between knots is integrated whole,
-    and a knot's value is the math.fsum of the cells between it and the
-    anchor.  A value inside a cell is its inner knot's value plus the
-    cell's dense output (_Cell), so once a cell exists a query evaluates no
-    f.  A cell whose integral is not finite is bisected toward t (_leaf).
-    So a value depends only on (f, anchor, breaks, domain, t), never on
-    earlier queries or on the batch it is asked in.  At most MEMO_SIZE
-    values are remembered, the oldest forgotten first; the knots and cells
-    grow with the queried range only.  A t outside the closed domain raises
-    DomainExceeded.
+    Two rays run upward (_Ray): one integrates f from the anchor up to the
+    upper domain end, the other the reflected integrand u -> f(-u) from
+    -anchor up to minus the lower end, with the breakpoints negated; a value
+    below the anchor is minus that ray's value at -t.  A ray's knots lie at
+    its anchor + 2^k for k >= 0 and at its breakpoints, so a march from the
+    anchor by doubling steps lands on knots.  Toward a finite end the knots
+    go on halving the distance to it, and the end itself is the last knot;
+    toward an infinite end the last knot is the largest float, whose value
+    +-inf takes.  Each cell between knots is integrated whole, a knot's
+    value is the math.fsum of the cells below it, and a value inside a cell
+    is the lower knot's value plus the cell's dense output (_Cell), so once
+    a cell exists a query evaluates no f.  A cell whose integral is not
+    finite is bisected toward t (_leaf).  So a value depends only on (f,
+    anchor, breaks, domain, t), never on earlier queries or on the batch it
+    is asked in.  At most MEMO_SIZE values are remembered, the oldest
+    forgotten first; the knots and cells grow with the queried range only.
+    A t outside the closed domain raises DomainExceeded.
     """
 
     def __init__(self, f, anchor: float, breaks=(), domain=(-math.inf, math.inf)):
-        self._f = f
-        self._breaks = tuple(breaks)
         self.anchor = float(anchor)
         self._domain = t_min, t_max = domain
-        self._sides = {sgn: _Side(f, sgn, self.anchor, end, self._breaks)
-                       for sgn, end in ((1.0, t_max), (-1.0, t_min))}
+        breaks = tuple(breaks)
+        self._up = _Ray(f, self.anchor, t_max, breaks)
+        self._down = _Ray(lambda u: f(-u), -self.anchor, -t_min, tuple(-b for b in breaks))
         self._memo: OrderedDict[float, float] = OrderedDict()  # oldest first
 
     def __call__(self, t: float) -> float:
@@ -546,11 +546,9 @@ class AnchoredMap:
 
         Remembered values are looked up one by one; the rest are computed
         together, in the order asked and repeats included.  When those all
-        lie strictly inside cells already joined into the dense table, that
-        takes one search of the knots and one evaluation of the table.  A t
-        on a knot or past the last one takes the knot's value, one in a cell
-        whose total is not finite is answered by _leaf, and one past the
-        integrated cells integrates the cells up to it first.
+        lie on one side of the anchor, strictly inside cells already joined
+        into that ray's dense table, that takes one search of the knots and
+        one evaluation of the table.
         """
         ts = np.asarray(ts, dtype=float)
         flat = ts.ravel().tolist()
@@ -574,41 +572,16 @@ class AnchoredMap:
             raise DomainExceeded(
                 f"t={float(bad.min())!r} outside the domain [{t_min!r}, {t_max!r}] "
                 "of an anchored map")
+        if lo > self.anchor:
+            return self._up.many(t)
+        if hi < self.anchor:
+            return -self._down.many(-t)
         values = np.zeros(len(t))  # t == anchor stays 0
-        found, new = [], []
-        for sgn, near, far in ((-1.0, hi, lo), (1.0, lo, hi)):
-            key0 = sgn * self.anchor
-            if not sgn * far > key0:
-                continue
-            # the entries on this side, as st = sgn * t
-            at = slice(None) if sgn * near > key0 else np.flatnonzero(sgn * t > key0)
-            st = sgn * t[at]
-            side = self._sides[sgn]
-            side.extend_to(far)
-            # each t's knot k, the last at or before it, and whether t lies
-            # inside the cell from knot k (past the last knot it does not);
-            # the cells up to far's are integrated in one batch
-            keys = side.keys()
-            k = keys.searchsorted(st, "right") - 1
-            inside = keys[k] != st
-            if side.closed:
-                inside &= k + 1 < len(keys)
-            upto = min(int(keys.searchsorted(sgn * far)), len(keys) - 1)
-            found.append((side, at, st, k, inside, upto))
-            for j in range(len(side.cells), upto):
-                side.cells.append(_Cell(*sorted(side.knots[j:j + 2]), sgn))
-                new.append(side.cells[-1])
-        if new:
-            _integrate(self._f, new, self._breaks)
-        for side, at, st, k, inside, upto in found:
-            if inside.all():
-                values[at] = side.inside(st, k, upto)
-                continue
-            # a t on a knot, or past the last one, takes the knot's value
-            part = np.array([side.value_at(j) for j in k.tolist()])
-            if inside.any():
-                part[inside] = side.inside(st[inside], k[inside], upto)
-            values[at] = part
+        up, down = t > self.anchor, t < self.anchor
+        if up.any():
+            values[up] = self._up.many(t[up])
+        if down.any():
+            values[down] = -self._down.many(-t[down])
         return values
 
 

@@ -413,7 +413,8 @@ def test_geodesics_integrate_on_maps_of_their_own():
     prof = _fresh("c1power")
     assert affine_bound(prof, P(0.5, 0.0), V(1.0, 0.0)) == math.inf
     geodesic_states(prof, P(0.5, 0.0), V(1.0, 0.3), np.linspace(0.0, 5.0, 51))
-    assert [side.cells for side in prof._maps["flat"]._sides.values()] == [[], []]
+    flat = prof._maps["flat"]
+    assert [flat._up.cells, flat._down.cells] == [[], []]
 
 
 def test_nan_affine_parameter_is_not_an_infinite_bound():

@@ -328,6 +328,17 @@ def test_k1_slices_keep_the_whole_slice_under_an_infinite_bound():
     assert rows.tolist() == [[1.5, -0.5, 0.5, math.sqrt(2.0)]]
 
 
+@pytest.mark.parametrize("name, t", [
+    ("strip01", 2.0), ("strip01", 1.0), ("strip01", 0.0), ("strip01", math.nan),
+    ("c1power", math.nan), ("c1power", math.inf), ("c1power", -math.inf),
+])
+def test_k1_slices_reject_times_outside_the_open_domain(name, t):
+    # strip01's closed-form cone map checks no domain: t = 2.0 read a row
+    # past the domain's end and nan a row of zeros
+    with pytest.raises(DomainExceeded):
+        k1_slices(get_profile(name), P(0.1, 0), P(0.2, 0), 5.0, [0.5, t])
+
+
 def test_k1_nesting_in_bound():
     mink = get_profile("minkowski")
     ts = np.linspace(1.0, 4.0, 12)
@@ -423,6 +434,15 @@ def test_tcc_strip_escapes_missing_boundary():
     assert not rep.holds
     assert rep.witness["boundary_t"] == 1.0
     assert replay_witness(get_profile("strip01"), rep) < 1e-7
+
+
+@pytest.mark.parametrize("tol", (math.nan, -1.0, math.inf))
+def test_tcc_rejects_a_tolerance_not_finite_and_non_negative(tol):
+    # nan and -1 read a made-up non_convergent failure; inf held on any sequence
+    pts, bounds = seq_dyadic()
+    with pytest.raises(ValueError, match="tol"):
+        probe_timelike_cauchy(get_profile("minkowski"), pts, bounds, tol=tol)
+    assert not probe_timelike_cauchy(get_profile("minkowski"), pts, bounds, tol=0.0).holds
 
 
 def test_tcc_premise_violation_on_non_chronological_sequence():

@@ -124,11 +124,12 @@ def test_sparse_anchored_map():
     am = AnchoredMap(np.exp, 0.0)
     for t in (1.0, 0.5, -1.0, 7.3, -20.0, 1e-7):
         assert am(t) == pytest.approx(math.expm1(t), rel=1e-13, abs=1e-15)
-    assert am._sides[1.0].knots[:5] == [0.0, 1.0, 2.0, 4.0, 8.0]
+    assert am._up.knots[:5] == [0.0, 1.0, 2.0, 4.0, 8.0]
+    assert am._down.knots[:5] == [-0.0, 1.0, 2.0, 4.0, 8.0]
     # a value integrates only its own cell and the cells before it
     fresh = AnchoredMap(np.exp, 0.0)
     assert fresh(0.5) == am(0.5)
-    assert len(fresh._sides[1.0].cells) == 1 and fresh._sides[-1.0].cells == []
+    assert len(fresh._up.cells) == 1 and fresh._down.cells == []
     f = lambda u: np.sqrt(1.0 + np.abs(u - 0.3) ** 1.5)
     make = lambda: AnchoredMap(f, 0.0, breaks=(0.3,))
     ts = np.random.default_rng(5).uniform(-9.0, 9.0, 32)
@@ -158,8 +159,9 @@ def test_anchored_map_independent_of_history_and_batch():
     # new points inside the tabled cells, part edges (each cell's first is
     # its knot), every knot and both floats beside the breakpoint
     inner = np.random.default_rng(5).uniform(-3.0, 3.0, 16).tolist()
-    edges = [sgn * e for sgn, side in shared._sides.items() for e in side._table[0][0].tolist()]
-    knots = [t for side in shared._sides.values() for t in side.knots]
+    edges = [sgn * e for sgn, ray in ((1.0, shared._up), (-1.0, shared._down))
+             for e in ray._table[0][0].tolist()]
+    knots = [sgn * t for sgn, ray in ((1.0, shared._up), (-1.0, shared._down)) for t in ray.knots]
     beside = [math.nextafter(0.3, 0.0), math.nextafter(0.3, 1.0)]
     assert_later_batches_match_fresh_maps(
         make, shared, (inner, edges[::3], knots + beside, inner + edges[1::3] + beside))
@@ -174,7 +176,7 @@ def test_anchored_map_value_before_an_overflowing_cell():
     assert am(-1e308) == -1.0
     fresh = AnchoredMap(np.exp, 0.0)
     assert fresh.many([1000.0, 700.0, -1e308]).tolist() == [math.inf, am(700.0), -1.0]
-    # the same below the anchor, where the cells run from their upper ends
+    # the same below the anchor, where the reflected ray runs up from -0
     down = AnchoredMap(lambda u: np.exp(-u), 0.0)
     assert down(-700.0) == pytest.approx(-math.expm1(700.0), rel=1e-13)
     assert down(-1000.0) == -math.inf
@@ -185,7 +187,8 @@ def test_anchored_map_value_before_an_overflowing_cell():
             1e6]
     for sgn, shared, f in ((1.0, am, np.exp), (-1.0, down, lambda u: np.exp(-u))):
         ts = [sgn * t for t in near]
-        edges = np.random.default_rng(6).choice(sgn * shared._sides[sgn]._table[0][0], 8)
+        ray = shared._up if sgn > 0.0 else shared._down
+        edges = np.random.default_rng(6).choice(sgn * ray._table[0][0], 8)
         assert_later_batches_match_fresh_maps(
             lambda: AnchoredMap(f, 0.0), shared, (ts, edges.tolist(), ts[::2] + edges[::2].tolist()))
 
@@ -196,15 +199,40 @@ def test_anchored_map_knots_reach_a_finite_end():
     strip = AnchoredMap(lambda u: 1.0 / (1.0 + u * u), 0.5, domain=(0.0, 1.0))
     assert strip(1.0) == pytest.approx(math.atan(1.0) - math.atan(0.5), abs=1e-15)
     assert strip(0.0) == pytest.approx(-math.atan(0.5), abs=1e-15)
-    for sgn, end in ((1.0, 1.0), (-1.0, 0.0)):
-        side = strip._sides[sgn]
-        assert side.closed and side.knots[-1] == end
-        inner = side.knots[1:-1]
+    for sgn, end, ray in ((1.0, 1.0, strip._up), (-1.0, 0.0, strip._down)):
+        assert ray.closed and sgn * ray.knots[-1] == end
+        inner = [sgn * t for t in ray.knots[1:-1]]
         assert inner == [sgn * t for t in islice(toward_end(sgn * 0.5, sgn * end), len(inner))]
         assert abs(end - inner[-1]) <= 2.0 ** -39  # the next halving would reach 2^-40
     for t in (1.0 + 1e-12, -1e-300, math.nan):
         with pytest.raises(DomainExceeded):
             strip(t)
+
+
+def test_anchored_map_below_its_anchor_is_the_reflected_map():
+    # below the anchor a map is minus the map of u -> f(-u) anchored at -a,
+    # with the breakpoints and the domain reflected, at -t, bit for bit
+    kinked = lambda u: np.sqrt(1.0 + np.abs(u + 0.7) ** 1.5)
+    rng = np.random.default_rng(11)
+    cases = [
+        # a kink below the anchor, declared as a breakpoint
+        (kinked, 0.5, (-0.7, 2.0), (-math.inf, math.inf),
+         [-0.7, math.nextafter(-0.7, 0.0), -1.5, -8.0, -1e6] + rng.uniform(-9.0, 0.5, 24).tolist()),
+        # a finite end, reached by halving knots
+        (lambda u: 1.0 / (1.0 + u * u), 0.5, (), (0.0, 1.0),
+         [0.0, 1e-300, 1e-12, 0.25, 0.375] + rng.uniform(0.0, 0.5, 16).tolist()),
+        # the cells [-1024, -512] and past overflow
+        (lambda u: np.exp(-u), 0.0, (), (-math.inf, math.inf),
+         [-600.0, -700.0, -709.78, -709.8, -768.0, -1000.0, -1e6, -1.5, -1e308]),
+    ]
+    for f, a, breaks, (lo, hi), ts in cases:
+        mirror = lambda u, f=f: f(-u)
+        make = lambda: AnchoredMap(f, a, breaks, (lo, hi))
+        reflected = lambda: AnchoredMap(mirror, -a, [-b for b in breaks], (-hi, -lo))
+        want = [repr(-reflected()(-t)) for t in ts]
+        assert [repr(make()(t)) for t in ts] == want
+        assert list(map(repr, make().many(ts).tolist())) == want
+        assert list(map(repr, (-reflected().many([-t for t in ts])).tolist())) == want
 
 
 def test_undeclared_kink_still_converges():
