@@ -21,10 +21,11 @@ which reduce the system to the strictly monotone quadrature
 inverted for T in one batch: one sorted search over a march of T toward
 the domain end brackets every s, then safeguarded Newton runs on every
 unconverged s at once.  A finite end is the march's last point, so the
-affine bound there is s(t_max).  Past-directed data is solved in the
-time-reflected profile.  The metric is only C^1, so the Runge-Kutta error
-theory is not trusted; every run is certified a posteriori by
-conserved-quantity drift and by cross-checking against the quadrature route.
+affine bound there is s(t_max).  Past-directed data is solved on the
+profile's own maps, in time -t.  The metric is only C^1, so the
+Runge-Kutta error theory is not trusted; every run is certified a
+posteriori by conserved-quantity drift and by cross-checking against the
+quadrature route.
 """
 
 from __future__ import annotations
@@ -206,8 +207,8 @@ def _advance_fixed(profile, p, v, s_values, h):
 
 
 class _Quadrature:
-    """Conserved-quantity solver for the future-directed causal geodesic
-    from p with conserved quantities cons = (kappa, eps).
+    """Conserved-quantity solver for the causal geodesic from p with
+    conserved quantities cons = (kappa, eps), in forward time T = t_sign t.
 
     The public entry points compute cons once from a velocity (_oriented);
     distance maximizers pass their exact (kappa, eps); (0, 0), which a causal
@@ -217,40 +218,49 @@ class _Quadrature:
     so kappa^2 / b - eps is a constant c^2), s(T) is that closed form scaled
     by 1 / c and re-anchored at t0; otherwise s is an AnchoredMap.  With
     b == 1, x(T) = x0 + kappa s(T); otherwise x has an AnchoredMap too.
-    The rate ds/dT (Newton's slope, and 1 / (dt/ds) in rows) is the
+    The rate ds/dT (Newton's slope, and 1 / (dT/ds) in rows) is the
     integrand of the s map: k e^{rT} for a closed form, which stays finite
     where a itself overflows (exp2t past t ~ 355), else
-    sqrt(a / (kappa^2 / b - eps)).  t_sign maps T to the caller's time:
-    -1 when the caller reflected past-directed data.
+    sqrt(a / (kappa^2 / b - eps)).  Past-directed data (t_sign = -1) is
+    solved on the profile's own maps, in time -t: the coefficients are read
+    at -T, the breakpoints, the domain and r are negated (exact in floats),
+    and t0 and t_end, the end the march heads for, are forward times.
     """
 
     def __init__(self, profile: MetricProfile, p: SpacetimePoint, cons: ConservedQuantities,
                  t_sign: float = 1.0):
         profile.require_inside(p.t)
         self.profile, self.t_sign = profile, t_sign
-        self.t0 = t0 = p.t
+        t0, coefficients, breaks = p.t, profile.coefficients_many, profile.breakpoints
+        domain = profile.t_min, profile.t_max
+        if t_sign < 0.0:
+            def coefficients(u, at=coefficients):
+                return at(-u)
+
+            t0, breaks, domain = -t0, tuple(-b for b in reversed(breaks)), (-domain[1], -domain[0])
+        self.t0, self.t_end, self._coefficients = t0, domain[1], coefficients
         self.x0 = x0 = p.x
         self.kappa = kappa = cons.kappa
         self.eps = eps = cons.epsilon
         if eps == 0.0 and kappa * kappa == 0.0:
             raise QuadratureError(
-                f"kappa^2 = {kappa * kappa!r} and eps = {eps!r} at t = {t0!r}: the "
+                f"kappa^2 = {kappa * kappa!r} and eps = {eps!r} at t = {p.t!r}: the "
                 "conserved quantities underflowed, so s(T) is not defined")
 
         def f_s(u):
-            a, b = profile.coefficients_many(u)
+            a, b = coefficients(u)
             return np.sqrt(a / (kappa * kappa / b - eps))
 
         def anchored(f):
-            return AnchoredMap(f, t0, breaks=profile.breakpoints,
-                               domain=(profile.t_min, profile.t_max))
+            return AnchoredMap(f, t0, breaks=breaks, domain=domain)
 
         # s_at, x_at and _rate map an array of times T to s(T), x(T) and ds/dT
         flat = _flat_map(profile) if profile.has_unit_b else None
         if isinstance(flat, ClosedFormMap):
             # anchored at t0: F(T) - F(t0) would cancel where sqrt(a)
             # vanishes, as e^t does toward -inf
-            s_map = ClosedFormMap(flat.k / math.sqrt(kappa * kappa - eps), flat.r, t0)
+            s_map = ClosedFormMap(flat.k / math.sqrt(kappa * kappa - eps),
+                                  flat.r if t_sign > 0.0 else -flat.r, t0)
             self._rate = s_map.integrand
         else:
             s_map, self._rate = anchored(f_s), f_s
@@ -259,18 +269,18 @@ class _Quadrature:
             self.x_at = lambda ts: x0 + kappa * s_map.many(ts)
         else:
             def f_x(u):
-                a, b = profile.coefficients_many(u)
+                a, b = coefficients(u)
                 return kappa * np.sqrt(a) / (b * np.sqrt(kappa * kappa / b - eps))
 
             x_map = anchored(f_x)
             self.x_at = lambda ts: x0 + x_map.many(ts)
-        # the march from t0 toward the domain end, in blocks; a finite end is
-        # its last point.  _T and _S hold the points (T, s(T)) computed so far,
-        # from (t0, 0); once the march has ended, _total is the affine bound
-        finite = math.isfinite(profile.t_max)
-        ends = islice(toward_end(t0, profile.t_max), 49 if finite else 75)
+        # the march from t0 toward t_end, in blocks; a finite end is its last
+        # point.  _T and _S hold the points (T, s(T)) computed so far, from
+        # (t0, 0); once the march has ended, _total is the affine bound
+        finite = math.isfinite(self.t_end)
+        ends = islice(toward_end(t0, self.t_end), 49 if finite else 75)
         self._march = in_blocks(lambda ts: s_map.many(ts).tolist(),
-                                chain(ends, [profile.t_max] if finite else []))
+                                chain(ends, [self.t_end] if finite else []))
         self._T, self._S, self._stall, self._ended, self._total = [t0], [0.0], 0, False, math.inf
 
     def _extend(self) -> None:
@@ -285,7 +295,7 @@ class _Quadrature:
         length available: that length can converge although t escapes to
         infinity.  A NaN s raises QuadratureError: it is not an overflow.
         """
-        finite = math.isfinite(self.profile.t_max)
+        finite = math.isfinite(self.t_end)
         T, sT = next(self._march, (None, None))
         if T is None:
             self._ended, self._total = True, self._S[-1] if finite else math.inf
@@ -340,7 +350,7 @@ class _Quadrature:
                          lo, hi, slo - s, shi - s, INVERT_TOL, stuck, start)
 
     def _certificate(self, total):
-        tmax = self.profile.t_max
+        tmax = self.t_end
         # x at a finite end, or 2^40 past t0 toward an unbounded one
         *_, t_near = (tmax,) if math.isfinite(tmax) else islice(toward_end(self.t0, tmax), 41)
         try:
@@ -363,13 +373,13 @@ class _Quadrature:
         return SpacetimePoint(self.t_sign * T, float(self.x_at(T)))
 
     def rows(self, T, s=None) -> np.ndarray:
-        """Rows (s, t, x, dt/ds = 1 / rate, dx/ds) at the times T; s defaults
-        to s(T)."""
+        """Rows (s, T, x, dT/ds = 1 / rate, dx/ds) at the forward times T; s
+        defaults to s(T)."""
         kappa = self.kappa
         if self.profile.has_unit_b:
             dxds = np.full(len(T), kappa)  # kappa / b with b exactly 1.0
         else:
-            dxds = kappa / self.profile.coefficients_many(T)[1]
+            dxds = kappa / self._coefficients(T)[1]
         return np.column_stack([
             self.s_at(T) if s is None else s, T, self.x_at(T), 1.0 / self._rate(T), dxds,
         ])
@@ -377,16 +387,17 @@ class _Quadrature:
     def _diverges(self) -> bool:
         """True when s(T) is known to diverge toward an unbounded end.
 
-        On [t0, inf) every term of a and of b is then non-negative and each
-        coefficient has a positive constant part, so a >= A > 0 and b >= B >
+        On [t0, inf) of forward time every term of a and of b is then
+        non-negative and each coefficient has a positive constant part, so a >= A > 0 and b >= B >
         0 there; with eps <= 0 the integrand sqrt(a / (kappa^2 / b - eps)) is
         at least sqrt(A / (kappa^2 / B - eps)) > 0.  Every term is checked,
         not only the leading one: a negative term can drive a coefficient
         through zero however small it is.
         """
-        profile, t0 = self.profile, self.t0
-        return (profile.t_max == math.inf and self.eps <= 0.0
-                and _bounded_below(profile.terms_a, t0) and _bounded_below(profile.terms_b, t0))
+        profile, t0, t_sign = self.profile, self.t0, self.t_sign
+        return (self.t_end == math.inf and self.eps <= 0.0
+                and _bounded_below(profile.terms_a, t0, t_sign)
+                and _bounded_below(profile.terms_b, t0, t_sign))
 
     def bound(self, cap: float = math.inf) -> float:
         """min(cap, the affine length available before the domain boundary);
@@ -404,36 +415,28 @@ class _Quadrature:
         return min(cap, self._total)
 
 
-def _bounded_below(terms, t0: float) -> bool:
-    """True when every term is non-negative on [t0, inf) and the constant
-    terms sum to a positive value, which the coefficient then stays above."""
-    if any(term.c < 0.0 or (term.kind == "linear" and term.c * t0 < 0.0) for term in terms):
-        return False
+def _bounded_below(terms, t0: float, t_sign: float) -> bool:
+    """True when every term is non-negative on [t0, inf) of forward time T =
+    t_sign t and the constant terms sum to a positive value, which the
+    coefficient then stays above.  A linear term c t is (t_sign c) T."""
+    for term in terms:
+        c = t_sign * term.c if term.kind == "linear" else term.c
+        if c < 0.0 or (term.kind == "linear" and c * t0 < 0.0):
+            return False
     return sum(term.c for term in terms if term.kind == "const") > 0.0
 
 
-def _reflect(profile, p, v):
-    return (
-        profile.reflected(),
-        SpacetimePoint(-p.t, p.x),
-        TangentVector(-v.tau0, v.xi0),
-    )
-
-
 def _oriented(profile: MetricProfile, p: SpacetimePoint, v: TangentVector, eps_null: float):
-    """The solver of the causal geodesic from (p, v) and its start velocity:
-    past-directed data is solved in the time-reflected profile a~(t) = a(-t)
-    from (-tau0, xi0), with t_sign = -1.  tau0 = 0 is rejected: such a vector
-    is causal only inside the null band, and it has no time direction."""
+    """The solver of the causal geodesic from (p, v): past-directed data is
+    solved on the profile's own maps, in time -t (t_sign = -1).  tau0 = 0 is
+    rejected: such a vector is causal only inside the null band, and it has
+    no time direction."""
     char = classify_vector(profile, p, v, eps_null=eps_null)
     if not char.is_causal:
         raise NotCausal(f"vector {v} is {char.kind}, need timelike or null")
     if v.tau0 == 0.0:
         raise NotCausal(f"vector {v} has tau0 = 0, need a time direction")
-    t_sign = math.copysign(1.0, v.tau0)
-    if t_sign < 0.0:
-        profile, p, v = _reflect(profile, p, v)
-    return _Quadrature(profile, p, conserved_quantities(profile, p, v), t_sign), v
+    return _Quadrature(profile, p, conserved_quantities(profile, p, v), math.copysign(1.0, v.tau0))
 
 
 def quadrature_advance(
@@ -452,7 +455,7 @@ def quadrature_advance(
     check_eps_null(eps_null)
     if v.tau0 < 0.0:
         raise NotCausal(f"vector {v} is past-directed; the quadrature route needs tau0 > 0")
-    return _oriented(profile, p, v, eps_null)[0].point_at(s_target)
+    return _oriented(profile, p, v, eps_null).point_at(s_target)
 
 
 def causal_exp(
@@ -464,11 +467,11 @@ def causal_exp(
     """Point reached at affine parameter 1, or the inextendibility certificate.
 
     Accepts future- and past-directed causal vectors; past-directed data is
-    solved in the time-reflected profile a~(t) = a(-t) and mapped back.
+    solved on the profile's own maps, in time -t, and mapped back.
     """
     check_eps_null(eps_null)
     try:
-        return _oriented(profile, p, v, eps_null)[0].point_at(1.0)
+        return _oriented(profile, p, v, eps_null).point_at(1.0)
     except Inextendible as exc:
         return exc.certificate
 
@@ -481,7 +484,7 @@ def affine_bound(
 ) -> float:
     """Affine length available to the causal geodesic before the domain ends."""
     check_eps_null(eps_null)
-    return _oriented(profile, p, v, eps_null)[0].bound()
+    return _oriented(profile, p, v, eps_null).bound()
 
 
 def exp_continuity_probe(
@@ -529,16 +532,18 @@ def uniqueness_witness(
     The three solvers are compared at the ten shared affine parameters
     s_max i / 10 (i = 1, ..., 10); a small gap certifies that all of them
     found the one solution the conserved-quantity reduction admits for
-    tau0 != 0.  v must be causal with tau0 != 0; past-directed data runs in
-    the time-reflected profile.
+    tau0 != 0.  v must be causal with tau0 != 0; the quadrature route solves
+    past-directed data on the profile's own maps, in time -t, and its T is
+    mapped back.  Every step and s_max must be positive and finite.
     """
-    quad, v = _oriented(profile, p, v, EPS_NULL)
-    profile, p = quad.profile, SpacetimePoint(quad.t0, quad.x0)
+    if not all(0.0 < h < math.inf for h in (*steps, s_max)):
+        raise ValueError(f"steps {steps!r} and s_max {s_max!r} must be positive and finite")
+    quad = _oriented(profile, p, v, EPS_NULL)
     s_checks = [s_max * i / 10 for i in range(1, 11)]
     T = quad.times(s_checks)
     if len(T) < len(s_checks):
         raise Inextendible(quad._certificate(quad.bound()))
-    runs = [zip(T.tolist(), quad.x_at(T).tolist())]
+    runs = [zip((T if quad.t_sign > 0.0 else -T).tolist(), quad.x_at(T).tolist())]
     runs += [[st[:2] for st in _advance_fixed(profile, p, v, s_checks, h)] for h in steps]
     return max((math.hypot(a[0] - b[0], a[1] - b[1])
                 for pts in zip(*runs) for a, b in combinations(pts, 2)), default=0.0)
@@ -560,7 +565,7 @@ def geodesic_states(
     check_eps_null(eps_null)
     if v.tau0 < 0.0:
         raise NotCausal(f"vector {v} is past-directed; the quadrature route needs tau0 > 0")
-    quad, _ = _oriented(profile, p, v, eps_null)
+    quad = _oriented(profile, p, v, eps_null)
     s = [float(x) for x in s_values]
     T = quad.times(s)
     return [tuple(row) for row in quad.rows(T, s[:len(T)]).tolist()]

@@ -323,7 +323,7 @@ def probe_condition_a(
     _require_chronological(profile, p, q, eps_null)
     if v.tau0 <= 0.0:
         raise NotCausal("probe extends future-directed geodesics (tau0 > 0)")
-    quad, _ = _oriented(profile, q, v, eps_null)
+    quad = _oriented(profile, q, v, eps_null)
     bound = quad.bound()
 
     # march s toward the affine bound; each bound is bracketed between the
@@ -460,7 +460,7 @@ def make_cauchy_sequence(
     char = classify_vector(profile, p, v, eps_null=eps_null)
     if char.kind != "timelike" or v.tau0 <= 0.0:
         raise NotCausal("Cauchy sequences run along future timelike geodesics")
-    quad, _ = _oriented(profile, p, v, eps_null)
+    quad = _oriented(profile, p, v, eps_null)
     cap = quad.bound(float(span))
     if not math.isfinite(cap):
         raise ValueError(f"Cauchy span {span!r} is not capped by a finite affine bound")

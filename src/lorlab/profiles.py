@@ -474,31 +474,6 @@ class MetricProfile:
         """True when b is structurally the constant function 1."""
         return constant_value(self.terms_b) == 1.0
 
-    def reflected(self) -> "MetricProfile":
-        """Time-reflected profile with a~(t) = a(-t), b~(t) = b(-t)."""
-
-        def flip(term: Term) -> Term:
-            if term.kind == "const":
-                return term
-            if term.kind == "linear":
-                return linear(-term.c)
-            if term.kind == "power":
-                return power(term.c, -term.t0, term.p)
-            return exponential(term.c, -term.lam)
-
-        window = None
-        if self.check_window is not None:
-            window = (-self.check_window[1], -self.check_window[0])
-        return MetricProfile(
-            name=self.name + "~",
-            terms_a=tuple(flip(t) for t in self.terms_a),
-            terms_b=tuple(flip(t) for t in self.terms_b),
-            t_min=-self.t_max,
-            t_max=-self.t_min,
-            alpha=self.alpha,
-            check_window=window,
-        )
-
 
 # -- operations -------------------------------------------------------------
 

@@ -2,14 +2,17 @@
 
 Everything here deliberately avoids the library's own quadrature and
 solvers: Simpson refinement for integrals, exhaustive partition
-enumeration for chain lengths, and a causal-lattice longest-path dynamic
-program for the Lorentzian distance.
+enumeration for chain lengths, a causal-lattice longest-path dynamic
+program for the Lorentzian distance, and the time-mirrored profile built
+term by term.
 """
 
 import math
 from itertools import combinations
 
 import numpy as np
+
+from lorlab import MetricProfile, Term
 
 
 def simpson_integral(f, a, b, tol=1e-11, max_rounds=22, n0=32):
@@ -159,3 +162,29 @@ def mp_shooting(profile, p, q, kappa0, dps=30):
         return mpmath.sqrt(a * b) / mpmath.sqrt(kappa * kappa + b)
 
     return float(integral(length))
+
+
+def mirrored(profile):
+    """The profile with a~(t) = a(-t) and b~(t) = b(-t), built from flipped
+    terms: the domain and the floor window flip, a linear term's c, a power
+    center and an exponential rate change sign."""
+
+    def flip(term):
+        if term.kind == "linear":
+            return Term("linear", -term.c)
+        if term.kind == "power":
+            return Term("power", term.c, t0=-term.t0, p=term.p)
+        if term.kind == "exp":
+            return Term("exp", term.c, lam=-term.lam)
+        return term
+
+    window = profile.check_window
+    return MetricProfile(
+        profile.name + "~",
+        tuple(map(flip, profile.terms_a)),
+        tuple(map(flip, profile.terms_b)),
+        t_min=-profile.t_max,
+        t_max=-profile.t_min,
+        alpha=profile.alpha,
+        check_window=None if window is None else (-window[1], -window[0]),
+    )

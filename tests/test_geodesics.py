@@ -41,10 +41,10 @@ from lorlab.geodesics import (
     GeodesicPath,
     _oriented,
     _Quadrature,
-    _reflect,
 )
 from lorlab.profiles import EPS_NULL, MetricProfile
 from lorlab.quadrature import ROOT_MAX_ITER, in_blocks, toward_end
+from oracles import mirrored
 
 P = SpacetimePoint
 V = TangentVector
@@ -534,6 +534,95 @@ def test_past_directed_certificates_name_the_callers_end():
     assert err.value.certificate == InextendibleCertificate(1.0, -1.0, 0.0)
 
 
+# a = 1 - t / 10 grows toward the past: from t < 0 its linear term stays
+# non-negative going backward, so the past-directed affine length diverges
+LINDOWN = MetricProfile("lindown", (const(1.0), linear(-0.1)), (const(1.0),),
+                        alpha=0.4, check_window=(-20.0, 5.0))
+
+# past-directed starts whose geodesic leaves the domain before s = 1: a
+# finite end, and toward -inf on exp2t, where the affine length is 1 / tau0
+PAST_EXITS = {
+    "strip01": [(P(0.3, 0.1), V(-0.5, 0.2)), (P(0.35, 0.0), V(-0.9, 0.0))],
+    "exp2t": [(P(0.2, 0.0), V(-1.5, 0.4)), (P(-0.3, 0.5), V(-2.0, -0.9))],
+    "mixed": [(P(-1.5, 0.0), V(-1.0, 0.2))],
+}
+
+
+def _past_directed(prof, rng, n):
+    """n random past-directed causal starts, and the profile's PAST_EXITS."""
+    t_window, tau_window = IC_WINDOWS.get(prof.name, ((-1.5, 1.5), (0.2, 1.0)))
+    for _ in range(n):
+        p, v = random_causal(prof, rng, t_window, tau_window, future_only=True)
+        yield p, V(-v.tau0, v.xi0)
+    yield from PAST_EXITS.get(prof.name, [])
+
+
+def _mirror_back(out):
+    """A result of the mirrored profile in the original's time: t negated."""
+    if isinstance(out, SpacetimePoint):
+        return P(-out.t, out.x)
+    if isinstance(out, InextendibleCertificate):
+        return InextendibleCertificate(out.max_param, -out.t_boundary, out.x_limit)
+    return out
+
+
+def _witness(prof, p, v):
+    try:
+        return uniqueness_witness(prof, p, v)
+    except Inextendible as exc:
+        return exc.certificate
+
+
+@pytest.mark.parametrize("prof", [get_profile(n) for n in CATALOG_NAMES] + [MIXED, LINDOWN],
+                         ids=lambda prof: prof.name)
+def test_past_directed_results_are_the_mirrored_future_results(prof):
+    # the mirror oracle is built by hand from flipped terms; solving on the
+    # profile's own maps in time -t negates exactly, so every point,
+    # certificate and gap is the mirrored profile's with t negated, bit for bit
+    mirror = mirrored(prof)
+    exits = 0
+    for p, v in _past_directed(prof, np.random.default_rng(16), 6):
+        pm, vm = P(-p.t, p.x), V(-v.tau0, v.xi0)
+        got = causal_exp(prof, p, v)
+        assert repr(got) == repr(_mirror_back(causal_exp(mirror, pm, vm))), (p, v)
+        exits += isinstance(got, InextendibleCertificate)
+        assert repr(affine_bound(prof, p, v)) == repr(affine_bound(mirror, pm, vm))
+        assert repr(_witness(prof, p, v)) == repr(_mirror_back(_witness(mirror, pm, vm)))
+    assert exits >= len(PAST_EXITS.get(prof.name, []))
+
+
+def test_past_directed_calls_build_no_profile(monkeypatch):
+    cases = [(get_profile("minkowski"), P(0.0, 0.0), V(-1.0, 0.25)),
+             (get_profile("strip01"), P(0.9, 0.0), V(-0.5, 0.1)),
+             (get_profile("exp2t"), P(0.0, 0.0), V(-0.8, 0.2)),
+             (get_profile("c1power"), P(0.3, 0.0), V(-1.0, 0.2)),
+             (get_profile("warpb"), P(0.2, 0.0), V(-1.0, 0.3)),
+             (MIXED, P(0.5, 0.1), V(-0.8, 0.2))]
+    built, post_init = [], MetricProfile.__post_init__
+    monkeypatch.setattr(MetricProfile, "__post_init__",
+                        lambda self: built.append(self.name) or post_init(self))
+    for prof, p, v in cases:
+        assert isinstance(causal_exp(prof, p, v), SpacetimePoint)
+        affine_bound(prof, p, v)
+        uniqueness_witness(prof, p, v)
+        # the larger radius turns some perturbations future-directed
+        exp_continuity_probe(prof, p, v, [0.05, 2.0 * abs(v.tau0)])
+    assert built == []
+
+
+def test_past_directed_divergence_reads_a_linear_term_backward(monkeypatch):
+    # from t = -1 every term of a stays non-negative toward the past, so the
+    # bound is inf with no march; from t = 1 the term -t / 10 starts
+    # negative and the march runs; toward the future a falls to 0 at t = 10
+    calls = _count_extends(monkeypatch)
+    assert affine_bound(LINDOWN, P(-1.0, 0.0), V(-1.0, 0.3)) == math.inf
+    assert len(calls) == 0
+    assert affine_bound(LINDOWN, P(1.0, 0.0), V(-1.0, 0.3)) == math.inf
+    assert len(calls) > 0
+    with pytest.raises(QuadratureError, match="NaN"):
+        affine_bound(LINDOWN, P(-1.0, 0.0), V(1.0, 0.3))
+
+
 @pytest.mark.parametrize("entry", [affine_bound, causal_exp, uniqueness_witness])
 @pytest.mark.parametrize("name", ["minkowski", "warpb"])
 def test_null_band_vector_without_time_direction_is_rejected(entry, name):
@@ -756,7 +845,7 @@ def seed_uniqueness_witness(profile, p, v, steps=(1e-2, 1e-3), s_max=1.0, n_chec
     if v.tau0 == 0.0:
         raise NotCausal("uniqueness witness requires tau0 != 0")
     if v.tau0 < 0.0:
-        profile, p, v = _reflect(profile, p, v)
+        profile, p, v = mirrored(profile), P(-p.t, p.x), V(-v.tau0, v.xi0)
     quad = _Quadrature(profile, p, conserved_quantities(profile, p, v))
     s_checks = [s_max * i / n_checks for i in range(1, n_checks + 1)]
     T = quad.times(s_checks)
@@ -971,17 +1060,17 @@ def seed_stall_gate(s: float) -> float:
 
 class SeedInversion:
     def __init__(self, quad):
-        self.profile, self.t_sign, self.t0 = quad.profile, quad.t_sign, quad.t0
+        self.t_end, self.t_sign, self.t0 = quad.t_end, quad.t_sign, quad.t0
         self.s_at, self._rate = quad.s_at, quad._rate
-        profile, t0 = self.profile, self.t0
-        finite = math.isfinite(profile.t_max)
+        t_end, t0 = self.t_end, self.t0
+        finite = math.isfinite(t_end)
         self._march = in_blocks(lambda ts: quad.s_at(ts).tolist(),
-                                islice(toward_end(t0, profile.t_max), 49 if finite else 75))
+                                islice(toward_end(t0, t_end), 49 if finite else 75))
         self._points, self._stall, self._ended, self._total = [], 0, False, None
 
     def _extend(self) -> None:
         pts = self._points
-        finite = math.isfinite(self.profile.t_max)
+        finite = math.isfinite(self.t_end)
         prev = pts[-1][1] if pts else 0.0
         T, sT = next(self._march, (None, prev))
         if T is None:
@@ -1063,12 +1152,12 @@ def test_sorted_march_is_bitwise_the_per_target_walk(prof):
     rng = np.random.default_rng(14)
     for _ in range(8):
         p, v = random_causal(prof, rng, t_window, tau_window)  # half past-directed
-        quad, _ = _oriented(prof, p, v, EPS_NULL)
-        seed = SeedInversion(_oriented(prof, p, v, EPS_NULL)[0])
+        quad = _oriented(prof, p, v, EPS_NULL)
+        seed = SeedInversion(_oriented(prof, p, v, EPS_NULL))
         # interior targets: s = 0, s at the first march points (each hits a
         # bracket end) while s still gains on them, and random s below those
         hits = []
-        for s in quad.s_at(list(islice(toward_end(quad.t0, quad.profile.t_max), 20))).tolist():
+        for s in quad.s_at(list(islice(toward_end(quad.t0, quad.t_end), 20))).tolist():
             if not math.isfinite(s) or s - (hits or [0.0])[-1] < seed_stall_gate(s):
                 break
             hits.append(s)
@@ -1149,7 +1238,7 @@ def _near_march_targets(quad, rng):
     """s = 0, the first march values while s still gains on them, a target an
     ulp or two either side of each, and random targets below them."""
     hits = []
-    for s in quad.s_at(list(islice(toward_end(quad.t0, quad.profile.t_max), 20))).tolist():
+    for s in quad.s_at(list(islice(toward_end(quad.t0, quad.t_end), 20))).tolist():
         if not math.isfinite(s) or s - (hits or [0.0])[-1] < seed_stall_gate(s):
             break
         hits.append(s)
@@ -1167,8 +1256,8 @@ def test_newton_on_a_bracket_end_moves_t_within_the_inversion_tolerance(prof):
     rng = np.random.default_rng(15)
     for _ in range(8):
         p, v = random_causal(prof, rng, t_window, tau_window)  # half past-directed
-        quad, _ = _oriented(prof, p, v, EPS_NULL)
-        seed, _ = _oriented(prof, p, v, EPS_NULL)
+        quad = _oriented(prof, p, v, EPS_NULL)
+        seed = _oriented(prof, p, v, EPS_NULL)
         targets = _near_march_targets(quad, rng)
         want = seed_times(seed, targets)
         got = quad.times(targets)

@@ -237,23 +237,6 @@ def test_classify_invariances(tau, xi, scale):
 # -- structure helpers -----------------------------------------------------------
 
 
-def test_reflected_profile_mirrors_coefficients():
-    rng = np.random.default_rng(3)
-    for name in ("exp2t", "c1power", "warpb"):
-        prof = get_profile(name)
-        refl = prof.reflected()
-        for t in rng.uniform(-5, 5, 40):
-            a, b, _, _ = prof.eval(t)
-            ar, br, _, _ = refl.eval(-t)
-            assert ar == pytest.approx(a, rel=1e-15)
-            assert br == pytest.approx(b, rel=1e-15)
-
-
-def test_reflected_domain_flips():
-    refl = get_profile("strip01").reflected()
-    assert (refl.t_min, refl.t_max) == (-1.0, 0.0)
-
-
 def test_unit_b_detection():
     assert get_profile("exp2t").has_unit_b
     assert get_profile("c1power").has_unit_b
