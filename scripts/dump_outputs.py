@@ -21,6 +21,11 @@ every term kind:
     space chron, causal, dmat,  space_from_points on 32 random points, every
       taumat                    matrix of the space
     uniqueness_witness          random causal vectors, half past-directed
+    exp_continuity_probe        random causal vectors, half past-directed, at
+                                radii 0.05 and 1.5 and 3 times |tau0|, so that
+                                some perturbations point the other way in time;
+                                every DisplacementRow, drawn after the rest from
+                                a second seed
 
 A call that raises prints the exception instead.  To compare two checkouts,
 dump each with this script (copy it into the other checkout's scripts/
@@ -190,6 +195,14 @@ def dump(prof, rng):
               f"{attempt(ll.uniqueness_witness, prof, p, v)}")
 
 
+def dump_continuity(prof, rng):
+    for i in range(3):
+        p, v = causal_vector(prof, rng)
+        radii = (0.05, 1.5 * abs(v.tau0), 3.0 * abs(v.tau0))
+        print(f"{prof.name} exp_continuity_probe {i} {show((p, v))} -> "
+              f"{attempt(ll.exp_continuity_probe, prof, p, v, radii)}")
+
+
 def dump_near_null(rng):
     print(f"mix lorentzian_distance near-null {show(MIX_PAIR)} -> "
           f"{attempt(ll.lorentzian_distance, MIX, *MIX_PAIR)}")
@@ -257,6 +270,9 @@ def main(argv=None):
     for prof in profiles():
         dump(prof, rng)
     dump_near_null(rng)
+    rng = np.random.default_rng(SEED + 1)
+    for prof in profiles():
+        dump_continuity(prof, rng)
     return 0
 
 

@@ -404,9 +404,12 @@ def lorentzian_distance(
     g-length sqrt(-eps) * delta-s of the connecting geodesic, and the
     maximizer is the quadrature route's geodesic from p with (kappa, -1).
     A value that overflows to inf (a closed-form flat time past the float
-    range) comes without a maximizer.
+    range) comes without a maximizer.  A maximizer is sampled at
+    path_samples points, an integer of at least 2.
     """
     check_eps_null(eps_null)
+    if not (isinstance(path_samples, (int, np.integer)) and path_samples >= 2):
+        raise ValueError(f"path_samples must be an integer of at least 2, got {path_samples!r}")
     if method not in ("auto", "reduction", "shooting"):
         raise ValueError(f"unknown method {method!r}")
     if method == "reduction" and not profile.has_unit_b:
@@ -447,12 +450,15 @@ def tau_length_chain(tau_matrix, chain_indices, causal=None) -> float:
 
     Dynamic programming over prefixes: L[j] = min_{i<j} L[i] + tau(c_i, c_j),
     with both endpoints always included.  When the causal relation matrix is
-    supplied, consecutive chain links are verified against it.
+    supplied, consecutive chain links are verified against it.  An index
+    outside [0, n) of the n points raises NotAChain.
     """
     tau = np.asarray(tau_matrix, dtype=float)
     chain = [int(i) for i in chain_indices]
     if len(chain) < 2:
         raise NotAChain("a chain needs at least two points")
+    if not all(0 <= i < len(tau) for i in chain):
+        raise NotAChain(f"chain index outside [0, {len(tau)}) in {chain!r}")
     if causal is not None:
         rel = np.asarray(causal, dtype=bool)
         for k in range(len(chain) - 1):

@@ -266,10 +266,15 @@ def _judge_compactness(profile, p, q, B, nx=65, eps_null=EPS_NULL):
 def _trace_region(profile, p, q, B, t_top, nx, eps_null):
     """The K1Region capped at t_top, traced in one scan of 48 slices: its
     rows, its cone edges and the sample cells where T(p, (t, .)) crosses B,
-    listed slice by slice."""
+    listed slice by slice.  The top row is the cap: min_T = B, kept at the
+    points where the slice attains its minimum, with no crossings."""
     ts = np.linspace(q.t, t_top, 48)
     min_T, lo, hi, xs, Ts = _slices(profile, p, q, B, ts, nx, eps_null)
-    r, i = np.nonzero((Ts[:, :-1] <= B) != (Ts[:, 1:] <= B))
+    # the top slice is the cap, whose minimum is B, at one cone edge or both:
+    # it keeps those and has no crossings, on either side of the cap in floats
+    top = xs[-1, Ts[-1] == min_T[-1]]
+    min_T[-1], lo[-1], hi[-1] = B, top[0], top[-1]
+    r, i = np.nonzero((Ts[:-1, :-1] <= B) != (Ts[:-1, 1:] <= B))
     tr = ts[r]
     roots = solve(lambda x, rows: _tvals(profile, p, tr[rows], x, eps_null) - B,
                   xs[r, i], xs[r, i + 1], Ts[r, i] - B, Ts[r, i + 1] - B, 1e-9, _stuck)
@@ -387,8 +392,9 @@ def probe_timelike_cauchy(
 
     The premises (x_n << x_{n+1}, T(x_n, x_{n+m}) <= B_n, B_n non-increasing)
     are verified first; violating them raises PremiseViolated, which flags a
-    malformed probe rather than a property of the spacetime.  A NaN,
-    negative or infinite tol is rejected.
+    malformed probe rather than a property of the spacetime, and so does a
+    NaN bound, which no comparison passes.  A NaN, negative or infinite tol
+    is rejected.
     """
     check_eps_null(eps_null)
     if not 0.0 <= tol < math.inf:
@@ -408,11 +414,11 @@ def probe_timelike_cauchy(
     for i in range(len(pts) - 1):
         if not chron[i]:
             raise PremiseViolated(i, f"x_{i} << x_{i + 1} fails")
-        if bounds[i + 1] > bounds[i]:
+        if not bounds[i + 1] <= bounds[i]:
             raise PremiseViolated(i, f"B_{i + 1} > B_{i}: gap bounds must shrink")
     ii, jj = np.triu_indices(len(pts), 1)  # every pair i < j, row-major
     gaps = _separations(profile, ts[ii], xs[ii], ts[jj], xs[jj], cone[jj] - cone[ii], eps_null)[0]
-    bad = np.flatnonzero(gaps > np.array(bounds)[ii] + 1e-9)
+    bad = np.flatnonzero(~(gaps <= np.array(bounds)[ii] + 1e-9))
     if len(bad):
         i, j, gap = int(ii[bad[0]]), int(jj[bad[0]]), float(gaps[bad[0]])
         raise PremiseViolated(i, f"T(x_{i}, x_{j}) = {gap!r} exceeds B_{i} = {bounds[i]!r}")

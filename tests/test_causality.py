@@ -288,6 +288,17 @@ def test_distance_reduction_method_rejects_warped_b():
                             method="reduction")
 
 
+@pytest.mark.parametrize("n", [0, 1, -3, 2.5, 65.0, None])
+@pytest.mark.parametrize("name", ["minkowski", "warpb"])
+def test_distance_rejects_path_samples_below_two_or_not_an_integer(name, n):
+    # 0 gave a maximizer with no rows, whose endpoint() raised IndexError;
+    # 1 a one-row path at p that never reached q
+    with pytest.raises(ValueError, match="path_samples"):
+        lorentzian_distance(get_profile(name), P(0, 0), P(1, 0.3), path_samples=n)
+    path = lorentzian_distance(get_profile(name), P(0, 0), P(1, 0.3), path_samples=2).maximizer
+    assert len(path.samples) == 2 and path.endpoint().t == 1.0
+
+
 def test_distance_unrelated_zero():
     d = lorentzian_distance(get_profile("minkowski"), P(0, 0), P(1, 5))
     assert d.value == 0.0 and d.maximizer is None
@@ -702,6 +713,14 @@ def test_chain_rejects_non_chain():
     tau, causal = _flat_tau([(0, 0), (1, 5)])
     with pytest.raises(NotAChain):
         tau_length_chain(tau, [0, 1], causal)
+
+
+@pytest.mark.parametrize("chain", [[-1, 0], [0, -2], [0, 2], [2, 0, 1]])
+def test_chain_rejects_an_index_outside_the_points(chain):
+    # -1 wrapped to the last point, so [-1, 0] read tau[1, 0] = 0.0
+    with pytest.raises(NotAChain, match="outside"):
+        tau_length_chain([[0.0, 1.0], [0.0, 0.0]], chain)
+    assert tau_length_chain([[0.0, 1.0], [0.0, 0.0]], [0, 1]) == 1.0
 
 
 def test_chain_matches_enumeration_flat_points():

@@ -710,6 +710,18 @@ def test_uniqueness_witness_rejects_spacelike():
         uniqueness_witness(get_profile("minkowski"), P(0, 0), V(1, 2))
 
 
+@pytest.mark.parametrize("steps, s_max", [
+    ((-1e-2, 1e-3), 1.0),  # read a made-up gap of 1.0198
+    ((0.0, 1e-3), 1.0),  # raised ZeroDivisionError
+    ((1e-2, math.nan), 1.0), ((math.inf, 1e-3), 1.0),
+    ((1e-2, 1e-3), 0.0), ((1e-2, 1e-3), -1.0), ((1e-2, 1e-3), math.nan), ((1e-2, 1e-3), math.inf),
+])
+@pytest.mark.parametrize("tau0", [1.0, -1.0])
+def test_uniqueness_witness_rejects_steps_not_positive_and_finite(steps, s_max, tau0):
+    with pytest.raises(ValueError, match="positive and finite"):
+        uniqueness_witness(get_profile("minkowski"), P(0, 0), V(tau0, 0.2), steps, s_max)
+
+
 # -- dual-solver equivalence property ----------------------------------------------------
 
 

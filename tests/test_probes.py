@@ -145,7 +145,35 @@ def test_fc_slices_are_k1_slices_of_the_trace(name, q, B):
     rep, region = probe_finite_compactness(prof, P(0, 0), q, B)
     ts = np.linspace(q.t, rep.witness["t_top"], 48)
     want = k1_slices(prof, P(0, 0), q, B, ts)
-    assert region.slices.tobytes() == want.tobytes()
+    assert region.slices[:-1].tobytes() == want[:-1].tobytes()
+    # the top row is the cap: min_T = B, kept at both cone edges (p.x = q.x),
+    # which k1_slices keeps under an infinite bound
+    cap = k1_slices(prof, P(0, 0), q, math.inf, ts[-1:])[0]
+    assert region.slices[-1].tolist() == [*cap[:3].tolist(), B]
+
+
+@pytest.mark.parametrize("name, q, B, t_top", [
+    ("warpb", P(0.5, 0), 1.0, 1.1642423530540442),  # kept 120 or 116 points
+    ("minkowski", P(1, 0), 5.0, 12.999999999999995),  # both edges at the minimum
+    ("minkowski", P(1, 0.37), 1.5, 2.1007142857142864),  # the far edge alone: 122 or 119
+])
+def test_traced_cap_slice_does_not_depend_on_the_last_ulps_of_t_top(name, q, B, t_top):
+    # at the cap the slice's minimum is B: the top row keeps the points at
+    # that minimum and adds no level crossing, whichever side of the cap the
+    # root landed on
+    prof, p = get_profile(name), P(0, 0)
+    assert probe_finite_compactness(prof, p, q, B)[0].witness["t_top"] == t_top
+    regions = [probes._trace_region(prof, p, q, B, float(t), 65, EPS_NULL)
+               for t in (np.nextafter(t_top, -math.inf), t_top, np.nextafter(t_top, math.inf))]
+    assert len({len(region.boundary) for region in regions}) == 1
+    tops = np.array([region.slices[-1] for region in regions])
+    assert (tops[:, 3] == B).all()
+    assert np.allclose(tops, tops[1], rtol=4e-16, atol=0.0)
+    for region, top in zip(regions, tops):
+        cap = [pt for pt in region.boundary if pt[0] == top[0]]
+        xs, Ts = probes._slice_points(prof, p, q, top[:1], 65, EPS_NULL)
+        assert cap == [(top[0], xs[0, 0]), (top[0], xs[0, -1])]  # the cone edges alone
+        assert top[1:3].tolist() == [xs[0, Ts[0] == Ts[0].min()][k] for k in (0, -1)]
 
 
 @pytest.mark.parametrize("name, q, B, dt", [("minkowski", P(1, 0.37), 1.5, 0.7),
@@ -464,6 +492,20 @@ def test_tcc_premise_names_first_failing_step(bounds, index, message):
     assert (err.value.index, str(err.value)) == (index, message)
 
 
+@pytest.mark.parametrize("nan_at", ["all", 0, 5, 11])
+def test_tcc_rejects_nan_gap_bounds(nan_at):
+    # a NaN bound failed both premise comparisons, so it held on the probe
+    mink = get_profile("minkowski")
+    seq, bounds = make_cauchy_sequence(mink, P(0, 0), V(1, 0))
+    assert probe_timelike_cauchy(mink, seq, bounds).holds
+    if nan_at == "all":
+        bounds = [math.nan] * len(seq)
+    else:
+        bounds[nan_at] = math.nan
+    with pytest.raises(PremiseViolated, match="gap bounds must shrink"):
+        probe_timelike_cauchy(mink, seq, bounds)
+
+
 def test_tcc_premise_checks_the_domain():
     pts = [P(0.3, 0), P(0.5, 0), P(0.7, 0), P(1.2, 0)]
     with pytest.raises(DomainExceeded):
@@ -764,6 +806,12 @@ def scalar_probe_finite_compactness(profile, p, q, B, nx=65, n_trace=48, eps_nul
     rows, boundary = [], []
     for t in np.linspace(q.t, t_top, n_trace).tolist():
         min_T, lo, hi, xs, Ts = scan(t)
+        if t == t_top:
+            # the cap: min_T is B, kept at the slice's minimum, no crossing
+            at_min = [float(x) for x, T in zip(xs, Ts) if T == min_T]
+            rows.append((t, at_min[0], at_min[-1], B))
+            boundary += [(t, float(xs[0])), (t, float(xs[-1]))]
+            continue
         rows.append((t, lo, hi, min_T))
         boundary.extend(scalar_level_crossings(profile, p, B, t, xs, Ts, eps_null))
         if not math.isnan(lo):
