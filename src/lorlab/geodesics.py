@@ -239,7 +239,7 @@ class _Quadrature:
 
             t0, breaks, domain = -t0, tuple(-b for b in reversed(breaks)), (-domain[1], -domain[0])
         self.t0, self.t_end, self._coefficients = t0, domain[1], coefficients
-        self.x0 = x0 = p.x
+        x0 = p.x
         self.kappa = kappa = cons.kappa
         self.eps = eps = cons.epsilon
         if eps == 0.0 and kappa * kappa == 0.0:
@@ -388,11 +388,12 @@ class _Quadrature:
         """True when s(T) is known to diverge toward an unbounded end.
 
         On [t0, inf) of forward time every term of a and of b is then
-        non-negative and each coefficient has a positive constant part, so a >= A > 0 and b >= B >
-        0 there; with eps <= 0 the integrand sqrt(a / (kappa^2 / b - eps)) is
-        at least sqrt(A / (kappa^2 / B - eps)) > 0.  Every term is checked,
-        not only the leading one: a negative term can drive a coefficient
-        through zero however small it is.
+        non-negative and each coefficient has a positive constant part, so
+        a >= A > 0 and b >= B > 0 there; with eps <= 0 the integrand
+        sqrt(a / (kappa^2 / b - eps)) is at least sqrt(A / (kappa^2 / B -
+        eps)) > 0.  Every term is checked, not only the leading one: a
+        negative term can drive a coefficient through zero however small it
+        is.
         """
         profile, t0, t_sign = self.profile, self.t0, self.t_sign
         return (self.t_end == math.inf and self.eps <= 0.0
@@ -418,9 +419,9 @@ class _Quadrature:
 def _bounded_below(terms, t0: float, t_sign: float) -> bool:
     """True when every term is non-negative on [t0, inf) of forward time T =
     t_sign t and the constant terms sum to a positive value, which the
-    coefficient then stays above.  A linear term c t is (t_sign c) T."""
+    coefficient then stays above.  A linear term c t is -c T going backward."""
     for term in terms:
-        c = t_sign * term.c if term.kind == "linear" else term.c
+        c = -term.c if term.kind == "linear" and t_sign < 0.0 else term.c
         if c < 0.0 or (term.kind == "linear" and c * t0 < 0.0):
             return False
     return sum(term.c for term in terms if term.kind == "const") > 0.0

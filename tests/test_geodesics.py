@@ -420,8 +420,8 @@ def test_geodesics_integrate_on_maps_of_their_own():
 def test_nan_affine_parameter_is_not_an_infinite_bound():
     # the floor is checked on +-20 only: a(t) = 1 + t / 1000 vanishes at t = -1000
     lin = MetricProfile("lin", (const(1.0), linear(1e-3)), (const(1.0),), alpha=0.9)
-    # past-directed data is solved in the time-reflected profile, but the
-    # error names the time of the profile passed in
+    # past-directed data is solved in time -t, but the error names the time
+    # of the profile passed in
     for v in (V(-1.0, 0.0), V(-1.0, 0.5)):
         with pytest.raises(QuadratureError, match=r"NaN at T = -1024\.0:"):
             affine_bound(lin, P(0.0, 0.0), v)
