@@ -12,7 +12,11 @@ warm from an earlier one.  The report column is the minimum CPU time of the
 profile's reports; --repeat N makes N of them (default 1), all checked.  A
 report judges finite compactness without tracing the region, so the traced
 column times probe_finite_compactness, trace included, the same way, and
-its verdicts are checked like the reports':
+its verdicts are checked like the reports'.  After the timing, every
+traced region's boundary is checked by lorentzian_distance, and so is that
+of one more region, leaning to one side, whose top slices keep only their
+far cone edge: it exits 1 too when a boundary point x has T(p, x) > B +
+1e-7, the bound replay_witness holds a witness to, and names the point:
 
     python3 scripts/run_catalog_probes.py
     python3 scripts/run_catalog_probes.py --repeat 20
@@ -31,6 +35,7 @@ from lorlab import (  # noqa: E402
     format_profile,
     get_profile,
     implication_report,
+    lorentzian_distance,
     parse_profiles,
     probe_finite_compactness,
 )
@@ -45,6 +50,9 @@ CONFIGS = {
     "warpb": ProbeConfig(P(0, 0), P(0.5, 0), fc_bound=3.0, ca_bounds=(5.0, 20.0)),
 }
 INCOMPLETE = {"strip01"}  # every probe fails here and holds elsewhere
+REPLAY_TOL = 1e-7  # how far past B a traced boundary point may read
+# (profile, p, q, B) of a region whose near cone edge leaves K1 below the cap
+LEANING = ("minkowski", P(0, 0), P(1, 0.37), 1.5)
 
 
 def flag(holds):
@@ -62,6 +70,16 @@ def timed(name, run, repeat):
     return outs, best
 
 
+def boundary_ok(label, profile, region):
+    """Whether every traced boundary point x has T(p, x) <= B + REPLAY_TOL;
+    prints the worst point when one does not."""
+    excess, point = max(((lorentzian_distance(profile, region.p, P(t, x), with_path=False).value
+                          - region.B, (t, x)) for t, x in region.boundary), default=(0.0, None))
+    if excess > REPLAY_TOL:
+        print(f"           {label}: traced boundary point {point!r} has T - B = {excess!r}")
+    return excess <= REPLAY_TOL
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeat", type=int, default=1, metavar="N",
@@ -75,7 +93,7 @@ def main(argv=None):
     for name, config in CONFIGS.items():
         reps, best = timed(name, lambda prof: implication_report(prof, config), repeat)
         traced, traced_best = timed(name, lambda prof: probe_finite_compactness(
-            prof, config.p, config.q, config.fc_bound)[0], repeat)
+            prof, config.p, config.q, config.fc_bound), repeat)
         rep = reps[0]
         print(
             f"{name:<10} {flag(rep.finite_compactness.holds):<12} "
@@ -91,7 +109,13 @@ def main(argv=None):
                 print(f"           unexpected verdict: {r.condition} {r.verdict}")
         ok = ok and all(r.holds == want for rp in reps for r in rp.reports)
         ok = ok and all(rp.consistent for rp in reps)
-        ok = ok and all(fc.holds == want for fc in traced)
+        ok = ok and all(fc.holds == want for fc, _ in traced)
+        ok = all([boundary_ok(name, get_profile(name), region) for _, region in traced]) and ok
+    name, p, q, B = LEANING
+    region = probe_finite_compactness(get_profile(name), p, q, B)[1]
+    print(f"leaning region on {name}, p = ({p.t}, {p.x}), q = ({q.t}, {q.x}), B = {B}: "
+          f"{len(region.boundary)} boundary points")
+    ok = boundary_ok(f"{name} leaning", get_profile(name), region) and ok
     return 0 if ok else 1
 
 

@@ -37,14 +37,7 @@ from itertools import chain, combinations, islice
 import numpy as np
 
 from .errors import DomainExceeded, Inextendible, NotCausal, QuadratureError, StepTooLarge
-from .profiles import (
-    EPS_NULL,
-    MetricProfile,
-    SpacetimePoint,
-    TangentVector,
-    check_eps_null,
-    classify_vector,
-)
+from .profiles import MetricProfile, SpacetimePoint, TangentVector, classify_vector
 from .quadrature import AnchoredMap, ClosedFormMap, _flat_map, in_blocks, solve, toward_end
 
 DRIFT_TOL = 1e-6   # allowed conserved-quantity drift per unit affine parameter
@@ -427,12 +420,12 @@ def _bounded_below(terms, t0: float, t_sign: float) -> bool:
     return sum(term.c for term in terms if term.kind == "const") > 0.0
 
 
-def _oriented(profile: MetricProfile, p: SpacetimePoint, v: TangentVector, eps_null: float):
-    """The solver of the causal geodesic from (p, v): past-directed data is
-    solved on the profile's own maps, in time -t (t_sign = -1).  tau0 = 0 is
-    rejected: such a vector is causal only inside the null band, and it has
-    no time direction."""
-    char = classify_vector(profile, p, v, eps_null=eps_null)
+def _oriented(profile: MetricProfile, p: SpacetimePoint, v: TangentVector):
+    """The solver of the causal geodesic from (p, v), v classified at the
+    fixed null band EPS_NULL: past-directed data is solved on the profile's
+    own maps, in time -t (t_sign = -1).  tau0 = 0 is rejected: such a vector
+    is causal only inside the null band, and it has no time direction."""
+    char = classify_vector(profile, p, v)
     if not char.is_causal:
         raise NotCausal(f"vector {v} is {char.kind}, need timelike or null")
     if v.tau0 == 0.0:
@@ -445,7 +438,6 @@ def quadrature_advance(
     p: SpacetimePoint,
     v: TangentVector,
     s_target: float,
-    eps_null: float = EPS_NULL,
 ) -> SpacetimePoint:
     """Advance the future-directed causal geodesic from (p, v) to affine
     parameter s_target.
@@ -453,39 +445,26 @@ def quadrature_advance(
     Raises Inextendible with a boundary-limit certificate when the affine
     length available before the domain boundary is below s_target.
     """
-    check_eps_null(eps_null)
     if v.tau0 < 0.0:
         raise NotCausal(f"vector {v} is past-directed; the quadrature route needs tau0 > 0")
-    return _oriented(profile, p, v, eps_null).point_at(s_target)
+    return _oriented(profile, p, v).point_at(s_target)
 
 
-def causal_exp(
-    profile: MetricProfile,
-    p: SpacetimePoint,
-    v: TangentVector,
-    eps_null: float = EPS_NULL,
-):
+def causal_exp(profile: MetricProfile, p: SpacetimePoint, v: TangentVector):
     """Point reached at affine parameter 1, or the inextendibility certificate.
 
     Accepts future- and past-directed causal vectors; past-directed data is
     solved on the profile's own maps, in time -t, and mapped back.
     """
-    check_eps_null(eps_null)
     try:
-        return _oriented(profile, p, v, eps_null).point_at(1.0)
+        return _oriented(profile, p, v).point_at(1.0)
     except Inextendible as exc:
         return exc.certificate
 
 
-def affine_bound(
-    profile: MetricProfile,
-    p: SpacetimePoint,
-    v: TangentVector,
-    eps_null: float = EPS_NULL,
-) -> float:
+def affine_bound(profile: MetricProfile, p: SpacetimePoint, v: TangentVector) -> float:
     """Affine length available to the causal geodesic before the domain ends."""
-    check_eps_null(eps_null)
-    return _oriented(profile, p, v, eps_null).bound()
+    return _oriented(profile, p, v).bound()
 
 
 def exp_continuity_probe(
@@ -493,16 +472,15 @@ def exp_continuity_probe(
     p: SpacetimePoint,
     v: TangentVector,
     radii,
-    eps_null: float = EPS_NULL,
 ) -> list[DisplacementRow]:
     """Worst displacement of the exponential map under velocity perturbations.
 
     For each radius r, 32 vectors at Euclidean distance r from v are tried;
-    non-causal perturbations and perturbations whose geodesic no longer
-    survives to parameter 1 are skipped and counted.
+    non-causal perturbations, perturbations with tau0 = 0 (causal only
+    inside the null band, with no time direction) and perturbations whose
+    geodesic no longer survives to parameter 1 are skipped and counted.
     """
-    check_eps_null(eps_null)
-    base = causal_exp(profile, p, v, eps_null=eps_null)
+    base = causal_exp(profile, p, v)
     if isinstance(base, InextendibleCertificate):
         raise Inextendible(base)
     rows = []
@@ -511,9 +489,9 @@ def exp_continuity_probe(
         for k in range(32):
             ang = 2.0 * math.pi * k / 32.0
             vp = TangentVector(v.tau0 + r * math.cos(ang), v.xi0 + r * math.sin(ang))
-            if not classify_vector(profile, p, vp, eps_null=eps_null).is_causal:
+            if vp.tau0 == 0.0 or not classify_vector(profile, p, vp).is_causal:
                 continue
-            out = causal_exp(profile, p, vp, eps_null=eps_null)
+            out = causal_exp(profile, p, vp)
             if isinstance(out, SpacetimePoint):
                 used += 1
                 worst = max(worst, math.hypot(out.t - base.t, out.x - base.x))
@@ -539,7 +517,7 @@ def uniqueness_witness(
     """
     if not all(0.0 < h < math.inf for h in (*steps, s_max)):
         raise ValueError(f"steps {steps!r} and s_max {s_max!r} must be positive and finite")
-    quad = _oriented(profile, p, v, EPS_NULL)
+    quad = _oriented(profile, p, v)
     s_checks = [s_max * i / 10 for i in range(1, 11)]
     T = quad.times(s_checks)
     if len(T) < len(s_checks):
@@ -555,7 +533,6 @@ def geodesic_states(
     p: SpacetimePoint,
     v: TangentVector,
     s_values,
-    eps_null: float = EPS_NULL,
 ):
     """Quadrature-route states (s, t, x, dt/ds, dx/ds) at each affine parameter.
 
@@ -563,10 +540,9 @@ def geodesic_states(
     the given order, that lies beyond the affine bound.  A state depends only
     on its own s, not on the other parameters asked for.
     """
-    check_eps_null(eps_null)
     if v.tau0 < 0.0:
         raise NotCausal(f"vector {v} is past-directed; the quadrature route needs tau0 > 0")
-    quad = _oriented(profile, p, v, eps_null)
+    quad = _oriented(profile, p, v)
     s = [float(x) for x in s_values]
     T = quad.times(s)
     return [tuple(row) for row in quad.rows(T, s[:len(T)]).tolist()]

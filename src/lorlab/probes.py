@@ -45,14 +45,7 @@ import numpy as np
 from .causality import _relation, _separations, causally_related, lorentzian_distance
 from .errors import NotCausal, NotChronological, PremiseViolated, QuadratureError
 from .geodesics import _oriented
-from .profiles import (
-    EPS_NULL,
-    MetricProfile,
-    SpacetimePoint,
-    TangentVector,
-    check_eps_null,
-    classify_vector,
-)
+from .profiles import EPS_NULL, MetricProfile, SpacetimePoint, TangentVector, classify_vector
 from .quadrature import _cone_map, in_blocks, solve, toward_end
 
 HOLDS = "holds_on_probe"
@@ -76,7 +69,9 @@ class K1Region:
 
     slices rows are (t, x_keep_lo, x_keep_hi, min_T) for the part of the
     cone slice that stays under the bound; boundary collects sampled points
-    of the level set T = B together with the cone edges.
+    of the level set T = B together with the cone edges that lie in K1 (on
+    the top slice of a capped region, the edges where its minimum B is
+    attained).
     """
 
     p: SpacetimePoint
@@ -117,8 +112,8 @@ class ProbeConfig:
     cauchy_len: int = 30
 
 
-def _require_chronological(profile, p, q, eps_null):
-    verdict = causally_related(profile, p, q, eps_null=eps_null)
+def _require_chronological(profile, p, q):
+    verdict = causally_related(profile, p, q)
     if not verdict.chronological:
         raise NotChronological(
             f"probe requires p << q; pair has relation {verdict.relation!r} "
@@ -126,10 +121,10 @@ def _require_chronological(profile, p, q, eps_null):
         )
 
 
-def _tvals(profile, p, ts, xs, eps_null):
+def _tvals(profile, p, ts, xs):
     """T(p, (t, x)) for arrays ts and xs, lorentzian_distance bit for bit."""
     cone = _cone_map(profile)
-    return _separations(profile, p.t, p.x, ts, xs, cone.many(ts) - cone(p.t), eps_null)[0]
+    return _separations(profile, p.t, p.x, ts, xs, cone.many(ts) - cone(p.t), EPS_NULL)[0]
 
 
 def _stuck(i, lo, hi, steps):  # a level crossing that solve did not find
@@ -153,7 +148,7 @@ def _check_nx(nx):
         raise ValueError(f"slice points nx must be an integer of at least 2, got {nx!r}")
 
 
-def _slice_points(profile, p, q, ts, nx, eps_null):
+def _slice_points(profile, p, q, ts, nx):
     """(xs, Ts) on the cone slices of q at the times ts, one row of nx points
     per slice; a slice at or below q.t is nx copies of q.x.  With nx = 2 the
     rows are each slice's two ends, the floats linspace puts there."""
@@ -169,13 +164,13 @@ def _slice_points(profile, p, q, ts, nx, eps_null):
     ends = lo[wide], hi[wide]
     xs[wide] = np.linspace(*ends, nx, axis=1) if nx > 2 else np.array(ends).T
     dcone = cone_ts - cone(p.t)
-    return xs, _separations(profile, p.t, p.x, ts[:, None], xs, dcone[:, None], eps_null)[0]
+    return xs, _separations(profile, p.t, p.x, ts[:, None], xs, dcone[:, None], EPS_NULL)[0]
 
 
-def _slices(profile, p, q, B, ts, nx, eps_null):
+def _slices(profile, p, q, B, ts, nx):
     """(min_T, keep_lo, keep_hi, xs, Ts) on the cone slices of q at the times
     ts (_slice_points).  A slice keeping no point has nan bounds."""
-    xs, Ts = _slice_points(profile, p, q, ts, nx, eps_null)
+    xs, Ts = _slice_points(profile, p, q, ts, nx)
     keep = Ts <= B
     kept, rows = keep.any(axis=1), np.arange(len(xs))
     lo = np.where(kept, xs[rows, keep.argmax(axis=1)], math.nan)
@@ -183,7 +178,7 @@ def _slices(profile, p, q, B, ts, nx, eps_null):
     return Ts.min(axis=1), lo, hi, xs, Ts
 
 
-def _slice_min(profile, p, q, ts, eps_null):
+def _slice_min(profile, p, q, ts):
     """The min_T of _slices at any nx >= 2 points, read from each slice's
     two ends.
 
@@ -195,26 +190,25 @@ def _slice_min(profile, p, q, ts, eps_null):
     scaled by a power of two where dtau^2 overflows, are rounded monotone
     functions of |dx|.  With b != 1 the rule rests on the premise, which
     held on every sampled slice of the catalog and of kinked profiles."""
-    return _slice_points(profile, p, q, ts, 2, eps_null)[1].min(axis=1)
+    return _slice_points(profile, p, q, ts, 2)[1].min(axis=1)
 
 
-def k1_slices(profile, p, q, B, ts, nx=65, eps_null=EPS_NULL):
+def k1_slices(profile, p, q, B, ts, nx=65):
     """Keep-interval rows (t, x_keep_lo, x_keep_hi, min_T) for given times,
     each slice scanned at nx >= 2 points.  Like the probe it requires p << q
     and a positive bound B, which may be inf.  A time outside the open
     domain, nan included, raises DomainExceeded."""
-    check_eps_null(eps_null)
     _check_nx(nx)
     if not B > 0.0:
         raise ValueError("bound B must be positive")
     for t in np.asarray(ts, dtype=float).ravel().tolist():
         profile.require_inside(t)
-    _require_chronological(profile, p, q, eps_null)
-    min_T, lo, hi, _, _ = _slices(profile, p, q, B, ts, nx, eps_null)
+    _require_chronological(profile, p, q)
+    min_T, lo, hi, _, _ = _slices(profile, p, q, B, ts, nx)
     return np.column_stack([ts, lo, hi, min_T])
 
 
-def _judge_compactness(profile, p, q, B, nx=65, eps_null=EPS_NULL):
+def _judge_compactness(profile, p, q, B, nx=65):
     """The finite-compactness verdict and the region rows it computed.
 
     Checks the inputs, then marches the slices toward the domain end on
@@ -222,14 +216,13 @@ def _judge_compactness(profile, p, q, B, nx=65, eps_null=EPS_NULL):
     the escape witness's scanned slices when the region escapes, none when
     it is empty, and None when it is capped inside the domain: only
     probe_finite_compactness traces such a region (_trace_region)."""
-    check_eps_null(eps_null)
     _check_nx(nx)
     if not 0.0 < B < math.inf:  # a nan bound would pass every slice and fake an escape
         raise ValueError("bound B must be positive and finite")
-    _require_chronological(profile, p, q, eps_null)
+    _require_chronological(profile, p, q)
     base_witness = {"p": (p.t, p.x), "q": (q.t, q.x), "bound": float(B)}
 
-    T_pq = float(_tvals(profile, p, np.array([q.t]), np.array([q.x]), eps_null)[0])
+    T_pq = float(_tvals(profile, p, np.array([q.t]), np.array([q.x]))[0])
     if T_pq > B:
         witness = dict(base_witness, empty=True, t_top=q.t)
         return ProbeReport("finite_compactness", HOLDS, witness), np.empty((0, 4))
@@ -237,7 +230,7 @@ def _judge_compactness(profile, p, q, B, nx=65, eps_null=EPS_NULL):
     # march the slice level toward the domain end until the region empties;
     # the slice at q.t is the single point q, so its minimum is T(p, q)
     def g(ts, _=None):  # min_T - B on the slices at the times ts
-        return _slice_min(profile, p, q, ts, eps_null) - B
+        return _slice_min(profile, p, q, ts) - B
 
     marched = []  # the times of the slices passed
     t_prev, g_prev = q.t, T_pq - B
@@ -254,32 +247,36 @@ def _judge_compactness(profile, p, q, B, nx=65, eps_null=EPS_NULL):
     # the region runs into the missing boundary: the escape witness is the
     # midline of the surviving part of each slice the march passed
     ts = np.array(marched)
-    min_T, lo, hi, _, _ = _slices(profile, p, q, B, ts, nx, eps_null)
+    min_T, lo, hi, _, _ = _slices(profile, p, q, B, ts, nx)
     mids = 0.5 * (lo + hi)
     report = ProbeReport("finite_compactness", FAILS, dict(
         base_witness, escaping_points=list(zip(marched, mids.tolist())),
-        escaping_T=_tvals(profile, p, ts, mids, eps_null).tolist(),
+        escaping_T=_tvals(profile, p, ts, mids).tolist(),
         t_boundary=float(profile.t_max)))
     return report, np.column_stack([ts, lo, hi, min_T])
 
 
-def _trace_region(profile, p, q, B, t_top, nx, eps_null):
+def _trace_region(profile, p, q, B, t_top, nx):
     """The K1Region capped at t_top, traced in one scan of 48 slices: its
-    rows, its cone edges and the sample cells where T(p, (t, .)) crosses B,
-    listed slice by slice.  The top row is the cap: min_T = B, kept at the
-    points where the slice attains its minimum, with no crossings."""
+    rows, the cone edges each slice keeps (T <= B) and the sample cells
+    where T(p, (t, .)) crosses B, listed slice by slice.  The top row is the
+    cap: min_T = B, kept at the points where the slice attains its minimum,
+    which are the only edges it lists, with no crossings."""
     ts = np.linspace(q.t, t_top, 48)
-    min_T, lo, hi, xs, Ts = _slices(profile, p, q, B, ts, nx, eps_null)
+    min_T, lo, hi, xs, Ts = _slices(profile, p, q, B, ts, nx)
     # the top slice is the cap, whose minimum is B, at one cone edge or both:
     # it keeps those and has no crossings, on either side of the cap in floats
-    top = xs[-1, Ts[-1] == min_T[-1]]
+    at_min = Ts[-1] == min_T[-1]
+    edge_kept = Ts[:, [0, -1]] <= B
+    edge_kept[-1] = at_min[[0, -1]]
+    top = xs[-1, at_min]
     min_T[-1], lo[-1], hi[-1] = B, top[0], top[-1]
     r, i = np.nonzero((Ts[:-1, :-1] <= B) != (Ts[:-1, 1:] <= B))
     tr = ts[r]
-    roots = solve(lambda x, rows: _tvals(profile, p, tr[rows], x, eps_null) - B,
+    roots = solve(lambda x, rows: _tvals(profile, p, tr[rows], x) - B,
                   xs[r, i], xs[r, i + 1], Ts[r, i] - B, Ts[r, i + 1] - B, 1e-9, _stuck)
-    kept = np.flatnonzero(~np.isnan(lo))
-    edges = zip(np.repeat(ts[kept], 2).tolist(), xs[kept][:, [0, -1]].ravel().tolist())
+    k, side = np.nonzero(edge_kept)
+    edges = zip(ts[k].tolist(), xs[k, side * (nx - 1)].tolist())
     # a stable sort keeps each slice's crossings ahead of its cone edges
     boundary = sorted([*zip(tr.tolist(), roots.tolist()), *edges], key=lambda pt: pt[0])
     return K1Region(p, q, B, np.column_stack([ts, lo, hi, min_T]), boundary, True, True)
@@ -291,15 +288,14 @@ def probe_finite_compactness(
     q: SpacetimePoint,
     B: float,
     nx: int = 65,
-    eps_null: float = EPS_NULL,
 ) -> tuple[ProbeReport, K1Region]:
     """Judge the compactness of K1 = {x : p << q <= x, T(p, x) <= B} and
     trace the region; a region capped inside the domain is traced on 48
     slices of nx >= 2 points.  The verdict is the one implication_report
     and the CLI take without the trace."""
-    report, rows = _judge_compactness(profile, p, q, B, nx, eps_null)
+    report, rows = _judge_compactness(profile, p, q, B, nx)
     if rows is None:
-        return report, _trace_region(profile, p, q, B, report.witness["t_top"], nx, eps_null)
+        return report, _trace_region(profile, p, q, B, report.witness["t_top"], nx)
     return report, K1Region(p, q, B, rows, [], report.holds, report.holds)
 
 
@@ -312,7 +308,6 @@ def probe_condition_a(
     q: SpacetimePoint,
     v: TangentVector,
     B_list,
-    eps_null: float = EPS_NULL,
 ) -> ProbeReport:
     """Does T(p, gamma(s)) pass every supplied bound along the geodesic from q?
 
@@ -320,15 +315,14 @@ def probe_condition_a(
     report records the first parameter with T > B, or the supremum of T
     observed when the geodesic dies with T capped below B.
     """
-    check_eps_null(eps_null)
     bounds = sorted({float(B) for B in B_list})
     if not bounds or not all(0.0 < B < math.inf for B in bounds):
         raise ValueError(
             "condition A needs at least one bound, and every bound positive and finite")
-    _require_chronological(profile, p, q, eps_null)
+    _require_chronological(profile, p, q)
     if v.tau0 <= 0.0:
         raise NotCausal("probe extends future-directed geodesics (tau0 > 0)")
-    quad = _oriented(profile, q, v, eps_null)
+    quad = _oriented(profile, q, v)
     bound = quad.bound()
 
     # march s toward the affine bound; each bound is bracketed between the
@@ -337,9 +331,9 @@ def probe_condition_a(
     def along(ss):  # t, x and T(p, gamma(s)) at the parameters ss
         ts = quad.times(ss)
         xs = quad.x_at(ts)
-        return ts, xs, _tvals(profile, p, ts, xs, eps_null)
+        return ts, xs, _tvals(profile, p, ts, xs)
 
-    T_prev = float(_tvals(profile, p, np.array([q.t]), np.array([q.x]), eps_null)[0])
+    T_prev = float(_tvals(profile, p, np.array([q.t]), np.array([q.x]))[0])
     crossings = {B: 0.0 for B in bounds if T_prev > B}
     pending = [B for B in bounds if B not in crossings]
     brackets = []  # (B, s below it, s above it, T - B at each)
@@ -386,7 +380,6 @@ def probe_timelike_cauchy(
     seq,
     B_seq,
     tol: float = 1e-6,
-    eps_null: float = EPS_NULL,
 ) -> ProbeReport:
     """Judge convergence of a chronological sequence with vanishing gaps.
 
@@ -396,7 +389,6 @@ def probe_timelike_cauchy(
     NaN bound, which no comparison passes.  A NaN, negative or infinite tol
     is rejected.
     """
-    check_eps_null(eps_null)
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
     pts = [s if isinstance(s, SpacetimePoint) else SpacetimePoint(*s) for s in seq]
@@ -410,14 +402,14 @@ def probe_timelike_cauchy(
         profile.require_inside(t)
     cone = _cone_map(profile).many(ts)
     # x_i << x_{i+1} by the rule of causally_related
-    chron = _relation(cone[1:] - cone[:-1], xs[1:] - xs[:-1], ts[1:] - ts[:-1], eps_null)[1]
+    chron = _relation(cone[1:] - cone[:-1], xs[1:] - xs[:-1], ts[1:] - ts[:-1], EPS_NULL)[1]
     for i in range(len(pts) - 1):
         if not chron[i]:
             raise PremiseViolated(i, f"x_{i} << x_{i + 1} fails")
         if not bounds[i + 1] <= bounds[i]:
             raise PremiseViolated(i, f"B_{i + 1} > B_{i}: gap bounds must shrink")
     ii, jj = np.triu_indices(len(pts), 1)  # every pair i < j, row-major
-    gaps = _separations(profile, ts[ii], xs[ii], ts[jj], xs[jj], cone[jj] - cone[ii], eps_null)[0]
+    gaps = _separations(profile, ts[ii], xs[ii], ts[jj], xs[jj], cone[jj] - cone[ii], EPS_NULL)[0]
     bad = np.flatnonzero(~(gaps <= np.array(bounds)[ii] + 1e-9))
     if len(bad):
         i, j, gap = int(ii[bad[0]]), int(jj[bad[0]]), float(gaps[bad[0]])
@@ -447,7 +439,6 @@ def make_cauchy_sequence(
     v: TangentVector,
     span: float = 1.0,
     n: int = 30,
-    eps_null: float = EPS_NULL,
 ):
     """Chronological sequence along a timelike geodesic with geometric gaps.
 
@@ -458,15 +449,14 @@ def make_cauchy_sequence(
     cap is not finite, raises ValueError, as does an n that is not an
     integer of at least 3 (the Cauchy probe needs 3 points).
     """
-    check_eps_null(eps_null)
     if not span > 0.0:
         raise ValueError(f"Cauchy span must be positive, got {span!r}")
     if not (isinstance(n, (int, np.integer)) and n >= 3):
         raise ValueError(f"Cauchy sequence length n must be an integer of at least 3, got {n!r}")
-    char = classify_vector(profile, p, v, eps_null=eps_null)
+    char = classify_vector(profile, p, v)
     if char.kind != "timelike" or v.tau0 <= 0.0:
         raise NotCausal("Cauchy sequences run along future timelike geodesics")
-    quad = _oriented(profile, p, v, eps_null)
+    quad = _oriented(profile, p, v)
     cap = quad.bound(float(span))
     if not math.isfinite(cap):
         raise ValueError(f"Cauchy span {span!r} is not capped by a finite affine bound")
@@ -515,16 +505,13 @@ def implication_report(profile: MetricProfile, config: ProbeConfig) -> Implicati
     return ImplicationReport(fc, tcc, ca, not mixed, violated)
 
 
-def replay_witness(
-    profile: MetricProfile, report: ProbeReport, eps_null: float = EPS_NULL
-) -> float:
+def replay_witness(profile: MetricProfile, report: ProbeReport) -> float:
     """Re-evaluate a failing report's witness through the public operations.
 
     Returns the largest inconsistency between the recorded claims and a
     fresh evaluation; a witness is sound when this stays within quadrature
     noise (well under 1e-7).
     """
-    check_eps_null(eps_null)
     if report.holds:
         return 0.0
     w = report.witness
@@ -535,9 +522,9 @@ def replay_witness(
         B = w["bound"]
         for (t, x), T_claim in zip(w["escaping_points"], w["escaping_T"]):
             pt = SpacetimePoint(t, x)
-            if not causally_related(profile, q, pt, eps_null).causal:
+            if not causally_related(profile, q, pt).causal:
                 worst = max(worst, 1.0)
-            T_new = lorentzian_distance(profile, p, pt, with_path=False, eps_null=eps_null).value
+            T_new = lorentzian_distance(profile, p, pt, with_path=False).value
             worst = max(worst, abs(T_new - T_claim))
             worst = max(worst, T_new - B)  # every witness point stays under B
         ts = [t for t, _ in w["escaping_points"]]
@@ -548,9 +535,7 @@ def replay_witness(
     elif report.condition == "condition_a":
         p = SpacetimePoint(*w["p"])
         for s, t, x, T_claim in w["tail"]:
-            T_new = lorentzian_distance(
-                profile, p, SpacetimePoint(t, x), with_path=False, eps_null=eps_null
-            ).value
+            T_new = lorentzian_distance(profile, p, SpacetimePoint(t, x), with_path=False).value
             worst = max(worst, abs(T_new - T_claim))
             worst = max(worst, T_new - min(w["missed_bounds"]))
     elif report.condition == "timelike_cauchy":

@@ -488,22 +488,18 @@ def check_eps_null(eps_null: float) -> None:
 
 
 def classify_vector(
-    profile: MetricProfile,
-    p: SpacetimePoint,
-    v: TangentVector,
-    eps_null: float = EPS_NULL,
+    profile: MetricProfile, p: SpacetimePoint, v: TangentVector
 ) -> CausalCharacter:
     """Causal class of v at p by the sign of g(v, v) = -a tau0^2 + b xi0^2.
 
-    A band |g(v, v)| <= eps_null counts as null; the exact zero vector is
+    The band |g(v, v)| <= EPS_NULL counts as null; the exact zero vector is
     its own class.
     """
-    check_eps_null(eps_null)
     a, b, _, _ = profile.eval(p.t)
     if v.tau0 == 0.0 and v.xi0 == 0.0:
         return CausalCharacter("zero", 0.0)
     q = -a * v.tau0 * v.tau0 + b * v.xi0 * v.xi0
-    if abs(q) <= eps_null:
+    if abs(q) <= EPS_NULL:
         return CausalCharacter("null", q)
     return CausalCharacter("timelike" if q < 0.0 else "spacelike", q)
 

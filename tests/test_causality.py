@@ -778,29 +778,12 @@ def _eps_null_calls():
     import lorlab as ll
 
     mink = get_profile("minkowski")
-    p, q, v = P(0.0, 0.0), P(2.0, 1.0), V(1.0, 0.5)
-    seq, bounds = ll.make_cauchy_sequence(mink, p, V(1.0, 0.0), n=4)
-    failing = ll.probe_finite_compactness(get_profile("strip01"), P(0.1, 0), P(0.2, 0), 5.0)[0]
+    p, q = P(0.0, 0.0), P(2.0, 1.0)
     return {
-        "classify_vector": lambda e: ll.classify_vector(mink, p, v, eps_null=e),
         "causally_related": lambda e: causally_related(mink, p, q, eps_null=e),
         "lorentzian_distance": lambda e: lorentzian_distance(mink, p, q, eps_null=e),
         "space_from_points": lambda e: space_from_points(mink, [p, q], eps_null=e),
         "sample_space": lambda e: ll.sample_space(mink, (0.0, 1.0, 0.0, 1.0), 4, 0, eps_null=e),
-        "quadrature_advance": lambda e: quadrature_advance(mink, p, v, 1.0, eps_null=e),
-        "causal_exp": lambda e: ll.causal_exp(mink, p, v, eps_null=e),
-        "affine_bound": lambda e: affine_bound(mink, p, v, eps_null=e),
-        "exp_continuity_probe": lambda e: ll.exp_continuity_probe(mink, p, v, [0.1], eps_null=e),
-        "geodesic_states": lambda e: ll.geodesic_states(mink, p, v, [0.5], eps_null=e),
-        "k1_slices": lambda e: ll.k1_slices(mink, p, q, 5.0, [1.0], eps_null=e),
-        "probe_finite_compactness": lambda e: ll.probe_finite_compactness(mink, p, q, 5.0,
-                                                                          eps_null=e),
-        "probe_condition_a": lambda e: ll.probe_condition_a(mink, p, q, v, [10.0], eps_null=e),
-        "probe_timelike_cauchy": lambda e: ll.probe_timelike_cauchy(mink, seq, bounds,
-                                                                    eps_null=e),
-        "make_cauchy_sequence": lambda e: ll.make_cauchy_sequence(mink, p, v, eps_null=e),
-        "replay_witness": lambda e: ll.replay_witness(get_profile("strip01"), failing,
-                                                      eps_null=e),
     }
 
 

@@ -631,6 +631,21 @@ def test_null_band_vector_without_time_direction_is_rejected(entry, name):
         entry(get_profile(name), P(0, 0), V(0, 1e-6))
 
 
+def test_geodesic_entry_points_classify_at_the_fixed_null_band():
+    # on minkowski g(v, v) = xi0^2 - tau0^2: about 8e-13 for the first
+    # vector, inside the band EPS_NULL = 1e-12, and about 2e-12 for the
+    # second, outside it
+    mink, p = get_profile("minkowski"), P(0, 0)
+    inside, outside = V(1, 1 + 4e-13), V(1, 1 + 1e-12)
+    assert classify_vector(mink, p, inside).norm_sq <= EPS_NULL < \
+        classify_vector(mink, p, outside).norm_sq
+    assert causal_exp(mink, p, inside) == P(1.0, 1.0000000000004)
+    assert geodesic_states(mink, p, inside, [1.0]) == [(1.0, 1.0, 1.0000000000004, 1.0, 1 + 4e-13)]
+    for entry in (causal_exp, lambda *args: geodesic_states(*args, [1.0])):
+        with pytest.raises(NotCausal, match="spacelike"):
+            entry(mink, p, outside)
+
+
 @pytest.mark.parametrize("s", [-1e-3, math.inf, math.nan])
 def test_inversion_rejects_a_parameter_out_of_range(s):
     with pytest.raises(ValueError, match="finite and non-negative"):
@@ -668,6 +683,15 @@ def test_continuity_probe_across_kink():
     disps = [r.max_displacement for r in rows]
     assert all(d1 > d2 for d1, d2 in zip(disps[:-1], disps[1:]))
     assert disps[-1] < 1e-4
+
+
+@pytest.mark.parametrize("v, r", [(V(0.5, 0), 0.5), (V(1, 0), 1.0)])
+def test_continuity_probe_skips_a_perturbation_without_time_direction(v, r):
+    # the perturbation at angle pi is (0, r sin(pi)) = (0, ~6e-17 r): g(v, v)
+    # lies in the null band, so it is causal, but it has no time direction
+    # and no geodesic, so it is skipped like a non-causal one
+    rows = exp_continuity_probe(get_profile("minkowski"), P(0, 0), v, [r])
+    assert len(rows) == 1 and rows[0].n_causal + rows[0].n_skipped == 32
 
 
 def test_continuity_probe_refuses_outside_domain_of_exp():
@@ -1164,8 +1188,8 @@ def test_sorted_march_is_bitwise_the_per_target_walk(prof):
     rng = np.random.default_rng(14)
     for _ in range(8):
         p, v = random_causal(prof, rng, t_window, tau_window)  # half past-directed
-        quad = _oriented(prof, p, v, EPS_NULL)
-        seed = SeedInversion(_oriented(prof, p, v, EPS_NULL))
+        quad = _oriented(prof, p, v)
+        seed = SeedInversion(_oriented(prof, p, v))
         # interior targets: s = 0, s at the first march points (each hits a
         # bracket end) while s still gains on them, and random s below those
         hits = []
@@ -1268,8 +1292,8 @@ def test_newton_on_a_bracket_end_moves_t_within_the_inversion_tolerance(prof):
     rng = np.random.default_rng(15)
     for _ in range(8):
         p, v = random_causal(prof, rng, t_window, tau_window)  # half past-directed
-        quad = _oriented(prof, p, v, EPS_NULL)
-        seed = _oriented(prof, p, v, EPS_NULL)
+        quad = _oriented(prof, p, v)
+        seed = _oriented(prof, p, v)
         targets = _near_march_targets(quad, rng)
         want = seed_times(seed, targets)
         got = quad.times(targets)

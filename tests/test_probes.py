@@ -159,11 +159,11 @@ def test_fc_slices_are_k1_slices_of_the_trace(name, q, B):
 ])
 def test_traced_cap_slice_does_not_depend_on_the_last_ulps_of_t_top(name, q, B, t_top):
     # at the cap the slice's minimum is B: the top row keeps the points at
-    # that minimum and adds no level crossing, whichever side of the cap the
-    # root landed on
+    # that minimum, lists only the cone edges among them and adds no level
+    # crossing, whichever side of the cap the root landed on
     prof, p = get_profile(name), P(0, 0)
     assert probe_finite_compactness(prof, p, q, B)[0].witness["t_top"] == t_top
-    regions = [probes._trace_region(prof, p, q, B, float(t), 65, EPS_NULL)
+    regions = [probes._trace_region(prof, p, q, B, float(t), 65)
                for t in (np.nextafter(t_top, -math.inf), t_top, np.nextafter(t_top, math.inf))]
     assert len({len(region.boundary) for region in regions}) == 1
     tops = np.array([region.slices[-1] for region in regions])
@@ -171,9 +171,22 @@ def test_traced_cap_slice_does_not_depend_on_the_last_ulps_of_t_top(name, q, B, 
     assert np.allclose(tops, tops[1], rtol=4e-16, atol=0.0)
     for region, top in zip(regions, tops):
         cap = [pt for pt in region.boundary if pt[0] == top[0]]
-        xs, Ts = probes._slice_points(prof, p, q, top[:1], 65, EPS_NULL)
-        assert cap == [(top[0], xs[0, 0]), (top[0], xs[0, -1])]  # the cone edges alone
+        xs, Ts = probes._slice_points(prof, p, q, top[:1], 65)
+        at_min = Ts[0] == Ts[0].min()
+        # the cone edges at the slice minimum alone
+        assert cap == [(top[0], xs[0, k]) for k in (0, -1) if at_min[k]]
         assert top[1:3].tolist() == [xs[0, Ts[0] == Ts[0].min()][k] for k in (0, -1)]
+
+
+def test_traced_boundary_lists_only_cone_edges_inside_k1():
+    # near the top of this leaning region the slices keep only the far cone
+    # edge: the near one lies outside K1, up to T = 1.97 against B = 1.5
+    mink, p, q, B = get_profile("minkowski"), P(0, 0), P(1, 0.37), 1.5
+    _, region = probe_finite_compactness(mink, p, q, B)
+    ts, xs = np.array(region.boundary).T
+    assert (probes._tvals(mink, p, ts, xs) <= B + 1e-9).all()
+    _, want_region = scalar_probe_finite_compactness(mink, p, q, B)
+    assert repr(region) == repr(want_region)
 
 
 @pytest.mark.parametrize("name, q, B, dt", [("minkowski", P(1, 0.37), 1.5, 0.7),
@@ -193,7 +206,7 @@ def test_k1_slices_are_the_scalar_slice_scans(name, q, B, dt, nx):
     got = k1_slices(prof, p, q, B, ts, nx=nx)
     want = [(t, lo, hi, min_T)
             for t in ts.tolist()
-            for min_T, lo, hi, _, _ in [_slice_scan(prof, p, q, B, t, nx, EPS_NULL)]]
+            for min_T, lo, hi, _, _ in [_slice_scan(prof, p, q, B, t, nx)]]
     assert got.tobytes() == np.array(want).tobytes()
     assert math.isnan(got[-1, 1]) and not math.isnan(got[2, 1])
 
@@ -207,7 +220,7 @@ def test_k1_slices_rows_ignore_a_slice_thinner_than_an_ulp():
     got = k1_slices(mink, p, q, B, ts, nx=10)
     want = [(t, lo, hi, min_T)
             for t in ts.tolist()
-            for min_T, lo, hi, _, _ in [_slice_scan(mink, p, q, B, t, 10, EPS_NULL)]]
+            for min_T, lo, hi, _, _ in [_slice_scan(mink, p, q, B, t, 10)]]
     assert got.tobytes() == np.array(want).tobytes()
 
 
@@ -282,8 +295,8 @@ def slice_batches(draw, case):
 def _check_slice_ends(case, batch):
     profile = case[0]
     p, q, ts = batch
-    got = probes._slice_min(profile, p, q, ts, EPS_NULL)
-    want = probes._slices(profile, p, q, math.inf, ts, 65, EPS_NULL)[0]
+    got = probes._slice_min(profile, p, q, ts)
+    want = probes._slices(profile, p, q, math.inf, ts, 65)[0]
     assert got.tobytes() == want.tobytes()
 
 
@@ -306,8 +319,8 @@ def test_slice_min_reads_the_ends_where_the_flat_interval_takes_its_scaled_form(
     mink, p = get_profile("minkowski"), P(0.0, 0.0)
     q = P(9.605749966830115e270, 1.222105954120503e269)
     ts = np.array([q.t + k * math.ulp(q.t) for k in range(1, 6)])
-    scan = probes._slices(mink, p, q, math.inf, ts, 65, EPS_NULL)[0]
-    ends = probes._slice_points(mink, p, q, ts, 2, EPS_NULL)[1].min(axis=1)
+    scan = probes._slices(mink, p, q, math.inf, ts, 65)[0]
+    ends = probes._slice_points(mink, p, q, ts, 2)[1].min(axis=1)
     assert ends.tobytes() == scan.tobytes()
 
 
@@ -713,12 +726,12 @@ def scalar_bracketed_root(g, lo: float, hi: float, glo=None, ghi=None,
     return 0.5 * (lo + hi)
 
 
-def _slice_scan(profile, p, q, B, t, nx, eps_null):
+def _slice_scan(profile, p, q, B, t, nx):
     """(min_T, keep_lo, keep_hi, xs, Ts) on the cone slice of q at time t."""
     cone_t = cone_time(profile, t)
     half = cone_t - cone_time(profile, q.t)
     xs = np.linspace(q.x - half, q.x + half, nx) if half > 0.0 else np.array([q.x])
-    Ts = _separations(profile, p.t, p.x, t, xs, cone_t - cone_time(profile, p.t), eps_null)[0]
+    Ts = _separations(profile, p.t, p.x, t, xs, cone_t - cone_time(profile, p.t), EPS_NULL)[0]
     keep = Ts <= B
     if keep.any():
         lo = float(xs[keep][0])
@@ -728,20 +741,18 @@ def _slice_scan(profile, p, q, B, t, nx, eps_null):
     return float(Ts.min()), lo, hi, xs, Ts
 
 
-def scalar_tval(profile, p, pt, eps_null):
-    return lorentzian_distance(
-        profile, p, pt, with_path=False, eps_null=eps_null
-    ).value
+def scalar_tval(profile, p, pt):
+    return lorentzian_distance(profile, p, pt, with_path=False).value
 
 
-def scalar_level_crossings(profile, p, B, t, xs, Ts, eps_null):
+def scalar_level_crossings(profile, p, B, t, xs, Ts):
     out = []
     inside = Ts <= B
     for i in range(len(xs) - 1):
         if inside[i] == inside[i + 1]:
             continue
         root = scalar_bracketed_root(
-            lambda x: scalar_tval(profile, p, SpacetimePoint(t, float(x)), eps_null) - B,
+            lambda x: scalar_tval(profile, p, SpacetimePoint(t, float(x))) - B,
             float(xs[i]),
             float(xs[i + 1]),
             glo=float(Ts[i] - B),
@@ -752,20 +763,20 @@ def scalar_level_crossings(profile, p, B, t, xs, Ts, eps_null):
     return out
 
 
-def scalar_probe_finite_compactness(profile, p, q, B, nx=65, n_trace=48, eps_null=EPS_NULL):
+def scalar_probe_finite_compactness(profile, p, q, B, nx=65, n_trace=48):
     if B <= 0.0:
         raise ValueError("bound B must be positive")
-    _require_chronological(profile, p, q, eps_null)
+    _require_chronological(profile, p, q)
     base_witness = {"p": (p.t, p.x), "q": (q.t, q.x), "bound": float(B)}
 
     scans = {}  # the root search can end on a slice the trace needs again
 
     def scan(t):
         if t not in scans:
-            scans[t] = _slice_scan(profile, p, q, B, t, nx, eps_null)
+            scans[t] = _slice_scan(profile, p, q, B, t, nx)
         return scans[t]
 
-    T_pq = scalar_tval(profile, p, q, eps_null)
+    T_pq = scalar_tval(profile, p, q)
     if T_pq > B:
         region = K1Region(p, q, B, np.empty((0, 4)), [], True, True)
         report = ProbeReport(
@@ -796,7 +807,7 @@ def scalar_probe_finite_compactness(profile, p, q, B, nx=65, n_trace=48, eps_nul
                 base_witness,
                 escaping_points=mids,
                 escaping_T=[
-                    scalar_tval(profile, p, SpacetimePoint(*pt), eps_null) for pt in mids
+                    scalar_tval(profile, p, SpacetimePoint(*pt)) for pt in mids
                 ],
                 t_boundary=float(profile.t_max),
             ),
@@ -807,16 +818,15 @@ def scalar_probe_finite_compactness(profile, p, q, B, nx=65, n_trace=48, eps_nul
     for t in np.linspace(q.t, t_top, n_trace).tolist():
         min_T, lo, hi, xs, Ts = scan(t)
         if t == t_top:
-            # the cap: min_T is B, kept at the slice's minimum, no crossing
+            # the cap: min_T is B, kept at the slice's minimum, the cone
+            # edges there, no crossing
             at_min = [float(x) for x, T in zip(xs, Ts) if T == min_T]
             rows.append((t, at_min[0], at_min[-1], B))
-            boundary += [(t, float(xs[0])), (t, float(xs[-1]))]
+            boundary += [(t, float(xs[k])) for k in (0, -1) if Ts[k] == min_T]
             continue
         rows.append((t, lo, hi, min_T))
-        boundary.extend(scalar_level_crossings(profile, p, B, t, xs, Ts, eps_null))
-        if not math.isnan(lo):
-            boundary.append((t, float(xs[0])))
-            boundary.append((t, float(xs[-1])))
+        boundary.extend(scalar_level_crossings(profile, p, B, t, xs, Ts))
+        boundary += [(t, float(xs[k])) for k in (0, -1) if Ts[k] <= B]  # the kept cone edges
     region = K1Region(p, q, B, np.asarray(rows, dtype=float), boundary, True, True)
     report = ProbeReport(
         "finite_compactness", HOLDS, dict(base_witness, t_top=float(t_top))
@@ -824,9 +834,9 @@ def scalar_probe_finite_compactness(profile, p, q, B, nx=65, n_trace=48, eps_nul
     return report, region
 
 
-def scalar_probe_condition_a(profile, p, q, v, B_list, eps_null=EPS_NULL):
-    _require_chronological(profile, p, q, eps_null)
-    char = classify_vector(profile, q, v, eps_null=eps_null)
+def scalar_probe_condition_a(profile, p, q, v, B_list):
+    _require_chronological(profile, p, q)
+    char = classify_vector(profile, q, v)
     if not char.is_causal:
         raise NotCausal(f"direction {v} is {char.kind}, need timelike or null")
     if v.tau0 <= 0.0:
@@ -834,7 +844,7 @@ def scalar_probe_condition_a(profile, p, q, v, B_list, eps_null=EPS_NULL):
     quad = _Quadrature(profile, q, conserved_quantities(profile, q, v))
     bound = quad.bound()
 
-    T_prev = scalar_tval(profile, p, q, eps_null)
+    T_prev = scalar_tval(profile, p, q)
     bounds = sorted({float(B) for B in B_list})
     crossings = {B: 0.0 for B in bounds if T_prev > B}
     pending = [B for B in bounds if B not in crossings]
@@ -844,12 +854,12 @@ def scalar_probe_condition_a(profile, p, q, v, B_list, eps_null=EPS_NULL):
         if not pending:
             break
         pt = quad.point_at(s)
-        T = scalar_tval(profile, p, pt, eps_null)
+        T = scalar_tval(profile, p, pt)
         while pending and T > pending[0]:
             B = pending.pop(0)
             crossings[B] = float(
                 scalar_bracketed_root(
-                    lambda u: scalar_tval(profile, p, quad.point_at(u), eps_null) - B,
+                    lambda u: scalar_tval(profile, p, quad.point_at(u)) - B,
                     s_prev, s, glo=T_prev - B, ghi=T - B, xtol=1e-10)
             )
         tail.append((s, pt.t, pt.x, T))
