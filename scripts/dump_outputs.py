@@ -26,6 +26,14 @@ every term kind:
                                 some perturbations point the other way in time;
                                 every DisplacementRow, drawn after the rest from
                                 a second seed
+    probe_finite_compactness,   a leaning region on minkowski, p = (0, 0), q =
+      k1_slices                 (1, 0.37), B = 1.5, whose slices near the top
+                                keep one cone edge
+    geodesic_states, causal_exp the inversion's edges: future exp2t at s = 1e150,
+                                1e300 and 1.7e308, past the overflow of e^t;
+                                strip01 from (0.5, 0) up to an ulp below its
+                                affine bound 0.5; past-directed exp2t toward the
+                                supremum of its saturating s
 
 A call that raises prints the exception instead.  To compare two checkouts,
 dump each with this script (copy it into the other checkout's scripts/
@@ -219,6 +227,31 @@ def dump_near_null(rng):
               f"{attempt(ll.lorentzian_distance, warpb, p, q)}")
 
 
+def dump_edges():
+    mink = ll.parse_profiles(ll.format_profile(ll.get_profile("minkowski")))["minkowski"]
+    p, q, B = P(0.0, 0.0), P(1.0, 0.37), 1.5
+    _, region = ll.probe_finite_compactness(mink, p, q, B)
+    print(f"minkowski probe_finite_compactness leaning boundary -> {show(region.boundary)}")
+    reach = float(region.slices[-1, 0]) - q.t
+    ts = np.linspace(q.t - 0.1 * reach, q.t + reach, 8)
+    print(f"minkowski k1_slices leaning {show(ts)} -> {attempt(ll.k1_slices, mink, p, q, B, ts)}")
+    exp2t = ll.get_profile("exp2t")
+    for p, v in ((P(0.0, 0.0), V(1.0, 0.0)), (P(0.0, 0.0), V(0.01, 0.005)),
+                 (P(-300.0, 0.0), V(1.0, 0.0)), (P(300.0, 0.0), V(1e-100, 0.0))):
+        for s in (1e150, 1e300, 1.7e308):
+            print(f"exp2t geodesic_states edge {show((p, v))} s={s!r} -> "
+                  f"{attempt(ll.geodesic_states, exp2t, p, v, [s])}")
+    strip = ll.get_profile("strip01")
+    for s in (*(0.5 * (1.0 - 2.0 ** -k) for k in (1, 10, 52)), math.nextafter(0.5, 0.0)):
+        print(f"strip01 geodesic_states edge s={s!r} -> "
+              f"{attempt(ll.geodesic_states, strip, P(0.5, 0.0), V(1.0, 0.0), [s])}")
+    # s = (1 - e^-T) / tau along v = (-tau, 0) from (0, 0): s = 1 nears the
+    # supremum 1 / tau as tau nears 1
+    for k in (1, 10, 30, 52):
+        v = V(-(1.0 - 2.0 ** -k), 0.0)
+        print(f"exp2t causal_exp past-sup {show(v)} -> {attempt(ll.causal_exp, exp2t, P(0, 0), v)}")
+
+
 NUMBER = re.compile(r"(?<![\w.])-?(?:inf|nan|\d+(?:\.\d*)?(?:e[-+]?\d+)?)(?![\w.])")
 
 
@@ -270,6 +303,7 @@ def main(argv=None):
     for prof in profiles():
         dump(prof, rng)
     dump_near_null(rng)
+    dump_edges()
     rng = np.random.default_rng(SEED + 1)
     for prof in profiles():
         dump_continuity(prof, rng)

@@ -19,7 +19,8 @@ which reduce the system to the strictly monotone quadrature
     x(T) = x0 + int_{t0}^{T} kappa sqrt(a(u)) / (b(u) sqrt(kappa^2/b(u) - eps)) du,
 
 inverted for T in one batch: one sorted search over a march of T toward
-the domain end brackets every s, then safeguarded Newton runs on every
+the domain end brackets every s, then a growing closed-form s(T) is
+inverted exactly, and otherwise safeguarded Newton runs on every
 unconverged s at once.  A finite end is the march's last point, so the
 affine bound there is s(t_max).  Past-directed data is solved on the
 profile's own maps, in time -t.  The metric is only C^1, so the
@@ -214,10 +215,13 @@ class _Quadrature:
     The rate ds/dT (Newton's slope, and 1 / (dT/ds) in rows) is the
     integrand of the s map: k e^{rT} for a closed form, which stays finite
     where a itself overflows (exp2t past t ~ 355), else
-    sqrt(a / (kappa^2 / b - eps)).  Past-directed data (t_sign = -1) is
-    solved on the profile's own maps, in time -t: the coefficients are read
-    at -T, the breakpoints, the domain and r are negated (exact in floats),
-    and t0 and t_end, the end the march heads for, are forward times.
+    sqrt(a / (kappa^2 / b - eps)).  A closed form with r >= 0 is inverted
+    exactly (ClosedFormMap.inverse); a saturating one (r < 0) keeps Newton,
+    as anchored maps do (see the quadrature module).  Past-directed data
+    (t_sign = -1) is solved on the profile's own maps, in time -t: the
+    coefficients are read at -T, the breakpoints, the domain and r are
+    negated (exact in floats), and t0 and t_end, the end the march heads
+    for, are forward times.
     """
 
     def __init__(self, profile: MetricProfile, p: SpacetimePoint, cons: ConservedQuantities,
@@ -254,10 +258,10 @@ class _Quadrature:
             # vanishes, as e^t does toward -inf
             s_map = ClosedFormMap(flat.k / math.sqrt(kappa * kappa - eps),
                                   flat.r if t_sign > 0.0 else -flat.r, t0)
-            self._rate = s_map.integrand
+            self._rate, self._closed = s_map.integrand, s_map
         else:
-            s_map, self._rate = anchored(f_s), f_s
-        self.s_at = s_map.many
+            s_map, self._rate, self._closed = anchored(f_s), f_s, None
+        self._x0, self.s_at = x0, s_map.many
         if profile.has_unit_b:
             self.x_at = lambda ts: x0 + kappa * s_map.many(ts)
         else:
@@ -312,8 +316,10 @@ class _Quadrature:
         or the march ends; an s at or past the bound of an ended march is
         beyond it.  One search over the march then brackets every s between
         its last point at or below s and the next one: a point that hits s
-        is its T (s = 0 is t0), and the other rows are solved to INVERT_TOL
-        by quadrature.solve's Newton steps from the secant start, with one
+        is its T (s = 0 is t0).  On a growing closed form the other rows
+        take the exact inverse, kept on the bracket and strictly below the
+        domain end; otherwise they are solved to INVERT_TOL by
+        quadrature.solve's Newton steps from the secant start, with one
         evaluation of the maps per iteration.  A row's T does not depend on
         the batch.
         """
@@ -331,6 +337,15 @@ class _Quadrature:
         march_T, march_s = np.array(self._T), np.array(self._S)
         i = np.searchsorted(march_s, s, side="right")  # the first point above s
         lo, hi, slo, shi = march_T[i - 1], march_T[i], march_s[i - 1], march_s[i]
+        closed = self._closed
+        if closed is not None and closed.r >= 0.0:
+            # a growing closed form's exact inverse, kept on the bracket and
+            # below the domain end, onto which the exact T of an s an ulp
+            # below the bound can round.  The bracket is open above where s
+            # overflowed: the map overflows with e^{rT}, before s itself does
+            end = math.nextafter(self.t_end, -math.inf)
+            top = np.where(shi < math.inf, np.minimum(hi, end), end)
+            return np.where(slo == s, lo, np.minimum(np.maximum(closed.inverse(s), lo), top))
 
         def stuck(k, lo, hi, steps):
             return QuadratureError(
@@ -363,19 +378,49 @@ class _Quadrature:
     def point_at(self, s: float) -> SpacetimePoint:
         """The point at s, in the caller's time."""
         T = self.t_of(s)
-        return SpacetimePoint(self.t_sign * T, float(self.x_at(T)))
+        return SpacetimePoint(self.t_sign * T, float(self._x(np.array([T]), s)[0]))
+
+    def _x(self, T, s) -> np.ndarray:
+        """x at the forward times T of the affine parameters s: x_at(T), but
+        with b == 1 x0 + kappa s where s(T) overflows in floats while s does
+        not, as a closed form's does past the overflow of e^{rT}."""
+        if not self.profile.has_unit_b:
+            return self.x_at(T)
+        sT = self.s_at(T)
+        fine = np.isfinite(sT)
+        if fine.all():
+            return self._x0 + self.kappa * sT
+        with np.errstate(over="ignore"):  # an x beyond floats is inf
+            return self._x0 + self.kappa * np.where(fine, sT, s)
 
     def rows(self, T, s=None) -> np.ndarray:
         """Rows (s, T, x, dT/ds = 1 / rate, dx/ds) at the forward times T; s
-        defaults to s(T)."""
-        kappa = self.kappa
+        defaults to s(T).
+
+        Where a closed form's rate k e^{rT} overflows while s does not, the
+        rate is r s + k e^{r t0}, equal in exact arithmetic, and x is taken
+        from s (_x); every other value is the plain form's.  A row holding a
+        value beyond floats raises QuadratureError.
+        """
+        kappa, rate = self.kappa, self._rate(T)
+        if s is None:
+            s, x = self.s_at(T), self.x_at(T)
+        else:
+            s = np.asarray(s, dtype=float)
+            x, closed = self._x(T, s), self._closed
+            if closed is not None and not np.isfinite(rate).all():
+                k0 = float(closed.integrand(self.t0))
+                with np.errstate(over="ignore"):
+                    rate = np.where(np.isfinite(rate), rate, closed.r * s + k0)
         if self.profile.has_unit_b:
             dxds = np.full(len(T), kappa)  # kappa / b with b exactly 1.0
         else:
             dxds = kappa / self._coefficients(T)[1]
-        return np.column_stack([
-            self.s_at(T) if s is None else s, T, self.x_at(T), 1.0 / self._rate(T), dxds,
-        ])
+        out = np.column_stack([s, T, x, 1.0 / rate, dxds])
+        if not np.isfinite(out).all():
+            row = out[~np.isfinite(out).all(axis=1)][0].tolist()
+            raise QuadratureError(f"the state at s = {row[0]!r} is {row!r}, not finite in floats")
+        return out
 
     def _diverges(self) -> bool:
         """True when s(T) is known to diverge toward an unbounded end.

@@ -23,8 +23,12 @@ AnchoredMap lays its knots on the same grid.  _cone_map and _flat_map pick
 one of them for a profile and share it through the profile.
 
 solve is the one batched root solver: the probes' level crossings take its
-Illinois steps, two points per row per call of g, the inversion s -> T and
-kappa shooting its Newton steps.
+Illinois steps, two points per row per call of g, and kappa shooting and
+the inversion s -> T of an AnchoredMap or of a saturating closed form (r <
+0) its Newton steps.  A growing closed form (r >= 0) is inverted exactly,
+by ClosedFormMap.inverse.  A saturating one keeps Newton: near the supremum
+of s its t is ill-conditioned in s, and the exact inverse of a rounded s
+can lie far from the t that the map, as rounded, brackets.
 """
 
 from __future__ import annotations
@@ -354,7 +358,7 @@ class ClosedFormMap:
     number is below 1 / (1 - exp(-EXPM1_BELOW)) < 2.6).  Where an
     exponential overflows the value is +-inf, the sign of k (t - anchor).
     The batch path evaluates the same scalar expressions, so both agree bit
-    for bit.
+    for bit, as do inverse's.
     """
 
     def __init__(self, k: float, r: float, anchor: float):
@@ -379,6 +383,27 @@ class ClosedFormMap:
         if self.r == 0.0:
             return self.k * (ts - self.anchor)
         return np.array([self(t) for t in ts.ravel().tolist()]).reshape(ts.shape)
+
+    def _inverse(self, s: float) -> float:
+        k, r, anchor = self.k, self.r, self.anchor
+        z = r * s / (k * math.exp(r * anchor))
+        if z < math.inf:
+            return anchor + math.log1p(z) / r
+        # r s / k overflows: z = e^w with w in logs, and log1p(e^w) =
+        # max(w, 0) + log1p(e^-|w|)
+        w = math.log(r) + math.log(s) - math.log(k) - r * anchor
+        return anchor + (max(w, 0.0) + math.log1p(math.exp(-abs(w)))) / r
+
+    def inverse(self, ss) -> np.ndarray:
+        """The t with self(t) = s at every entry s >= 0 of ss, s in the map's
+        range, k > 0 and r >= 0: anchor + s / k when r == 0, else anchor +
+        log1p(z) / r with z = r s / (k exp(r anchor)), formed in logs where
+        r s / k overflows in floats.  t is well conditioned in s there:
+        dt/ds = 1 / (k exp(r t)) shrinks as s grows."""
+        ss = np.asarray(ss, dtype=float)
+        if self.r == 0.0:
+            return self.anchor + ss / self.k
+        return np.array([self._inverse(s) for s in ss.ravel().tolist()]).reshape(ss.shape)
 
     def integrand(self, ts) -> np.ndarray:
         """The map's derivative k exp(r t) at every entry of ts; inf where

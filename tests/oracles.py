@@ -164,6 +164,19 @@ def mp_shooting(profile, p, q, kappa0, dps=30):
     return float(integral(length))
 
 
+def mp_exp_map_inverse(k, r, anchor, s, dps=40):
+    """The t with int_anchor^t k exp(r u) du = s, for the float parameters of
+    a closed-form map, in mpmath at dps digits and rounded to a float;
+    mpmath is imported here, so a caller can skip when it is missing."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        k, r, anchor, s = (mpmath.mpf(v) for v in (k, r, anchor, s))
+        if r == 0:
+            return float(anchor + s / k)
+        return float(anchor + mpmath.log1p(r * s / (k * mpmath.exp(r * anchor))) / r)
+
+
 def mirrored(profile):
     """The profile with a~(t) = a(-t) and b~(t) = b(-t), built from flipped
     terms: the domain and the floor window flip, a linear term's c, a power

@@ -66,6 +66,23 @@ def test_geodesic_scalar_overflow_exits_cleanly(capsys, method):
     assert "Traceback" not in err
 
 
+def test_geodesic_quadrature_past_the_overflow_of_e_t(capsys):
+    # s = 1e300 lies at t = 300 + log1p(1e200) = 760.517..., past the overflow
+    # of e^t at 709.78: x and dt/ds come from s, not from inf or nan
+    code, out, err = run(capsys, "geodesic", "--profile", "exp2t", "--p", "300,0",
+                         "--v", "1e-100,0", "--smax", "1e300", "--step", "1e300",
+                         "--method", "quadrature")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[3].split(",")[:5] == [
+        "1e+300", "760.5170185988092", "0.0", "1e-300", "0.0"]
+    # where x = kappa s = 1e430 cannot be finite, an error
+    code, out, err = run(capsys, "geodesic", "--profile", "exp2t", "--p", "300,0",
+                         "--v", "1,1e130", "--smax", "1e300", "--step", "1e300",
+                         "--method", "quadrature")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: QuadratureError: ") and "not finite" in err
+
+
 @pytest.mark.parametrize("method", ["ode", "quadrature", "both"])
 def test_geodesic_underflowed_data_exits_cleanly(capsys, method):
     # a(-400) = e^-800 underflows to 0: kappa = eps = 0, and RK4 divides by a
@@ -362,7 +379,7 @@ finite_compactness fails_with_witness
 timelike_cauchy fails_with_witness
 timelike_cauchy.tail_diameter 5.280599002510655e-08
 condition_a fails_with_witness
-condition_a.bounded_by 0.8999999999999829
+condition_a.bounded_by 0.8999999999999774
 condition_a.max_param 0.8
 """),
 ]

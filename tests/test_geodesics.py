@@ -44,7 +44,7 @@ from lorlab.geodesics import (
 )
 from lorlab.profiles import EPS_NULL, MetricProfile
 from lorlab.quadrature import ROOT_MAX_ITER, in_blocks, toward_end
-from oracles import mirrored
+from oracles import mirrored, mp_exp_map_inverse
 
 P = SpacetimePoint
 V = TangentVector
@@ -320,6 +320,39 @@ def test_exp2t_inversion_where_a_overflows(s):
     assert dtds == pytest.approx(math.exp(-t), rel=1e-12, abs=0.0)
 
 
+# exp2t has a = e^{2t} and b = 1: s(T) = (e^T - e^t0) / (e^t0 tau0), so the
+# state at s is t = t0 + log1p(tau0 s), x = x0 + xi0 s, dt/ds = tau0 / (1 +
+# tau0 s) and dx/ds = xi0
+EXP2T_FAR = [
+    (P(300.0, 0.0), V(1e-100, 0.0), 1e300),   # e^{rT} overflows below the target
+    (P(300.0, 0.0), V(1.0, 0.0), 1e300),      # T lies past the march's overflow
+    (P(0.0, 0.0), V(1.0, 0.0), 1.7e308),
+    (P(0.0, 0.0), V(0.01, 0.005), 1e300),
+    (P(-300.0, 0.0), V(1.0, 0.0), 1e150),
+]
+
+
+@pytest.mark.parametrize("p, v, s", EXP2T_FAR)
+def test_exp2t_state_where_the_closed_form_overflows(p, v, s):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        tau, m_s = mpmath.mpf(v.tau0), mpmath.mpf(s)
+        want = (s, float(p.t + mpmath.log1p(tau * m_s)), float(p.x + v.xi0 * m_s),
+                float(tau / (1 + tau * m_s)), v.xi0)
+    (row,) = geodesic_states(get_profile("exp2t"), p, v, [s])
+    # T to a few ulps of t0 + log1p(tau0 s); x and dt/ds carry T's rounding,
+    # amplified by |T| (d log(dt/ds) / dT = -1)
+    assert abs(row[1] - want[1]) <= 4.0 * math.ulp(max(abs(p.t), abs(want[1])))
+    assert row == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert quadrature_advance(get_profile("exp2t"), p, v, s) == P(row[1], row[2])
+
+
+def test_exp2t_state_beyond_floats_raises():
+    # x = kappa s = 1e430 cannot be finite: an error, never a nan or inf row
+    with pytest.raises(QuadratureError, match="not finite"):
+        geodesic_states(get_profile("exp2t"), P(300.0, 0.0), V(1.0, 1e130), [1e300])
+
+
 def _count_s_at(quad):
     """Route quad's s_at through a counter, which Newton calls once per
     iteration (the march reads its map directly), and return the counts."""
@@ -342,10 +375,18 @@ def test_inversion_returns_a_bracket_end_that_hits_the_target():
     # s(T) = T - 1, and the march points T = 2, 3, 5, ..., 65 give s = 2^k
     assert quad.t_of(1.0) == 2.0
     assert quad.t_of(64.0) == 65.0
-    assert calls == []  # no Newton iteration ran
-    # the counter sees Newton when it runs
+    # between march points the closed form's exact inverse, with no Newton
     assert quad.t_of(1.5) == 2.5
-    assert calls == [1]
+    assert calls == []
+    # the counter sees Newton where it runs: on c1power, a target an ulp
+    # either side of a march value takes one step from the closed bracket
+    prof = _fresh("c1power")
+    quad = _Quadrature(prof, p, conserved_quantities(prof, p, v))
+    march = quad.s_at(list(islice(toward_end(quad.t0, quad.t_end), 10))).tolist()
+    targets = [math.nextafter(s, d) for s in march for d in (0.0, math.inf)]
+    calls = _count_s_at(quad)
+    quad.times(targets)
+    assert calls == [len(targets)]
 
 
 # -- causal_exp --------------------------------------------------------------------
@@ -1193,15 +1234,80 @@ def test_sorted_march_is_bitwise_the_per_target_walk(prof):
         # interior targets: s = 0, s at the first march points (each hits a
         # bracket end) while s still gains on them, and random s below those
         hits = []
-        for s in quad.s_at(list(islice(toward_end(quad.t0, quad.t_end), 20))).tolist():
+        march = list(islice(toward_end(quad.t0, quad.t_end), 20))
+        for s in quad.s_at(march).tolist():
             if not math.isfinite(s) or s - (hits or [0.0])[-1] < seed_stall_gate(s):
                 break
             hits.append(s)
         targets = [0.0, *hits, *(hits[-1] * rng.uniform(0.0, 1.0, 20)).tolist()]
         targets = rng.permutation(targets).tolist()
+        if _inverts_exactly(quad):
+            # a growing closed form is inverted exactly, not by the seed's
+            # Newton; a target on a march value still returns that march T
+            T = _assert_exact_inversion(quad, targets)
+            at = dict(zip([0.0, *hits], [quad.t0, *march]))
+            assert all(t == at[s] for s, t in zip(targets, T.tolist()) if s in at)
+            continue
         want = seed.times(targets)
         assert len(want) == len(targets)
         assert quad.times(targets).tobytes() == want.tobytes()
+
+
+def _inverts_exactly(quad):
+    """True when quad's s map is a growing closed form (r >= 0)."""
+    return quad._closed is not None and quad._closed.r >= 0.0
+
+
+def _assert_exact_inversion(quad, targets):
+    """Invert targets with quad, a solver on a growing closed form, and check
+    that no Newton row ran and that every T lies within INVERT_TOL max(1,
+    |T|) of a 40-digit mpmath inverse and strictly below the domain end."""
+    pytest.importorskip("mpmath")
+    calls = _count_s_at(quad)
+    T = quad.times(targets)
+    assert calls == []
+    m = quad._closed
+    want = np.array([mp_exp_map_inverse(m.k, m.r, m.anchor, s) for s in targets[:len(T)]])
+    assert (np.abs(T - want) <= INVERT_TOL * np.maximum(1.0, np.abs(want))).all()
+    assert (T < quad.t_end).all()
+    return T
+
+
+# beyond the first march points: s the march reaches on minkowski (which
+# runs out at t0 + 2^74), and s past the overflow of e^T on exp2t
+FAR_TARGETS = {"minkowski": [1e6, 1e12, 1e18], "exp2t": [1e150, 1e300, 1.7e308]}
+
+
+@pytest.mark.parametrize("name", ["minkowski", "strip01", "exp2t"])
+def test_growing_closed_form_inversion_against_mpmath(name):
+    prof = _fresh(name)
+    t_window, tau_window = IC_WINDOWS[name]
+    rng = np.random.default_rng(31)
+    growing = 0
+    for _ in range(12):
+        p, v = random_causal(prof, rng, t_window, tau_window)  # half past-directed
+        quad = _oriented(prof, p, v)
+        if not _inverts_exactly(quad):  # a saturating s keeps Newton
+            assert name == "exp2t" and quad.t_sign < 0.0
+            continue
+        growing += 1
+        bound = quad.bound()
+        if math.isfinite(bound):
+            near = [bound * (1.0 - 2.0 ** -k) for k in (1, 10, 30, 52)]
+            near.append(math.nextafter(bound, 0.0))
+        else:
+            near = FAR_TARGETS[name]
+        _assert_exact_inversion(quad, [*rng.uniform(0.0, min(bound, 4.0), 12).tolist(), *near])
+    assert growing >= 5
+
+
+def test_strip01_inversion_stays_below_the_domain_end():
+    # the exact T = 1 - 2^-54 of s = 0.5 - 2^-54 rounds onto t_max = 1.0
+    s = math.nextafter(0.5, 0.0)
+    quad = _oriented(_fresh("strip01"), P(0.5, 0.0), V(1.0, 0.0))
+    assert quad.times([s]).tolist() == [math.nextafter(1.0, 0.0)]
+    ((_, t, *_),) = geodesic_states(_fresh("strip01"), P(0.5, 0.0), V(1.0, 0.0), [s])
+    assert t == math.nextafter(1.0, 0.0)
 
 
 # -- gate: Newton on the closed bracket against the open-bracket inversion ---------
@@ -1314,11 +1420,23 @@ def _newton_rows(monkeypatch):
     return lambda: sum(sum(c) for c in calls)
 
 
+def _b4(**domain):
+    """a = 1 and b = 4: s(T) = T - t0 along v = (1, 0), as on strip01 and
+    minkowski, but on an AnchoredMap, which Newton inverts."""
+    return MetricProfile("b4", (const(1.0),), (const(4.0),), **domain)
+
+
 def test_cauchy_target_an_ulp_below_a_march_value_takes_one_newton_step(monkeypatch):
     # the bound is 0.9, and s = 0.45 lies one ulp below the march's
     # s(0.55) = 0.45000000000000007; every other target hits a march value.
     # An open bracket bisected that row down to INVERT_TOL: 39 iterations
+    strip = _b4(t_min=0.0, t_max=1.0)
+    quad = _oriented(strip, P(0.1, 0.0), V(1.0, 0.0))
+    assert math.nextafter(float(quad.s_at(0.55)), 0.0) == 0.45
     rows = _newton_rows(monkeypatch)
+    make_cauchy_sequence(strip, P(0.1, 0.0), V(1.0, 0.0), span=1.0, n=30)
+    assert rows() == 1
+    # strip01's growing closed form is inverted exactly: no Newton row
     make_cauchy_sequence(_fresh("strip01"), P(0.1, 0.0), V(1.0, 0.0), span=1.0, n=30)
     assert rows() == 1
 
@@ -1329,6 +1447,12 @@ def test_condition_a_targets_an_ulp_from_march_values_take_one_newton_step(monke
     # crossing solves' 3.  The 8 march targets take 2 Newton row-iterations,
     # and the crossing solve asks 4 targets, two per bound in one call, one
     # step each
+    plane = _b4()
+    quad = _oriented(plane, P(0.2, 0.0), V(1.0, 0.0))
+    assert math.nextafter(float(quad.s_at(0.2 + 2.0 ** 3)), math.inf) == 2.0 ** 3
     rows = _newton_rows(monkeypatch)
+    probe_condition_a(plane, P(0.1, 0.0), P(0.2, 0.0), V(1.0, 0.0), [10, 100])
+    assert rows() == 6
+    # minkowski's growing closed form is inverted exactly: no Newton row
     probe_condition_a(_fresh("minkowski"), P(0.1, 0.0), P(0.2, 0.0), V(1.0, 0.0), [10, 100])
     assert rows() == 6

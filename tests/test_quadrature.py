@@ -22,7 +22,7 @@ from lorlab.quadrature import (
     toward_end,
 )
 
-from oracles import mp_cumulative, simpson_integral
+from oracles import mp_cumulative, mp_exp_map_inverse, simpson_integral
 from test_geodesics import MIXED
 
 
@@ -108,6 +108,28 @@ def test_closed_form_map_overflows_to_signed_inf():
     exp2t = get_profile("exp2t")  # flat time e^t - 1 in closed form
     assert flat_time(exp2t, 710.0) == math.inf
     assert cone_time(exp2t, 710.0) == math.inf
+
+
+@pytest.mark.parametrize("k, r, anchor", [
+    (1.0, 0.0, 0.3),                       # k (t - anchor)
+    (2.5, 0.0, -7.0),
+    (1.0, 1.0, 0.0),                       # e^t - 1
+    (0.37, 2.0, 0.4),
+    (1e100 * math.exp(-300.0), 1.0, 300.0),  # r s / k overflows for s > 2e277
+    (3.0, 1e-9, 5.0),                      # r (t - anchor) tiny
+])
+def test_closed_form_inverse_against_mpmath(k, r, anchor):
+    pytest.importorskip("mpmath")
+    m = ClosedFormMap(k, r, anchor)
+    rng = np.random.default_rng(3)
+    ss = [0.0, 5e-324, 1e-300, *rng.uniform(0.0, 10.0, 8).tolist(),
+          *(10.0 ** rng.uniform(-20.0, 308.0, 12)).tolist(), 1.7e308]
+    got = m.inverse(ss)
+    # a batch is its scalar calls bit for bit
+    assert got.tobytes() == np.concatenate([m.inverse([s]) for s in ss]).tobytes()
+    for s, t in zip(ss, got.tolist()):
+        want = mp_exp_map_inverse(k, r, anchor, s)
+        assert abs(t - want) <= 2.0 * math.ulp(max(abs(anchor), abs(want))), (s, t, want)
 
 
 def test_anchored_map_values():
