@@ -33,7 +33,12 @@ every term kind:
                                 1e300 and 1.7e308, past the overflow of e^t;
                                 strip01 from (0.5, 0) up to an ulp below its
                                 affine bound 0.5; past-directed exp2t toward the
-                                supremum of its saturating s
+                                supremum of its saturating s; minkowski from
+                                (0, 0) along (1, 0) at s = 1e23
+    implication_report          near-light-cone regions on minkowski from p =
+                                (0, 0): q = (1, 0.999999) with B = 5, q = (1,
+                                1 - 2e-12) with B = 1e9 (t_top = 2.5e29) and q =
+                                (1, 0.5) with B = 1e160, whose B^2 overflows
 
 A call that raises prints the exception instead.  To compare two checkouts,
 dump each with this script (copy it into the other checkout's scripts/
@@ -250,6 +255,12 @@ def dump_edges():
     for k in (1, 10, 30, 52):
         v = V(-(1.0 - 2.0 ** -k), 0.0)
         print(f"exp2t causal_exp past-sup {show(v)} -> {attempt(ll.causal_exp, exp2t, P(0, 0), v)}")
+    print(f"minkowski geodesic_states edge s=1e23 -> "
+          f"{attempt(ll.geodesic_states, mink, P(0, 0), V(1, 0), [1e23])}")
+    for q, B in ((P(1.0, 0.999999), 5.0), (P(1.0, 1.0 - 2e-12), 1e9), (P(1.0, 0.5), 1e160)):
+        cfg = ll.ProbeConfig(P(0.0, 0.0), q, fc_bound=B)
+        print(f"minkowski implication_report near-cone {show((q, B))} -> "
+              f"{attempt(ll.implication_report, mink, cfg)}")
 
 
 NUMBER = re.compile(r"(?<![\w.])-?(?:inf|nan|\d+(?:\.\d*)?(?:e[-+]?\d+)?)(?![\w.])")

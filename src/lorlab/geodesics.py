@@ -18,10 +18,11 @@ which reduce the system to the strictly monotone quadrature
     s(T) = int_{t0}^{T} sqrt(a(u)) / sqrt(kappa^2/b(u) - eps) du,
     x(T) = x0 + int_{t0}^{T} kappa sqrt(a(u)) / (b(u) sqrt(kappa^2/b(u) - eps)) du,
 
-inverted for T in one batch: one sorted search over a march of T toward
-the domain end brackets every s, then a growing closed-form s(T) is
-inverted exactly, and otherwise safeguarded Newton runs on every
-unconverged s at once.  A finite end is the march's last point, so the
+inverted for T in one batch.  A growing closed-form s(T) is inverted
+exactly, and its affine bound is s(t_max) at a finite end and inf toward an
+unbounded one.  Otherwise one sorted search over a march of T toward the
+domain end brackets every s, and safeguarded Newton runs on every
+unconverged s at once; a finite end is the march's last point, so the
 affine bound there is s(t_max).  Past-directed data is solved on the
 profile's own maps, in time -t.  The metric is only C^1, so the
 Runge-Kutta error theory is not trusted; every run is certified a
@@ -216,12 +217,13 @@ class _Quadrature:
     integrand of the s map: k e^{rT} for a closed form, which stays finite
     where a itself overflows (exp2t past t ~ 355), else
     sqrt(a / (kappa^2 / b - eps)).  A closed form with r >= 0 is inverted
-    exactly (ClosedFormMap.inverse); a saturating one (r < 0) keeps Newton,
-    as anchored maps do (see the quadrature module).  Past-directed data
+    exactly (ClosedFormMap.inverse) and its affine bound read off the map,
+    with no march; a saturating one (r < 0) keeps the march and Newton, as
+    anchored maps do (see the quadrature module).  Past-directed data
     (t_sign = -1) is solved on the profile's own maps, in time -t: the
     coefficients are read at -T, the breakpoints, the domain and r are
-    negated (exact in floats), and t0 and t_end, the end the march heads
-    for, are forward times.
+    negated (exact in floats), and t0 and t_end, the domain end ahead, are
+    forward times.
     """
 
     def __init__(self, profile: MetricProfile, p: SpacetimePoint, cons: ConservedQuantities,
@@ -271,14 +273,21 @@ class _Quadrature:
 
             x_map = anchored(f_x)
             self.x_at = lambda ts: x0 + x_map.many(ts)
-        # the march from t0 toward t_end, in blocks; a finite end is its last
-        # point.  _T and _S hold the points (T, s(T)) computed so far, from
-        # (t0, 0); once the march has ended, _total is the affine bound
+        # _T and _S hold the points (T, s(T)) of the march computed so far,
+        # from (t0, 0); once the march has ended, _total is the affine bound.
+        # A growing closed form needs no march: its bound is s(t_end) at a
+        # finite end and inf toward an unbounded one
         finite = math.isfinite(self.t_end)
+        self._T, self._S, self._stall = [t0], [0.0], 0
+        self._growing = self._closed is not None and self._closed.r >= 0.0
+        if self._growing:
+            self._ended, self._total = True, s_map(self.t_end) if finite else math.inf
+            return
+        # the march from t0 toward t_end, in blocks; a finite end is its last point
         ends = islice(toward_end(t0, self.t_end), 49 if finite else 75)
         self._march = in_blocks(lambda ts: s_map.many(ts).tolist(),
                                 chain(ends, [self.t_end] if finite else []))
-        self._T, self._S, self._stall, self._ended, self._total = [t0], [0.0], 0, False, math.inf
+        self._ended, self._total = False, math.inf
 
     def _extend(self) -> None:
         """Compute the next march point, or end the march.
@@ -312,16 +321,17 @@ class _Quadrature:
         """T at each s of s_values, in order, up to the first s beyond the
         affine bound.
 
-        The march extends until one point lies strictly above the largest s
-        or the march ends; an s at or past the bound of an ended march is
-        beyond it.  One search over the march then brackets every s between
-        its last point at or below s and the next one: a point that hits s
-        is its T (s = 0 is t0).  On a growing closed form the other rows
-        take the exact inverse, kept on the bracket and strictly below the
-        domain end; otherwise they are solved to INVERT_TOL by
-        quadrature.solve's Newton steps from the secant start, with one
-        evaluation of the maps per iteration.  A row's T does not depend on
-        the batch.
+        An s at or past the bound of an ended march is beyond it.  On a
+        growing closed form, whose bound is known with no march, T is the
+        exact inverse (s = 0 is t0), kept strictly below the domain end,
+        onto which the exact T of an s an ulp below the bound can round.
+        Otherwise the march extends until one point lies strictly above the
+        largest s or the march ends, and one search over the march brackets
+        every s between its last point at or below s and the next one: a
+        point that hits s is its T (s = 0 is t0), and the other rows are
+        solved to INVERT_TOL by quadrature.solve's Newton steps from the
+        secant start, with one evaluation of the maps per iteration.  A
+        row's T does not depend on the batch.
         """
         s = np.fromiter(s_values, dtype=float)
         if not (np.isfinite(s) & (s >= 0.0)).all():
@@ -332,20 +342,13 @@ class _Quadrature:
         beyond = np.flatnonzero(s >= self._total)
         if len(beyond):
             s = s[:beyond[0]]
+        if self._growing:
+            return np.minimum(self._closed.inverse(s), math.nextafter(self.t_end, -math.inf))
         if s.max(initial=-1.0) >= self._S[-1]:
             raise QuadratureError("affine target not bracketed while doubling T")
         march_T, march_s = np.array(self._T), np.array(self._S)
         i = np.searchsorted(march_s, s, side="right")  # the first point above s
         lo, hi, slo, shi = march_T[i - 1], march_T[i], march_s[i - 1], march_s[i]
-        closed = self._closed
-        if closed is not None and closed.r >= 0.0:
-            # a growing closed form's exact inverse, kept on the bracket and
-            # below the domain end, onto which the exact T of an s an ulp
-            # below the bound can round.  The bracket is open above where s
-            # overflowed: the map overflows with e^{rT}, before s itself does
-            end = math.nextafter(self.t_end, -math.inf)
-            top = np.where(shi < math.inf, np.minimum(hi, end), end)
-            return np.where(slo == s, lo, np.minimum(np.maximum(closed.inverse(s), lo), top))
 
         def stuck(k, lo, hi, steps):
             return QuadratureError(
@@ -442,10 +445,12 @@ class _Quadrature:
         """min(cap, the affine length available before the domain boundary);
         inf when both are.
 
-        When s(T) diverges (_diverges) this is cap, with no march.  Else the
-        march extends only while its last s is at most cap, as past that
-        point the length exceeds cap; so a capped bound leaves the rest of the
-        march uncomputed (toward an unbounded end it runs out to t0 + 2^74).
+        On a growing closed form the length is s(t_end) at a finite end and
+        inf toward an unbounded one, with no march.  When s(T) diverges
+        (_diverges) this is cap, with no march either.  Else the march
+        extends only while its last s is at most cap, as past that point the
+        length exceeds cap; so a capped bound leaves the rest of the march
+        uncomputed (toward an unbounded end it runs out to t0 + 2^74).
         """
         if not self._ended and self._diverges():
             return cap

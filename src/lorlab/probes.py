@@ -4,18 +4,22 @@ Finite compactness is probed through the region
 
     K1 = { x : p << q <= x, T(p, x) <= B },
 
-marched on slices of constant t; the probe holds when the region's time
-extent terminates strictly inside the domain (bounded) at a slice the region
+on slices of constant t; the probe holds when the region's time extent
+terminates strictly inside the domain (bounded) at a slice the region
 actually attains (closed in domain), which is compactness in the 1+1 chart
-by Heine-Borel.  The verdict needs only the march, the root of the region's
-top time and, for an escape, its witness; probe_finite_compactness also
-traces a capped region's slices and boundary, which implication_report and
-the CLI do not read, so they take the verdict alone.  The divergence
-condition is probed along an inextendible causal geodesic from q: for each
-supplied bound B the probe reports the first affine parameter where
-T(p, gamma(s)) exceeds B, or the supremum of T observed when the geodesic
-dies first.  Timelike Cauchy completeness is probed on a supplied
-chronological sequence with vanishing forward gaps.
+by Heine-Borel.  With b == 1 the chart (cone time, x) is Minkowski, so the
+region's top time t_top is in closed form: the cone time where the slice
+minimum reaches B, inverted with no slice computed.  Otherwise, and for a
+region that escapes, the slices are marched toward the domain end and a
+cap's t_top is rooted.  The verdict needs only t_top and, for an escape,
+its witness; probe_finite_compactness also traces a capped region's slices
+and boundary, which implication_report and the CLI do not read, so they
+take the verdict alone.  The divergence condition is probed along an
+inextendible causal geodesic from q: for each supplied bound B the probe
+reports the first affine parameter where T(p, gamma(s)) exceeds B, or the
+supremum of T observed when the geodesic dies first.  Timelike Cauchy
+completeness is probed on a supplied chronological sequence with vanishing
+forward gaps.
 
 Every T comes from the batched pair path, lorentzian_distance bit for bit
 (replay_witness alone calls that).  Both marches compute their slices or
@@ -44,9 +48,9 @@ import numpy as np
 
 from .causality import _relation, _separations, causally_related, lorentzian_distance
 from .errors import NotCausal, NotChronological, PremiseViolated, QuadratureError
-from .geodesics import _oriented
+from .geodesics import INVERT_TOL, ConservedQuantities, _oriented, _Quadrature
 from .profiles import EPS_NULL, MetricProfile, SpacetimePoint, TangentVector, classify_vector
-from .quadrature import _cone_map, in_blocks, solve, toward_end
+from .quadrature import ClosedFormMap, _cone_map, in_blocks, solve, toward_end
 
 HOLDS = "holds_on_probe"
 FAILS = "fails_with_witness"
@@ -112,13 +116,15 @@ class ProbeConfig:
     cauchy_len: int = 30
 
 
-def _require_chronological(profile, p, q):
+def _require_chronological(profile, p, q) -> float:
+    """The relation's margin of p << q; raises NotChronological elsewhere."""
     verdict = causally_related(profile, p, q)
     if not verdict.chronological:
         raise NotChronological(
             f"probe requires p << q; pair has relation {verdict.relation!r} "
             f"(margin {verdict.margin!r})"
         )
+    return verdict.margin
 
 
 def _tvals(profile, p, ts, xs):
@@ -208,24 +214,75 @@ def k1_slices(profile, p, q, B, ts, nx=65):
     return np.column_stack([ts, lo, hi, min_T])
 
 
+def _cone_top(profile, p, q, tau, step):
+    """The time, at least q.t, where the cone time above p, cone(t) -
+    cone(p.t), reaches tau; None where it stays below tau to the domain end.
+
+    A closed-form cone map (b == 1) is inverted by the solver of the null
+    geodesic from p with (kappa, eps) = (1, 0), whose s map is that form
+    re-anchored at p.t: exactly where it grows.  On the profile's shared
+    anchored cone map tau is bracketed at the slice march's times,
+    toward_end(q.t, t_max, step), and solved by one Newton row of
+    quadrature.solve with slope sqrt(a)."""
+    cone = _cone_map(profile)
+    if isinstance(cone, ClosedFormMap):
+        T = _Quadrature(profile, p, ConservedQuantities(1.0, 0.0)).times([tau])
+        return max(q.t, float(T[0])) if len(T) else None
+    c0 = cone(p.t)
+
+    def above(ts):  # the cone time above p, less tau, at the times ts
+        return cone.many(ts) - c0 - tau
+
+    def newton(ts, _):  # its value and slope sqrt(a)
+        return above(ts), np.sqrt(profile.coefficients_many(ts)[0])
+
+    # tau is at least q's cone time, but for the rounding of tau_top: the
+    # root is then q.t, an end with g = 0
+    t_prev, g_prev = q.t, min(cone(q.t) - c0 - tau, 0.0)
+    march = toward_end(q.t, profile.t_max, step)
+    for t, g_t in in_blocks(lambda ts: above(ts).tolist(), march, 8, 8):
+        if g_t > 0.0:
+            start = t_prev - g_prev * (t - t_prev) / (g_t - g_prev)  # the secant point
+            return float(solve(newton, [t_prev], [t], [g_prev], [g_t], INVERT_TOL, _stuck,
+                               [start])[0])
+        t_prev, g_prev = t, g_t
+    return None
+
+
 def _judge_compactness(profile, p, q, B, nx=65):
     """The finite-compactness verdict and the region rows it computed.
 
-    Checks the inputs, then marches the slices toward the domain end on
-    their min_T alone and roots the region's top time t_top.  The rows are
-    the escape witness's scanned slices when the region escapes, none when
-    it is empty, and None when it is capped inside the domain: only
-    probe_finite_compactness traces such a region (_trace_region)."""
+    With b == 1 the chart (cone time tau above p, x) is Minkowski: a
+    slice's minimum is at its end farther from p, min_T^2 = gap (2 tau -
+    tau_q + d) with d = |q.x - p.x| and gap = tau_q - d the relation's
+    margin, so the region's top is at tau_top = (B^2 / gap + gap) / 2, and
+    _cone_top gives t_top with no slice computed.  Otherwise, or where
+    tau_top overflows or lies past the domain end, the slices are marched
+    toward the domain end on their min_T alone and a cap's t_top is rooted.
+    The rows are the escape witness's scanned slices when the region
+    escapes, none when it is empty, and None when it is capped inside the
+    domain: only probe_finite_compactness traces such a region
+    (_trace_region)."""
     _check_nx(nx)
     if not 0.0 < B < math.inf:  # a nan bound would pass every slice and fake an escape
         raise ValueError("bound B must be positive and finite")
-    _require_chronological(profile, p, q)
+    gap = _require_chronological(profile, p, q)
     base_witness = {"p": (p.t, p.x), "q": (q.t, q.x), "bound": float(B)}
 
     T_pq = float(_tvals(profile, p, np.array([q.t]), np.array([q.x]))[0])
     if T_pq > B:
         witness = dict(base_witness, empty=True, t_top=q.t)
         return ProbeReport("finite_compactness", HOLDS, witness), np.empty((0, 4))
+
+    step = max(1e-2, 1e-2 * B)
+    if profile.has_unit_b:
+        tau_top = (B * B / gap + gap) / 2.0
+        if tau_top == math.inf:  # B^2 may overflow where B^2 / gap does not
+            tau_top = (B * (B / gap) + gap) / 2.0
+        t_top = _cone_top(profile, p, q, tau_top, step) if tau_top < math.inf else None
+        if t_top is not None:
+            witness = dict(base_witness, t_top=t_top)
+            return ProbeReport("finite_compactness", HOLDS, witness), None
 
     # march the slice level toward the domain end until the region empties;
     # the slice at q.t is the single point q, so its minimum is T(p, q)
@@ -235,7 +292,7 @@ def _judge_compactness(profile, p, q, B, nx=65):
     marched = []  # the times of the slices passed
     t_prev, g_prev = q.t, T_pq - B
     n_march = 40 if math.isfinite(profile.t_max) else 70
-    march = islice(toward_end(q.t, profile.t_max, max(1e-2, 1e-2 * B)), n_march)
+    march = islice(toward_end(q.t, profile.t_max, step), n_march)
     for t, g_t in _march_blocks(profile, lambda ts: g(ts).tolist(), march):
         if g_t > 0.0:
             t_top = float(solve(g, [t_prev], [t], [g_prev], [g_t], 1e-9, _stuck)[0])
@@ -245,14 +302,20 @@ def _judge_compactness(profile, p, q, B, nx=65):
         t_prev, g_prev = t, g_t
 
     # the region runs into the missing boundary: the escape witness is the
-    # midline of the surviving part of each slice the march passed
+    # midline of the surviving part of each slice the march passed, or its
+    # first kept point where that part is two bands at the cone edges and
+    # the midline lies above B
     ts = np.array(marched)
     min_T, lo, hi, _, _ = _slices(profile, p, q, B, ts, nx)
     mids = 0.5 * (lo + hi)
+    T_mids = _tvals(profile, p, ts, mids)
+    out = T_mids > B
+    if out.any():
+        mids[out] = lo[out]
+        T_mids[out] = _tvals(profile, p, ts[out], lo[out])
     report = ProbeReport("finite_compactness", FAILS, dict(
         base_witness, escaping_points=list(zip(marched, mids.tolist())),
-        escaping_T=_tvals(profile, p, ts, mids).tolist(),
-        t_boundary=float(profile.t_max)))
+        escaping_T=T_mids.tolist(), t_boundary=float(profile.t_max)))
     return report, np.column_stack([ts, lo, hi, min_T])
 
 
@@ -528,8 +591,10 @@ def replay_witness(profile: MetricProfile, report: ProbeReport) -> float:
             worst = max(worst, abs(T_new - T_claim))
             worst = max(worst, T_new - B)  # every witness point stays under B
         ts = [t for t, _ in w["escaping_points"]]
-        # the escape must approach the recorded boundary monotonically
-        gaps = [abs(w["t_boundary"] - t) for t in ts]
+        # the escape must approach the recorded boundary monotonically: its
+        # time rises toward an unbounded end
+        tb = w["t_boundary"]
+        gaps = [abs(tb - t) if math.isfinite(tb) else -t for t in ts]
         if any(g2 >= g1 for g1, g2 in zip(gaps[:-1], gaps[1:])):
             worst = max(worst, 1.0)
     elif report.condition == "condition_a":

@@ -387,19 +387,23 @@ class ClosedFormMap:
     def _inverse(self, s: float) -> float:
         k, r, anchor = self.k, self.r, self.anchor
         z = r * s / (k * math.exp(r * anchor))
-        if z < math.inf:
+        if z <= 1.0 or (0.0 <= anchor and z < math.inf):
             return anchor + math.log1p(z) / r
-        # r s / k overflows: z = e^w with w in logs, and log1p(e^w) =
-        # max(w, 0) + log1p(e^-|w|)
-        w = math.log(r) + math.log(s) - math.log(k) - r * anchor
-        return anchor + (max(w, 0.0) + math.log1p(math.exp(-abs(w)))) / r
+        # the anchor would cancel against t, or z overflows: log(z) + r
+        # anchor = log(r s / k), in logs where r s / k overflows too
+        u = r * s / k
+        log_u = math.log(u) if u < math.inf else math.log(r) + math.log(s) - math.log(k)
+        return log_u / r + math.log1p(1.0 / z) / r
 
     def inverse(self, ss) -> np.ndarray:
         """The t with self(t) = s at every entry s >= 0 of ss, s in the map's
-        range, k > 0 and r >= 0: anchor + s / k when r == 0, else anchor +
-        log1p(z) / r with z = r s / (k exp(r anchor)), formed in logs where
-        r s / k overflows in floats.  t is well conditioned in s there:
-        dt/ds = 1 / (k exp(r t)) shrinks as s grows."""
+        range, k > 0 and r >= 0: anchor + s / k when r == 0, else, with z =
+        r s / (k exp(r anchor)), anchor + log1p(z) / r.  Where z > 1 and the
+        anchor is negative, which would cancel against t, or z overflows in
+        floats, it is log(r s / k) / r + log1p(1 / z) / r instead, with no
+        anchor term, the log formed in logs where r s / k overflows too.  t
+        is well conditioned in s there: dt/ds = 1 / (k exp(r t)) shrinks as
+        s grows."""
         ss = np.asarray(ss, dtype=float)
         if self.r == 0.0:
             return self.anchor + ss / self.k

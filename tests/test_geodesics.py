@@ -1242,11 +1242,11 @@ def test_sorted_march_is_bitwise_the_per_target_walk(prof):
         targets = [0.0, *hits, *(hits[-1] * rng.uniform(0.0, 1.0, 20)).tolist()]
         targets = rng.permutation(targets).tolist()
         if _inverts_exactly(quad):
-            # a growing closed form is inverted exactly, not by the seed's
-            # Newton; a target on a march value still returns that march T
+            # a growing closed form is inverted exactly, with no march and
+            # not by the seed's Newton: every T, those of the march values
+            # included, is held to the mpmath inverse, and s = 0 is t0
             T = _assert_exact_inversion(quad, targets)
-            at = dict(zip([0.0, *hits], [quad.t0, *march]))
-            assert all(t == at[s] for s, t in zip(targets, T.tolist()) if s in at)
+            assert T[targets.index(0.0)] == quad.t0
             continue
         want = seed.times(targets)
         assert len(want) == len(targets)
@@ -1308,6 +1308,38 @@ def test_strip01_inversion_stays_below_the_domain_end():
     assert quad.times([s]).tolist() == [math.nextafter(1.0, 0.0)]
     ((_, t, *_),) = geodesic_states(_fresh("strip01"), P(0.5, 0.0), V(1.0, 0.0), [s])
     assert t == math.nextafter(1.0, 0.0)
+
+
+def test_minkowski_target_past_any_march_reach_is_exact():
+    # a march toward the unbounded end ran out at t0 + 2^74 and raised
+    # "affine target not bracketed" for this target
+    mink = _fresh("minkowski")
+    assert geodesic_states(mink, P(0, 0), V(1, 0), [1e23]) == [(1e23, 1e23, 0.0, 1.0, 0.0)]
+
+
+@pytest.mark.parametrize("t0", [0.5, 0.1])
+def test_strip01_affine_bound_is_the_map_at_the_end_with_no_march(monkeypatch, t0):
+    def refuse(self):
+        raise AssertionError("the march was extended")
+
+    monkeypatch.setattr(_Quadrature, "_extend", refuse)
+    strip = _fresh("strip01")
+    quad = _oriented(strip, P(t0, 0.0), V(1.0, 0.0))
+    assert affine_bound(strip, P(t0, 0.0), V(1.0, 0.0)) == quad._closed(1.0) == 1.0 - t0
+    # past-directed, the end ahead is t = 0, forward time -0.0
+    assert affine_bound(strip, P(t0, 0.0), V(-1.0, 0.0)) == t0
+
+
+def test_exp2t_inverse_far_below_its_anchor_is_within_an_ulp_of_mpmath():
+    # the anchor -300 would cancel against T = 45.39 in anchor + log1p(z) / r,
+    # which put T 1.8 ulps off; log(r s / k) / r + log1p(1 / z) / r has no
+    # anchor term
+    quad = _oriented(get_profile("exp2t"), P(-300.0, 0.0), V(1.0, 0.0))
+    pytest.importorskip("mpmath")
+    m = quad._closed
+    want = mp_exp_map_inverse(m.k, m.r, m.anchor, 1e150)
+    (T,) = quad.times([1e150]).tolist()
+    assert abs(T - want) <= math.ulp(want)
 
 
 # -- gate: Newton on the closed bracket against the open-bracket inversion ---------
@@ -1401,6 +1433,10 @@ def test_newton_on_a_bracket_end_moves_t_within_the_inversion_tolerance(prof):
         quad = _oriented(prof, p, v)
         seed = _oriented(prof, p, v)
         targets = _near_march_targets(quad, rng)
+        if _inverts_exactly(quad):
+            # no march to bracket on: the exact inverse is held to mpmath
+            _assert_exact_inversion(quad, targets)
+            continue
         want = seed_times(seed, targets)
         got = quad.times(targets)
         assert len(got) == len(want) == len(targets)

@@ -97,6 +97,64 @@ def test_fc_exp2t_caps_at_closed_form_time():
     assert rep.witness["t_top"] == pytest.approx(math.log(E), abs=2e-3)
 
 
+def _mp_minkowski_t_top(q, B):
+    """t_top of the region from p = (0, 0) on Minkowski space, (B^2 / gap +
+    gap) / 2 at the float gap q.t - |q.x|, in 40-digit mpmath."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        gap = mp.mpf(q.t - abs(q.x))
+        return float((mp.mpf(B) ** 2 / gap + gap) / 2)
+
+
+def test_fc_near_the_light_cone_takes_the_closed_form_top():
+    # the slice march's Illinois root stopped at 12499156.518, 843 off,
+    # although its tolerance is 1e-9 relative: g is flat to rounding there
+    q = P(1, 0.999999)
+    rep, _ = probe_finite_compactness(get_profile("minkowski"), P(0, 0), q, 5.0)
+    want = _mp_minkowski_t_top(q, 5.0)
+    assert rep.holds and abs(rep.witness["t_top"] - want) <= 2 * math.ulp(want)
+
+
+@pytest.mark.parametrize("q, B, t_top", [
+    (P(1, 1 - 2e-12), 1e9, 2.500055305523757e29),  # near the light cone
+    (P(1e5, 0), 1e155, 5e304),  # B^2 overflows, B^2 / gap does not
+])
+def test_fc_caps_past_the_slice_march_reach(q, B, t_top):
+    # Minkowski space is finitely compact, but the slice march reported an
+    # escape: t_top lies past its reach, q.t + 2^69 max(1e-2, 1e-2 B), and
+    # long before that a slice's ends round its margin away (min_T reads 0
+    # from t = 1e15 on the first config).  The verdict as implication_report
+    # takes it, with no trace
+    rep, _ = probes._judge_compactness(get_profile("minkowski"), P(0, 0), q, B)
+    want = _mp_minkowski_t_top(q, B)
+    assert rep.holds and abs(rep.witness["t_top"] - want) <= 2 * math.ulp(want)
+    assert rep.witness["t_top"] == pytest.approx(t_top, rel=1e-15)
+
+
+def test_fc_c1power_cap_far_up_is_bracketed_on_the_shared_cone_map():
+    # far up, a slice's two ends round its margin away, so the slice march
+    # read min_T = 0 and reported an escape; t_top = 2.6e34 is bracketed on
+    # the shared cone map and solved by one Newton row
+    prof, p, q, B = get_profile("c1power"), P(0, 0), P(0.5, 0), 1e30
+    rep, _ = probes._judge_compactness(prof, p, q, B)
+    gap = cone_time(prof, q.t) - cone_time(prof, p.t)
+    tau_top = (B * B / gap + gap) / 2
+    above = cone_time(prof, rep.witness["t_top"]) - cone_time(prof, p.t)
+    assert rep.holds and above == pytest.approx(tau_top, rel=1e-12)
+
+
+def test_fc_top_beyond_floats_escapes_with_a_sound_witness():
+    # B^2 overflows, so tau_top does: the slice march runs out and reports an
+    # escape toward t = inf.  Past t = B the slices keep two bands at the
+    # cone edges, whose midline lies outside K1, so the witness takes their
+    # first kept point there, and it approaches the unbounded end as t rises
+    mink, p, q, B = get_profile("minkowski"), P(0, 0), P(1, 0.5), 1e160
+    rep, _ = probe_finite_compactness(mink, p, q, B)
+    assert not rep.holds and rep.witness["t_boundary"] == math.inf
+    assert replay_witness(mink, rep) < 1e-7
+    assert max(rep.witness["escaping_T"]) <= B < max(t for t, _ in rep.witness["escaping_points"])
+
+
 def test_fc_empty_region_when_bound_below_Tpq():
     rep, region = probe_finite_compactness(get_profile("minkowski"), P(0, 0), P(2, 0), 1.0)
     assert rep.holds
@@ -154,8 +212,9 @@ def test_fc_slices_are_k1_slices_of_the_trace(name, q, B):
 
 @pytest.mark.parametrize("name, q, B, t_top", [
     ("warpb", P(0.5, 0), 1.0, 1.1642423530540442),  # kept 120 or 116 points
-    ("minkowski", P(1, 0), 5.0, 12.999999999999995),  # both edges at the minimum
-    ("minkowski", P(1, 0.37), 1.5, 2.1007142857142864),  # the far edge alone: 122 or 119
+    # b == 1: t_top in closed form, (B^2 / gap + gap) / 2 from p = (0, 0)
+    ("minkowski", P(1, 0), 5.0, 13.0),  # both edges at the minimum
+    ("minkowski", P(1, 0.37), 1.5, 2.100714285714286),  # the far edge alone
 ])
 def test_traced_cap_slice_does_not_depend_on_the_last_ulps_of_t_top(name, q, B, t_top):
     # at the cap the slice's minimum is B: the top row keeps the points at
@@ -185,8 +244,7 @@ def test_traced_boundary_lists_only_cone_edges_inside_k1():
     _, region = probe_finite_compactness(mink, p, q, B)
     ts, xs = np.array(region.boundary).T
     assert (probes._tvals(mink, p, ts, xs) <= B + 1e-9).all()
-    _, want_region = scalar_probe_finite_compactness(mink, p, q, B)
-    assert repr(region) == repr(want_region)
+    assert_fc_is_the_scalar_route(mink, p, q, B)
 
 
 @pytest.mark.parametrize("name, q, B, dt", [("minkowski", P(1, 0.37), 1.5, 0.7),
@@ -224,22 +282,50 @@ def test_k1_slices_rows_ignore_a_slice_thinner_than_an_ulp():
     assert got.tobytes() == np.array(want).tobytes()
 
 
-@pytest.mark.parametrize("name, q, B, sizes", [("minkowski", P(1, 0), 5.0, [8, 8]),
-                                               ("warpb", P(0.5, 0), 3.0, [1] * 9)])
-def test_fc_march_scans_in_blocks_but_shoots_nothing_past_its_stop(monkeypatch, name, q, B,
-                                                                    sizes):
-    # both marches stop at their 9th slice; with b != 1 every T is a shooting
-    # solve that costs more the farther its point, so no block runs past it
+def _recorded_slice_mins(monkeypatch):
+    """The times of every _slice_min call from now on, one list a call."""
     calls, slice_min = [], probes._slice_min
     monkeypatch.setattr(probes, "_slice_min", lambda *args: calls.append(
         np.asarray(args[3], dtype=float).tolist()) or slice_min(*args))
+    return calls
+
+
+@pytest.mark.parametrize("name, q, B, sizes", [("minkowski", P(1, 0), 5.0, []),
+                                               ("warpb", P(0.5, 0), 3.0, [1] * 9)])
+def test_fc_march_scans_in_blocks_but_shoots_nothing_past_its_stop(monkeypatch, name, q, B,
+                                                                    sizes):
+    # t_top lies between the march's 8th and 9th slices.  warpb's march stops
+    # at the 9th; with b != 1 every T is a shooting solve that costs more the
+    # farther its point, so no block runs past it.  With b == 1 the cap is in
+    # closed form: no slice is computed at all
+    calls = _recorded_slice_mins(monkeypatch)
     rep, _ = probe_finite_compactness(get_profile(name), P(0, 0), q, B)
     march = list(islice(toward_end(q.t, math.inf, 1e-2 * B), 9))
     assert march[-2] < rep.witness["t_top"] < march[-1]
+    if not sizes:
+        assert calls == []
+        return
     assert [len(ts) for ts in calls[:len(sizes)]] == sizes
     assert sum(calls[:len(sizes)], [])[:9] == march
     if name == "warpb":
         assert max(max(ts) for ts in calls) == march[-1]
+
+
+@pytest.mark.parametrize("name", ["minkowski", "exp2t", "c1power", "strip01"])
+def test_unit_b_fc_scans_slices_only_for_an_escape(monkeypatch, name):
+    # a capped b == 1 region is judged with no slice; strip01's escape marches
+    # its 40 slices in blocks of 8 and scans them once for the witness
+    calls = _recorded_slice_mins(monkeypatch)
+    scans, slices = [], probes._slices
+    monkeypatch.setattr(probes, "_slices", lambda *args: scans.append(1) or slices(*args))
+    cfg = CONFIGS[name]
+    rep, _ = probes._judge_compactness(get_profile(name), cfg.p, cfg.q, cfg.fc_bound)
+    if name != "strip01":
+        assert rep.holds and calls == scans == []
+        return
+    march = list(islice(toward_end(cfg.q.t, 1.0), 40))
+    assert not rep.holds and [len(ts) for ts in calls] == [8] * 5
+    assert sum(calls, []) == march and len(scans) == 1
 
 
 @pytest.mark.parametrize("name, bounds, stop, sizes", [("minkowski", (10.0, 200.0), 9, [8, 8]),
@@ -618,8 +704,10 @@ def test_capped_bound_marches_only_past_the_span(monkeypatch):
             assert not made[-1]._ended and made[-1]._S[-2] <= 1.0 < made[-1]._S[-1]
             assert full._T == [p.t]
         else:
-            # the bound 0.9 lies below the span, so the march runs to its end
-            assert made[-1]._ended and made[-1]._T == full._T
+            # the bound 0.9 lies below the span; on the growing closed form it
+            # is s(t_max), read with no march
+            assert made[-1]._T == full._T == [p.t]
+            assert full.bound() == full._closed(1.0) == 0.9
 
 
 # -- implication report ----------------------------------------------------------------
@@ -763,7 +851,9 @@ def scalar_level_crossings(profile, p, B, t, xs, Ts):
     return out
 
 
-def scalar_probe_finite_compactness(profile, p, q, B, nx=65, n_trace=48):
+def scalar_probe_finite_compactness(profile, p, q, B, nx=65, n_trace=48, t_top=None):
+    """The scalar route's report and region; a given t_top stands in for
+    the root of a capped region's top time, in the report and the trace."""
     if B <= 0.0:
         raise ValueError("bound B must be positive")
     _require_chronological(profile, p, q)
@@ -790,9 +880,10 @@ def scalar_probe_finite_compactness(profile, p, q, B, nx=65, n_trace=48):
     for t in islice(toward_end(q.t, profile.t_max, max(1e-2, 1e-2 * abs(B))), n_march):
         min_T, lo, hi, _, _ = scan(t)
         if min_T > B:
-            t_top = scalar_bracketed_root(
-                lambda u: scan(u)[0] - B, t_prev, t, glo=g_prev, ghi=min_T - B, xtol=1e-9
-            )
+            if t_top is None:
+                t_top = scalar_bracketed_root(
+                    lambda u: scan(u)[0] - B, t_prev, t, glo=g_prev, ghi=min_T - B, xtol=1e-9
+                )
             break
         marched.append((t, lo, hi, min_T))
         t_prev, g_prev = t, min_T - B
@@ -895,17 +986,30 @@ GATE_CASES["c1power-0.81"] = (
     "c1power", x_shifted(CONFIGS["c1power"], -0.81, (10.0, 12.0, 100.0)))
 
 
-@pytest.mark.parametrize("case", sorted(GATE_CASES))
-def test_probes_match_scalar_route(case):
-    # repr tells every float apart: an empty slice keeps nan bounds, which
-    # == would report as a mismatch
-    name, cfg = GATE_CASES[case]
-    prof = get_profile(name)
-    got, got_region = probe_finite_compactness(prof, cfg.p, cfg.q, cfg.fc_bound)
-    want, want_region = scalar_probe_finite_compactness(prof, cfg.p, cfg.q, cfg.fc_bound)
+def assert_fc_is_the_scalar_route(prof, p, q, B):
+    """The probe's report and region are the scalar route's.  A capped
+    region's t_top lies within the scalar root's tolerance, 1e-9 max(1,
+    |t_top|), of that root (on b == 1 the probe takes it in closed form),
+    and the region is the scalar trace at the probe's own t_top, bit for
+    bit.  repr tells every float apart: an empty slice keeps nan bounds,
+    which == would report as a mismatch."""
+    got, got_region = probe_finite_compactness(prof, p, q, B)
+    want, _ = scalar_probe_finite_compactness(prof, p, q, B)
+    t_top = None
+    if got.holds and not got.witness.get("empty"):
+        t_top, root = got.witness["t_top"], want.witness["t_top"]
+        assert abs(t_top - root) <= 1e-9 * max(1.0, abs(root))
+    want, want_region = scalar_probe_finite_compactness(prof, p, q, B, t_top=t_top)
     assert repr(got) == repr(want)
     assert repr(got_region) == repr(want_region)
     assert got_region.slices.tobytes() == want_region.slices.tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(GATE_CASES))
+def test_probes_match_scalar_route(case):
+    name, cfg = GATE_CASES[case]
+    prof = get_profile(name)
+    assert_fc_is_the_scalar_route(prof, cfg.p, cfg.q, cfg.fc_bound)
     got = probe_condition_a(prof, cfg.p, cfg.q, cfg.ca_direction, cfg.ca_bounds)
     want = scalar_probe_condition_a(prof, cfg.p, cfg.q, cfg.ca_direction, cfg.ca_bounds)
     assert repr(got) == repr(want)
