@@ -9,28 +9,28 @@ terminates strictly inside the domain (bounded) at a slice the region
 actually attains (closed in domain), which is compactness in the 1+1 chart
 by Heine-Borel.  With b == 1 the chart (cone time, x) is Minkowski, so the
 region's top time t_top is in closed form: the cone time where the slice
-minimum reaches B, inverted with no slice computed.  Otherwise, and for a
-region that escapes, the slices are marched toward the domain end and a
-cap's t_top is rooted.  The verdict needs only t_top and, for an escape,
-its witness; probe_finite_compactness also traces a capped region's slices
-and boundary, which implication_report and the CLI do not read, so they
-take the verdict alone.  The divergence condition is probed along an
-inextendible causal geodesic from q: for each supplied bound B the probe
-reports the first affine parameter where T(p, gamma(s)) exceeds B, or the
-supremum of T observed when the geodesic dies first.  Timelike Cauchy
-completeness is probed on a supplied chronological sequence with vanishing
-forward gaps.
+minimum reaches B, inverted with no slice computed; a region with no such
+time inside the domain escapes.  Otherwise the slices are marched toward
+the domain end and a cap's t_top is rooted.  The verdict needs only t_top
+and, for an escape, its witness; probe_finite_compactness also traces a
+capped region's slices and boundary, which implication_report and the CLI
+do not read, so they take the verdict alone.  The divergence condition is
+probed along an inextendible causal geodesic from q: for each supplied
+bound B the probe reports the first affine parameter where T(p, gamma(s))
+exceeds B, or the supremum of T observed when the geodesic dies first.
+Timelike Cauchy completeness is probed on a supplied chronological sequence
+with vanishing forward gaps.
 
 Every T comes from the batched pair path, lorentzian_distance bit for bit
 (replay_witness alone calls that).  Both marches compute their slices or
-points in blocks of 8 (in_blocks; one point per block with b != 1), and
-the finite-compactness march and its cap's root read each slice's minimum
-from the slice's two ends (_slice_min); the slices are scanned at every
-point only in the trace, which is one batch, in k1_slices and in an escape
-witness, whose marched slices are one batch.  The level crossings of all
-traced slices are the rows of one root search, as are all the condition-A
-crossings: each bound is bracketed by the march points either side of it,
-and the brackets are solved together once the march ends.
+points in blocks of 8 (in_blocks; one point per block with b != 1), and the
+finite-compactness march (b != 1) and its cap's root read each slice's
+minimum from the slice's two ends (_slice_min); the slices are scanned at
+every point only in the trace, which is one batch, in k1_slices and in an
+escape witness, whose marched slices are one batch.  The level crossings of
+all traced slices are the rows of one root search, as are all the
+condition-A crossings: each bound is bracketed by the march points either
+side of it, and the brackets are solved together once the march ends.
 
 No finite computation can certify a universally quantified condition, so a
 passing verdict is always "holds_on_probe"; failing verdicts carry a
@@ -256,13 +256,14 @@ def _judge_compactness(profile, p, q, B, nx=65):
     slice's minimum is at its end farther from p, min_T^2 = gap (2 tau -
     tau_q + d) with d = |q.x - p.x| and gap = tau_q - d the relation's
     margin, so the region's top is at tau_top = (B^2 / gap + gap) / 2, and
-    _cone_top gives t_top with no slice computed.  Otherwise, or where
-    tau_top overflows or lies past the domain end, the slices are marched
-    toward the domain end on their min_T alone and a cap's t_top is rooted.
-    The rows are the escape witness's scanned slices when the region
-    escapes, none when it is empty, and None when it is capped inside the
-    domain: only probe_finite_compactness traces such a region
-    (_trace_region)."""
+    _cone_top gives t_top with no slice computed; where tau_top overflows
+    or lies past the domain end the region escapes.  Otherwise the slices
+    are marched toward the domain end on their min_T alone and a cap's
+    t_top is rooted.  An escape's witness is read off the march's slices,
+    every one passed.  The rows are the escape witness's scanned slices
+    when the region escapes, none when it is empty, and None when it is
+    capped inside the domain: only probe_finite_compactness traces such a
+    region (_trace_region)."""
     _check_nx(nx)
     if not 0.0 < B < math.inf:  # a nan bound would pass every slice and fake an escape
         raise ValueError("bound B must be positive and finite")
@@ -275,31 +276,34 @@ def _judge_compactness(profile, p, q, B, nx=65):
         return ProbeReport("finite_compactness", HOLDS, witness), np.empty((0, 4))
 
     step = max(1e-2, 1e-2 * B)
+    n_march = 40 if math.isfinite(profile.t_max) else 70
+    march = islice(toward_end(q.t, profile.t_max, step), n_march)
     if profile.has_unit_b:
+        # B^2 / gap rounds once where B^2 is exact, as for the catalog's
+        # bounds; B (B / gap), which rounds twice, where B^2 alone overflows
         tau_top = (B * B / gap + gap) / 2.0
-        if tau_top == math.inf:  # B^2 may overflow where B^2 / gap does not
+        if tau_top == math.inf:
             tau_top = (B * (B / gap) + gap) / 2.0
         t_top = _cone_top(profile, p, q, tau_top, step) if tau_top < math.inf else None
         if t_top is not None:
             witness = dict(base_witness, t_top=t_top)
             return ProbeReport("finite_compactness", HOLDS, witness), None
+        marched = list(march)  # the region escapes: every slice of the march is passed
+    else:
+        # march the slice level toward the domain end until the region
+        # empties; the slice at q.t is the single point q, of minimum T(p, q)
+        def g(ts, _=None):  # min_T - B on the slices at the times ts
+            return _slice_min(profile, p, q, ts) - B
 
-    # march the slice level toward the domain end until the region empties;
-    # the slice at q.t is the single point q, so its minimum is T(p, q)
-    def g(ts, _=None):  # min_T - B on the slices at the times ts
-        return _slice_min(profile, p, q, ts) - B
-
-    marched = []  # the times of the slices passed
-    t_prev, g_prev = q.t, T_pq - B
-    n_march = 40 if math.isfinite(profile.t_max) else 70
-    march = islice(toward_end(q.t, profile.t_max, step), n_march)
-    for t, g_t in _march_blocks(profile, lambda ts: g(ts).tolist(), march):
-        if g_t > 0.0:
-            t_top = float(solve(g, [t_prev], [t], [g_prev], [g_t], 1e-9, _stuck)[0])
-            witness = dict(base_witness, t_top=t_top)
-            return ProbeReport("finite_compactness", HOLDS, witness), None
-        marched.append(t)
-        t_prev, g_prev = t, g_t
+        marched = []  # the times of the slices passed
+        t_prev, g_prev = q.t, T_pq - B
+        for t, g_t in _march_blocks(profile, lambda ts: g(ts).tolist(), march):
+            if g_t > 0.0:
+                t_top = float(solve(g, [t_prev], [t], [g_prev], [g_t], 1e-9, _stuck)[0])
+                witness = dict(base_witness, t_top=t_top)
+                return ProbeReport("finite_compactness", HOLDS, witness), None
+            marched.append(t)
+            t_prev, g_prev = t, g_t
 
     # the region runs into the missing boundary: the escape witness is the
     # midline of the surviving part of each slice the march passed, or its

@@ -386,14 +386,28 @@ class ClosedFormMap:
 
     def _inverse(self, s: float) -> float:
         k, r, anchor = self.k, self.r, self.anchor
-        z = r * s / (k * math.exp(r * anchor))
+        scale = math.exp(r * anchor)
+        if scale >= sys.float_info.min and k * scale >= sys.float_info.min:
+            z = r * s / (k * scale)
+        elif s > 0.0:  # k exp(r anchor) is subnormal or 0: z = e^(log(r s / k) - r anchor)
+            try:
+                z = math.exp(self._log_rs_k(s) - r * anchor)
+            except OverflowError:
+                z = math.inf
+        else:
+            return anchor
         if z <= 1.0 or (0.0 <= anchor and z < math.inf):
             return anchor + math.log1p(z) / r
         # the anchor would cancel against t, or z overflows: log(z) + r
-        # anchor = log(r s / k), in logs where r s / k overflows too
-        u = r * s / k
-        log_u = math.log(u) if u < math.inf else math.log(r) + math.log(s) - math.log(k)
-        return log_u / r + math.log1p(1.0 / z) / r
+        # anchor = log(r s / k)
+        return self._log_rs_k(s) / r + math.log1p(1.0 / z) / r
+
+    def _log_rs_k(self, s: float) -> float:
+        """log(r s / k), in logs where r s / k overflows or is subnormal."""
+        u = self.r * s / self.k
+        if sys.float_info.min <= u < math.inf:
+            return math.log(u)
+        return math.log(self.r) + math.log(s) - math.log(self.k)
 
     def inverse(self, ss) -> np.ndarray:
         """The t with self(t) = s at every entry s >= 0 of ss, s in the map's
@@ -401,9 +415,10 @@ class ClosedFormMap:
         r s / (k exp(r anchor)), anchor + log1p(z) / r.  Where z > 1 and the
         anchor is negative, which would cancel against t, or z overflows in
         floats, it is log(r s / k) / r + log1p(1 / z) / r instead, with no
-        anchor term, the log formed in logs where r s / k overflows too.  t
-        is well conditioned in s there: dt/ds = 1 / (k exp(r t)) shrinks as
-        s grows."""
+        anchor term, the log formed in logs where r s / k overflows or is
+        subnormal; z itself is formed in logs where k exp(r anchor) is
+        subnormal or underflows to 0.  t is well conditioned in s there:
+        dt/ds = 1 / (k exp(r t)) shrinks as s grows."""
         ss = np.asarray(ss, dtype=float)
         if self.r == 0.0:
             return self.anchor + ss / self.k

@@ -1259,15 +1259,16 @@ def _inverts_exactly(quad):
 
 
 def _assert_exact_inversion(quad, targets):
-    """Invert targets with quad, a solver on a growing closed form, and check
-    that no Newton row ran and that every T lies within INVERT_TOL max(1,
-    |T|) of a 40-digit mpmath inverse and strictly below the domain end."""
+    """Invert targets with quad, a solver on a growing closed form, all below
+    its affine bound, and check that no Newton row ran, that no target was
+    dropped as beyond and that every T lies within INVERT_TOL max(1, |T|) of
+    a 40-digit mpmath inverse and strictly below the domain end."""
     pytest.importorskip("mpmath")
     calls = _count_s_at(quad)
     T = quad.times(targets)
-    assert calls == []
+    assert calls == [] and len(T) == len(targets)
     m = quad._closed
-    want = np.array([mp_exp_map_inverse(m.k, m.r, m.anchor, s) for s in targets[:len(T)]])
+    want = np.array([mp_exp_map_inverse(m.k, m.r, m.anchor, s) for s in targets])
     assert (np.abs(T - want) <= INVERT_TOL * np.maximum(1.0, np.abs(want))).all()
     assert (T < quad.t_end).all()
     return T

@@ -143,6 +143,14 @@ def test_fc_c1power_cap_far_up_is_bracketed_on_the_shared_cone_map():
     assert rep.holds and above == pytest.approx(tau_top, rel=1e-12)
 
 
+def test_fc_cone_map_underflowed_at_p_is_inverted_in_logs():
+    # exp2t's cone time is e^t: from p.t = -800 the cone map re-anchored at
+    # p.t has k e^(r p.t) = 0 in floats.  The margin is 1, so tau_top = (25 +
+    # 1) / 2 and t_top = log 13
+    rep, _ = probe_finite_compactness(get_profile("exp2t"), P(-800, 0), P(0, 0), 5.0)
+    assert rep.holds and abs(rep.witness["t_top"] - math.log(13.0)) <= math.ulp(2.5)
+
+
 def test_fc_top_beyond_floats_escapes_with_a_sound_witness():
     # B^2 overflows, so tau_top does: the slice march runs out and reports an
     # escape toward t = inf.  Past t = B the slices keep two bands at the
@@ -313,19 +321,21 @@ def test_fc_march_scans_in_blocks_but_shoots_nothing_past_its_stop(monkeypatch, 
 
 @pytest.mark.parametrize("name", ["minkowski", "exp2t", "c1power", "strip01"])
 def test_unit_b_fc_scans_slices_only_for_an_escape(monkeypatch, name):
-    # a capped b == 1 region is judged with no slice; strip01's escape marches
-    # its 40 slices in blocks of 8 and scans them once for the witness
+    # a capped b == 1 region is judged with no slice; strip01's escape reads
+    # no slice minimum and scans the 40 slices of its march once, for the
+    # witness
     calls = _recorded_slice_mins(monkeypatch)
     scans, slices = [], probes._slices
-    monkeypatch.setattr(probes, "_slices", lambda *args: scans.append(1) or slices(*args))
+    monkeypatch.setattr(probes, "_slices", lambda *args: scans.append(
+        np.asarray(args[4], dtype=float).tolist()) or slices(*args))
     cfg = CONFIGS[name]
     rep, _ = probes._judge_compactness(get_profile(name), cfg.p, cfg.q, cfg.fc_bound)
+    assert calls == []
     if name != "strip01":
-        assert rep.holds and calls == scans == []
+        assert rep.holds and scans == []
         return
     march = list(islice(toward_end(cfg.q.t, 1.0), 40))
-    assert not rep.holds and [len(ts) for ts in calls] == [8] * 5
-    assert sum(calls, []) == march and len(scans) == 1
+    assert not rep.holds and scans == [march]
 
 
 @pytest.mark.parametrize("name, bounds, stop, sizes", [("minkowski", (10.0, 200.0), 9, [8, 8]),
@@ -987,19 +997,18 @@ GATE_CASES["c1power-0.81"] = (
 
 
 def assert_fc_is_the_scalar_route(prof, p, q, B):
-    """The probe's report and region are the scalar route's.  A capped
-    region's t_top lies within the scalar root's tolerance, 1e-9 max(1,
-    |t_top|), of that root (on b == 1 the probe takes it in closed form),
-    and the region is the scalar trace at the probe's own t_top, bit for
-    bit.  repr tells every float apart: an empty slice keeps nan bounds,
-    which == would report as a mismatch."""
+    """The probe's report and region are the scalar route's, bit for bit.
+    On b == 1 the probe takes a capped region's t_top in closed form: it
+    lies within the scalar root's tolerance, 1e-9 max(1, |t_top|), of that
+    root, and the region is the scalar trace at the probe's own t_top.
+    repr tells every float apart: an empty slice keeps nan bounds, which ==
+    would report as a mismatch."""
     got, got_region = probe_finite_compactness(prof, p, q, B)
-    want, _ = scalar_probe_finite_compactness(prof, p, q, B)
-    t_top = None
-    if got.holds and not got.witness.get("empty"):
+    want, want_region = scalar_probe_finite_compactness(prof, p, q, B)
+    if prof.has_unit_b and got.holds and not got.witness.get("empty"):
         t_top, root = got.witness["t_top"], want.witness["t_top"]
         assert abs(t_top - root) <= 1e-9 * max(1.0, abs(root))
-    want, want_region = scalar_probe_finite_compactness(prof, p, q, B, t_top=t_top)
+        want, want_region = scalar_probe_finite_compactness(prof, p, q, B, t_top=t_top)
     assert repr(got) == repr(want)
     assert repr(got_region) == repr(want_region)
     assert got_region.slices.tobytes() == want_region.slices.tobytes()

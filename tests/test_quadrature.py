@@ -117,6 +117,9 @@ def test_closed_form_map_overflows_to_signed_inf():
     (0.37, 2.0, 0.4),
     (1e100 * math.exp(-300.0), 1.0, 300.0),  # r s / k overflows for s > 2e277
     (3.0, 1e-9, 5.0),                      # r (t - anchor) tiny
+    (1.0, 1.0, -800.0),                    # k e^(r anchor) underflows to 0
+    (1.0, 2.0, -360.0),                    # e^(r anchor) is subnormal
+    (1e5, 1.0, -720.0),                    # ... and k e^(r anchor) is not
 ])
 def test_closed_form_inverse_against_mpmath(k, r, anchor):
     pytest.importorskip("mpmath")
