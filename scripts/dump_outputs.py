@@ -34,7 +34,10 @@ every term kind:
                                 strip01 from (0.5, 0) up to an ulp below its
                                 affine bound 0.5; past-directed exp2t toward the
                                 supremum of its saturating s; minkowski from
-                                (0, 0) along (1, 0) at s = 1e23
+                                (0, 0) along (1, 0) at s = 1e23; c1power far up,
+                                from t0 = 85, 1e3, 1e5 and 1e6, future at four
+                                parameters and past at the same parameters, as
+                                causal_exp of the velocity scaled by each
     implication_report          near-light-cone regions on minkowski from p =
                                 (0, 0): q = (1, 0.999999) with B = 5, q = (1,
                                 1 - 2e-12) with B = 1e9 (t_top = 2.5e29) and q =
@@ -257,6 +260,17 @@ def dump_edges():
         print(f"exp2t causal_exp past-sup {show(v)} -> {attempt(ll.causal_exp, exp2t, P(0, 0), v)}")
     print(f"minkowski geodesic_states edge s=1e23 -> "
           f"{attempt(ll.geodesic_states, mink, P(0, 0), V(1, 0), [1e23])}")
+    # far above c1power's anchor, where F(T) - F(t0) loses the most digits
+    c1 = ll.get_profile("c1power")
+    far_s = (0.25, 1.0, 7.0, 40.0)
+    for t0 in (85.0, 1e3, 1e5, 1e6):
+        p, xi = P(t0, 0.25), 0.3 * math.sqrt(c1.eval(t0)[0])
+        print(f"c1power geodesic_states far-up {show((p, V(1.0, xi)))} -> "
+              f"{attempt(ll.geodesic_states, c1, p, V(1.0, xi), far_s)}")
+        for s in far_s:
+            v = V(-s, s * xi)
+            print(f"c1power causal_exp far-up past {show((p, v))} -> "
+                  f"{attempt(ll.causal_exp, c1, p, v)}")
     for q, B in ((P(1.0, 0.999999), 5.0), (P(1.0, 1.0 - 2e-12), 1e9), (P(1.0, 0.5), 1e160)):
         cfg = ll.ProbeConfig(P(0.0, 0.0), q, fc_bound=B)
         print(f"minkowski implication_report near-cone {show((q, B))} -> "

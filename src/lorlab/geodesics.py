@@ -207,14 +207,16 @@ class _Quadrature:
 
     The public entry points compute cons once from a velocity (_oriented);
     distance maximizers pass their exact (kappa, eps); (0, 0), which a causal
-    vector gives only by underflow, raises QuadratureError.  Each geodesic
-    reads only maps of its own, anchored at t0, so a value depends only on
-    the geodesic and T.  When the profile's flat map is a closed form (b == 1,
-    so kappa^2 / b - eps is a constant c^2), s(T) is that closed form scaled
-    by 1 / c and re-anchored at t0; otherwise s is an AnchoredMap.  With
-    b == 1, x(T) = x0 + kappa s(T); otherwise x has an AnchoredMap too.
-    The rate ds/dT (Newton's slope, and 1 / (dT/ds) in rows) is the
-    integrand of the s map: k e^{rT} for a closed form, which stays finite
+    vector gives only by underflow, raises QuadratureError.  With b == 1,
+    kappa^2 / b - eps is a constant c^2 and the geodesic is a straight line
+    in the chart (F(t), x) of the profile's shared flat map F = int sqrt(a):
+    s(T) = (F(T) - F(t0)) / c, and x = x0 + kappa s.  A closed-form F is
+    scaled by 1 / c and re-anchored at t0; any other F is read as it is, so
+    the geodesic builds no map of its own and s carries an absolute error of
+    about ulp(F(t0)) / c.  With b != 1, s(T) and x(T) are AnchoredMaps of
+    the geodesic's own, anchored at t0.  Either way a value depends only on
+    the geodesic and T.  The rate ds/dT (Newton's slope, and 1 / (dT/ds) in
+    rows) is the integrand of s: k e^{rT} for a closed form, which stays finite
     where a itself overflows (exp2t past t ~ 355), else
     sqrt(a / (kappa^2 / b - eps)).  A closed form with r >= 0 is inverted
     exactly (ClosedFormMap.inverse) and its affine bound read off the map,
@@ -222,8 +224,8 @@ class _Quadrature:
     anchored maps do (see the quadrature module).  Past-directed data
     (t_sign = -1) is solved on the profile's own maps, in time -t: the
     coefficients are read at -T, the breakpoints, the domain and r are
-    negated (exact in floats), and t0 and t_end, the domain end ahead, are
-    forward times.
+    negated (exact in floats), s(T) = (F(-t0) - F(-T)) / c, and t0 and t_end,
+    the domain end ahead, are forward times.
     """
 
     def __init__(self, profile: MetricProfile, p: SpacetimePoint, cons: ConservedQuantities,
@@ -250,29 +252,31 @@ class _Quadrature:
             a, b = coefficients(u)
             return np.sqrt(a / (kappa * kappa / b - eps))
 
-        def anchored(f):
-            return AnchoredMap(f, t0, breaks=breaks, domain=domain)
-
         # s_at, x_at and _rate map an array of times T to s(T), x(T) and ds/dT
-        flat = _flat_map(profile) if profile.has_unit_b else None
-        if isinstance(flat, ClosedFormMap):
-            # anchored at t0: F(T) - F(t0) would cancel where sqrt(a)
-            # vanishes, as e^t does toward -inf
-            s_map = ClosedFormMap(flat.k / math.sqrt(kappa * kappa - eps),
-                                  flat.r if t_sign > 0.0 else -flat.r, t0)
-            self._rate, self._closed = s_map.integrand, s_map
-        else:
-            s_map, self._rate, self._closed = anchored(f_s), f_s, None
-        self._x0, self.s_at = x0, s_map.many
-        if profile.has_unit_b:
-            self.x_at = lambda ts: x0 + kappa * s_map.many(ts)
-        else:
+        self._x0, self._unit_b = x0, profile.has_unit_b
+        self._rate, self._closed = f_s, None
+        if not self._unit_b:
             def f_x(u):
                 a, b = coefficients(u)
                 return kappa * np.sqrt(a) / (b * np.sqrt(kappa * kappa / b - eps))
 
-            x_map = anchored(f_x)
-            self.x_at = lambda ts: x0 + x_map.many(ts)
+            s_at, x_map = (AnchoredMap(f, t0, breaks=breaks, domain=domain).many
+                           for f in (f_s, f_x))
+            self.x_at = lambda ts: x0 + x_map(ts)
+        else:
+            flat = _flat_map(profile)
+            if isinstance(flat, ClosedFormMap):
+                # anchored at t0: F(T) - F(t0) would cancel where sqrt(a)
+                # vanishes, as e^t does toward -inf
+                s_map = ClosedFormMap(flat.k / math.sqrt(kappa * kappa - eps),
+                                      flat.r if t_sign > 0.0 else -flat.r, t0)
+                self._rate, self._closed, s_at = s_map.integrand, s_map, s_map.many
+            else:
+                F, F0, c = flat.many, flat(p.t), math.sqrt(kappa * kappa - eps)
+                s_at = ((lambda ts: (F(ts) - F0) / c) if t_sign > 0.0
+                        else lambda ts: (F0 - F(-np.asarray(ts, dtype=float))) / c)
+            self.x_at = lambda ts: x0 + kappa * s_at(ts)
+        self.s_at = s_at
         # _T and _S hold the points (T, s(T)) of the march computed so far,
         # from (t0, 0); once the march has ended, _total is the affine bound.
         # A growing closed form needs no march: its bound is s(t_end) at a
@@ -281,11 +285,11 @@ class _Quadrature:
         self._T, self._S, self._stall = [t0], [0.0], 0
         self._growing = self._closed is not None and self._closed.r >= 0.0
         if self._growing:
-            self._ended, self._total = True, s_map(self.t_end) if finite else math.inf
+            self._ended, self._total = True, self._closed(self.t_end) if finite else math.inf
             return
         # the march from t0 toward t_end, in blocks; a finite end is its last point
         ends = islice(toward_end(t0, self.t_end), 49 if finite else 75)
-        self._march = in_blocks(lambda ts: s_map.many(ts).tolist(),
+        self._march = in_blocks(lambda ts: s_at(ts).tolist(),
                                 chain(ends, [self.t_end] if finite else []))
         self._ended, self._total = False, math.inf
 
@@ -381,29 +385,26 @@ class _Quadrature:
     def point_at(self, s: float) -> SpacetimePoint:
         """The point at s, in the caller's time."""
         T = self.t_of(s)
-        return SpacetimePoint(self.t_sign * T, float(self._x(np.array([T]), s)[0]))
+        return SpacetimePoint(self.t_sign * T, float(self._x(np.array([T]), [s])[0]))
 
     def _x(self, T, s) -> np.ndarray:
-        """x at the forward times T of the affine parameters s: x_at(T), but
-        with b == 1 x0 + kappa s where s(T) overflows in floats while s does
-        not, as a closed form's does past the overflow of e^{rT}."""
-        if not self.profile.has_unit_b:
+        """x at the forward times T of the first len(T) affine parameters s:
+        x_at(T), but with b == 1 the straight line x0 + kappa s, exact in the
+        s asked for and with no query of the maps.  It is formed in Python
+        floats, where an x beyond floats is inf with no warning."""
+        if not self._unit_b:
             return self.x_at(T)
-        sT = self.s_at(T)
-        fine = np.isfinite(sT)
-        if fine.all():
-            return self._x0 + self.kappa * sT
-        with np.errstate(over="ignore"):  # an x beyond floats is inf
-            return self._x0 + self.kappa * np.where(fine, sT, s)
+        x0, kappa = self._x0, self.kappa
+        return np.array([x0 + kappa * v for v in np.asarray(s, dtype=float)[:len(T)].tolist()])
 
     def rows(self, T, s=None) -> np.ndarray:
         """Rows (s, T, x, dT/ds = 1 / rate, dx/ds) at the forward times T; s
         defaults to s(T).
 
-        Where a closed form's rate k e^{rT} overflows while s does not, the
-        rate is r s + k e^{r t0}, equal in exact arithmetic, and x is taken
-        from s (_x); every other value is the plain form's.  A row holding a
-        value beyond floats raises QuadratureError.
+        A given s gives x (_x).  Where a closed form's rate k e^{rT}
+        overflows while s does not, the rate is r s + k e^{r t0}, equal in
+        exact arithmetic; every other value is the plain form's.  A row
+        holding a value beyond floats raises QuadratureError.
         """
         kappa, rate = self.kappa, self._rate(T)
         if s is None:
@@ -415,7 +416,7 @@ class _Quadrature:
                 k0 = float(closed.integrand(self.t0))
                 with np.errstate(over="ignore"):
                     rate = np.where(np.isfinite(rate), rate, closed.r * s + k0)
-        if self.profile.has_unit_b:
+        if self._unit_b:
             dxds = np.full(len(T), kappa)  # kappa / b with b exactly 1.0
         else:
             dxds = kappa / self._coefficients(T)[1]
@@ -572,7 +573,7 @@ def uniqueness_witness(
     T = quad.times(s_checks)
     if len(T) < len(s_checks):
         raise Inextendible(quad._certificate(quad.bound()))
-    runs = [zip((T if quad.t_sign > 0.0 else -T).tolist(), quad.x_at(T).tolist())]
+    runs = [zip((T if quad.t_sign > 0.0 else -T).tolist(), quad._x(T, s_checks).tolist())]
     runs += [[st[:2] for st in _advance_fixed(profile, p, v, s_checks, h)] for h in steps]
     return max((math.hypot(a[0] - b[0], a[1] - b[1])
                 for pts in zip(*runs) for a, b in combinations(pts, 2)), default=0.0)

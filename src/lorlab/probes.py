@@ -397,7 +397,7 @@ def probe_condition_a(
     # bracket is a row of one root search once the march ends
     def along(ss):  # t, x and T(p, gamma(s)) at the parameters ss
         ts = quad.times(ss)
-        xs = quad.x_at(ts)
+        xs = quad._x(ts, ss)
         return ts, xs, _tvals(profile, p, ts, xs)
 
     T_prev = float(_tvals(profile, p, np.array([q.t]), np.array([q.x]))[0])
@@ -527,8 +527,9 @@ def make_cauchy_sequence(
     cap = quad.bound(float(span))
     if not math.isfinite(cap):
         raise ValueError(f"Cauchy span {span!r} is not capped by a finite affine bound")
-    T = quad.times(islice(toward_end(0.0, cap), n))
-    pts = [SpacetimePoint(t, x) for t, x in zip(T.tolist(), quad.x_at(T).tolist())]
+    ss = list(islice(toward_end(0.0, cap), n))
+    T = quad.times(ss)
+    pts = [SpacetimePoint(t, x) for t, x in zip(T.tolist(), quad._x(T, ss).tolist())]
     bounds = [math.ldexp(cap, 1 - k) for k in range(1, len(pts) + 1)]  # 2 cap 2^-k
     return pts, bounds
 

@@ -125,39 +125,48 @@ def _outside(t, t_min, t_max, name) -> DomainExceeded:
     )
 
 
-def _coefficient_source(name: str, terms, env: dict, t: str) -> list[str]:
+def _coefficient_source(name: str, terms, env: dict, t: str, reads) -> list[str]:
     """Lines setting name and d<name> to a coefficient and its derivative at
     the time named t.
 
     Each term is Term.value_and_deriv written out for its kind and the terms
     are summed in order from 0.0, so the result is MetricProfile.eval's bit
-    for bit; products of two constants are taken once, in the same order.
-    The constants enter through env.  An all-constant coefficient is its sum.
+    for bit: the leading constant terms are summed once into the start value,
+    and a term adding 0.0 is left out, as a sum started at 0.0 is never -0.0.
+    Products of two constants are taken once, in the same order.  The
+    constants enter through env.  An all-constant coefficient is its sum,
+    and sets only the names among reads, those of the code that follows.
     """
     total = constant_value(terms)
     if total is not None:
         env[name + "_sum"] = total
-        return [f"{name} = {name}_sum", f"d{name} = 0.0"]
-    lines = [f"{name} = d{name} = 0.0"]
-    for i, term in enumerate(terms):
+        return ([f"{name} = {name}_sum"] if name in reads else []) + (
+            [f"d{name} = 0.0"] if "d" + name in reads else [])
+    lead = 0  # the leading constant terms; a later term is not constant
+    while terms[lead].kind == "const":
+        lead += 1
+    lines = [f"{name} = 0.0", f"d{name} = 0.0"]
+    if lead:
+        env[name + "_lead"] = constant_value(terms[:lead])
+        lines[0] = f"{name} = {name}_lead"
+    for i, term in enumerate(terms[lead:], lead):
         k = f"{name}{i}_"
         env[k + "c"] = term.c
         if term.kind == "const":
-            lines.append(f"{name} += {k}c; d{name} += 0.0")
+            lines.append(f"{name} += {k}c")
         elif term.kind == "linear":
             lines.append(f"{name} += {k}c * {t}; d{name} += {k}c")
         elif term.kind == "power":
             env.update({k + "t0": term.t0, k + "p": term.p,
                         k + "cp": term.c * term.p, k + "pm1": term.p - 1.0})
+            # |u| by its sign; u == 0 adds nothing
             lines += [
                 f"u = {t} - {k}t0",
-                "au = abs(u)",
-                "if au == 0.0:",
-                f"    {name} += 0.0; d{name} += 0.0",
-                "else:",
-                f"    {name} += {k}c * au ** {k}p",
-                f"    d = {k}cp * au ** {k}pm1",
-                f"    d{name} += d if u > 0.0 else -d",
+                "if u > 0.0:",
+                f"    {name} += {k}c * u ** {k}p; d{name} += {k}cp * u ** {k}pm1",
+                "elif u < 0.0:",
+                "    u = -u",
+                f"    {name} += {k}c * u ** {k}p; d{name} -= {k}cp * u ** {k}pm1",
             ]
         else:
             env.update({k + "lam": term.lam, k + "cl": term.c * term.lam})
@@ -192,11 +201,14 @@ def _geodesic_kernels(profile: "MetricProfile"):
     while s < end, steps by min(step, s_max - s) and passes each new row
     (s, t, x, td, xd) to extend; that evaluation is the next step's first
     stage, so a step costs four.  worst is the largest drift seen.  left is
-    None, or (s, t, x, td, xd) where a step left the domain.  Only the
-    constants of the profile differ between profiles of the same term kinds,
-    and they enter through the exec environment; a constant a or b also fixes
-    its factors 2a, -a'/(2a) and -2 b'/(2b), which are then taken once, in
-    the same order as at run time.
+    None, or (s, t, x, td, xd) where a step left the domain.  A full step's
+    h / 2 and h / 6 are taken once per run.  Only the constants of the
+    profile differ between profiles of the same term kinds; they enter
+    through the exec environment and are bound as keyword-only defaults,
+    which the functions read as locals.  A constant a or b also fixes its
+    factors 2a, -a'/(2a) and -2 b'/(2b), which are then taken once, in the
+    same order as at run time, and a stage sets a constant coefficient's
+    value only where the drift check or geodesic_rhs reads it.
     """
     # the functions hold no reference to the profile, which caches them
     env = {"exp": math.exp, "outside": _outside, "StepTooLarge": StepTooLarge,
@@ -205,20 +217,24 @@ def _geodesic_kernels(profile: "MetricProfile"):
     if a_sum is not None:
         env["a2"] = 2.0 * a_sum
         env["ng000"] = -(0.0 / env["a2"])
-        acc_t = "ng000 * {td} * {td} - db / a2 * {xd} * {xd}"
+        acc_t, reads = "ng000 * {td} * {td} - db / a2 * {xd} * {xd}", {"db"}
     else:
         acc_t = "-(da / (2.0 * a)) * {td} * {td} - db / (2.0 * a) * {xd} * {xd}"
+        reads = {"a", "da", "db"}
     if b_sum is not None:
         env["m101"] = -2.0 * (0.0 / (2.0 * b_sum))
         acc_x = "m101 * {td} * {xd}"
     else:
         acc_x = "-2.0 * (db / (2.0 * b)) * {td} * {xd}"
+        reads |= {"b", "db"}
 
-    def evaluate(t, td, xd, k):
-        """a, b and the accelerations at{k}, ax{k} at (t, td, xd)."""
+    def evaluate(t, td, xd, k, values=False):
+        """The accelerations at{k}, ax{k} at (t, td, xd), and a and b where
+        values asks for them."""
+        need = reads | {"a", "b"} if values else reads
         return [
-            *_coefficient_source("a", profile.terms_a, env, t),
-            *_coefficient_source("b", profile.terms_b, env, t),
+            *_coefficient_source("a", profile.terms_a, env, t, need),
+            *_coefficient_source("b", profile.terms_b, env, t, need),
             f"at{k} = {acc_t.format(td=td, xd=xd)}",
             f"ax{k} = {acc_x.format(td=td, xd=xd)}",
         ]
@@ -227,18 +243,16 @@ def _geodesic_kernels(profile: "MetricProfile"):
         return [f"if not t_min < {t} < t_max:", "    " + leave.format(t=t)]
 
     def stages(leave):
-        """Stages 2-4 from (t, x, td, xd) with k1 = (at1, ax1), and the new t
-        as tn; leave runs where a stage time or tn, as {t}, is outside the
-        domain."""
+        """Stages 2-4 from (t, x, td, xd) with k1 = (at1, ax1), step h, hh =
+        h / 2 and h6 = h / 6, and the new t as tn; leave runs where a stage
+        time or tn, as {t}, is outside the domain."""
         return [
-            "hh = 0.5 * h",
             "td2 = td + hh * at1", "xd2 = xd + hh * ax1",
             "tc = t + hh * td", *inside("tc", leave), *evaluate("tc", "td2", "xd2", 2),
             "td3 = td + hh * at2", "xd3 = xd + hh * ax2",
             "tc = t + hh * td2", *inside("tc", leave), *evaluate("tc", "td3", "xd3", 3),
             "td4 = td + h * at3", "xd4 = xd + h * ax3",
             "tc = t + h * td3", *inside("tc", leave), *evaluate("tc", "td4", "xd4", 4),
-            "h6 = h / 6.0",
             "tn = t + h6 * (td + 2.0 * td2 + 2.0 * td3 + td4)", *inside("tn", leave),
         ]
 
@@ -246,19 +260,21 @@ def _geodesic_kernels(profile: "MetricProfile"):
               "td + h6 * (at1 + 2.0 * at2 + 2.0 * at3 + at4), "
               "xd + h6 * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)")
     leave = "raise outside({t}, t_min, t_max, name)"
-    rhs = ["def geodesic_rhs(t, td, xd):",
+    rhs = ["def geodesic_rhs(t, td, xd, *, {}):",
            *inside("t", leave),
-           *evaluate("t", "td", "xd", ""),
+           *evaluate("t", "td", "xd", "", values=True),
            "return at, ax, a, b"]
-    step = ["def rk4_step(t, x, td, xd, h):",
+    step = ["def rk4_step(t, x, td, xd, h, *, {}):",
             *evaluate("t", "td", "xd", 1),
+            "hh = 0.5 * h", "h6 = h / 6.0",
             *stages(leave),
             f"return {update}"]
-    run = ["def rk4_run(extend, s, t, x, td, xd, s_max, end, step,",
-           "        kappa0, eps0, hard_limit, worst):",
+    run = ["def rk4_run(extend, s, t, x, td, xd, s_max, end, step, "
+           "kappa0, eps0, hard_limit, worst, *, {}):",
+           "hh_step = 0.5 * step", "h6_step = step / 6.0",
            "while True:",
            *("    " + line for line in [
-               *evaluate("t", "td", "xd", 1),
+               *evaluate("t", "td", "xd", 1, values=True),
                "dk = abs(b * xd - kappa0)",
                "de = abs(-a * td * td + b * xd * xd - eps0)",
                "budget = hard_limit * (1.0 + s)",
@@ -272,14 +288,19 @@ def _geodesic_kernels(profile: "MetricProfile"):
                "if not s < end:",
                "    return worst, None",
                "h = s_max - s",
-               "if not h < step:",
-               "    h = step",
+               "if h < step:",
+               "    hh = 0.5 * h",
+               "    h6 = h / 6.0",
+               "else:",
+               "    h, hh, h6 = step, hh_step, h6_step",
                *stages("return worst, (s, t, x, td, xd)"),
                f"t, x, td, xd = {update}",
                "s += h",
                "extend((s, t, x, td, xd))",
            ])]
-    src = "\n".join("\n    ".join(fn) for fn in (rhs, step, run)) + "\n"
+    # the constants, as keyword-only defaults: read as locals, not globals
+    bound = ", ".join([f"{key}={key}" for key in env])
+    src = "\n".join("\n    ".join([fn[0].format(bound), *fn[1:]]) for fn in (rhs, step, run))
     exec(_compiled(src), env)
     return env["geodesic_rhs"], env["rk4_run"], env["rk4_step"]
 

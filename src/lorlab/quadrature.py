@@ -732,8 +732,16 @@ def in_blocks(f, points, cap: int = 8, first: int = 1):
 
 def _false_position(lo, hi, glo, ghi) -> np.ndarray:
     """The secant point of each bracket, or its midpoint where that point
-    is not strictly inside; glo and ghi differ in sign."""
-    x = hi - ghi * (hi - lo) / (ghi - glo)
+    is not strictly inside; glo and ghi differ in sign.  Where ghi (hi -
+    lo) overflows, the quotient is taken first: |ghi| <= |ghi - glo| keeps
+    that product finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = ghi * (hi - lo)
+        over = np.isinf(step)
+        step = step / (ghi - glo)
+        if over.any():
+            step[over] = ghi[over] * ((hi[over] - lo[over]) / (ghi[over] - glo[over]))
+    x = hi - step
     return np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
 
 

@@ -43,7 +43,7 @@ from lorlab.geodesics import (
     _Quadrature,
 )
 from lorlab.profiles import EPS_NULL, MetricProfile
-from lorlab.quadrature import ROOT_MAX_ITER, in_blocks, toward_end
+from lorlab.quadrature import ROOT_MAX_ITER, _flat_map, in_blocks, toward_end
 from oracles import mirrored, mp_exp_map_inverse
 
 P = SpacetimePoint
@@ -449,13 +449,47 @@ def test_affine_bound_matches_certificate():
     assert affine_bound(get_profile("minkowski"), P(0, 0), V(1, 0)) == math.inf
 
 
-def test_geodesics_integrate_on_maps_of_their_own():
-    # c1power has b == 1 and no closed form; its shared flat map stays empty
+def _count_anchored_maps(monkeypatch):
+    """Record the integrand of every AnchoredMap built from now on."""
+    built, init = [], quadrature.AnchoredMap.__init__
+
+    def counted(self, f, *args, **kwargs):
+        built.append(f)
+        init(self, f, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature.AnchoredMap, "__init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("v", [V(1.0, 0.3), V(-1.0, 0.3)], ids=["future", "past"])
+def test_unit_b_geodesics_read_only_the_shared_flat_map(monkeypatch, v):
+    # c1power has b == 1 and no closed form: s(T) comes off the profile's
+    # flat map F, in either time direction, and no geodesic builds a map
     prof = _fresh("c1power")
-    assert affine_bound(prof, P(0.5, 0.0), V(1.0, 0.0)) == math.inf
-    geodesic_states(prof, P(0.5, 0.0), V(1.0, 0.3), np.linspace(0.0, 5.0, 51))
-    flat = prof._maps["flat"]
-    assert [flat._up.cells, flat._down.cells] == [[], []]
+    flat = _flat_map(prof)
+    built = _count_anchored_maps(monkeypatch)
+    p = P(0.5, 0.0)
+    assert affine_bound(prof, p, v) == math.inf
+    quad = _oriented(prof, p, v)
+    ss = np.linspace(0.0, 5.0, 51)
+    T = quad.times(ss)
+    sign = quad.t_sign
+    assert quad.s_at(T).tolist() == (sign * (flat.many(sign * T) - flat(p.t))
+                                     / math.sqrt(quad.kappa ** 2 - quad.eps)).tolist()
+    quad.rows(T, ss)
+    causal_exp(prof, p, v)
+    assert built == [] and list(prof._maps) == ["flat"]
+    assert len(flat._up.cells) + len(flat._down.cells) > 0
+
+
+@pytest.mark.parametrize("name", ["warpb", "mixed"])
+def test_geodesics_off_unit_b_integrate_on_maps_of_their_own(monkeypatch, name):
+    # with b != 1 s(T) and x(T) are maps anchored at t0, one pair a geodesic
+    prof = MIXED if name == "mixed" else _fresh(name)
+    built = _count_anchored_maps(monkeypatch)
+    for v in (V(1.0, 0.3), V(-1.0, 0.3)):
+        causal_exp(prof, P(0.1, 0.0), v)
+    assert len(built) == 4
 
 
 def test_nan_affine_parameter_is_not_an_infinite_bound():
@@ -496,6 +530,36 @@ def test_geodesic_maps_match_an_mpmath_reference():
             for got, f in ((s, f_s), (x, f_x)):
                 want = mp_integral(f, p.t, T, MIXED.breakpoints)
                 assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (p, v, T)
+
+
+@pytest.mark.parametrize("t0", [0.5, 85.0, 1e3, 1e5])
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["future", "past"])
+def test_c1power_geodesics_match_an_mpmath_reference(t0, sign):
+    # s(T) comes off the shared flat map F, far from its anchor too: s =
+    # (F(T) - F(t0)) / c.  T is checked through the mpmath s at T, whose slope
+    # there is sqrt(a(T)) / c; x is the straight line x0 + kappa s
+    mpmath = pytest.importorskip("mpmath")
+    from oracles import mp_coefficient, mp_integral
+
+    prof = _fresh("c1power")
+    p = P(t0, 0.25)
+    v = V(sign, 0.3 * math.sqrt(prof.eval(t0)[0]))
+    quad = _oriented(prof, p, v)
+    c = mpmath.sqrt(mpmath.mpf(quad.kappa) ** 2 - mpmath.mpf(quad.eps))
+
+    def f_s(u):
+        return mpmath.sqrt(mp_coefficient(prof.terms_a, u)) / c
+
+    for s in (0.25, 1.0, 7.0, 40.0):
+        pt = quad.point_at(s)
+        T = sign * pt.t
+        if sign > 0.0:
+            s_mp = mp_integral(f_s, t0, pt.t, prof.breakpoints)
+        else:
+            s_mp = mp_integral(f_s, pt.t, t0, prof.breakpoints)
+        err = (s_mp - s) / float(f_s(pt.t))
+        assert abs(err) <= INVERT_TOL * max(1.0, abs(T)), (s, pt)
+        assert pt.x == p.x + quad.kappa * s
 
 
 def _count_extends(monkeypatch):
@@ -928,7 +992,7 @@ def seed_uniqueness_witness(profile, p, v, steps=(1e-2, 1e-3), s_max=1.0, n_chec
     T = quad.times(s_checks)
     if len(T) < n_checks:
         raise Inextendible(quad._certificate(quad.bound()))
-    runs = [zip(T.tolist(), quad.x_at(T).tolist())]
+    runs = [zip(T.tolist(), quad._x(T, s_checks).tolist())]
     runs += [[st[:2] for st in seed_advance_fixed(profile, p, v, s_checks, h)] for h in steps]
     return max((math.hypot(a[0] - b[0], a[1] - b[1])
                 for pts in zip(*runs) for a, b in combinations(pts, 2)), default=0.0)

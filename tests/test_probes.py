@@ -131,6 +131,15 @@ def test_fc_caps_past_the_slice_march_reach(q, B, t_top):
     assert rep.witness["t_top"] == pytest.approx(t_top, rel=1e-15)
 
 
+def test_fc_traced_region_with_an_overflowing_secant_product():
+    # the traced region's slice roots are Illinois rows whose g(hi) (hi - lo)
+    # overflowed: the false-position point raised a RuntimeWarning
+    q, B = P(1e5, 0), 1e155
+    rep, region = probe_finite_compactness(get_profile("minkowski"), P(0, 0), q, B)
+    assert rep.holds and rep.witness["t_top"] == pytest.approx(5e304, rel=1e-15)
+    assert np.isfinite(np.array(region.boundary)).all()
+
+
 def test_fc_c1power_cap_far_up_is_bracketed_on_the_shared_cone_map():
     # far up, a slice's two ends round its margin away, so the slice march
     # read min_T = 0 and reported an escape; t_top = 2.6e34 is bracketed on

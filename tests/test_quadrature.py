@@ -426,6 +426,15 @@ def test_false_position_closes_linear_rows_in_one_call():
     assert (np.abs(got - roots) <= 1e-13 * np.maximum(1.0, np.abs(roots))).all()
 
 
+def test_false_position_divides_first_only_where_the_product_overflows():
+    # g(hi) (hi - lo) = 1e310 in the first row; the second keeps the plain form
+    lo, hi = np.array([0.0, 0.0]), np.array([1e300, 3.0])
+    glo, ghi = np.array([-1e10, -0.4]), np.array([1e10, 0.7])
+    x = quadrature._false_position(lo, hi, glo, ghi)
+    assert x.tolist() == [1e300 - 1e10 * (1e300 / 2e10), 3.0 - 0.7 * 3.0 / 1.1]
+    assert x[1] != 3.0 - 0.7 * (3.0 / 1.1)
+
+
 def test_solve_without_live_rows_returns_at_once():
     def g(x, rows):
         raise AssertionError("g called")
